@@ -8,16 +8,14 @@ import numpy as np
 from pathlib import Path
 
 from rotogo import (
+    PlanningProblem,
     RobotState,
     ViaPointPlan,
-    parse_formula,
     rollout,
     scenario_phi_avoid,
     to_ticks,
 )
 from rotogo.cmaes import CmaesConfig, cmaes_minimize
-from rotogo.fasteval import eval_robustness_arrays
-from rotogo.planning import clamp_robustness, limit_penalty, rollout_arrays, workspace_penalty
 
 cfg = scenario_phi_avoid()
 phi = cfg.validate()
@@ -27,7 +25,8 @@ print(f"scenario {cfg.name}: start ({robot.x}, {robot.y}), human at {cfg.env_sta
 # ---------------------------------------------------------------------------
 # The decision vector is the flat list of via points.  A candidate's loss is
 # the negative robustness of its rolled-out signal plus workspace and limit
-# penalties; the whole population is evaluated in one vectorized pass.
+# penalties.  PlanningProblem builds the rollout as a linear map once and
+# evaluates the whole population in one vectorized pass.
 
 hz = 1.0 / cfg.trace_period
 duration = cfg.mission_horizon
@@ -35,26 +34,19 @@ n_samples = to_ticks(duration) // to_ticks(cfg.trace_period) + 1
 eval_times = np.arange(n_samples, dtype=np.int64) * to_ticks(cfg.trace_period)
 start_pos, start_vel = np.array([robot.x, robot.y]), np.zeros(2)
 limits, workspace = cfg.limits(), cfg.workspace_box()
-
-
-def batch_objective(X):
-    via = X.reshape(X.shape[0], cfg.via_points, 2)
-    _, pos, vel, acc = rollout_arrays(via, start_pos, start_vel, duration, hz)
-    comps = {
-        "x": pos[..., 0], "y": pos[..., 1],
-        "vx": vel[..., 0], "vy": vel[..., 1],
-        "xe": np.full(pos.shape[:2], cfg.env_start[0]),
-        "ye": np.full(pos.shape[:2], cfg.env_start[1]),
-    }
-    rho = eval_robustness_arrays(eval_times, comps, phi)[:, 0]
-    return -clamp_robustness(rho) + workspace_penalty(pos, workspace) + limit_penalty(vel, acc, limits)
+xe, ye = cfg.env_start
+problem = PlanningProblem(
+    phi, eval_times, start_pos, start_vel, (xe, ye), duration, hz, cfg.via_points, limits, workspace,
+    # the scored signal starts at the initial state
+    prefix={"x": [robot.x], "y": [robot.y], "vx": [0.0], "vy": [0.0], "xe": [xe], "ye": [ye]},
+)
 
 
 result = cmaes_minimize(
     None,
     np.tile(start_pos, cfg.via_points),
     CmaesConfig(seed=0, max_iterations=cfg.first_attempt_iterations),
-    batch_objective=batch_objective,
+    batch_objective=problem.cost,
 )
 best = result.best_x.reshape(cfg.via_points, 2)
 print(f"best loss {result.best_value:.4f} after {result.evaluations} evaluations")

@@ -39,7 +39,7 @@ from .progression import (
 )
 from .fasteval import TouchCounter, eval_robustness, eval_robustness_all
 from .cmaes import CmaesConfig, CmaesResult, cmaes_minimize
-from .planning import Limits, Trajectory, ViaPointPlan, Workspace, plan_cost, rollout
+from .planning import Limits, PlanningProblem, Trajectory, ViaPointPlan, Workspace, rollout
 from .dynamics import DoubleIntegrator, EnvState, RobotState, env_step, robot_step
 from .scenarios import ScenarioConfig, get_scenario, scenario_phi_avoid, scenario_phi_stayin
 from .mpc import RunResult, StatsRow, batch_stats, mpc_run
@@ -59,7 +59,7 @@ __all__ = [
     "start_monitor",
     "TouchCounter", "eval_robustness", "eval_robustness_all",
     "CmaesConfig", "CmaesResult", "cmaes_minimize",
-    "Limits", "Trajectory", "ViaPointPlan", "Workspace", "plan_cost", "rollout",
+    "Limits", "PlanningProblem", "Trajectory", "ViaPointPlan", "Workspace", "rollout",
     "DoubleIntegrator", "EnvState", "RobotState", "env_step", "robot_step",
     "ScenarioConfig", "get_scenario", "scenario_phi_avoid", "scenario_phi_stayin",
     "RunResult", "StatsRow", "batch_stats", "mpc_run",

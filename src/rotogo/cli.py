@@ -26,7 +26,7 @@ from .dynamics import EnvState, RobotState
 from .formula import to_seconds, to_ticks
 from .mpc import mpc_run
 from .parser import format_formula, parse_formula
-from .planning import Trajectory, rollout
+from .planning import PlanningProblem, Trajectory, ViaPointPlan, rollout
 from .progression import monitor_step, start_monitor
 from .scenarios import BUILTIN_SCENARIOS, MODES, ScenarioConfig, get_scenario
 from .selftest import run_selftest
@@ -90,14 +90,6 @@ def cmd_progress(args) -> int:
 def cmd_plan(args) -> int:
     cfg = _load_scenario(args)
     f = cfg.validate()
-    from .fasteval import eval_robustness_arrays
-    from .planning import (
-        clamp_robustness,
-        limit_penalty,
-        rollout_arrays,
-        workspace_penalty,
-    )
-
     robot = RobotState(*cfg.robot_start)
     env = EnvState(*cfg.env_start)
     duration = cfg.mission_horizon
@@ -106,19 +98,12 @@ def cmd_plan(args) -> int:
     start_vel = np.array([robot.vx, robot.vy])
     n_samples = to_ticks(cfg.mission_horizon) // to_ticks(cfg.trace_period) + 1
     eval_times = np.arange(n_samples, dtype=np.int64) * to_ticks(cfg.trace_period)
-    limits, workspace = cfg.limits(), cfg.workspace_box()
-
-    def batch_objective(X):
-        via = X.reshape(X.shape[0], cfg.via_points, 2)
-        _, pos, vel, acc = rollout_arrays(via, start_pos, start_vel, duration, hz)
-        comps = {
-            "x": pos[..., 0], "y": pos[..., 1],
-            "vx": vel[..., 0], "vy": vel[..., 1],
-            "xe": np.full(pos.shape[:2], env.xe), "ye": np.full(pos.shape[:2], env.ye),
-        }
-        rho = eval_robustness_arrays(eval_times, comps, f)[:, 0]
-        pen = workspace_penalty(pos, workspace) + limit_penalty(vel, acc, limits)
-        return -clamp_robustness(rho) + pen
+    # The scored signal starts at the initial state, which every candidate shares.
+    start = {"x": robot.x, "y": robot.y, "vx": robot.vx, "vy": robot.vy, "xe": env.xe, "ye": env.ye}
+    problem = PlanningProblem(
+        f, eval_times, start_pos, start_vel, (env.xe, env.ye), duration, hz, cfg.via_points,
+        cfg.limits(), cfg.workspace_box(), prefix={name: [value] for name, value in start.items()},
+    )
 
     config = CmaesConfig(
         population_size=cfg.population_size,
@@ -127,7 +112,7 @@ def cmd_plan(args) -> int:
         max_iterations=cfg.first_attempt_iterations,
         seed=cfg.seed,
     )
-    result = cmaes_minimize(None, np.tile(start_pos, cfg.via_points), config, batch_objective=batch_objective)
+    result = cmaes_minimize(None, np.tile(start_pos, cfg.via_points), config, batch_objective=problem.cost)
     best = result.best_x.reshape(cfg.via_points, 2)
     print(f"scenario: {cfg.name}")
     print(f"cost: {result.best_value!r}")
@@ -141,8 +126,6 @@ def cmd_plan(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        from .planning import ViaPointPlan
-
         traj = rollout(ViaPointPlan(best, duration), robot, hz)
         path = out / f"{cfg.name}_plan.csv"
         _write_plan_csv(traj, path)

@@ -7,10 +7,20 @@ signals that share the same timestamps.  That is what makes the planner's
 inner loop affordable: one model-predictive replan evaluates hundreds of
 candidate trajectories against the same formula.
 
-The two evaluators agree bit for bit: boolean connectives are pure min/max
-selections, and predicate expressions execute the identical sequence of
-IEEE-754 operations whether applied to scalars or arrays.  The equivalence
-is enforced on randomized corpora by the test suite.
+The fast and reference evaluators agree bit for bit: boolean connectives
+are pure min/max selections, and predicate expressions execute the
+identical sequence of IEEE-754 operations whether applied to scalars or
+arrays.  The equivalence is enforced on randomized corpora by the test
+suite.
+
+The planner reads the robustness at the first sample only.
+:func:`eval_robustness_start` computes just that, demand-driven: each node
+is asked for a contiguous index range and works on slice views, so an
+eventually at one index is one maximum over a slice, and a nested temporal
+operator builds its windowed maxima over its sub-range only (robustness
+over the index ranges a query needs, as in Donze, Ferrere and Maler,
+"Efficient Robust Monitoring for STL", CAV 2013).  Its result equals the
+first column of the full table.
 """
 from __future__ import annotations
 
@@ -40,9 +50,9 @@ POS_INF = math.inf
 class TouchCounter:
     """Counts how much signal an evaluation had to look at.
 
-    ``samples`` is the number of distinct sample slots visited (the length
-    of the evaluated signal); ``reads`` counts individual predicate-sample
-    evaluations.
+    ``samples`` is the number of distinct sample slots visited (the whole
+    signal for a full table, the slots a start-only evaluation read);
+    ``reads`` counts individual predicate-sample evaluations.
     """
 
     samples: int = 0
@@ -97,8 +107,7 @@ class _Evaluator:
         if isinstance(f, Pred):
             if self.counter is not None:
                 self.counter.visit(self.n, self.batch * self.n)
-            out = f.fn.eval(self.components)
-            return np.broadcast_to(np.asarray(out, dtype=np.float64), (self.batch, self.n)).copy() if np.ndim(out) == 0 else np.asarray(out, dtype=np.float64)
+            return _predicate(f, self.components, self.batch, self.n)
         if isinstance(f, Not):
             return -self.run(f.child)
         if isinstance(f, And):
@@ -109,26 +118,129 @@ class _Evaluator:
             return self._until(f)
         raise TypeError(f"not a formula: {f!r}")
 
-    def _window(self, interval: Interval) -> tuple[np.ndarray, np.ndarray]:
-        """Per-index half-open index windows of samples inside interval + t_j."""
-        lo_bounds = self.times + interval.lower
-        lo = np.searchsorted(self.times, lo_bounds, side="left" if interval.lower_closed else "right")
-        if interval.upper == math.inf:
-            hi = np.full(self.n, self.n, dtype=np.int64)
-        else:
-            hi_bounds = self.times + int(interval.upper)
-            hi = np.searchsorted(self.times, hi_bounds, side="right" if interval.upper_closed else "left")
-        return lo.astype(np.int64), np.maximum(lo, hi).astype(np.int64)
-
     def _until(self, f: Until) -> np.ndarray:
         right = self.run(f.right)
-        lo, hi = self._window(f.interval)
+        lo, hi = _window(self.times, f.interval, self.times)
         if isinstance(f.left, Top):
             # The inner infimum over the left operand is +inf everywhere, so
             # this reduces to a windowed maximum of the right operand.
             return _windowed_max(right, lo, hi)
         left = self.run(f.left)
         return _until_general(left, right, lo, hi)
+
+
+def eval_robustness_start(
+    times: np.ndarray,
+    components: dict[str, np.ndarray],
+    f: Formula,
+    counter: TouchCounter | None = None,
+) -> np.ndarray:
+    """Robustness of ``f`` at the first sample of every candidate; shape (B,).
+
+    Takes the arguments of :func:`eval_robustness_arrays` and returns its
+    first column, computing only the index ranges that column depends on.
+    An until with a left operand other than ``true`` is evaluated through
+    the full table.  ``counter`` records the distinct samples actually read.
+    """
+    times = np.ascontiguousarray(times, dtype=np.int64)
+    ev = _StartEvaluator(times, components)
+    out = ev.run(f, 0, 1)[:, 0]
+    if counter is not None and ev.spans:
+        counter.visit(_covered(ev.spans), ev.reads)
+    return out
+
+
+class _StartEvaluator:
+    """Robustness over contiguous index ranges [a, b) of the signal."""
+
+    def __init__(self, times, components):
+        self.times = times
+        self.components = components
+        self.n = times.shape[0]
+        self.batch = next(iter(components.values())).shape[0]
+        self.spans: list[tuple[int, int]] = []  # index ranges predicates read
+        self.reads = 0
+        self._views: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+
+    def visit(self, n_samples: int, n_reads: int) -> None:
+        """TouchCounter interface, for the full-table fallback."""
+        self.spans.append((0, n_samples))
+        self.reads += n_reads
+
+    def run(self, f: Formula, a: int, b: int) -> np.ndarray:
+        if isinstance(f, Top):
+            return np.full((self.batch, b - a), POS_INF)
+        if isinstance(f, Bottom):
+            return np.full((self.batch, b - a), NEG_INF)
+        if isinstance(f, Pred):
+            self.spans.append((a, b))
+            self.reads += self.batch * (b - a)
+            return _predicate(f, self._view(a, b), self.batch, b - a)
+        if isinstance(f, Not):
+            return -self.run(f.child, a, b)
+        if isinstance(f, And):
+            return np.minimum(self.run(f.left, a, b), self.run(f.right, a, b))
+        if isinstance(f, Or):
+            return np.maximum(self.run(f.left, a, b), self.run(f.right, a, b))
+        if isinstance(f, Until):
+            return self._until(f, a, b)
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _view(self, a: int, b: int) -> dict[str, np.ndarray]:
+        if a == 0 and b == self.n:
+            return self.components
+        view = self._views.get((a, b))
+        if view is None:
+            view = self._views[(a, b)] = {name: col[:, a:b] for name, col in self.components.items()}
+        return view
+
+    def _until(self, f: Until, a: int, b: int) -> np.ndarray:
+        if not isinstance(f.left, Top):
+            return _Evaluator(self.times, self.components, self).run(f)[:, a:b]
+        if b - a == 1:
+            lo, hi = _window(self.times, f.interval, self.times[a])
+            if hi <= lo:
+                return np.full((self.batch, 1), NEG_INF)
+            return self.run(f.right, int(lo), int(hi)).max(axis=1, keepdims=True)
+        lo, hi = _window(self.times, f.interval, self.times[a:b])
+        live = hi > lo
+        if not live.any():
+            return np.full((self.batch, b - a), NEG_INF)
+        # Window bounds never decrease with the index, so the live windows
+        # lie within [first live lower bound, last live upper bound).
+        start, stop = int(lo[live][0]), int(hi[live][-1])
+        return _windowed_max(self.run(f.right, start, stop), lo - start, hi - start)
+
+
+def _predicate(f: Pred, env: dict[str, np.ndarray], batch: int, width: int) -> np.ndarray:
+    out = f.fn.eval(env)
+    if np.ndim(out) == 0:
+        return np.full((batch, width), out, dtype=np.float64)
+    return np.asarray(out, dtype=np.float64)
+
+
+def _covered(spans: list[tuple[int, int]]) -> int:
+    """Number of indices in the union of half-open ranges."""
+    total = end = 0
+    for a, b in sorted(spans):
+        if b > end:
+            total += b - max(a, end)
+            end = b
+    return total
+
+
+def _window(times: np.ndarray, interval: Interval, start) -> tuple:
+    """Half-open index window [lo, hi) of the samples inside interval + start.
+
+    ``start`` is one sample time or an array of them (then lo and hi are
+    arrays too).
+    """
+    lo = np.searchsorted(times, start + interval.lower, side="left" if interval.lower_closed else "right")
+    if interval.upper == math.inf:
+        hi = times.shape[0]
+    else:
+        hi = np.searchsorted(times, start + int(interval.upper), side="right" if interval.upper_closed else "left")
+    return lo, np.maximum(lo, hi)
 
 
 def _windowed_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -138,8 +250,8 @@ def _windowed_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     two overlapping power-of-two blocks.  Max is a selection, so results are
     exactly the same floats the reference evaluator produces.
     """
-    batch, n = values.shape
-    out = np.full((batch, n), NEG_INF)
+    batch = values.shape[0]
+    out = np.full((batch, lo.shape[0]), NEG_INF)
     width = hi - lo
     if not (width > 0).any():
         return out

@@ -26,8 +26,11 @@ from .dynamics import DoubleIntegrator, EnvState, RobotState
 from .fasteval import TouchCounter, eval_robustness_all, eval_robustness_arrays
 from .formula import Formula, node_count, to_seconds, to_ticks
 from .cmaes import CmaesConfig, cmaes_minimize
-from .planning import (
-    clamp_robustness,
+# limit_penalty and workspace_penalty are called through PlanningProblem; the
+# names stay importable here because the benchmark's tracer
+# (perfbench/workloads.py) wraps them on this module.
+from .planning import (  # noqa: F401
+    PlanningProblem,
     limit_penalty,
     rollout_arrays,
     spline_positions,
@@ -261,37 +264,19 @@ def _replan(
     if rotogo_mode:
         objective_formula = monitor.current  # progressed, anchored at t_i + trace_dt
         eval_times = trace_times[index + 1 :]
+        prefix = None
     else:
         objective_formula = f0
         eval_times = trace_times
-
-    if not rotogo_mode:
         # Executed history including the current observation, shared by all
         # candidates; candidate suffixes are appended after it.
-        prefix = {
-            "x": np.append(trace_cols["x"][:index], robot.x),
-            "y": np.append(trace_cols["y"][:index], robot.y),
-            "vx": np.append(trace_cols["vx"][:index], robot.vx),
-            "vy": np.append(trace_cols["vy"][:index], robot.vy),
-            "xe": np.append(trace_cols["xe"][:index], env.xe),
-            "ye": np.append(trace_cols["ye"][:index], env.ye),
-        }
+        now = {"x": robot.x, "y": robot.y, "vx": robot.vx, "vy": robot.vy, "xe": env.xe, "ye": env.ye}
+        prefix = {name: np.append(trace_cols[name][:index], value) for name, value in now.items()}
 
-    def batch_objective(X: np.ndarray) -> np.ndarray:
-        via = X.reshape(X.shape[0], n_via, 2)
-        _, pos, vel, acc = rollout_arrays(via, start_pos, start_vel, duration, hz)
-        penalty = workspace_penalty(pos, workspace) + limit_penalty(vel, acc, limits)
-        comps = _suffix_components(pos, vel, env)
-        if not rotogo_mode:
-            comps = {
-                name: np.concatenate(
-                    [np.broadcast_to(prefix[name], (X.shape[0], prefix[name].size)), comps[name]],
-                    axis=1,
-                )
-                for name in comps
-            }
-        rho = eval_robustness_arrays(eval_times, comps, objective_formula, counter)[:, 0]
-        return -clamp_robustness(rho) + penalty
+    problem = PlanningProblem(
+        objective_formula, eval_times, start_pos, start_vel, (env.xe, env.ye), duration, hz, n_via,
+        limits, workspace, prefix=prefix, counter=counter,
+    )
 
     # The previous plan's via points seed the search mean whenever one
     # exists; a positive previous objective additionally shrinks the step
@@ -311,7 +296,7 @@ def _replan(
         seed=seed,
     )
     result = cmaes_minimize(
-        None, x0, config, step_size=sigma, batch_objective=batch_objective,
+        None, x0, config, step_size=sigma, batch_objective=problem.cost,
         inject=x0 if mean_via is not None else None,
     )
 

@@ -13,18 +13,19 @@ acceleration, so the spline is twice differentiable.
 The loss for a candidate trajectory is the negative robustness of the
 signal assembled from it, plus hard penalties for leaving the workspace and
 soft penalties for exceeding velocity or acceleration limits.
+:class:`PlanningProblem` is that loss for one replan, evaluated for a whole
+population at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Optional
 
 import numpy as np
 
-from .fasteval import TouchCounter, eval_robustness_arrays
+from .fasteval import TouchCounter, eval_robustness_start
 from .formula import Formula
-from .signals import Signal
 
 #: Cost assigned per trajectory sample outside the workspace.
 WORKSPACE_PENALTY = 1e8
@@ -88,9 +89,8 @@ class Workspace:
     y_min: float = 0.0
     y_max: float = 5.0
 
-    def outside(self, pos: np.ndarray) -> np.ndarray:
-        """Boolean mask of positions outside the bounds; pos is (..., 2)."""
-        x, y = pos[..., 0], pos[..., 1]
+    def outside(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Boolean mask of the positions (x, y) outside the bounds."""
         return (x < self.x_min) | (x > self.x_max) | (y < self.y_min) | (y > self.y_max)
 
 
@@ -202,16 +202,23 @@ def rollout(plan: ViaPointPlan, start, resolution_hz: float = 10.0) -> Trajector
 
 
 def limit_penalty(vel: np.ndarray, acc: np.ndarray, limits: Limits) -> np.ndarray:
-    """Penalty for speed/acceleration limit violations; arrays are (..., L, 2)."""
-    speed = np.sqrt(np.sum(vel * vel, axis=-1))
-    accel = np.sqrt(np.sum(acc * acc, axis=-1))
+    """Penalty for speed/acceleration limit violations.
+
+    ``vel`` and ``acc`` are planar, (2, ..., L) with the x rows first; the
+    penalty sums over the trailing sample axis.
+    """
+    vx, vy = vel
+    ax, ay = acc
+    speed = np.sqrt(vx * vx + vy * vy)
+    accel = np.sqrt(ax * ax + ay * ay)
     over_v = np.maximum(0.0, speed - limits.v_max).sum(axis=-1)
     over_a = np.maximum(0.0, accel - limits.a_max).sum(axis=-1)
     return LIMIT_PENALTY * (over_v + over_a)
 
 
 def workspace_penalty(pos: np.ndarray, workspace: Workspace) -> np.ndarray:
-    return WORKSPACE_PENALTY * workspace.outside(pos).sum(axis=-1)
+    """Penalty per sample outside the workspace; ``pos`` is planar, (2, ..., L)."""
+    return WORKSPACE_PENALTY * workspace.outside(pos[0], pos[1]).sum(axis=-1)
 
 
 def clamp_robustness(rho: np.ndarray) -> np.ndarray:
@@ -219,25 +226,112 @@ def clamp_robustness(rho: np.ndarray) -> np.ndarray:
     return np.clip(rho, -ROBUSTNESS_CLAMP, ROBUSTNESS_CLAMP)
 
 
-def plan_cost(
-    traj: Trajectory,
-    build_signal: Callable[[Trajectory], Signal],
-    formula: Formula,
-    limits: Limits = Limits(),
-    workspace: Workspace = Workspace(),
-    counter: TouchCounter | None = None,
-) -> float:
-    """Loss of one candidate trajectory: negative robustness plus penalties.
+#: Signal components of a scored candidate, in buffer order.
+COMPONENTS = ("x", "y", "vx", "vy", "xe", "ye")
 
-    ``build_signal`` assembles the signal the formula is scored on (the
-    candidate suffix alone, or executed prefix plus suffix); robustness is
-    evaluated at that signal's first sample.  Penalties are computed over
-    the trajectory itself.
+
+class PlanningProblem:
+    """The planning loss of one replan, evaluated for whole populations.
+
+    A candidate is a flat vector of ``n_via`` via points (x1, y1, x2, ...)
+    for a spline of ``duration`` seconds from ``start_pos``/``start_vel``,
+    sampled at ``resolution_hz``.  Its loss is the negative robustness of
+    ``formula`` at the first sample of the scored signal, plus the
+    workspace and limit penalties of the whole rollout.  The scored signal,
+    sampled at ``times``, is ``prefix`` (executed samples, one array per
+    component; none when omitted) followed by the rollout from its second
+    sample on, with the environment held at ``env`` = (xe, ye).
+
+    Per coordinate the spline is linear in (start position, start velocity,
+    via points), so construction samples it once per unit vector and
+    :meth:`rollout` is a single matrix product.  The signal buffers are
+    allocated once, with the prefix and the environment columns already in
+    place; each :meth:`cost` call writes only the candidates' suffixes.
     """
-    signal = build_signal(traj)
-    comps = {name: col[np.newaxis, :] for name, col in signal.components.items()}
-    rho = eval_robustness_arrays(signal.times, comps, formula, counter)[0, 0]
-    cost = -float(clamp_robustness(rho))
-    cost += float(workspace_penalty(traj.pos, workspace))
-    cost += float(limit_penalty(traj.vel, traj.acc, limits))
-    return cost
+
+    def __init__(
+        self,
+        formula: Formula,
+        times: np.ndarray,
+        start_pos: np.ndarray,
+        start_vel: np.ndarray,
+        env: tuple[float, float],
+        duration: float,
+        resolution_hz: float,
+        n_via: int,
+        limits: Limits = Limits(),
+        workspace: Workspace = Workspace(),
+        prefix: Optional[dict[str, np.ndarray]] = None,
+        counter: Optional[TouchCounter] = None,
+    ):
+        self.formula = formula
+        self.times = np.ascontiguousarray(times, dtype=np.int64)
+        self.n_via = n_via
+        self.limits = limits
+        self.workspace = workspace
+        self.counter = counter
+        self.env = env
+        # Rows (p0, v0) of each coordinate's coefficient vector.
+        self._start = np.column_stack([start_pos, start_vel]).astype(np.float64)
+
+        # Unit vector k of (p0, v0, via_1..via_N), fed to both coordinates.
+        probe = np.eye(n_via + 2)
+        _, pos, vel, acc = rollout_arrays(
+            np.repeat(probe[:, 2:, np.newaxis], 2, axis=2),
+            np.repeat(probe[:, 0:1, np.newaxis], 2, axis=2),
+            np.repeat(probe[:, 1:2], 2, axis=1),
+            duration,
+            resolution_hz,
+        )
+        self.length = pos.shape[1]
+        self._basis = np.stack([pos[..., 0], vel[..., 0], acc[..., 0]])  # (3, N+2, L)
+
+        self._split = self.times.size - (self.length - 1)
+        if self._split < 0:
+            raise ValueError("times are shorter than the rollout suffix")
+        if prefix is None:
+            prefix = {name: () for name in COMPONENTS}
+        self._prefix = {name: np.asarray(prefix[name], dtype=np.float64) for name in COMPONENTS}
+        if any(col.shape != (self._split,) for col in self._prefix.values()):
+            raise ValueError(f"prefix columns must hold the {self._split} samples before the rollout suffix")
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def rollout(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positions, velocities and accelerations of a (B, 2N) population.
+
+        Each is planar, shape (2, B, L): x rows in [0], y rows in [1].
+        """
+        X = np.asarray(X, dtype=np.float64)
+        batch = X.shape[0]
+        coef = np.empty((2, batch, self.n_via + 2))
+        coef[:, :, :2] = self._start[:, np.newaxis, :]
+        coef[:, :, 2:] = X.reshape(batch, self.n_via, 2).transpose(2, 0, 1)
+        # One (2B, N+2) @ (N+2, L) product per quantity, so every (B, L)
+        # block of the result is contiguous.  The x and y rows are stacked,
+        # so even one candidate is a two-row product and takes the same gemm
+        # path as a whole population (numpy hands one-row products to gemv,
+        # whose rounding can differ).
+        out = (coef.reshape(2 * batch, -1) @ self._basis).reshape(3, 2, batch, self.length)
+        return out[0], out[1], out[2]
+
+    def signal(self, batch: int) -> dict[str, np.ndarray]:
+        """The (batch, n) component buffers, prefix and environment filled in."""
+        if not self._buffers or self._buffers["x"].shape[0] < batch:
+            split = self._split
+            for name in COMPONENTS:
+                buf = self._buffers[name] = np.empty((batch, self.times.size))
+                buf[:, :split] = self._prefix[name]
+            self._buffers["xe"][:, split:] = self.env[0]
+            self._buffers["ye"][:, split:] = self.env[1]
+        return {name: buf[:batch] for name, buf in self._buffers.items()}
+
+    def cost(self, X: np.ndarray) -> np.ndarray:
+        """Loss of every row of a (B, 2N) population; shape (B,)."""
+        pos, vel, acc = self.rollout(X)
+        comps = self.signal(pos.shape[1])
+        split = self._split
+        for name, rows in (("x", pos[0]), ("y", pos[1]), ("vx", vel[0]), ("vy", vel[1])):
+            comps[name][:, split:] = rows[:, 1:]
+        rho = eval_robustness_start(self.times, comps, self.formula, self.counter)
+        penalty = workspace_penalty(pos, self.workspace) + limit_penalty(vel, acc, self.limits)
+        return -clamp_robustness(rho) + penalty

@@ -67,9 +67,12 @@ class ScenarioConfig:
             raise ValueError("the scenario formula must be bounded (finite horizon)")
         if horizon(f) > to_ticks(self.mission_horizon):
             raise ValueError("mission_horizon is shorter than the formula horizon")
+        # Every period is checked before any modulo divides by it; a period
+        # under half a tick rounds to zero ticks and is rejected too.
+        for name in ("trace_period", "replan_period", "env_step_period"):
+            if to_ticks(getattr(self, name)) <= 0:
+                raise ValueError(f"{name} must be positive")
         trace_dt = to_ticks(self.trace_period)
-        if trace_dt <= 0:
-            raise ValueError("trace_period must be positive")
         if to_ticks(self.replan_period) % trace_dt != 0:
             raise ValueError("replan_period must be a multiple of trace_period")
         if to_ticks(self.mission_horizon) % trace_dt != 0:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .formula import And, Formula, Interval, Not, Or, Until, formula_predicates, to_ticks
-from .fasteval import eval_robustness_all
+from .fasteval import eval_robustness_all, eval_robustness_start
 from .parser import format_formula
 from .progression import progress, simplify
 from .semantics import robustness, robustness_witness, rotogo, sat
@@ -386,15 +386,20 @@ def _prop_fast_matches_reference(rng, cases: int, progress_fn) -> PropertyReport
     while done < cases:
         f, s = random_instance(rng)
         table = eval_robustness_all(s, f)
+        # The planner's start-only evaluation must reproduce the table's
+        # first value; it rides along with the instance's index-0 case.
+        start = float(eval_robustness_start(s.times, {n: c[np.newaxis] for n, c in s.components.items()}, f)[0])
         for j in range(len(s)):
             if done >= cases:
                 break
             done += 1
             want = robustness(s, s.t(j), f)
-            if not _ext_eq(float(table[j]), want):
+            if not _ext_eq(float(table[j]), want) or (j == 0 and not _ext_eq(start, float(table[0]))):
                 failures += 1
                 if detail is None:
-                    detail = _describe(f, s, f"index: {j}, fast: {float(table[j])}, reference: {want}")
+                    detail = _describe(
+                        f, s, f"index: {j}, fast: {float(table[j])}, start-only: {start}, reference: {want}"
+                    )
     return PropertyReport("fast_matches_reference", done, failures, detail)
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 
-from rotogo.fasteval import TouchCounter, eval_robustness, eval_robustness_all, eval_robustness_arrays
-from rotogo.formula import Interval, Pred, TOP, Until, Var, to_ticks
+from rotogo.fasteval import (
+    TouchCounter,
+    eval_robustness,
+    eval_robustness_all,
+    eval_robustness_arrays,
+    eval_robustness_start,
+)
+from rotogo.formula import And, BOTTOM, Interval, Not, Or, Pred, TOP, Until, Var, to_ticks
 from rotogo.parser import parse_formula
 from rotogo.semantics import robustness
 from rotogo.signals import Signal
@@ -105,3 +111,105 @@ def test_windows_respect_open_and_closed_bounds():
     table = eval_robustness_all(s, f)
     assert table[0] == 3.0
     assert robustness(s, 0, f) == 3.0
+
+
+# ---------------------------------------------------------------------------
+# Start-only evaluation
+
+
+def _rows(signal: Signal, batch: int = 1) -> dict:
+    """Components of ``batch`` distinct candidates built from one signal."""
+    return {name: np.vstack([col * (1.0 + 0.1 * b) for b in range(batch)]) for name, col in signal.components.items()}
+
+
+def assert_start_matches_table(times, comps, f):
+    """eval_robustness_start equals the table's first column and reads no
+    more samples than the full table."""
+    full_counter, start_counter = TouchCounter(), TouchCounter()
+    table = eval_robustness_arrays(times, comps, f, full_counter)
+    start = eval_robustness_start(times, comps, f, start_counter)
+    assert start.shape == (table.shape[0],)
+    assert np.array_equal(start, table[:, 0]), (f, start, table[:, 0])
+    assert start_counter.samples <= full_counter.samples
+    assert start_counter.reads <= full_counter.reads
+    return start_counter
+
+
+def _random_interval(rng, span_s=5.0):
+    lo = int(rng.integers(0, to_ticks(span_s / 2)))
+    hi = lo + int(rng.integers(1, to_ticks(span_s)))
+    return Interval(lo, hi, bool(rng.random() < 0.5), bool(rng.random() < 0.5))
+
+
+def test_start_matches_table_on_random_corpus():
+    rng = np.random.default_rng(36)
+    for _ in range(1500):
+        f, s = random_instance(rng, max_len=30)
+        assert_start_matches_table(s.times, _rows(s), f)
+
+
+def test_start_matches_table_with_general_until():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        left, s = random_instance(rng, max_depth=2, max_temporal=1, max_len=20)
+        right, _ = random_instance(rng, max_depth=2, max_temporal=1)
+        f = Until(left, _random_interval(rng), right)
+        # also nested under an eventually, which asks the fallback for a range
+        for g in (f, Until(TOP, _random_interval(rng), f), And(f, Not(f))):
+            assert_start_matches_table(s.times, _rows(s, 3), g)
+
+
+def test_start_matches_table_on_nested_temporal_operators():
+    rng = np.random.default_rng(38)
+    for _ in range(300):
+        inner, s = random_instance(rng, max_depth=3, max_temporal=2, min_len=5, max_len=40)
+        f = inner
+        for _ in range(int(rng.integers(1, 4))):
+            f = Until(TOP, _random_interval(rng), Not(f) if rng.random() < 0.5 else f)
+        assert_start_matches_table(s.times, _rows(s, 2), f)
+
+
+def test_start_matches_table_on_batched_rows():
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        f, s = random_instance(rng)
+        batch = int(rng.integers(2, 9))
+        assert_start_matches_table(s.times, _rows(s, batch), f)
+
+
+def test_start_of_decided_formulas_reads_nothing():
+    s = Signal(np.arange(4, dtype=np.int64) * to_ticks(0.5), {"x": np.arange(4.0)})
+    comps = _rows(s, 3)
+    for f, want in ((TOP, np.inf), (BOTTOM, -np.inf), (Until(TOP, Interval(0, to_ticks(1.0)), TOP), np.inf)):
+        counter = assert_start_matches_table(s.times, comps, f)
+        assert counter.samples == 0 and counter.reads == 0
+    mixed = Or(And(TOP, Pred(Var("x"))), BOTTOM)
+    assert_start_matches_table(s.times, comps, mixed)
+
+
+def test_start_reads_only_the_samples_the_first_value_needs():
+    s = Signal(np.arange(10, dtype=np.int64) * to_ticks(1.0), {"x": np.arange(10.0) - 4.5})
+    # F[2,4] x>0 at t=0 reads samples 2, 3, 4
+    f = Until(TOP, Interval(to_ticks(2.0), to_ticks(4.0)), Pred(Var("x")))
+    counter = assert_start_matches_table(s.times, _rows(s), f)
+    assert counter.samples == 3 and counter.reads == 3
+    # an eventually whose window lies past the signal reads nothing
+    late = Until(TOP, Interval(to_ticks(20.0), to_ticks(30.0)), Pred(Var("x")))
+    counter = assert_start_matches_table(s.times, _rows(s), late)
+    assert counter.samples == 0
+
+
+def test_start_matches_table_at_mission_scale():
+    from rotogo.scenarios import scenario_phi_avoid, scenario_phi_stayin
+
+    rng = np.random.default_rng(40)
+    n, batch = 201, 25
+    times = np.arange(n, dtype=np.int64) * to_ticks(0.1)
+    for cfg in (scenario_phi_avoid(), scenario_phi_stayin()):
+        comps = {
+            "x": rng.uniform(0, 5, (batch, n)), "y": rng.uniform(0, 5, (batch, n)),
+            "vx": rng.uniform(-0.5, 0.5, (batch, n)), "vy": rng.uniform(-0.5, 0.5, (batch, n)),
+            "xe": np.full((batch, n), 2.5), "ye": np.full((batch, n), 2.5),
+        }
+        counter = assert_start_matches_table(times, comps, cfg.parsed_formula())
+        assert counter.samples == n  # G[0,20] reads the whole mission

@@ -197,8 +197,7 @@ def test_robustness_mode_touches_full_history():
 def test_robustness_objective_reproducible_offline():
     # The first replan's logged cost equals an offline re-evaluation of the
     # logged best plan through the public cost function, bit for bit.
-    from rotogo.planning import plan_cost
-    from rotogo.signals import Signal as Sig
+    from rotogo.planning import COMPONENTS, PlanningProblem
 
     cfg = tiny_scenario(
         formula="G[0,2] (x > 0.5) & F[0,2] (x > 1.2)",
@@ -207,31 +206,27 @@ def test_robustness_objective_reproducible_offline():
     )
     result = mpc_run(cfg)
     record = result.replans[0]
-    traj = None
-
-    def build(t):
-        nonlocal traj
-        traj = t
-        n = len(t.times) - 1
-        suffix = Sig(
-            result.trace.times[record.index + 1 : record.index + 1 + n],
-            {
-                "x": t.pos[1:, 0],
-                "y": t.pos[1:, 1],
-                "vx": t.vel[1:, 0],
-                "vy": t.vel[1:, 1],
-                "xe": np.full(n, record.env[0]),
-                "ye": np.full(n, record.env[1]),
-            },
-        )
-        return result.trace.prefix(record.index).concat(suffix)
-
-    from rotogo.planning import ViaPointPlan, rollout
-
-    plan = ViaPointPlan(record.via_points, record.plan_duration)
-    traj = rollout(plan, RobotState(*record.robot), 1.0 / cfg.trace_period)
-    cost = plan_cost(traj, build, cfg.parsed_formula(), cfg.limits(), cfg.workspace_box())
+    executed = result.trace.prefix(record.index)
+    problem = PlanningProblem(
+        cfg.parsed_formula(), result.trace.times, np.array(record.robot[:2]), np.array(record.robot[2:]),
+        record.env, record.plan_duration, 1.0 / cfg.trace_period, cfg.via_points,
+        cfg.limits(), cfg.workspace_box(), prefix={name: executed.components[name] for name in COMPONENTS},
+    )
+    cost = problem.cost(record.via_points.reshape(1, -1))[0]
     assert cost == record.cost
+
+
+@pytest.mark.parametrize("name", ["trace_period", "replan_period", "env_step_period"])
+@pytest.mark.parametrize("bad", [0.0, -0.5])
+def test_nonpositive_period_rejected_by_name(name, bad):
+    # Checked before any modulo, so a zero period cannot divide by zero.
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        tiny_scenario(**{name: bad}).validate()
+
+
+def test_zero_replan_period_stops_the_run_up_front():
+    with pytest.raises(ValueError, match="replan_period must be positive"):
+        mpc_run(tiny_scenario(replan_period=0.0))
 
 
 def test_min_distance_uses_configured_radius():

@@ -1,39 +1,43 @@
 import numpy as np
+import pytest
 
 from rotogo.dynamics import RobotState
-from rotogo.fasteval import TouchCounter
+from rotogo.fasteval import TouchCounter, eval_robustness_arrays
 from rotogo.formula import to_ticks
 from rotogo.parser import parse_formula
 from rotogo.planning import (
+    COMPONENTS,
     LIMIT_PENALTY,
     ROBUSTNESS_CLAMP,
     WORKSPACE_PENALTY,
     Limits,
-    Trajectory,
+    PlanningProblem,
     ViaPointPlan,
+    Workspace,
     clamp_robustness,
-    plan_cost,
+    limit_penalty,
     rollout,
     rollout_arrays,
     spline_positions,
+    workspace_penalty,
 )
-from rotogo.signals import Signal
 
 
-def suffix_signal(traj: Trajectory, env=(2.5, 2.5)) -> Signal:
-    times = np.array([to_ticks(t) for t in traj.times], dtype=np.int64)
-    n = len(traj.times)
-    return Signal(
-        times,
-        {
-            "x": traj.pos[:, 0],
-            "y": traj.pos[:, 1],
-            "vx": traj.vel[:, 0],
-            "vy": traj.vel[:, 1],
-            "xe": np.full(n, env[0]),
-            "ye": np.full(n, env[1]),
-        },
+def plan_problem(formula, plan: ViaPointPlan, start: RobotState, env=(2.5, 2.5), hz=10.0, **kwargs):
+    """The problem scoring a plan's whole rollout from its start state, the
+    way the ``plan`` command scores its candidates."""
+    n = int(round(plan.duration * hz)) + 1
+    times = np.arange(n, dtype=np.int64) * to_ticks(1.0 / hz)
+    first = {"x": start.x, "y": start.y, "vx": start.vx, "vy": start.vy, "xe": env[0], "ye": env[1]}
+    return PlanningProblem(
+        formula, times, np.array([start.x, start.y]), np.array([start.vx, start.vy]), env,
+        plan.duration, hz, len(plan.via_points), prefix={k: [v] for k, v in first.items()}, **kwargs,
     )
+
+
+def cost_of(plan: ViaPointPlan, start: RobotState, formula, **kwargs) -> float:
+    problem = plan_problem(formula, plan, start, **kwargs)
+    return float(problem.cost(plan.as_vector()[np.newaxis])[0])
 
 
 def test_stationary_plan_stays_put():
@@ -107,35 +111,38 @@ def test_batch_rollout_matches_single():
 
 def test_out_of_workspace_penalty_dominates():
     plan = ViaPointPlan(np.array([[8.0, 8.0]] * 4), duration=2.0)
-    traj = rollout(plan, RobotState(7.0, 7.0, 0.0, 0.0), 10.0)
-    cost = plan_cost(traj, suffix_signal, parse_formula("G[0,2] (x > 0)"))
+    cost = cost_of(plan, RobotState(7.0, 7.0, 0.0, 0.0), parse_formula("G[0,2] (x > 0)"))
     assert cost >= 21 * WORKSPACE_PENALTY
 
 
 def test_stationary_goal_plan_costs_negative_robustness():
     goal = parse_formula("F[0,20] ((x > 4) & (y > 2) & (y < 3))")
     plan = ViaPointPlan(np.array([[4.5, 2.5]] * 4), duration=20.0)
-    traj = rollout(plan, RobotState(4.5, 2.5, 0.0, 0.0), 10.0)
-    cost = plan_cost(traj, suffix_signal, goal)
+    cost = cost_of(plan, RobotState(4.5, 2.5, 0.0, 0.0), goal)
     assert cost == -0.5  # min(x-4, y-2, 3-y) = 0.5 at the goal center
 
 
 def test_true_formula_maps_to_clamped_infinity():
     plan = ViaPointPlan(np.array([[1.0, 1.0]] * 2), duration=2.0)
-    traj = rollout(plan, RobotState(1.0, 1.0, 0.0, 0.0), 10.0)
-    cost = plan_cost(traj, suffix_signal, parse_formula("true"))
+    cost = cost_of(plan, RobotState(1.0, 1.0, 0.0, 0.0), parse_formula("true"))
     assert cost == -ROBUSTNESS_CLAMP
 
 
 def test_limit_penalty_scales_with_violation():
     # A long move in a short duration forces speeds beyond the cap.
     plan = ViaPointPlan(np.array([[4.5, 0.0]]), duration=2.0)
-    traj = rollout(plan, RobotState(0.0, 0.0, 0.0, 0.0), 10.0)
-    speed = np.sqrt((traj.vel**2).sum(axis=1))
+    start = RobotState(0.0, 0.0, 0.0, 0.0)
+    problem = plan_problem(parse_formula("true"), plan, start, limits=Limits(v_max=0.5, a_max=1e9))
+    cost = float(problem.cost(plan.as_vector()[np.newaxis])[0])
+    _, vel, _ = problem.rollout(plan.as_vector()[np.newaxis])
+    speed = np.sqrt(vel[0, 0] * vel[0, 0] + vel[1, 0] * vel[1, 0])
     expected = LIMIT_PENALTY * np.maximum(0.0, speed - 0.5).sum()
-    cost = plan_cost(traj, suffix_signal, parse_formula("true"), limits=Limits(v_max=0.5, a_max=1e9))
     assert cost == -ROBUSTNESS_CLAMP + expected
     assert expected > 0
+    # the spline evaluated directly gives the same penalty up to rounding
+    traj = rollout(plan, start, 10.0)
+    direct = LIMIT_PENALTY * np.maximum(0.0, np.sqrt((traj.vel**2).sum(axis=1)) - 0.5).sum()
+    assert expected == pytest.approx(direct, rel=1e-9)
 
 
 def test_clamp_robustness():
@@ -146,7 +153,94 @@ def test_clamp_robustness():
 
 def test_plan_cost_counts_touched_samples():
     plan = ViaPointPlan(np.array([[1.0, 1.0]] * 2), duration=2.0)
-    traj = rollout(plan, RobotState(1.0, 1.0, 0.0, 0.0), 10.0)
     counter = TouchCounter()
-    plan_cost(traj, suffix_signal, parse_formula("G[0,2] (x > 0)"), counter=counter)
+    cost_of(plan, RobotState(1.0, 1.0, 0.0, 0.0), parse_formula("G[0,2] (x > 0)"), counter=counter)
     assert counter.samples == 21
+
+
+# ---------------------------------------------------------------------------
+# PlanningProblem
+
+
+def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0,20] (x > 4)", prefix_len=0):
+    n_via = int(rng.integers(1, 6))
+    hz = 10.0
+    duration = float(rng.uniform(1.0, 20.0))
+    start_pos, start_vel = rng.uniform(0.0, 5.0, 2), rng.uniform(-0.5, 0.5, 2)
+    length = rollout_arrays(np.zeros((n_via, 2)), start_pos, start_vel, duration, hz)[0].size
+    times = np.arange(prefix_len + length - 1, dtype=np.int64) * to_ticks(0.1)
+    prefix = {name: rng.uniform(0.0, 5.0, prefix_len) for name in COMPONENTS} if prefix_len else None
+    env = tuple(rng.uniform(0.0, 5.0, 2))
+    problem = PlanningProblem(
+        parse_formula(formula), times, start_pos, start_vel, env, duration, hz, n_via, prefix=prefix,
+    )
+    return problem, (start_pos, start_vel, duration, hz, n_via), prefix
+
+
+def test_linear_map_rollout_matches_spline_evaluation():
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        problem, (start_pos, start_vel, duration, hz, n_via), _ = _random_problem(rng)
+        X = rng.uniform(-1.0, 6.0, size=(int(rng.integers(1, 8)), 2 * n_via))
+        pos, vel, acc = problem.rollout(X)
+        _, want_pos, want_vel, want_acc = rollout_arrays(X.reshape(-1, n_via, 2), start_pos, start_vel, duration, hz)
+        for got, want in ((pos, want_pos), (vel, want_vel), (acc, want_acc)):
+            assert got.shape == (2, X.shape[0], want.shape[1])
+            # 1e-12, relative once values exceed 1: short random plans reach
+            # accelerations of several hundred m/s^2
+            assert np.abs(np.moveaxis(got, 0, -1) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_cost_matches_prefix_plus_suffix_table():
+    # The prefilled buffers hold what concatenating the executed prefix and
+    # each candidate's suffix used to build, and the start-only cost equals
+    # the full table's first column plus the penalties.
+    rng = np.random.default_rng(44)
+    for _ in range(30):
+        prefix_len = int(rng.integers(1, 30))
+        problem, (_, _, _, _, n_via), prefix = _random_problem(rng, prefix_len=prefix_len)
+        batch = 6
+        X = rng.uniform(0.0, 5.0, size=(batch, 2 * n_via))
+        cost = problem.cost(X)
+        pos, vel, acc = problem.rollout(X)
+        suffix = {
+            "x": pos[0, :, 1:], "y": pos[1, :, 1:], "vx": vel[0, :, 1:], "vy": vel[1, :, 1:],
+            "xe": np.full((batch, pos.shape[2] - 1), problem.env[0]),
+            "ye": np.full((batch, pos.shape[2] - 1), problem.env[1]),
+        }
+        concat = {
+            name: np.concatenate([np.broadcast_to(prefix[name], (batch, prefix_len)), suffix[name]], axis=1)
+            for name in COMPONENTS
+        }
+        buffers = problem.signal(batch)
+        for name in COMPONENTS:
+            assert np.array_equal(buffers[name], concat[name]), name
+        rho = eval_robustness_arrays(problem.times, concat, problem.formula)[:, 0]
+        penalty = workspace_penalty(pos, Workspace()) + limit_penalty(vel, acc, Limits())
+        assert np.array_equal(cost, -clamp_robustness(rho) + penalty)
+
+
+def test_cost_leaks_no_state_between_calls():
+    rng = np.random.default_rng(45)
+    for prefix_len in (0, 12):
+        problem, (_, _, _, _, n_via), _ = _random_problem(rng, prefix_len=prefix_len)
+        X = rng.uniform(0.0, 5.0, size=(10, 2 * n_via))
+        first = problem.cost(X)
+        small = problem.cost(X[:3] + 0.5)
+        again = problem.cost(X)
+        assert np.array_equal(first, again)
+        assert np.array_equal(small, problem.cost(X[:3] + 0.5))
+        # a candidate's cost does not depend on the batch it is scored in
+        assert np.array_equal(problem.cost(X[4:5]), first[4:5])
+        # a larger batch than any before regrows the buffers
+        assert np.array_equal(problem.cost(np.vstack([X, X]))[10:], first)
+
+
+def test_prefix_must_fill_the_samples_before_the_suffix():
+    times = np.arange(25, dtype=np.int64) * to_ticks(0.1)  # 21-sample rollout leaves 5
+    args = (parse_formula("G[0,2] (x > 0)"), times, np.zeros(2), np.zeros(2), (2.5, 2.5), 2.0, 10.0, 2)
+    with pytest.raises(ValueError, match="prefix"):
+        PlanningProblem(*args)
+    with pytest.raises(ValueError, match="prefix"):
+        PlanningProblem(*args, prefix={name: np.zeros(4) for name in COMPONENTS})
+    PlanningProblem(*args, prefix={name: np.zeros(5) for name in COMPONENTS})
