@@ -103,7 +103,7 @@ def cmaes_minimize(
     p_sigma = np.zeros(n)
     p_cov = np.zeros(n)
     eigvecs = np.eye(n)
-    eigvals = np.ones(n)
+    sqrt_eigvals = np.ones(n)
 
     best_x = mean.copy()
     best_value = math.inf
@@ -112,7 +112,7 @@ def cmaes_minimize(
 
     for iteration in range(config.max_iterations):
         z = rng.standard_normal((lam, n))
-        y = (z * np.sqrt(eigvals)) @ eigvecs.T
+        y = (z * sqrt_eigvals) @ eigvecs.T
         if iteration == 0 and inject is not None:
             y[0] = (np.asarray(inject, dtype=np.float64) - mean) / sigma
         candidates = mean + sigma * y
@@ -123,7 +123,7 @@ def cmaes_minimize(
             values = np.array([objective(c) for c in candidates], dtype=np.float64)
         if values.shape != (lam,):
             raise ValueError(f"objective returned shape {values.shape}, expected ({lam},)")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise ObjectiveError(f"objective returned {values[bad]} for candidate {bad}")
         evaluations += lam
@@ -138,24 +138,29 @@ def cmaes_minimize(
         mean = mean + sigma * y_w
 
         # Cumulative step-size adaptation in the whitened frame.
-        inv_sqrt_y = ((y_w @ eigvecs) / np.sqrt(eigvals)) @ eigvecs.T
+        inv_sqrt_y = ((y_w @ eigvecs) / sqrt_eigvals) @ eigvecs.T
         p_sigma = (1 - cs) * p_sigma + math.sqrt(cs * (2 - cs) * mueff) * inv_sqrt_y
+        # What np.linalg.norm computes for a vector, taken once.
+        ps_norm = math.sqrt(p_sigma.dot(p_sigma))
         expected_decay = math.sqrt(1 - (1 - cs) ** (2 * (iteration + 1)))
-        h_sigma = float(np.linalg.norm(p_sigma)) / expected_decay / chi_n < 1.4 + 2 / (n + 1)
+        h_sigma = ps_norm / expected_decay / chi_n < 1.4 + 2 / (n + 1)
         p_cov = (1 - cc) * p_cov + h_sigma * math.sqrt(cc * (2 - cc) * mueff) * y_w
 
         # Rank-one and rank-mu covariance updates.
         c1a = c1 * (1 - (not h_sigma) * cc * (2 - cc))
         cov = (
             (1 - c1a - cmu) * cov
-            + c1 * np.outer(p_cov, p_cov)
+            + c1 * (p_cov[:, np.newaxis] * p_cov)
             + cmu * (y_sel.T * weights) @ y_sel
         )
-        sigma *= math.exp((cs / damps) * (float(np.linalg.norm(p_sigma)) / chi_n - 1))
+        sigma *= math.exp((cs / damps) * (ps_norm / chi_n - 1))
 
         cov = (cov + cov.T) / 2
+        # Hansen's lazy-update criterion, lambda / ((c1 + cmu) n 10), is under
+        # one generation of evaluations at these sizes, so the decomposition
+        # is refreshed every generation.
         eigvals, eigvecs = np.linalg.eigh(cov)
-        eigvals = np.maximum(eigvals, 1e-20)
+        sqrt_eigvals = np.sqrt(np.maximum(eigvals, 1e-20))
 
         history.append(
             IterationRecord(

@@ -13,32 +13,55 @@ identical sequence of IEEE-754 operations whether applied to scalars or
 arrays.  The equivalence is enforced on randomized corpora by the test
 suite.
 
-The planner reads the robustness at the first sample only.
-:func:`eval_robustness_start` computes just that, demand-driven: each node
-is asked for a contiguous index range and works on slice views, so an
-eventually at one index is one maximum over a slice, and a nested temporal
-operator builds its windowed maxima over its sub-range only (robustness
-over the index ranges a query needs, as in Donze, Ferrere and Maler,
-"Efficient Robust Monitoring for STL", CAV 2013).  Its result equals the
-first column of the full table.
+The planner reads the robustness at the first sample only, for every
+population of one replan against the same formula and sample times.
+:class:`StartProgram` splits that query into compile and run.  Compiling
+asks each node, top-down, for the contiguous index range its parent needs
+(robustness over the index ranges a query needs, as in Donze, Ferrere and
+Maler, "Efficient Robust Monitoring for STL", CAV 2013), so an eventually
+at one index is one maximum over a slice and a nested temporal operator
+builds its windowed maxima over its sub-range only.  Everything that
+depends on the formula and the times alone is settled then, once: windows
+become integer index ranges and sparse-table gather indices, structurally
+equal subformulas and predicate subexpressions over the same range become
+one step, constant subexpressions fold, and double negations cancel.  The
+result is a flat list of numpy steps over numbered registers, and a run
+executes it on one batch of candidates.  Registers are allocated by
+liveness: a table is released as soon as its last reader has run, and an
+elementwise step writes over an operand it is the last to read.  That is
+not a nicety.  Kept alive, the ~30 (25, 201) intermediates of a
+``phi_avoid`` evaluation (about 1.2 MB) outgrow the cache: on a 2-vCPU
+2.1 GHz Xeon a run then took three times as long, longer than the tree
+walk it replaces.  Released, each table's warm memory serves the next.
+:func:`eval_robustness_start` is compile plus run.  Its result equals the
+first column of the full table bit for bit.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .formula import (
     And,
+    BinOp,
     Bottom,
+    Const,
+    Expr,
     Formula,
     Interval,
+    Neg,
     Not,
     Or,
+    Pow,
     Pred,
     Top,
     Until,
+    Var,
+    _int_pow,
 )
 from .signals import Signal
 
@@ -124,7 +147,7 @@ class _Evaluator:
         if isinstance(f.left, Top):
             # The inner infimum over the left operand is +inf everywhere, so
             # this reduces to a windowed maximum of the right operand.
-            return _windowed_max(right, lo, hi)
+            return _windowed_max_plan(lo, hi)(right)
         left = self.run(f.left)
         return _until_general(left, right, lo, hi)
 
@@ -139,77 +162,331 @@ def eval_robustness_start(
 
     Takes the arguments of :func:`eval_robustness_arrays` and returns its
     first column, computing only the index ranges that column depends on.
-    An until with a left operand other than ``true`` is evaluated through
-    the full table.  ``counter`` records the distinct samples actually read.
+    ``counter`` records the distinct samples actually read.  Callers that
+    score many populations against one formula and one time grid compile a
+    :class:`StartProgram` once instead.
     """
-    times = np.ascontiguousarray(times, dtype=np.int64)
-    ev = _StartEvaluator(times, components)
-    out = ev.run(f, 0, 1)[:, 0]
-    if counter is not None and ev.spans:
-        counter.visit(_covered(ev.spans), ev.reads)
-    return out
+    return StartProgram(times, f).run(components, counter)
 
 
-class _StartEvaluator:
-    """Robustness over contiguous index ranges [a, b) of the signal."""
+class StartProgram:
+    """The start-only query of ``f`` over the sample ``times``, compiled.
 
-    def __init__(self, times, components):
+    Compiling walks the formula once, top-down, asking each node for the
+    contiguous index range [a, b) its parent needs, and emits one flat list
+    of numpy steps: every window becomes integer index bounds, structurally
+    equal subformulas and predicate subexpressions over the same range
+    become one step, constant predicate subexpressions are folded, and
+    ``Not(Not(phi))`` is ``phi``.  :meth:`run` executes the steps on one
+    batch of candidates, releasing each intermediate table after its last
+    reader.
+    """
+
+    def __init__(self, times: np.ndarray, f: Formula):
+        build = _Compiler(np.ascontiguousarray(times, dtype=np.int64))
+        root = build.emit(f, 0, 1)
+        self._loads, self._steps, self._out, self._registers = build.allocate(root)
+        # Distinct samples and, per candidate, predicate-sample reads of a run.
+        self._samples = _covered(build.spans)
+        self._reads = build.reads
+
+    def run(self, components: dict[str, np.ndarray], counter: TouchCounter | None = None) -> np.ndarray:
+        """Robustness at the first sample of every row of ``components``.
+
+        ``components`` maps each name to a (B, n) array over the compiled
+        times; they are read as float64.  Returns shape (B,).
+        """
+        batch = next(iter(components.values())).shape[0]
+        r = [None] * self._registers
+        r[0] = batch
+        for slot, name, a, b in self._loads:
+            r[slot] = np.asarray(components[name], dtype=np.float64)[:, a:b]
+        for step in self._steps:
+            step(r)
+        if counter is not None and self._samples:
+            counter.visit(self._samples, batch * self._reads)
+        return r[self._out][:, 0]
+
+
+class _Const:
+    """A predicate subexpression folded to a scalar at compile time."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+#: Predicate arithmetic: the scalar function (what ``Expr.eval`` applies,
+#: used to fold constants and for array-scalar steps) and the ufunc of
+#: array-array steps, which can write over a dead operand.
+_BINARY = {"+": (operator.add, np.add), "-": (operator.sub, np.subtract), "*": (operator.mul, np.multiply)}
+
+
+def _const_key(v) -> tuple:
+    # 0.0 == -0.0 and 1 == 1.0 as dictionary keys, but not as operands.
+    return (type(v), v.hex() if isinstance(v, float) else v)
+
+
+class _Compiler:
+    """Emits the steps of a start-only query in SSA form.
+
+    A value is an integer id.  ``code`` holds (make, value, args, param)
+    entries in execution order, ``make`` building the step that computes
+    ``value`` from the values ``args``; ``loads`` maps a value to the
+    (name, a, b) component slice it stands for.  Values are numbered by
+    what computes them (value numbering): a step on the same values with
+    the same parameters is the value already emitted, so structurally equal
+    subformulas and predicate subexpressions over one index range are
+    computed once, and every key is a flat tuple hashed once.
+    """
+
+    def __init__(self, times: np.ndarray):
         self.times = times
-        self.components = components
-        self.n = times.shape[0]
-        self.batch = next(iter(components.values())).shape[0]
+        self.code: list[tuple] = []
+        self.loads: dict[int, tuple[str, int, int]] = {}
         self.spans: list[tuple[int, int]] = []  # index ranges predicates read
-        self.reads = 0
-        self._views: dict[tuple[int, int], dict[str, np.ndarray]] = {}
+        self.reads = 0  # per candidate
+        self._numbers: dict[tuple, int] = {}
+        self._predicates: set[int] = set()  # values predicates produced
 
-    def visit(self, n_samples: int, n_reads: int) -> None:
-        """TouchCounter interface, for the full-table fallback."""
-        self.spans.append((0, n_samples))
-        self.reads += n_reads
+    def _load(self, name: str, a: int, b: int) -> int:
+        key = ("load", name, a, b)
+        v = self._numbers.get(key)
+        if v is None:
+            v = self._numbers[key] = len(self._numbers)
+            self.loads[v] = (name, a, b)
+        return v
 
-    def run(self, f: Formula, a: int, b: int) -> np.ndarray:
-        if isinstance(f, Top):
-            return np.full((self.batch, b - a), POS_INF)
-        if isinstance(f, Bottom):
-            return np.full((self.batch, b - a), NEG_INF)
+    def _op(self, make, args: tuple, param=None, key=None) -> int:
+        """The value ``make(param)`` computes from ``args``; ``key`` stands
+        for ``param`` in the value number when ``param`` is not a value."""
+        number = (make, args, param if key is None else key)
+        v = self._numbers.get(number)
+        if v is None:
+            v = self._numbers[number] = len(self._numbers)
+            self.code.append((make, v, args, param))
+        return v
+
+    def _fill(self, value: float, width: int) -> int:
+        return self._op(_make_fill, (), (value, width), (_const_key(value), width))
+
+    # -- formulas -------------------------------------------------------------
+
+    def emit(self, f: Formula, a: int, b: int) -> int:
+        """Value of ``f`` over the index range [a, b), shape (B, b - a)."""
+        while isinstance(f, Not) and isinstance(f.child, Not):
+            f = f.child.child  # negation is exact, so it cancels bit for bit
         if isinstance(f, Pred):
-            self.spans.append((a, b))
-            self.reads += self.batch * (b - a)
-            return _predicate(f, self._view(a, b), self.batch, b - a)
-        if isinstance(f, Not):
-            return -self.run(f.child, a, b)
+            v = self.expr(f.fn, a, b)
+            if isinstance(v, _Const):
+                v = self._fill(v.value, b - a)
+            if v not in self._predicates:
+                self._predicates.add(v)
+                self.spans.append((a, b))
+                self.reads += b - a
+            return v
         if isinstance(f, And):
-            return np.minimum(self.run(f.left, a, b), self.run(f.right, a, b))
+            return self._op(_make_call, (self.emit(f.left, a, b), self.emit(f.right, a, b)), np.minimum)
         if isinstance(f, Or):
-            return np.maximum(self.run(f.left, a, b), self.run(f.right, a, b))
+            return self._op(_make_call, (self.emit(f.left, a, b), self.emit(f.right, a, b)), np.maximum)
+        if isinstance(f, Not):
+            return self._op(_make_call, (self.emit(f.child, a, b),), np.negative)
         if isinstance(f, Until):
             return self._until(f, a, b)
+        if isinstance(f, Top):
+            return self._fill(POS_INF, b - a)
+        if isinstance(f, Bottom):
+            return self._fill(NEG_INF, b - a)
         raise TypeError(f"not a formula: {f!r}")
 
-    def _view(self, a: int, b: int) -> dict[str, np.ndarray]:
-        if a == 0 and b == self.n:
-            return self.components
-        view = self._views.get((a, b))
-        if view is None:
-            view = self._views[(a, b)] = {name: col[:, a:b] for name, col in self.components.items()}
-        return view
-
-    def _until(self, f: Until, a: int, b: int) -> np.ndarray:
-        if not isinstance(f.left, Top):
-            return _Evaluator(self.times, self.components, self).run(f)[:, a:b]
-        if b - a == 1:
+    def _until(self, f: Until, a: int, b: int) -> int:
+        if isinstance(f.left, Top) and b - a == 1:
             lo, hi = _window(self.times, f.interval, self.times[a])
             if hi <= lo:
-                return np.full((self.batch, 1), NEG_INF)
-            return self.run(f.right, int(lo), int(hi)).max(axis=1, keepdims=True)
+                return self._fill(NEG_INF, 1)
+            return self._op(_make_row_max, (self.emit(f.right, int(lo), int(hi)),))
         lo, hi = _window(self.times, f.interval, self.times[a:b])
         live = hi > lo
         if not live.any():
-            return np.full((self.batch, b - a), NEG_INF)
+            return self._fill(NEG_INF, b - a)
         # Window bounds never decrease with the index, so the live windows
         # lie within [first live lower bound, last live upper bound).
         start, stop = int(lo[live][0]), int(hi[live][-1])
-        return _windowed_max(self.run(f.right, start, stop), lo - start, hi - start)
+        right = self.emit(f.right, start, stop)
+        i = f.interval
+        key = (i.lower, i.upper, i.lower_closed, i.upper_closed, a, b)
+        if isinstance(f.left, Top):
+            return self._op(_make_call, (right,), _windowed_max_plan(lo - start, hi - start), key)
+        # Sample j reads the left operand over [j, hi_j - 1).
+        wide = live & (hi - 1 > np.arange(a, b))
+        if not wide.any():
+            return self._op(_make_call, (right,), partial(_until_general, None, lo=lo, hi=hi, a=a, ra=start), key)
+        left_start = a + int(np.flatnonzero(wide)[0])
+        left = self.emit(f.left, left_start, int(hi[wide][-1]) - 1)
+        general = partial(_until_general, lo=lo, hi=hi, a=a, la=left_start, ra=start)
+        return self._op(_make_call, (left, right), general, key)
+
+    # -- predicate expressions ------------------------------------------------
+
+    def expr(self, e: Expr, a: int, b: int):
+        """Value of the expression ``e`` over [a, b), or a _Const."""
+        # Constant subexpressions fold with the scalar operations the tree
+        # walk (Expr.eval) performs, so every operand keeps its exact value.
+        if isinstance(e, Var):
+            return self._load(e.name, a, b)
+        if isinstance(e, Const):
+            return _Const(e.value)
+        if isinstance(e, BinOp):
+            if e.op not in _BINARY:
+                raise ValueError(f"unknown operator {e.op!r}")
+            scalar, ufunc = _BINARY[e.op]
+            left, right = self.expr(e.left, a, b), self.expr(e.right, a, b)
+            if isinstance(left, _Const) and isinstance(right, _Const):
+                return _Const(scalar(left.value, right.value))
+            if isinstance(right, _Const):
+                return self._op(_make_call_const, (left,), (scalar, right.value), (scalar, _const_key(right.value)))
+            if isinstance(left, _Const):
+                return self._op(_make_const_call, (right,), (scalar, left.value), (scalar, _const_key(left.value)))
+            return self._op(_make_call, (left, right), ufunc)
+        if isinstance(e, Neg):
+            child = self.expr(e.child, a, b)
+            if isinstance(child, _Const):
+                return _Const(-child.value)
+            return self._op(_make_call, (child,), np.negative)
+        if isinstance(e, Pow):
+            base = self.expr(e.base, a, b)
+            if isinstance(base, _Const):
+                return _Const(_int_pow(base.value, e.exponent))
+            return self._pow(base, e.exponent)
+        raise TypeError(f"not an expression: {e!r}")
+
+    def _pow(self, x: int, n: int) -> int:
+        """The multiplications of formula._int_pow, in its order, as steps."""
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
+        if n == 0:
+            zero = self._op(_make_call_const, (x,), (operator.mul, 0), (operator.mul, _const_key(0)))
+            return self._op(_make_call_const, (zero,), (operator.add, 1.0), (operator.add, _const_key(1.0)))
+        result = None
+        while True:
+            if n & 1:
+                result = x if result is None else self._op(_make_call, (result, x), np.multiply)
+            n >>= 1
+            if n == 0:
+                return result
+            x = self._op(_make_call, (x, x), np.multiply)
+
+    # -- registers ------------------------------------------------------------
+
+    def allocate(self, root: int):
+        """Assign registers to values and build the steps.
+
+        Register 0 holds the batch size and every component slice keeps its
+        own register.  Once the last step reading a table has run, its
+        register is free: an elementwise step writes its result over a table
+        it is the last to read, and any other step takes a freed register.
+        Dead tables are thus dropped at once and their memory reused, which
+        keeps the working set small and cache-resident.
+        """
+        last = {}
+        for i, (_, _, args, _) in enumerate(self.code):
+            for u in args:
+                last[u] = i
+        last[root] = len(self.code)
+        slot = {v: s for s, v in enumerate(self.loads, start=1)}
+        loads = [(slot[v], name, a, b) for v, (name, a, b) in self.loads.items()]
+        registers = len(slot) + 1
+        free: list[int] = []
+        steps = []
+        for i, (make, v, args, param) in enumerate(self.code):
+            dead = [slot[u] for u in dict.fromkeys(args) if last[u] == i and u not in self.loads]
+            if make is _make_call and isinstance(param, np.ufunc) and dead:
+                slot[v] = dead.pop(0)
+                make = _make_in_place
+            free.extend(dead)
+            if v not in slot:
+                if free:
+                    slot[v] = free.pop()
+                else:
+                    slot[v] = registers
+                    registers += 1
+            steps.append(make(slot[v], [slot[u] for u in args], param))
+        return loads, steps, slot[root], registers
+
+
+def _make_fill(out: int, args, param):
+    value, width = param
+
+    def step(r):
+        r[out] = np.full((r[0], width), value, dtype=np.float64)
+
+    return step
+
+
+def _make_call(out: int, args, fn):
+    if len(args) == 1:
+        (x,) = args
+
+        def step(r):
+            r[out] = fn(r[x])
+
+    else:
+        x, y = args
+
+        def step(r):
+            r[out] = fn(r[x], r[y])
+
+    return step
+
+
+def _make_in_place(out: int, args, fn):
+    """``fn`` writing into register ``out``, which one of ``args`` holds."""
+    if len(args) == 1:
+        (x,) = args
+
+        def step(r):
+            fn(r[x], out=r[out])
+
+    else:
+        x, y = args
+
+        def step(r):
+            fn(r[x], r[y], out=r[out])
+
+    return step
+
+
+def _make_call_const(out: int, args, param):
+    fn, k = param
+    (x,) = args
+
+    def step(r):
+        r[out] = fn(r[x], k)
+
+    return step
+
+
+def _make_const_call(out: int, args, param):
+    fn, k = param
+    (x,) = args
+
+    def step(r):
+        r[out] = fn(k, r[x])
+
+    return step
+
+
+def _make_row_max(out: int, args, param):
+    """Maximum of every row, shape (B, 1): the ufunc reduction that
+    ``values.max(axis=1, keepdims=True)`` runs, called directly."""
+    (x,) = args
+    reduce = np.maximum.reduce
+
+    def step(r):
+        r[out] = reduce(r[x], 1, None, None, True)
+
+    return step
 
 
 def _predicate(f: Pred, env: dict[str, np.ndarray], batch: int, width: int) -> np.ndarray:
@@ -243,53 +520,61 @@ def _window(times: np.ndarray, interval: Interval, start) -> tuple:
     return lo, np.maximum(lo, hi)
 
 
-def _windowed_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """out[:, j] = max(values[:, lo[j]:hi[j]]), -inf on empty windows.
+def _windowed_max_plan(lo: np.ndarray, hi: np.ndarray):
+    """The windowed maximum over fixed windows, as a function of the values.
 
     Sparse-table range maxima: O(n log n) build, all queries answered with
     two overlapping power-of-two blocks.  Max is a selection, so results are
-    exactly the same floats the reference evaluator produces.
+    exactly the same floats the reference evaluator produces.  The windows'
+    block sizes and gather indices are worked out here, once.
     """
-    batch = values.shape[0]
-    out = np.full((batch, lo.shape[0]), NEG_INF)
+    count = lo.shape[0]
     width = hi - lo
-    if not (width > 0).any():
-        return out
-    max_width = int(width.max())
-    levels = [values]
-    while (1 << len(levels)) <= max_width:
-        prev = levels[-1]
-        half = 1 << (len(levels) - 1)
-        levels.append(np.maximum(prev[:, : prev.shape[1] - half], prev[:, half:]))
+    live = width > 0
+    if not live.any():
+        return lambda values: np.full((values.shape[0], count), NEG_INF)
+    depth = int(width.max()).bit_length()
     exponents = np.frexp(np.maximum(width, 1).astype(np.float64))[1] - 1
-    for p in np.unique(exponents[width > 0]):
-        mask = (exponents == p) & (width > 0)
-        table = levels[int(p)]
-        a = table[:, lo[mask]]
-        b = table[:, hi[mask] - (1 << int(p))]
-        out[:, mask] = np.maximum(a, b)
-    return out
+    groups = []
+    for p in np.unique(exponents[live]):
+        mask = (exponents == p) & live
+        groups.append((int(p), mask, lo[mask], hi[mask] - (1 << int(p))))
+
+    def windowed_max(values: np.ndarray) -> np.ndarray:
+        """out[:, j] = max(values[:, lo[j]:hi[j]]), -inf on empty windows."""
+        levels = [values]
+        while len(levels) < depth:
+            prev = levels[-1]
+            half = 1 << (len(levels) - 1)
+            levels.append(np.maximum(prev[:, : prev.shape[1] - half], prev[:, half:]))
+        out = np.full((values.shape[0], count), NEG_INF)
+        for p, mask, a, b in groups:
+            out[:, mask] = np.maximum(levels[p][:, a], levels[p][:, b])
+        return out
+
+    return windowed_max
 
 
-def _until_general(left: np.ndarray, right: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Until tables for a non-trivial left operand.
+def _until_general(left, right: np.ndarray, lo: np.ndarray, hi: np.ndarray, a: int = 0, la: int = 0, ra: int = 0) -> np.ndarray:
+    """Until values at samples a, a+1, ... for a non-trivial left operand.
 
+    ``lo``/``hi`` are the (absolute) index windows of those samples; ``left``
+    and ``right`` hold the operands' columns from index ``la`` and ``ra`` on.
     Quadratic in signal length; only exercised by formulas whose until has a
     non-true left side, which the planner's specifications never produce.
     """
-    batch, n = left.shape
-    out = np.full((batch, n), NEG_INF)
-    for j in range(n):
-        lo_j, hi_j = int(lo[j]), int(hi[j])
+    out = np.full((right.shape[0], lo.shape[0]), NEG_INF)
+    for i in range(lo.shape[0]):
+        j, lo_j, hi_j = a + i, int(lo[i]), int(hi[i])
         if hi_j <= lo_j:
             continue
-        vals = right[:, lo_j:hi_j].copy()
+        vals = right[:, lo_j - ra : hi_j - ra].copy()
         if hi_j - 1 > j:
             # Running minimum of the left operand over [t_j, t_k); the k == j
             # column keeps an empty infimum (+inf), i.e. stays untouched.
-            run_min = np.minimum.accumulate(left[:, j : hi_j - 1], axis=1)
+            run_min = np.minimum.accumulate(left[:, j - la : hi_j - 1 - la], axis=1)
             ks = np.arange(lo_j, hi_j)
             sel = ks > j
             vals[:, sel] = np.minimum(vals[:, sel], run_min[:, ks[sel] - j - 1])
-        out[:, j] = vals.max(axis=1)
+        out[:, i] = vals.max(axis=1)
     return out

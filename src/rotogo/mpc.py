@@ -23,12 +23,13 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DoubleIntegrator, EnvState, RobotState
-from .fasteval import TouchCounter, eval_robustness_all, eval_robustness_arrays
+# eval_robustness_arrays, limit_penalty and workspace_penalty are called
+# through PlanningProblem or not at all; the names stay importable here
+# because the benchmark's tracer (perfbench/workloads.py) wraps them on this
+# module.
+from .fasteval import TouchCounter, eval_robustness_all, eval_robustness_arrays  # noqa: F401
 from .formula import Formula, node_count, to_seconds, to_ticks
 from .cmaes import CmaesConfig, cmaes_minimize
-# limit_penalty and workspace_penalty are called through PlanningProblem; the
-# names stay importable here because the benchmark's tracer
-# (perfbench/workloads.py) wraps them on this module.
 from .planning import (  # noqa: F401
     PlanningProblem,
     limit_penalty,
@@ -166,6 +167,8 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
 
     robot = RobotState(*cfg.robot_start)
     env = EnvState(*cfg.env_start)
+    # Only rotogo mode scores the progressed formula, so only it progresses.
+    progressing = cfg.objective_mode == "rotogo"
     monitor = start_monitor(f0, 0)
     limits = cfg.limits()
     workspace = cfg.workspace_box()
@@ -188,7 +191,7 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
             "xe": env.xe,
             "ye": env.ye,
         }
-        if i < n_samples - 1:
+        if progressing and i < n_samples - 1:
             monitor = monitor_step(monitor, t_i + trace_dt, obs)
 
         if t_i % replan_dt == 0 and t_i < mission_end:
@@ -301,14 +304,10 @@ def _replan(
     )
 
     best_via = result.best_x.reshape(n_via, 2)
+    # The plan executes the directly evaluated spline, so its logged
+    # robustness scores those rows rather than the linear map's.
     _, pos, vel, acc = rollout_arrays(best_via, start_pos, start_vel, duration, hz)
-    comps = _suffix_components(pos[np.newaxis], vel[np.newaxis], env)
-    if not rotogo_mode:
-        comps = {
-            name: np.concatenate([prefix[name][np.newaxis, :], comps[name]], axis=1)
-            for name in comps
-        }
-    best_rho = float(eval_robustness_arrays(eval_times, comps, objective_formula)[0, 0])
+    best_rho = float(problem.robustness(pos.T[:, np.newaxis], vel.T[:, np.newaxis])[0])
 
     plan = _ActivePlan(
         start_tick=t_i, acc=acc, via=best_via, duration=duration,
@@ -329,17 +328,3 @@ def _replan(
     )
     return plan, record
 
-
-def _suffix_components(pos: np.ndarray, vel: np.ndarray, env: EnvState) -> dict[str, np.ndarray]:
-    """Signal components of candidate suffixes, from the sample after the
-    replan instant onward; the environment is held at its observed position
-    (planning assumes no further disturbance)."""
-    batch, length = pos.shape[0], pos.shape[1] - 1
-    return {
-        "x": pos[:, 1:, 0],
-        "y": pos[:, 1:, 1],
-        "vx": vel[:, 1:, 0],
-        "vy": vel[:, 1:, 1],
-        "xe": np.full((batch, length), env.xe),
-        "ye": np.full((batch, length), env.ye),
-    }

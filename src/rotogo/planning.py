@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fasteval import TouchCounter, eval_robustness_start
+from .fasteval import StartProgram, TouchCounter
 from .formula import Formula
 
 #: Cost assigned per trajectory sample outside the workspace.
@@ -246,7 +246,10 @@ class PlanningProblem:
     via points), so construction samples it once per unit vector and
     :meth:`rollout` is a single matrix product.  The signal buffers are
     allocated once, with the prefix and the environment columns already in
-    place; each :meth:`cost` call writes only the candidates' suffixes.
+    place; each :meth:`cost` call writes only the candidates' suffixes.  The
+    formula's start-only query is compiled once too (a
+    :class:`~rotogo.fasteval.StartProgram` over ``times``) and run by every
+    :meth:`cost` and :meth:`robustness` call.
     """
 
     def __init__(
@@ -295,6 +298,7 @@ class PlanningProblem:
         if any(col.shape != (self._split,) for col in self._prefix.values()):
             raise ValueError(f"prefix columns must hold the {self._split} samples before the rollout suffix")
         self._buffers: dict[str, np.ndarray] = {}
+        self._program = StartProgram(self.times, formula)
 
     def rollout(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positions, velocities and accelerations of a (B, 2N) population.
@@ -325,13 +329,21 @@ class PlanningProblem:
             self._buffers["ye"][:, split:] = self.env[1]
         return {name: buf[:batch] for name, buf in self._buffers.items()}
 
-    def cost(self, X: np.ndarray) -> np.ndarray:
-        """Loss of every row of a (B, 2N) population; shape (B,)."""
-        pos, vel, acc = self.rollout(X)
+    def robustness(self, pos: np.ndarray, vel: np.ndarray, counter: Optional[TouchCounter] = None) -> np.ndarray:
+        """Robustness at the first sample of the scored signals whose
+        rollout rows are ``pos`` and ``vel`` (planar, (2, B, L)); shape (B,).
+
+        ``counter``, when given, records the samples the evaluation read.
+        """
         comps = self.signal(pos.shape[1])
         split = self._split
         for name, rows in (("x", pos[0]), ("y", pos[1]), ("vx", vel[0]), ("vy", vel[1])):
             comps[name][:, split:] = rows[:, 1:]
-        rho = eval_robustness_start(self.times, comps, self.formula, self.counter)
+        return self._program.run(comps, counter)
+
+    def cost(self, X: np.ndarray) -> np.ndarray:
+        """Loss of every row of a (B, 2N) population; shape (B,)."""
+        pos, vel, acc = self.rollout(X)
+        rho = self.robustness(pos, vel, self.counter)
         penalty = workspace_penalty(pos, self.workspace) + limit_penalty(vel, acc, self.limits)
         return -clamp_robustness(rho) + penalty

@@ -213,3 +213,72 @@ def test_start_matches_table_at_mission_scale():
         }
         counter = assert_start_matches_table(times, comps, cfg.parsed_formula())
         assert counter.samples == n  # G[0,20] reads the whole mission
+
+
+# ---------------------------------------------------------------------------
+# The compiled start-only program
+
+
+def assert_every_start_matches_table(times, comps, f):
+    """The start-only value of every suffix equals the table's column at the
+    suffix's first sample, bit for bit, and the inputs stay untouched."""
+    table = eval_robustness_arrays(times, comps, f)
+    before = {name: col.copy() for name, col in comps.items()}
+    for k in range(times.shape[0]):
+        start = eval_robustness_start(times[k:], {name: col[:, k:] for name, col in comps.items()}, f)
+        assert start.tobytes() == table[:, k].tobytes(), (f, k, start, table[:, k])
+    for name, col in comps.items():
+        assert col.tobytes() == before[name].tobytes(), name
+
+
+def test_every_start_matches_table_on_random_corpus():
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        f, s = random_instance(rng, max_len=20)
+        assert_every_start_matches_table(s.times, _rows(s, int(rng.integers(1, 4))), f)
+
+
+def test_every_start_matches_table_with_general_until():
+    rng = np.random.default_rng(42)
+    for _ in range(60):
+        left, s = random_instance(rng, max_depth=2, max_temporal=1, max_len=15)
+        right, _ = random_instance(rng, max_depth=2, max_temporal=1)
+        f = Until(left, _random_interval(rng), right)
+        for g in (f, Until(TOP, _random_interval(rng), f), Until(f, _random_interval(rng), Not(f))):
+            assert_every_start_matches_table(s.times, _rows(s, 2), g)
+
+
+def test_every_start_matches_table_on_nested_temporal_operators():
+    rng = np.random.default_rng(43)
+    for _ in range(120):
+        inner, s = random_instance(rng, max_depth=3, max_temporal=2, min_len=5, max_len=25)
+        f = inner
+        for _ in range(int(rng.integers(1, 4))):
+            f = Until(TOP, _random_interval(rng), Not(f) if rng.random() < 0.5 else f)
+        assert_every_start_matches_table(s.times, _rows(s, int(rng.integers(1, 6))), f)
+
+
+def test_double_negation_cancels_bit_for_bit():
+    # Negating twice restores every float, the sign of zero and NaN included.
+    times = np.arange(4, dtype=np.int64) * to_ticks(0.1)
+    comps = {"x": np.array([[-0.0, 1.0, 2.0, 3.0], [0.0, -1.0, -0.0, 5.0], [np.nan, 0.0, 1.0, -2.0]])}
+    p = Pred(Var("x"))
+    for phi in (p, Or(p, Not(p)), Until(TOP, Interval(0, to_ticks(0.2)), p)):
+        plain = eval_robustness_start(times, comps, phi)
+        for wrapped in (Not(Not(phi)), Not(Not(Not(Not(phi))))):
+            assert eval_robustness_start(times, comps, wrapped).tobytes() == plain.tobytes()
+            assert eval_robustness_arrays(times, comps, wrapped)[:, 0].tobytes() == plain.tobytes()
+    assert np.signbit(eval_robustness_start(times, comps, Not(Not(p)))[0])
+
+
+def test_shared_predicates_are_read_once():
+    s = Signal(np.arange(5, dtype=np.int64) * to_ticks(0.1), {"x": np.arange(5.0), "y": np.arange(5.0)})
+    # (x > 0.5) appears twice, both times over samples 0..4
+    f = parse_formula("F[0,0.4] ((x > 0.5) & (y > 1)) | F[0,0.4] ((x > 0.5) & (y < 2))")
+    counter = assert_start_matches_table(s.times, _rows(s, 3), f)
+    assert counter.samples == 5
+    assert counter.reads == 3 * 3 * 5  # three distinct predicates, three rows
+    # the same predicate over different index ranges is read over each
+    g = parse_formula("(x > 0) & F[0.2,0.3] (x > 0)")
+    counter = assert_start_matches_table(s.times, _rows(s), g)
+    assert counter.samples == 3 and counter.reads == 3

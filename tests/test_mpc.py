@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from rotogo.dynamics import DoubleIntegrator, EnvState, RobotState, env_step, robot_step
+from rotogo.fasteval import eval_robustness_arrays
 from rotogo.formula import to_ticks
 from rotogo.mpc import batch_stats, mpc_run
 from rotogo.planning import rollout_arrays
+from rotogo.progression import progress_along
 from rotogo.scenarios import ScenarioConfig, scenario_phi_avoid
 from rotogo.semantics import rotogo
 from rotogo.signals import Signal, validate_trace
@@ -176,6 +178,48 @@ def test_rotogo_objective_matches_direct_definition_in_the_live_loop():
         assembled = _rebuild_objective_signal(result, record, cfg)
         direct = rotogo(assembled, assembled.t0, to_ticks(record.time), f0)
         assert direct == record.objective_robustness, record.time
+
+
+@pytest.mark.parametrize("mode", ["robustness", "rotogo"])
+def test_best_plan_robustness_is_the_table_value(mode):
+    # The logged objective robustness of every replan is the full table's
+    # first value on the executed prefix plus the plan's directly evaluated
+    # (Horner) suffix, scored by the formula that mode's objective uses.
+    cfg = tiny_scenario(
+        formula="G[0,2] !((x - xe)^2 + (y - ye)^2 < 0.25) & F[0,2] (x > 1.4)",
+        env_noise_std=0.01,
+        seed=3,
+        objective_mode=mode,
+        cmaes_iterations=4,
+        first_attempt_iterations=6,
+    )
+    f0 = cfg.parsed_formula()
+    result = mpc_run(cfg)
+    assert result.replans
+    for record in result.replans:
+        assembled = _rebuild_objective_signal(result, record, cfg)
+        if mode == "robustness":
+            first, formula = 0, f0
+        else:
+            first, formula = record.index + 1, progress_along(f0, result.trace, record.index)
+        comps = {name: col[np.newaxis, first:] for name, col in assembled.components.items()}
+        table = eval_robustness_arrays(assembled.times[first:], comps, formula)
+        assert np.float64(record.objective_robustness).tobytes() == table[0, 0].tobytes(), record.time
+
+
+def test_robustness_mode_never_progresses_the_formula(monkeypatch):
+    import rotogo.mpc
+
+    cfg = tiny_scenario(formula="G[0,2] (x > 0.5) & F[0,2] (x > 1.2)", objective_mode="robustness", seed=6)
+    want = mpc_run(cfg)
+
+    def progressed(*args, **kwargs):
+        raise AssertionError("robustness mode progressed the formula")
+
+    monkeypatch.setattr(rotogo.mpc, "monitor_step", progressed)
+    got = mpc_run(cfg)
+    assert [r.objective_robustness for r in got.replans] == [r.objective_robustness for r in want.replans]
+    assert got.final_robustness == want.final_robustness
 
 
 def test_rotogo_mode_touches_only_the_suffix():

@@ -162,7 +162,7 @@ def test_plan_cost_counts_touched_samples():
 # PlanningProblem
 
 
-def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0,20] (x > 4)", prefix_len=0):
+def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0,20] (x > 4)", prefix_len=0, counter=None):
     n_via = int(rng.integers(1, 6))
     hz = 10.0
     duration = float(rng.uniform(1.0, 20.0))
@@ -172,7 +172,7 @@ def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0
     prefix = {name: rng.uniform(0.0, 5.0, prefix_len) for name in COMPONENTS} if prefix_len else None
     env = tuple(rng.uniform(0.0, 5.0, 2))
     problem = PlanningProblem(
-        parse_formula(formula), times, start_pos, start_vel, env, duration, hz, n_via, prefix=prefix,
+        parse_formula(formula), times, start_pos, start_vel, env, duration, hz, n_via, prefix=prefix, counter=counter,
     )
     return problem, (start_pos, start_vel, duration, hz, n_via), prefix
 
@@ -218,6 +218,25 @@ def test_cost_matches_prefix_plus_suffix_table():
         rho = eval_robustness_arrays(problem.times, concat, problem.formula)[:, 0]
         penalty = workspace_penalty(pos, Workspace()) + limit_penalty(vel, acc, Limits())
         assert np.array_equal(cost, -clamp_robustness(rho) + penalty)
+
+
+def test_robustness_of_given_rows_matches_table_and_counts_nothing():
+    # Rows from the direct spline evaluation, as the best plan is scored:
+    # the problem's start-only value equals the table of the assembled
+    # signal, and the problem's counter keeps what the cost calls read.
+    rng = np.random.default_rng(46)
+    for prefix_len in (0, 1, 17):
+        counter = TouchCounter()
+        problem, (start_pos, start_vel, duration, hz, n_via), _ = _random_problem(rng, prefix_len=prefix_len, counter=counter)
+        X = rng.uniform(0.0, 5.0, size=(4, 2 * n_via))
+        problem.cost(X)
+        seen = (counter.samples, counter.reads)
+        _, pos, vel, _ = rollout_arrays(X[:1].reshape(n_via, 2), start_pos, start_vel, duration, hz)
+        rho = problem.robustness(pos.T[:, np.newaxis], vel.T[:, np.newaxis])
+        assert (counter.samples, counter.reads) == seen
+        table = eval_robustness_arrays(problem.times, problem.signal(1), problem.formula)
+        assert rho.tobytes() == table[:, 0].tobytes()
+        assert problem.signal(1)["x"][0, -1] == pos[-1, 0]
 
 
 def test_cost_leaks_no_state_between_calls():
