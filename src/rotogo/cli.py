@@ -7,7 +7,8 @@ problem from a scenario's initial state), ``run`` (one MPC episode),
 randomized property corpus).
 
 Exit codes: ``monitor`` exits 0 when the trace satisfies the formula, 1 when
-it violates it, and 2 on input errors.  ``selftest`` exits 0 only when every
+it violates it, and 2 on input errors or any other failure (a formula
+nested too deeply to evaluate, say).  ``selftest`` exits 0 only when every
 property passes.  All other subcommands exit 0 on success and 2 on errors.
 """
 from __future__ import annotations
@@ -260,6 +261,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit 1 means "violated" for monitor, so no other failure may use it.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

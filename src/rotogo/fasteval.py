@@ -5,7 +5,10 @@ this module instead computes, for each subformula, the robustness at every
 sample index in one numpy pass, optionally batched over many candidate
 signals that share the same timestamps.  That is what makes the planner's
 inner loop affordable: one model-predictive replan evaluates hundreds of
-candidate trajectories against the same formula.
+candidate trajectories against the same formula.  An eventually is a
+windowed maximum; an until with a non-trivial left operand sweeps the
+offset between a sample and its witness sample, one vectorized step per
+offset, carrying the running minimum of the left operand along.
 
 The fast and reference evaluators agree bit for bit: boolean connectives
 are pure min/max selections, and predicate expressions execute the
@@ -363,8 +366,6 @@ class _Compiler:
 
     def _pow(self, x: int, n: int) -> int:
         """The multiplications of formula._int_pow, in its order, as steps."""
-        if n < 0:
-            raise ValueError(f"negative exponent {n}")
         if n == 0:
             zero = self._op(_make_call_const, (x,), (operator.mul, 0), (operator.mul, _const_key(0)))
             return self._op(_make_call_const, (zero,), (operator.add, 1.0), (operator.add, _const_key(1.0)))
@@ -559,22 +560,49 @@ def _until_general(left, right: np.ndarray, lo: np.ndarray, hi: np.ndarray, a: i
     """Until values at samples a, a+1, ... for a non-trivial left operand.
 
     ``lo``/``hi`` are the (absolute) index windows of those samples; ``left``
-    and ``right`` hold the operands' columns from index ``la`` and ``ra`` on.
-    Quadratic in signal length; only exercised by formulas whose until has a
-    non-true left side, which the planner's specifications never produce.
+    and ``right`` hold the operands' columns from index ``la`` and ``ra`` on
+    (``left`` is None when no window reaches past its own sample).  The value
+    at sample j is the maximum over k in [lo_j, hi_j) of
+    min(right_k, left_j, ..., left_{k-1}).  Instead of visiting samples, this
+    sweeps the offset d = k - j: each offset is one vectorized step over all
+    samples, which extends the running minimum of the left operand by one
+    column and folds right_{j+d} into the samples whose window holds j + d.
+    The cost is one step per offset the widest window spans.
     """
-    out = np.full((right.shape[0], lo.shape[0]), NEG_INF)
-    for i in range(lo.shape[0]):
-        j, lo_j, hi_j = a + i, int(lo[i]), int(hi[i])
-        if hi_j <= lo_j:
+    batch, count = right.shape[0], lo.shape[0]
+    out = np.full((batch, count), NEG_INF)
+    j = np.arange(a, a + count)
+    first, stop = lo - j, hi - j  # sample j's window holds the offsets [first, stop)
+    live = np.flatnonzero(stop > first)
+    if not live.size:
+        return out
+    # Samples whose window still holds an offset beyond d: [i0, ends[d]).
+    reach = np.maximum.accumulate(stop[::-1])[::-1]
+    span = int(reach[0])
+    ends = np.searchsorted(-reach, -np.arange(span), side="left")
+    i0, low = int(live[0]), int(first[live].min())
+    # Operand columns from index a on, padded where no window reads them.
+    rights = _columns(right, ra - a, count + span - 1, NEG_INF)
+    lefts = _columns(left, la - a, count + span - 2, POS_INF) if span > 1 else None
+    # min of left over [j, j + d); empty (+inf) at d = 0, where min returns
+    # right_j itself.  min and max only select, so every value is an operand.
+    run = np.full((batch, count), POS_INF)
+    vals = np.empty((batch, count))
+    for d in range(span):
+        end = int(ends[d])
+        if d:
+            np.minimum(run[:, i0:end], lefts[:, i0 + d - 1 : end + d - 1], out=run[:, i0:end])
+        if d < low:
             continue
-        vals = right[:, lo_j - ra : hi_j - ra].copy()
-        if hi_j - 1 > j:
-            # Running minimum of the left operand over [t_j, t_k); the k == j
-            # column keeps an empty infimum (+inf), i.e. stays untouched.
-            run_min = np.minimum.accumulate(left[:, j - la : hi_j - 1 - la], axis=1)
-            ks = np.arange(lo_j, hi_j)
-            sel = ks > j
-            vals[:, sel] = np.minimum(vals[:, sel], run_min[:, ks[sel] - j - 1])
-        out[:, i] = vals.max(axis=1)
+        held = (first[i0:end] <= d) & (stop[i0:end] > d)
+        np.minimum(rights[:, i0 + d : end + d], run[:, i0:end], out=vals[:, i0:end])
+        np.maximum(out[:, i0:end], vals[:, i0:end], out=out[:, i0:end], where=held)
+    return out
+
+
+def _columns(values: np.ndarray, at: int, width: int, fill: float) -> np.ndarray:
+    """``width`` columns holding ``values`` from column ``at`` on, ``fill`` elsewhere."""
+    out = np.full((values.shape[0], width), fill)
+    n = min(values.shape[1], width - at)
+    out[:, at : at + n] = values[:, :n]
     return out

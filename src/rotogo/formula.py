@@ -186,6 +186,10 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
+    def __post_init__(self) -> None:
+        if self.exponent < 0:
+            raise ValueError(f"negative exponent {self.exponent} in a power")
+
     def eval(self, env):
         return _int_pow(self.base.eval(env), self.exponent)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -47,9 +48,13 @@ class Signal:
 
     Stored as one int64 array of tick times plus one float64 array per
     component, which lets evaluators and predicates work on whole columns.
+    The tick times are also kept once as a list of Python ints: the
+    reference evaluators look up sample times one at a time, and ``bisect``
+    on that list and list slices answer such lookups several times faster
+    than scalar calls into numpy.
     """
 
-    __slots__ = ("times", "components")
+    __slots__ = ("times", "components", "_ticks")
 
     def __init__(self, times: np.ndarray, components: Mapping[str, np.ndarray]):
         times = np.asarray(times, dtype=np.int64)
@@ -67,6 +72,7 @@ class Signal:
             comps[name] = arr
         self.times = times
         self.components = comps
+        self._ticks: list[int] = times.tolist()
 
     @classmethod
     def from_samples(cls, samples: Sequence[Sample]) -> "Signal":
@@ -78,56 +84,52 @@ class Signal:
         return cls(times, comps)
 
     def __len__(self) -> int:
-        return int(self.times.size)
+        return len(self._ticks)
 
     @property
     def t0(self) -> TimePoint:
-        return int(self.times[0])
+        return self._ticks[0]
 
     @property
     def t_end(self) -> TimePoint:
-        return int(self.times[-1])
+        return self._ticks[-1]
 
     def t(self, index: int) -> TimePoint:
-        return int(self.times[index])
+        return self._ticks[index]
 
     def state(self, index: int) -> dict[str, float]:
         return {name: float(col[index]) for name, col in self.components.items()}
 
     def index_of(self, t: TimePoint) -> int:
-        i = int(np.searchsorted(self.times, t))
-        if i >= len(self) or int(self.times[i]) != t:
+        ticks = self._ticks
+        i = bisect_left(ticks, t)
+        if i == len(ticks) or ticks[i] != t:
             raise NoSampleError(f"no sample at t={to_seconds(t)} s")
         return i
-
-    def has_time(self, t: TimePoint) -> bool:
-        i = int(np.searchsorted(self.times, t))
-        return i < len(self) and int(self.times[i]) == t
 
     def value_at(self, t: TimePoint) -> dict[str, float]:
         return self.state(self.index_of(t))
 
     def index_range_in(self, interval: Interval, offset: TimePoint = 0) -> tuple[int, int]:
         """Half-open index range of samples inside ``interval`` shifted by ``offset``."""
-        lo_bound = interval.lower + offset
-        lo = int(np.searchsorted(self.times, lo_bound, side="left" if interval.lower_closed else "right"))
+        ticks = self._ticks
+        lower = interval.lower + offset
+        lo = bisect_left(ticks, lower) if interval.lower_closed else bisect_right(ticks, lower)
         if interval.upper == math.inf:
-            hi = len(self)
-        else:
-            hi_bound = interval.upper + offset
-            hi = int(np.searchsorted(self.times, hi_bound, side="right" if interval.upper_closed else "left"))
+            return lo, len(ticks)
+        upper = interval.upper + offset
+        hi = bisect_right(ticks, upper) if interval.upper_closed else bisect_left(ticks, upper)
         return lo, max(lo, hi)
 
     def times_in(self, interval: Interval, offset: TimePoint = 0) -> list[TimePoint]:
         """Sample timestamps inside ``interval`` shifted by ``offset``, in order."""
         lo, hi = self.index_range_in(interval, offset)
-        return [int(t) for t in self.times[lo:hi]]
+        return self._ticks[lo:hi]
 
     def times_between(self, start: TimePoint, stop: TimePoint) -> list[TimePoint]:
         """Sample timestamps in the half-open window [start, stop)."""
-        lo = int(np.searchsorted(self.times, start, side="left"))
-        hi = int(np.searchsorted(self.times, stop, side="left"))
-        return [int(t) for t in self.times[lo:hi]]
+        ticks = self._ticks
+        return ticks[bisect_left(ticks, start) : bisect_left(ticks, stop)]
 
     def suffix(self, index: int) -> "Signal":
         return Signal(self.times[index:], {n: c[index:] for n, c in self.components.items()})
@@ -240,14 +242,20 @@ def read_trace_csv(path) -> Signal:
         if not header or header[0] != "t":
             raise ValueError(f"{path}: not a trace CSV (missing 't' column)")
         names = header[1:]
+        width = len(header)
         times = []
         columns: list[list[float]] = [[] for _ in names]
         for row in reader:
             if not row:
                 continue
-            times.append(to_ticks(float(row[0])))
-            for col, cell in zip(columns, row[1:]):
-                col.append(float(cell))
+            if len(row) != width:
+                raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, the header has {width}")
+            try:
+                times.append(to_ticks(float(row[0])))
+                for col, cell in zip(columns, row[1:]):
+                    col.append(float(cell))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not times:
         raise ValueError(f"{path}: trace contains no samples")
     return Signal(np.array(times, dtype=np.int64), {n: np.array(c) for n, c in zip(names, columns)})

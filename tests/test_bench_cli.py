@@ -168,6 +168,32 @@ def test_monitor_missing_file_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.1,1.0,2.0", "3 cells, the header has 2"),  # an extra cell
+        ("0.1", "1 cells, the header has 2"),  # a short row
+        ("0.1,abc", "could not convert string to float: 'abc'"),
+    ],
+)
+def test_monitor_malformed_trace_row_exit_two(tmp_path, capsys, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,x\n0.0,1.0\n{row}\n0.2,1.0\n", encoding="utf-8")
+    code = main(["monitor", "(x > 0)", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {path}:3: {message}\n"
+
+
+def test_monitor_too_deep_formula_exit_two(tmp_path, capsys):
+    trace = goal_trace(tmp_path, [1.0] * 3)
+    code = main(["monitor", "!" * 3000 + "(x > 0)", str(trace)])
+    err = capsys.readouterr().err
+    assert code == 2  # not 1, which would claim a violation
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_monitor_reports_rotogo_value(tmp_path, capsys):
     trace = goal_trace(tmp_path, [-1.0, 2.0, 2.0])
     code = main(["monitor", "G[0,0.2] (x > 0)", str(trace), "--rotogo-from", "0"])

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 
 from rotogo.fasteval import (
     TouchCounter,
+    _until_general,
+    _window,
     eval_robustness,
     eval_robustness_all,
     eval_robustness_arrays,
@@ -282,3 +286,98 @@ def test_shared_predicates_are_read_once():
     g = parse_formula("(x > 0) & F[0.2,0.3] (x > 0)")
     counter = assert_start_matches_table(s.times, _rows(s), g)
     assert counter.samples == 3 and counter.reads == 3
+
+
+# ---------------------------------------------------------------------------
+# The general until's offset sweep
+
+
+def _until_by_sample(left, right, lo, hi):
+    """The general until one sample at a time, in the reference's order:
+    value[j] = max over k in [lo_j, hi_j) of min(right_k, left_j, ..., left_{k-1})."""
+    batch, n = right.shape
+    out = np.full((batch, n), -math.inf)
+    for b in range(batch):
+        for j in range(n):
+            best = -math.inf
+            for k in range(int(lo[j]), int(hi[j])):
+                v = float(right[b, k])
+                for m in range(j, k):
+                    v = min(v, float(left[b, m]))
+                best = max(best, v)
+            out[b, j] = best
+    return out
+
+
+def _sweep_cases(rng, count):
+    """(times, interval, left, right) with non-uniform times, B > 1, lower
+    bounds above 0 and unbounded upper bounds."""
+    for _ in range(count):
+        n = int(rng.integers(1, 30))
+        times = np.cumsum(rng.integers(1, to_ticks(0.3), size=n)).astype(np.int64)
+        lower = int(rng.integers(0, to_ticks(1.0))) if rng.random() < 0.7 else 0
+        if rng.random() < 0.2:
+            interval = Interval(lower, math.inf, bool(rng.random() < 0.5), False)
+        else:
+            interval = Interval(lower, lower + int(rng.integers(0, to_ticks(2.0))), bool(rng.random() < 0.5), bool(rng.random() < 0.5))
+        batch = int(rng.integers(1, 4))
+        yield times, interval, rng.normal(size=(batch, n)), rng.normal(size=(batch, n))
+
+
+def test_until_sweep_matches_per_sample_loop():
+    rng = np.random.default_rng(44)
+    for times, interval, left, right in _sweep_cases(rng, 400):
+        lo, hi = _window(times, interval, times)
+        want = _until_by_sample(left, right, lo, hi)
+        got = _until_general(left, right, lo, hi)
+        assert got.tobytes() == want.tobytes(), (times, interval)
+
+
+def test_until_sweep_matches_per_sample_loop_over_sub_ranges():
+    # As the start-only program calls it: samples [a, b) only, each operand
+    # given from the first index any of those samples reads.
+    rng = np.random.default_rng(45)
+    checked = 0
+    for times, interval, left, right in _sweep_cases(rng, 400):
+        lo, hi = _window(times, interval, times)
+        want = _until_by_sample(left, right, lo, hi)
+        n = times.shape[0]
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(a + 1, n + 1))
+        live = hi[a:b] > lo[a:b]
+        if not live.any():
+            continue
+        ra = int(lo[a:b][live][0])
+        wide = live & (hi[a:b] - 1 > np.arange(a, b))
+        if wide.any():
+            la = a + int(np.flatnonzero(wide)[0])
+            lefts = left[:, la : int(hi[a:b][wide][-1]) - 1]
+        else:
+            la, lefts = 0, None  # no window reaches past its own sample
+        got = _until_general(lefts, right[:, ra:], lo[a:b], hi[a:b], a=a, la=la, ra=ra)
+        assert got.tobytes() == want[:, a:b].tobytes(), (times, interval, a, b)
+        checked += 1
+    assert checked > 200
+
+
+def test_until_sweep_without_left_operand():
+    # Point windows [0, 0] never read the left operand.
+    times = np.array([0, 3, 4, 9], dtype=np.int64)
+    right = np.array([[1.0, -2.0, 3.5, 0.25], [4.0, 5.0, -6.0, 7.0]])
+    lo, hi = _window(times, Interval(0, 0), times)
+    assert _until_general(None, right, lo, hi).tobytes() == right.tobytes()
+    f = Until(Pred(Var("y")), Interval(0, 0), Pred(Var("x")))
+    comps = {"x": right, "y": -right}
+    assert eval_robustness_start(times, comps, f).tobytes() == right[:, 0].tobytes()
+
+
+def test_unbounded_general_until_matches_reference():
+    rng = np.random.default_rng(46)
+    for _ in range(40):
+        left, s = random_instance(rng, max_depth=2, max_temporal=1, max_len=15)
+        right, _ = random_instance(rng, max_depth=2, max_temporal=1)
+        f = Until(left, Interval(int(rng.integers(0, to_ticks(2.0))), math.inf, True, False), right)
+        table = eval_robustness_all(s, f)
+        for j in range(len(s)):
+            assert float(table[j]) == robustness(s, s.t(j), f)
+        assert_every_start_matches_table(s.times, _rows(s, 2), f)

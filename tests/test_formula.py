@@ -11,6 +11,7 @@ from rotogo.formula import (
     Interval,
     Not,
     Or,
+    Pow,
     Pred,
     TOP,
     Until,
@@ -154,3 +155,11 @@ def test_node_count():
     f = parse_formula("(x>0) U[0,1] (y>0)")
     assert node_count(f) == 3
     assert node_count(Until(TOP, Interval(0, SEC), Not(TOP))) == 4
+
+
+def test_negative_exponent_rejected_when_built():
+    # Exponentiation by squaring never terminates for n < 0 (n >>= 1 stays -1),
+    # so the node refuses to exist instead of hanging every evaluator.
+    with pytest.raises(ValueError, match="-1"):
+        Pow(Var("x"), -1)
+    assert Pow(Var("x"), 0).eval({"x": 2.0}) == 1.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,65 @@ def test_times_in_merges_across_prefix_suffix_views():
         for k in range(len(s) - 1):
             merged = s.prefix(k).times_in(interval, offset) + s.suffix(k + 1).times_in(interval, offset)
             assert merged == whole
+
+
+def _searchsorted_range(times, interval, offset):
+    """index_range_in as np.searchsorted computes it."""
+    side = "left" if interval.lower_closed else "right"
+    lo = int(np.searchsorted(times, interval.lower + offset, side=side))
+    if interval.upper == math.inf:
+        return lo, len(times)
+    side = "right" if interval.upper_closed else "left"
+    return lo, max(lo, int(np.searchsorted(times, interval.upper + offset, side=side)))
+
+
+def test_lookups_match_searchsorted_on_random_times():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        times = np.cumsum(rng.integers(1, 3 * SEC, size=n)).astype(np.int64)
+        s = Signal(times, {"x": rng.uniform(size=n)})
+        first, last = int(times[0]), int(times[-1])
+        for _ in range(10):
+            lower = int(rng.integers(0, last + SEC))
+            if rng.random() < 0.2:
+                interval = Interval(lower, math.inf, bool(rng.random() < 0.5), False)
+            else:
+                upper = lower + int(rng.integers(0, last + SEC))
+                interval = Interval(lower, upper, bool(rng.random() < 0.5), bool(rng.random() < 0.5))
+            # offsets put the window before the start, across the signal and past its end
+            offset = int(rng.integers(-last - 2 * SEC, last + SEC))
+            for off in (offset, np.int64(offset), float(offset), offset + 0.5):
+                lo, hi = _searchsorted_range(times, interval, off)
+                assert s.index_range_in(interval, off) == (lo, hi), (interval, off)
+                got = s.times_in(interval, off)
+                assert got == times[lo:hi].tolist() and all(type(t) is int for t in got)
+            start, stop = (int(v) for v in rng.integers(first - SEC, last + SEC, size=2))
+            for a, b in ((start, stop), (np.int64(start), np.int64(stop)), (start - 0.5, stop + 0.5)):
+                lo, hi = np.searchsorted(times, a, side="left"), np.searchsorted(times, b, side="left")
+                assert s.times_between(a, b) == times[lo:hi].tolist(), (a, b)
+            # an empty window on a sample time: (a, a) open at both ends
+            point = Interval(lower, lower, False, False)
+            off = int(times[int(rng.integers(0, n))]) - lower
+            assert s.index_range_in(point, off) == _searchsorted_range(times, point, off)
+            assert s.times_in(point, off) == []
+        for k, t in enumerate(times.tolist()):
+            for probe in (t, np.int64(t), float(t)):
+                assert s.index_of(probe) == k
+        gaps = [t + 1 for t in times.tolist()[:-1] if t + 1 not in times] + [first - 1, last + 1, last + 0.5]
+        for t in gaps:
+            with pytest.raises(NoSampleError):
+                s.index_of(t)
+
+
+def test_tick_lookups_follow_suffix_prefix_and_concat():
+    s = make_signal([0, 0.5, 1.25, 2], x=[0, 1, 2, 3])
+    tail = s.suffix(2)
+    assert (tail.t0, tail.t_end, len(tail)) == (to_ticks(1.25), 2 * SEC, 2)
+    assert tail.index_of(2 * SEC) == 1
+    assert s.prefix(1).times_in(Interval(0, 10 * SEC)) == [0, SEC // 2]
+    joined = s.prefix(1).concat(tail)
+    assert joined.times_between(0, 3 * SEC) == [0, SEC // 2, to_ticks(1.25), 2 * SEC]
 
 
 def test_from_samples_sorted_components():
