@@ -37,7 +37,7 @@ from .progression import (
     simplify,
     start_monitor,
 )
-from .fasteval import TouchCounter, eval_robustness, eval_robustness_all
+from .fasteval import TouchCounter, eval_robustness_all
 from .cmaes import CmaesConfig, CmaesResult, cmaes_minimize
 from .planning import Limits, PlanningProblem, Trajectory, ViaPointPlan, Workspace, rollout
 from .dynamics import DoubleIntegrator, EnvState, RobotState, env_step, robot_step
@@ -57,7 +57,7 @@ __all__ = [
     "robustness", "rotogo", "sat", "sign_consistency_check",
     "MonitorState", "monitor_step", "progress", "rotogo_via_progression", "simplify",
     "start_monitor",
-    "TouchCounter", "eval_robustness", "eval_robustness_all",
+    "TouchCounter", "eval_robustness_all",
     "CmaesConfig", "CmaesResult", "cmaes_minimize",
     "Limits", "PlanningProblem", "Trajectory", "ViaPointPlan", "Workspace", "rollout",
     "DoubleIntegrator", "EnvState", "RobotState", "env_step", "robot_step",

@@ -52,10 +52,6 @@ class BenchResult:
     failures: dict[str, list[tuple[int, str]]] = field(default_factory=dict)
 
 
-def _run_episode(cfg: ScenarioConfig) -> RunResult:
-    return mpc_run(cfg)
-
-
 def run_bench(spec: BenchSpec) -> BenchResult:
     """Run all episodes for every requested mode and write output files.
 
@@ -73,7 +69,7 @@ def run_bench(spec: BenchSpec) -> BenchResult:
         failures: list[tuple[int, str]] = []
         if spec.workers > 1:
             with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                futures = [pool.submit(_run_episode, cfg) for cfg in configs]
+                futures = [pool.submit(mpc_run, cfg) for cfg in configs]
                 for episode, future in enumerate(futures):
                     try:
                         results.append((episode, future.result()))
@@ -82,7 +78,7 @@ def run_bench(spec: BenchSpec) -> BenchResult:
         else:
             for episode, cfg in enumerate(configs):
                 try:
-                    results.append((episode, _run_episode(cfg)))
+                    results.append((episode, mpc_run(cfg)))
                 except Exception as exc:  # noqa: BLE001 - episode isolation
                     failures.append((episode, f"{type(exc).__name__}: {exc}"))
         out.results[mode] = results

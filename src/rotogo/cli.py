@@ -24,7 +24,7 @@ import numpy as np
 from .bench import BenchSpec, run_bench
 from .cmaes import CmaesConfig, cmaes_minimize
 from .dynamics import EnvState, RobotState
-from .formula import to_seconds, to_ticks
+from .formula import Formula, expr_variables, formula_predicates, to_seconds, to_ticks
 from .mpc import mpc_run
 from .parser import format_formula, parse_formula
 from .planning import PlanningProblem, Trajectory, ViaPointPlan, rollout
@@ -63,9 +63,20 @@ def _aliases_from(args) -> dict:
     return {}
 
 
+def _read_trace_for(f: Formula, path):
+    """The trace at ``path``, checked to hold every variable ``f`` reads."""
+    trace = read_trace_csv(path)
+    for p in formula_predicates(f):
+        for name in sorted(expr_variables(p.fn)):
+            if name not in trace.components:
+                columns = ", ".join(trace.components)
+                raise ValueError(f"formula variable {name!r} is not a column of {path} (columns: {columns})")
+    return trace
+
+
 def cmd_monitor(args) -> int:
     f = parse_formula(args.formula, aliases=_aliases_from(args))
-    trace = read_trace_csv(args.trace)
+    trace = _read_trace_for(f, args.trace)
     t0 = trace.t0
     verdict = sat(trace, t0, f)
     print(f"verdict: {'satisfied' if verdict else 'violated'}")
@@ -78,7 +89,7 @@ def cmd_monitor(args) -> int:
 
 def cmd_progress(args) -> int:
     f = parse_formula(args.formula, aliases=_aliases_from(args))
-    trace = read_trace_csv(args.trace)
+    trace = _read_trace_for(f, args.trace)
     monitor = start_monitor(f, trace.t0)
     print(f"t={to_seconds(trace.t0):g}: {format_formula(monitor.current)}")
     for i in range(len(trace) - 1):

@@ -1,29 +1,25 @@
-"""Vectorized robustness evaluation over whole signals.
+"""Vectorized robustness evaluation, compiled once per formula and grid.
 
 The reference evaluator in :mod:`rotogo.semantics` recurses per time point;
-this module instead computes, for each subformula, the robustness at every
-sample index in one numpy pass, optionally batched over many candidate
-signals that share the same timestamps.  That is what makes the planner's
-inner loop affordable: one model-predictive replan evaluates hundreds of
-candidate trajectories against the same formula.  An eventually is a
-windowed maximum; an until with a non-trivial left operand sweeps the
-offset between a sample and its witness sample, one vectorized step per
-offset, carrying the running minimum of the left operand along.
+this module computes the robustness at a whole range of sample indices in
+numpy passes, batched over many candidate signals that share the same
+timestamps.  That is what makes the planner's inner loop affordable: one
+model-predictive replan evaluates hundreds of candidate trajectories
+against the same formula.  An eventually is a windowed maximum; an until
+with a non-trivial left operand sweeps the offset between a sample and its
+witness sample, one vectorized step per offset, carrying the running
+minimum of the left operand along.
 
-The fast and reference evaluators agree bit for bit: boolean connectives
-are pure min/max selections, and predicate expressions execute the
-identical sequence of IEEE-754 operations whether applied to scalars or
-arrays.  The equivalence is enforced on randomized corpora by the test
-suite.
-
-The planner reads the robustness at the first sample only, for every
-population of one replan against the same formula and sample times.
-:class:`StartProgram` splits that query into compile and run.  Compiling
-asks each node, top-down, for the contiguous index range its parent needs
+There is one evaluator, :class:`Program`: the robustness at the samples
+[0, width) of a time grid, split into compile and run.  Monitoring asks for
+every sample (:func:`eval_robustness_arrays`, width n); the planner asks
+for the first sample of every candidate (:func:`eval_robustness_start` and
+:class:`~rotogo.planning.PlanningProblem`, width 1).  Compiling asks each
+node, top-down, for the contiguous index range its parent needs
 (robustness over the index ranges a query needs, as in Donze, Ferrere and
 Maler, "Efficient Robust Monitoring for STL", CAV 2013), so an eventually
-at one index is one maximum over a slice and a nested temporal operator
-builds its windowed maxima over its sub-range only.  Everything that
+at one index is one maximum over a slice and a temporal operator builds
+its windowed maxima over the range its parent reads only.  Everything that
 depends on the formula and the times alone is settled then, once: windows
 become integer index ranges and sparse-table gather indices, structurally
 equal subformulas and predicate subexpressions over the same range become
@@ -34,10 +30,15 @@ liveness: a table is released as soon as its last reader has run, and an
 elementwise step writes over an operand it is the last to read.  That is
 not a nicety.  Kept alive, the ~30 (25, 201) intermediates of a
 ``phi_avoid`` evaluation (about 1.2 MB) outgrow the cache: on a 2-vCPU
-2.1 GHz Xeon a run then took three times as long, longer than the tree
-walk it replaces.  Released, each table's warm memory serves the next.
-:func:`eval_robustness_start` is compile plus run.  Its result equals the
-first column of the full table bit for bit.
+2.1 GHz Xeon a run then took three times as long.  Released, each table's
+warm memory serves the next.
+
+The fast and reference evaluators agree bit for bit: boolean connectives
+are pure min/max selections, and predicate expressions execute the
+identical sequence of IEEE-754 operations whether applied to scalars or
+arrays.  The equivalence is enforced on randomized corpora by the test
+suite, and so is the equality of every width-1 result with the matching
+column of the full table.
 """
 from __future__ import annotations
 
@@ -76,9 +77,10 @@ POS_INF = math.inf
 class TouchCounter:
     """Counts how much signal an evaluation had to look at.
 
-    ``samples`` is the number of distinct sample slots visited (the whole
-    signal for a full table, the slots a start-only evaluation read);
-    ``reads`` counts individual predicate-sample evaluations.
+    ``samples`` is the number of distinct sample slots read, the union of
+    the index ranges the predicates were evaluated over; ``reads`` counts
+    predicate-sample evaluations, a predicate shared by several subformulas
+    over one index range counting once.
     """
 
     samples: int = 0
@@ -95,11 +97,6 @@ def eval_robustness_all(signal: Signal, f: Formula, counter: TouchCounter | None
     return eval_robustness_arrays(signal.times, comps, f, counter)[0]
 
 
-def eval_robustness(signal: Signal, t, f: Formula, counter: TouchCounter | None = None) -> float:
-    """Robustness of ``f`` at sample time ``t``; matches the reference evaluator."""
-    return float(eval_robustness_all(signal, f, counter)[signal.index_of(t)])
-
-
 def eval_robustness_arrays(
     times: np.ndarray,
     components: dict[str, np.ndarray],
@@ -113,46 +110,7 @@ def eval_robustness_arrays(
     robustness values, value[b, j] being the robustness of ``f`` over
     candidate b at sample j.
     """
-    times = np.ascontiguousarray(times, dtype=np.int64)
-    return _Evaluator(times, components, counter).run(f)
-
-
-class _Evaluator:
-    def __init__(self, times, components, counter):
-        self.times = times
-        self.components = components
-        self.counter = counter
-        self.n = times.shape[0]
-        self.batch = next(iter(components.values())).shape[0]
-
-    def run(self, f: Formula) -> np.ndarray:
-        if isinstance(f, Top):
-            return np.full((self.batch, self.n), POS_INF)
-        if isinstance(f, Bottom):
-            return np.full((self.batch, self.n), NEG_INF)
-        if isinstance(f, Pred):
-            if self.counter is not None:
-                self.counter.visit(self.n, self.batch * self.n)
-            return _predicate(f, self.components, self.batch, self.n)
-        if isinstance(f, Not):
-            return -self.run(f.child)
-        if isinstance(f, And):
-            return np.minimum(self.run(f.left), self.run(f.right))
-        if isinstance(f, Or):
-            return np.maximum(self.run(f.left), self.run(f.right))
-        if isinstance(f, Until):
-            return self._until(f)
-        raise TypeError(f"not a formula: {f!r}")
-
-    def _until(self, f: Until) -> np.ndarray:
-        right = self.run(f.right)
-        lo, hi = _window(self.times, f.interval, self.times)
-        if isinstance(f.left, Top):
-            # The inner infimum over the left operand is +inf everywhere, so
-            # this reduces to a windowed maximum of the right operand.
-            return _windowed_max_plan(lo, hi)(right)
-        left = self.run(f.left)
-        return _until_general(left, right, lo, hi)
+    return Program(times, f, len(times)).run(components, counter)
 
 
 def eval_robustness_start(
@@ -165,15 +123,14 @@ def eval_robustness_start(
 
     Takes the arguments of :func:`eval_robustness_arrays` and returns its
     first column, computing only the index ranges that column depends on.
-    ``counter`` records the distinct samples actually read.  Callers that
-    score many populations against one formula and one time grid compile a
-    :class:`StartProgram` once instead.
+    Callers that score many populations against one formula and one time
+    grid compile a width-1 :class:`Program` once instead.
     """
-    return StartProgram(times, f).run(components, counter)
+    return Program(times, f, 1).run(components, counter)[:, 0]
 
 
-class StartProgram:
-    """The start-only query of ``f`` over the sample ``times``, compiled.
+class Program:
+    """The robustness of ``f`` at the samples [0, width) of ``times``, compiled.
 
     Compiling walks the formula once, top-down, asking each node for the
     contiguous index range [a, b) its parent needs, and emits one flat list
@@ -185,19 +142,19 @@ class StartProgram:
     reader.
     """
 
-    def __init__(self, times: np.ndarray, f: Formula):
+    def __init__(self, times: np.ndarray, f: Formula, width: int):
         build = _Compiler(np.ascontiguousarray(times, dtype=np.int64))
-        root = build.emit(f, 0, 1)
+        root = build.emit(f, 0, width)
         self._loads, self._steps, self._out, self._registers = build.allocate(root)
         # Distinct samples and, per candidate, predicate-sample reads of a run.
         self._samples = _covered(build.spans)
         self._reads = build.reads
 
     def run(self, components: dict[str, np.ndarray], counter: TouchCounter | None = None) -> np.ndarray:
-        """Robustness at the first sample of every row of ``components``.
+        """Robustness at the compiled samples of every row of ``components``.
 
         ``components`` maps each name to a (B, n) array over the compiled
-        times; they are read as float64.  Returns shape (B,).
+        times; they are read as float64.  Returns shape (B, width).
         """
         batch = next(iter(components.values())).shape[0]
         r = [None] * self._registers
@@ -208,7 +165,7 @@ class StartProgram:
             step(r)
         if counter is not None and self._samples:
             counter.visit(self._samples, batch * self._reads)
-        return r[self._out][:, 0]
+        return r[self._out]
 
 
 class _Const:
@@ -232,7 +189,7 @@ def _const_key(v) -> tuple:
 
 
 class _Compiler:
-    """Emits the steps of a start-only query in SSA form.
+    """Emits the steps of a query over an index range in SSA form.
 
     A value is an integer id.  ``code`` holds (make, value, args, param)
     entries in execution order, ``make`` building the step that computes
@@ -334,8 +291,8 @@ class _Compiler:
 
     def expr(self, e: Expr, a: int, b: int):
         """Value of the expression ``e`` over [a, b), or a _Const."""
-        # Constant subexpressions fold with the scalar operations the tree
-        # walk (Expr.eval) performs, so every operand keeps its exact value.
+        # Constant subexpressions fold with the scalar operations Expr.eval
+        # performs, so every operand keeps its exact value.
         if isinstance(e, Var):
             return self._load(e.name, a, b)
         if isinstance(e, Const):
@@ -490,13 +447,6 @@ def _make_row_max(out: int, args, param):
     return step
 
 
-def _predicate(f: Pred, env: dict[str, np.ndarray], batch: int, width: int) -> np.ndarray:
-    out = f.fn.eval(env)
-    if np.ndim(out) == 0:
-        return np.full((batch, width), out, dtype=np.float64)
-    return np.asarray(out, dtype=np.float64)
-
-
 def _covered(spans: list[tuple[int, int]]) -> int:
     """Number of indices in the union of half-open ranges."""
     total = end = 0
@@ -532,8 +482,6 @@ def _windowed_max_plan(lo: np.ndarray, hi: np.ndarray):
     count = lo.shape[0]
     width = hi - lo
     live = width > 0
-    if not live.any():
-        return lambda values: np.full((values.shape[0], count), NEG_INF)
     depth = int(width.max()).bit_length()
     exponents = np.frexp(np.maximum(width, 1).astype(np.float64))[1] - 1
     groups = []

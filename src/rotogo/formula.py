@@ -110,18 +110,6 @@ def _fmt_seconds(ticks: TimeBound) -> str:
     return repr(seconds)
 
 
-def shift_truncate(interval: Interval, delta: int) -> Interval:
-    return interval.shift_truncate(delta)
-
-
-def interval_contains_zero(interval: Interval) -> bool:
-    return interval.contains_zero()
-
-
-def interval_strictly_positive(interval: Interval) -> bool:
-    return interval.strictly_positive()
-
-
 # ---------------------------------------------------------------------------
 # Predicate expressions
 #

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fasteval import StartProgram, TouchCounter
+from .fasteval import Program, TouchCounter
 from .formula import Formula
 
 #: Cost assigned per trajectory sample outside the workspace.
@@ -247,8 +247,8 @@ class PlanningProblem:
     :meth:`rollout` is a single matrix product.  The signal buffers are
     allocated once, with the prefix and the environment columns already in
     place; each :meth:`cost` call writes only the candidates' suffixes.  The
-    formula's start-only query is compiled once too (a
-    :class:`~rotogo.fasteval.StartProgram` over ``times``) and run by every
+    formula's first-sample query is compiled once too (a width-1
+    :class:`~rotogo.fasteval.Program` over ``times``) and run by every
     :meth:`cost` and :meth:`robustness` call.
     """
 
@@ -298,7 +298,7 @@ class PlanningProblem:
         if any(col.shape != (self._split,) for col in self._prefix.values()):
             raise ValueError(f"prefix columns must hold the {self._split} samples before the rollout suffix")
         self._buffers: dict[str, np.ndarray] = {}
-        self._program = StartProgram(self.times, formula)
+        self._program = Program(self.times, formula, 1)
 
     def rollout(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positions, velocities and accelerations of a (B, 2N) population.
@@ -339,7 +339,7 @@ class PlanningProblem:
         split = self._split
         for name, rows in (("x", pos[0]), ("y", pos[1]), ("vx", vel[0]), ("vy", vel[1])):
             comps[name][:, split:] = rows[:, 1:]
-        return self._program.run(comps, counter)
+        return self._program.run(comps, counter)[:, 0]
 
     def cost(self, X: np.ndarray) -> np.ndarray:
         """Loss of every row of a (B, 2N) population; shape (B,)."""

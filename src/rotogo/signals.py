@@ -245,6 +245,7 @@ def read_trace_csv(path) -> Signal:
         width = len(header)
         times = []
         columns: list[list[float]] = [[] for _ in names]
+        lines = []  # the file line of every sample, for the checks below
         for row in reader:
             if not row:
                 continue
@@ -254,8 +255,26 @@ def read_trace_csv(path) -> Signal:
                 times.append(to_ticks(float(row[0])))
                 for col, cell in zip(columns, row[1:]):
                     col.append(float(cell))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            lines.append(reader.line_num)
     if not times:
         raise ValueError(f"{path}: trace contains no samples")
-    return Signal(np.array(times, dtype=np.int64), {n: np.array(c) for n, c in zip(names, columns)})
+    # Whole-column checks, so the row loop above does no per-cell work.
+    try:
+        times = np.array(times, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, t in enumerate(times) if not -(2**63) <= t < 2**63)
+        raise ValueError(f"{path}:{lines[i]}: time {to_seconds(times[i])!r} s is out of range") from None
+    values = np.array(columns, dtype=np.float64).reshape(len(names), len(times))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        k = int(np.flatnonzero(bad[:, i])[0])
+        raise ValueError(f"{path}:{lines[i]}: {names[k]} is {float(values[k, i])!r}, not a finite number")
+    stalled = np.flatnonzero(np.diff(times) <= 0)
+    if stalled.size:
+        i = int(stalled[0]) + 1
+        t, before = to_seconds(int(times[i])), to_seconds(int(times[i - 1]))
+        raise ValueError(f"{path}:{lines[i]}: time {t!r} s is not after the previous sample's {before!r} s")
+    return Signal(times, dict(zip(names, values)))

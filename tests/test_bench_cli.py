@@ -174,6 +174,12 @@ def test_monitor_missing_file_exit_two(tmp_path, capsys):
         ("0.1,1.0,2.0", "3 cells, the header has 2"),  # an extra cell
         ("0.1", "1 cells, the header has 2"),  # a short row
         ("0.1,abc", "could not convert string to float: 'abc'"),
+        ("0.1,nan", "x is nan, not a finite number"),
+        ("0.1,-inf", "x is -inf, not a finite number"),
+        ("0.0,1.0", "time 0.0 s is not after the previous sample's 0.0 s"),  # a repeated timestamp
+        ("-0.1,1.0", "time -0.1 s is not after the previous sample's 0.0 s"),  # a decreasing one
+        ("-inf,1.0", "cannot convert float infinity to integer"),
+        ("1e300,1.0", "time 1e+300 s is out of range"),
     ],
 )
 def test_monitor_malformed_trace_row_exit_two(tmp_path, capsys, row, message):
@@ -183,6 +189,17 @@ def test_monitor_malformed_trace_row_exit_two(tmp_path, capsys, row, message):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {path}:3: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["monitor", "progress"])
+def test_formula_variable_missing_from_trace_exit_two(tmp_path, capsys, command):
+    path = tmp_path / "xonly.csv"
+    path.write_text("t,x\n0.0,1.0\n0.1,2.0\n", encoding="utf-8")
+    code = main([command, "(x > 0) & F[0,0.1] (y > 0)", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # nothing is evaluated
+    assert captured.err == f"error: formula variable 'y' is not a column of {path} (columns: x)\n"
 
 
 def test_monitor_too_deep_formula_exit_two(tmp_path, capsys):

@@ -6,12 +6,11 @@ from rotogo.fasteval import (
     TouchCounter,
     _until_general,
     _window,
-    eval_robustness,
     eval_robustness_all,
     eval_robustness_arrays,
     eval_robustness_start,
 )
-from rotogo.formula import And, BOTTOM, Interval, Not, Or, Pred, TOP, Until, Var, to_ticks
+from rotogo.formula import And, BOTTOM, Interval, Not, Or, Pred, TOP, Until, Var, formula_predicates, to_ticks
 from rotogo.parser import parse_formula
 from rotogo.semantics import robustness
 from rotogo.signals import Signal
@@ -55,13 +54,6 @@ def test_batched_rows_evaluate_independently():
         single = Signal(base.times, {n: comps[n][b] for n in comps})
         expect = eval_robustness_all(single, f)
         assert np.array_equal(table[b], expect)
-
-
-def test_eval_robustness_scalar_helper():
-    rng = np.random.default_rng(34)
-    f, s = random_instance(rng)
-    t = s.t(len(s) // 2)
-    assert eval_robustness(s, t, f) == robustness(s, t, f)
 
 
 def test_touch_counter_tracks_distinct_samples_and_reads():
@@ -127,15 +119,16 @@ def _rows(signal: Signal, batch: int = 1) -> dict:
 
 
 def assert_start_matches_table(times, comps, f):
-    """eval_robustness_start equals the table's first column and reads no
-    more samples than the full table."""
+    """eval_robustness_start equals the table's first column, reads no more
+    samples than the full table and no more predicate values than every
+    predicate leaf evaluated at every sample."""
     full_counter, start_counter = TouchCounter(), TouchCounter()
     table = eval_robustness_arrays(times, comps, f, full_counter)
     start = eval_robustness_start(times, comps, f, start_counter)
     assert start.shape == (table.shape[0],)
     assert np.array_equal(start, table[:, 0]), (f, start, table[:, 0])
     assert start_counter.samples <= full_counter.samples
-    assert start_counter.reads <= full_counter.reads
+    assert start_counter.reads <= table.size * len(formula_predicates(f))
     return start_counter
 
 
@@ -282,10 +275,26 @@ def test_shared_predicates_are_read_once():
     counter = assert_start_matches_table(s.times, _rows(s, 3), f)
     assert counter.samples == 5
     assert counter.reads == 3 * 3 * 5  # three distinct predicates, three rows
+    full = TouchCounter()
+    eval_robustness_arrays(s.times, _rows(s, 3), f, full)
+    assert full.samples == 5 and full.reads == 3 * 3 * 5
     # the same predicate over different index ranges is read over each
     g = parse_formula("(x > 0) & F[0.2,0.3] (x > 0)")
     counter = assert_start_matches_table(s.times, _rows(s), g)
     assert counter.samples == 3 and counter.reads == 3
+    # ... and over one range once: the full table needs (x > 0) at all
+    # samples 0..2 for both operands
+    short = Signal(s.times[:3], {"x": np.arange(3.0)})
+    h = parse_formula("(x > 0) & F[0,0.2] (x > 0)")
+    counter = assert_start_matches_table(short.times, _rows(short), h)
+    assert counter.samples == 3 and counter.reads == 4
+    full = TouchCounter()
+    eval_robustness_all(short, h, full)
+    assert full.samples == 3 and full.reads == 3
+    # a late window leaves the early samples of the full table unread
+    full = TouchCounter()
+    eval_robustness_all(s, parse_formula("F[0.2,0.3] (x > 0)"), full)
+    assert full.samples == 3 and full.reads == 3
 
 
 # ---------------------------------------------------------------------------
