@@ -145,6 +145,9 @@ class Program:
     def __init__(self, times: np.ndarray, f: Formula, width: int):
         build = _Compiler(np.ascontiguousarray(times, dtype=np.int64))
         root = build.emit(f, 0, width)
+        if root in build.loads:
+            # A bare component: copy it, or the table is the caller's array.
+            root = build._op(_make_call, (root,), np.copy)
         self._loads, self._steps, self._out, self._registers = build.allocate(root)
         # Distinct samples and, per candidate, predicate-sample reads of a run.
         self._samples = _covered(build.spans)

@@ -26,10 +26,20 @@ Interval bounds are seconds and are converted to integer ticks.  `F`, `G`
 and `->` are syntactic sugar and are desugared at parse time; comparisons
 are normalized to the canonical `f(state) > 0` form (`a < b` becomes
 `b - a > 0`, and `<=`/`>=` normalize identically to `<`/`>`).
+
+Nesting is limited to `MAX_NESTING` levels, counted twice: the text may
+open at most that many constructs inside one another (parentheses, `!`,
+`F`, `G`, `U`, `->` and unary `-`), and the parsed tree, desugaring
+included, may be at most that many nodes deep (so a chain of 200 `&` is
+too deep, since it nests left to right).  Evaluators, progression, the
+compiler and the printer all recurse on the tree and fail several times
+deeper; beyond the limit parsing raises a `ParseError` at the token that
+crossed it.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -61,6 +71,9 @@ ALLOWED_VARIABLES = frozenset({"x", "y", "vx", "vy", "xe", "ye"})
 
 _RESERVED = frozenset({"U", "F", "G", "true", "false", "inf"})
 
+#: How deeply a formula may nest, in its text and as a tree (module docstring).
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
@@ -73,6 +86,13 @@ class _UnknownVariableError(ParseError):
     """Unknown variable names are reported as such, never backtracked over."""
 
 
+class _TooDeepError(ParseError):
+    """So is nesting beyond MAX_NESTING: every reading nests as deep."""
+
+    def __init__(self, tok: _Token):
+        super().__init__(f"formula nests deeper than {MAX_NESTING} levels", tok.line, tok.column)
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str  # "ident", "number", "op", "end"
@@ -80,6 +100,9 @@ class _Token:
     line: int
     column: int
 
+
+# Only ASCII digits: str.isdigit() also accepts digits that float() rejects.
+_DIGITS = frozenset("0123456789")
 
 _OPERATORS = ("->", "<=", ">=", "!", "&", "|", "(", ")", "[", "]", ",", "<", ">", "+", "-", "*", "^")
 
@@ -108,18 +131,20 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
+            while j < n and (text[j] in _DIGITS or text[j] == "."):
                 j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
+            if text.count(".", i, j) > 1:
+                raise ParseError(f"malformed number {text[i:j]!r}", line, col)
             tokens.append(_Token("number", text[i:j], line, col))
             col += j - i
             i = j
@@ -142,6 +167,8 @@ class _Parser:
         self.pos = 0
         self.tick_unit = tick_unit
         self.aliases = aliases
+        self.open = 0  # constructs currently open in the text
+        self.depths: dict[int, tuple[object, int]] = {}  # id(node) -> (node, tree depth)
 
     # -- token helpers ---------------------------------------------------
 
@@ -163,52 +190,86 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column)
 
+    # -- nesting limits ----------------------------------------------------
+
+    @contextmanager
+    def nested(self, tok: _Token):
+        """One more construct, opened at ``tok``, inside the current ones."""
+        if self.open == MAX_NESTING:
+            raise _TooDeepError(tok)
+        self.open += 1
+        try:
+            yield
+        finally:
+            self.open -= 1
+
+    def built(self, node, tok: _Token):
+        """``node``, built at ``tok``, unless its tree is too deep."""
+        if self.depth(node) > MAX_NESTING:
+            raise _TooDeepError(tok)
+        return node
+
+    def depth(self, node) -> int:
+        # Nodes this parser built are looked up; only the few a desugaring
+        # adds and alias formulas are walked.  The entry keeps the node
+        # alive, so its id is not reused by a node built after backtracking.
+        entry = self.depths.get(id(node))
+        if entry is None:
+            entry = (node, 1 + max(map(self.depth, _children(node)), default=0))
+            self.depths[id(node)] = entry
+        return entry[1]
+
     # -- formula grammar -------------------------------------------------
 
     def parse_formula(self) -> Formula:
         left = self.parse_or()
-        if self.peek().text == "->":
+        tok = self.peek()
+        if tok.text == "->":
             self.next()
-            right = self.parse_formula()
-            return implies(left, right)
+            with self.nested(tok):
+                right = self.parse_formula()
+            return self.built(implies(left, right), tok)
         return left
 
     def parse_or(self) -> Formula:
         node = self.parse_and()
         while self.peek().text == "|":
-            self.next()
-            node = Or(node, self.parse_and())
+            tok = self.next()
+            node = self.built(Or(node, self.parse_and()), tok)
         return node
 
     def parse_and(self) -> Formula:
         node = self.parse_until()
         while self.peek().text == "&":
-            self.next()
-            node = And(node, self.parse_until())
+            tok = self.next()
+            node = self.built(And(node, self.parse_until()), tok)
         return node
 
     def parse_until(self) -> Formula:
         node = self.parse_unary()
-        if self.peek().text == "U":
+        tok = self.peek()
+        if tok.text == "U":
             self.next()
             interval = self.parse_interval()
-            right = self.parse_until()
-            return Until(node, interval, right)
+            with self.nested(tok):
+                right = self.parse_until()
+            return self.built(Until(node, interval, right), tok)
         return node
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
         if tok.text == "!":
             self.next()
-            return Not(self.parse_unary())
-        if tok.text == "F":
+            with self.nested(tok):
+                child = self.parse_unary()
+            return self.built(Not(child), tok)
+        if tok.text in ("F", "G"):
             self.next()
             interval = self.parse_interval()
-            return eventually(interval, self.parse_unary())
-        if tok.text == "G":
-            self.next()
-            interval = self.parse_interval()
-            return always(interval, self.parse_unary())
+            with self.nested(tok):
+                child = self.parse_unary()
+            sugar = eventually if tok.text == "F" else always
+            return self.built(sugar(interval, child), tok)
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
@@ -227,15 +288,16 @@ class _Parser:
                 return self.aliases[tok.text]
             raise self.error(f"unknown name {tok.text!r}")
         if tok.text == "(":
-            start = self.pos
-            try:
-                return self.parse_predicate_atom()
-            except _NotAPredicate:
-                self.pos = start
-            self.expect("(")
-            inner = self.parse_formula()
-            self.expect(")")
-            return inner
+            with self.nested(tok):
+                start = self.pos
+                try:
+                    return self.parse_predicate_atom()
+                except _NotAPredicate:
+                    self.pos = start
+                self.expect("(")
+                inner = self.parse_formula()
+                self.expect(")")
+                return inner
         raise self.error(f"expected a formula, found {tok.text or 'end of input'!r}")
 
     def parse_predicate_atom(self) -> Formula:
@@ -248,7 +310,7 @@ class _Parser:
         self.expect("(")
         try:
             lhs = self.parse_arith()
-        except _UnknownVariableError:
+        except (_UnknownVariableError, _TooDeepError):
             raise
         except ParseError as exc:
             raise _NotAPredicate from exc
@@ -262,42 +324,44 @@ class _Parser:
             fn = _difference(lhs, rhs)
         else:
             fn = _difference(rhs, lhs)
-        return Pred(fn)
+        return self.built(Pred(fn), tok)
 
     # -- predicate arithmetic ---------------------------------------------
 
     def parse_arith(self) -> Expr:
         node = self.parse_term()
         while self.peek().text in ("+", "-"):
-            op = self.next().text
-            node = BinOp(op, node, self.parse_term())
+            tok = self.next()
+            node = self.built(BinOp(tok.text, node, self.parse_term()), tok)
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while self.peek().text == "*":
-            self.next()
-            node = BinOp("*", node, self.parse_factor())
+            tok = self.next()
+            node = self.built(BinOp("*", node, self.parse_factor()), tok)
         return node
 
     def parse_factor(self) -> Expr:
-        if self.peek().text == "-":
+        tok = self.peek()
+        if tok.text == "-":
             self.next()
-            child = self.parse_factor()
+            with self.nested(tok):
+                child = self.parse_factor()
             if isinstance(child, Const):
                 return Const(-child.value)
-            return Neg(child)
+            return self.built(Neg(child), tok)
         return self.parse_power()
 
     def parse_power(self) -> Expr:
         node = self.parse_primary()
         while self.peek().text == "^":
-            self.next()
+            caret = self.next()
             tok = self.peek()
             if tok.kind != "number" or not tok.text.isdigit():
                 raise self.error("exponent must be a nonnegative integer")
             self.next()
-            node = Pow(node, int(tok.text))
+            node = self.built(Pow(node, int(tok.text)), caret)
         return node
 
     def parse_primary(self) -> Expr:
@@ -314,7 +378,8 @@ class _Parser:
             return Var(tok.text)
         if tok.text == "(":
             self.next()
-            inner = self.parse_arith()
+            with self.nested(tok):
+                inner = self.parse_arith()
             self.expect(")")
             return inner
         raise self.error(f"expected a value, found {tok.text or 'end of input'!r}")
@@ -356,11 +421,26 @@ class _Parser:
         if tok.kind != "number":
             raise self.error(f"expected a time bound, found {tok.text or 'end of input'!r}")
         self.next()
-        return round(float(tok.text) / self.tick_unit)
+        ticks = float(tok.text) / self.tick_unit
+        if not math.isfinite(ticks):
+            raise ParseError(f"time bound {tok.text} s is out of range", tok.line, tok.column)
+        return round(ticks)
 
 
 class _NotAPredicate(Exception):
     pass
+
+
+def _children(node) -> tuple:
+    if isinstance(node, (And, Or, Until, BinOp)):
+        return node.left, node.right
+    if isinstance(node, (Not, Neg)):
+        return (node.child,)
+    if isinstance(node, Pred):
+        return (node.fn,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
 
 
 def _difference(lhs: Expr, rhs: Expr) -> Expr:

@@ -21,7 +21,7 @@ from .parser import format_formula
 from .progression import progress, simplify
 from .semantics import robustness, robustness_witness, rotogo, sat
 from .signals import Signal
-from .testgen import random_instance, random_interval, shrink_instance
+from .testgen import has_exact_zero, random_instance, random_interval, random_signal, shrink_instance
 
 DEFAULT_SEED = 74250917
 
@@ -235,11 +235,9 @@ def _prop_simplify_preserves_semantics(rng, cases: int, progress_fn, signals_per
 
 
 def _fresh_signal_for(f: Formula, rng) -> Signal:
-    from .testgen import random_signal
-
     while True:
         s = random_signal(rng)
-        if not _instance_has_zero(f, s):
+        if not has_exact_zero(f, s):
             return s
 
 
@@ -276,7 +274,7 @@ def _prop_sup_domain_shift(rng, cases: int, progress_fn) -> PropertyReport:
         if interval.lower == 0:
             interval = Interval(to_ticks(0.05), interval.upper, interval.lower_closed, interval.upper_closed)
         f = Until(left, interval, right)
-        if _instance_has_zero(f, s):
+        if has_exact_zero(f, s):
             continue
         k = int(rng.integers(0, len(s) - 1))
         t_k = s.t(k)
@@ -300,17 +298,6 @@ def _until_restricted_sup(s: Signal, t, f: Until, t_next) -> float:
             v = min(v, robustness(s, tpp, f.left))
         best = max(best, v)
     return best
-
-
-def _instance_has_zero(f: Formula, s: Signal) -> bool:
-    for p in formula_predicates(f):
-        values = p.fn.eval(s.components)
-        if np.ndim(values) == 0:
-            if values == 0.0:
-                return True
-        elif np.any(np.asarray(values) == 0.0):
-            return True
-    return False
 
 
 def _prop_masked_prefix_insensitive(rng, cases: int, progress_fn) -> PropertyReport:
@@ -367,7 +354,7 @@ def _prop_disjunction_demorgan(rng, cases: int, progress_fn) -> PropertyReport:
     while done < cases:
         a, s = random_instance(rng)
         b, _ = random_instance(rng)
-        if _instance_has_zero(b, s):
+        if has_exact_zero(b, s):
             continue
         done += 1
         direct = robustness(s, s.t0, Or(a, b))

@@ -10,6 +10,7 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -52,27 +53,35 @@ class Signal:
     reference evaluators look up sample times one at a time, and ``bisect``
     on that list and list slices answer such lookups several times faster
     than scalar calls into numpy.
+
+    The reference evaluators also read one sample's state per predicate
+    evaluation through :meth:`value_at`.  Its row is built the first time
+    that sample is read and kept in a per-sample slot, so memory grows with
+    the samples read, not with the signal's length.  Rows are shared between
+    callers and therefore read-only (``types.MappingProxyType``);
+    :meth:`state` returns a fresh dict that the caller may change.
     """
 
-    __slots__ = ("times", "components", "_ticks")
+    __slots__ = ("times", "components", "_ticks", "_rows")
 
     def __init__(self, times: np.ndarray, components: Mapping[str, np.ndarray]):
         times = np.asarray(times, dtype=np.int64)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("a signal needs at least one sample")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("sample timestamps must be strictly increasing")
         comps = {}
         for name, values in components.items():
             arr = np.asarray(values, dtype=np.float64)
             if arr.shape != times.shape:
                 raise ValueError(f"component {name!r} has {arr.shape[0] if arr.ndim else 0} values for {times.size} samples")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"component {name!r} contains non-finite values")
             comps[name] = arr
         self.times = times
         self.components = comps
         self._ticks: list[int] = times.tolist()
+        self._rows: list[Optional[Mapping[str, float]]] = [None] * len(self._ticks)
 
     @classmethod
     def from_samples(cls, samples: Sequence[Sample]) -> "Signal":
@@ -98,7 +107,7 @@ class Signal:
         return self._ticks[index]
 
     def state(self, index: int) -> dict[str, float]:
-        return {name: float(col[index]) for name, col in self.components.items()}
+        return {name: col.item(index) for name, col in self.components.items()}
 
     def index_of(self, t: TimePoint) -> int:
         ticks = self._ticks
@@ -107,8 +116,13 @@ class Signal:
             raise NoSampleError(f"no sample at t={to_seconds(t)} s")
         return i
 
-    def value_at(self, t: TimePoint) -> dict[str, float]:
-        return self.state(self.index_of(t))
+    def value_at(self, t: TimePoint) -> Mapping[str, float]:
+        """The read-only state at sample time ``t``, built on first use."""
+        i = self.index_of(t)
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = MappingProxyType(self.state(i))
+        return row
 
     def index_range_in(self, interval: Interval, offset: TimePoint = 0) -> tuple[int, int]:
         """Half-open index range of samples inside ``interval`` shifted by ``offset``."""

@@ -211,6 +211,24 @@ def test_monitor_too_deep_formula_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "formula, message",
+    [
+        ("F[0,1e400] (x > 0)", "1:5: time bound 1e400 s is out of range"),
+        ("!" * 3000 + "(x > 0)", "1:101: formula nests deeper than 100 levels"),
+        ("(" * 3000, "1:101: formula nests deeper than 100 levels"),
+    ],
+    ids=["infinite-bound", "deep-not", "deep-parens"],
+)
+def test_monitor_unparsable_formula_exit_two(tmp_path, capsys, formula, message):
+    trace = goal_trace(tmp_path, [1.0] * 3)
+    code = main(["monitor", formula, str(trace)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_monitor_reports_rotogo_value(tmp_path, capsys):
     trace = goal_trace(tmp_path, [-1.0, 2.0, 2.0])
     code = main(["monitor", "G[0,0.2] (x > 0)", str(trace), "--rotogo-from", "0"])

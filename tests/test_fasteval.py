@@ -268,6 +268,19 @@ def test_double_negation_cancels_bit_for_bit():
     assert np.signbit(eval_robustness_start(times, comps, Not(Not(p)))[0])
 
 
+def test_bare_component_table_does_not_alias_the_signal():
+    s = Signal(np.arange(4, dtype=np.int64) * to_ticks(0.1), {"x": np.array([-0.0, 1.5, -2.0, 0.25])})
+    before = s.components["x"].copy()
+    f = Pred(Var("x"))
+    rows = {"x": s.components["x"][np.newaxis]}
+    for table in (eval_robustness_all(s, f), eval_robustness_arrays(s.times, rows, f), eval_robustness_start(s.times, rows, f)):
+        assert not np.shares_memory(table, s.components["x"])
+    table = eval_robustness_all(s, f)
+    assert table.tobytes() == before.tobytes()  # the values, -0.0 included
+    table[:] = 7.0
+    assert s.components["x"].tobytes() == before.tobytes()
+
+
 def test_shared_predicates_are_read_once():
     s = Signal(np.arange(5, dtype=np.int64) * to_ticks(0.1), {"x": np.arange(5.0), "y": np.arange(5.0)})
     # (x > 0.5) appears twice, both times over samples 0..4

@@ -17,8 +17,13 @@ from rotogo.formula import (
     BOTTOM,
     Until,
     Var,
+    to_ticks,
 )
-from rotogo.parser import ParseError, format_formula, parse_formula
+from rotogo.fasteval import eval_robustness_all
+from rotogo.parser import MAX_NESTING, ParseError, format_formula, parse_formula
+from rotogo.progression import progress, simplify
+from rotogo.semantics import robustness, robustness_witness, rotogo, sat
+from rotogo.signals import Signal
 from rotogo.testgen import random_formula
 
 SEC = 1_000_000
@@ -141,6 +146,109 @@ def test_integer_power_only():
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_formula("(x>0) (y>0)")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("F[0,1e400] (x > 0)", "1:5: time bound 1e400 s is out of range"),  # infinite as a float
+        ("G[0,1e303] (x > 0)", "1:5: time bound 1e303 s is out of range"),  # infinite in ticks
+        ("(x > 1) U[1e400,inf) (x > 0)", "1:11: time bound 1e400 s is out of range"),
+        ("F(1e400>xe", "1:3: time bound 1e400 s is out of range"),  # found by fuzzing
+    ],
+)
+def test_infinite_time_bound_is_a_positioned_error(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+
+
+def test_malformed_numbers_are_positioned_errors():
+    with pytest.raises(ParseError, match=r"^1:5: malformed number '1\.2\.3'$"):
+        parse_formula("F[0,1.2.3] (x > 0)")
+    with pytest.raises(ParseError, match=r"^1:4: unexpected character"):
+        parse_formula("(x^\u00b2 > 0)")  # a digit to str.isdigit(), not to float()
+
+
+def _at_limit(shape: str, depth: int) -> str:
+    """A formula of one shape that nests exactly ``depth`` levels."""
+    return {
+        # (x > 0) is a tree of depth 2, Pred over Var
+        "not": "!" * (depth - 2) + "(x > 0)",
+        "and": " & ".join(["(x > 0)"] * (depth - 1)),
+        "until": " U[0,0.1] ".join(["(x > 0)"] * (depth - 1)),
+        "eventually": "F[0,0.1] " * (depth - 2) + "(x > 0)",
+        "sum": "(" + " + ".join(["x"] * (depth - 1)) + " > 0)",
+        "power": "(x" + "^1" * (depth - 2) + " > 0)",
+        # grouping parentheses add text nesting, not tree depth
+        "parens": "(" * (depth - 1) + "(x > 0)" + ")" * (depth - 1),
+        "minus": "(" + "-" * (depth - 2) + "x > 0)",
+    }[shape]
+
+
+@pytest.mark.parametrize("shape", ["not", "and", "until", "eventually", "sum", "power", "parens", "minus"])
+def test_nesting_limit_is_exact(shape):
+    parse_formula(_at_limit(shape, MAX_NESTING))
+    with pytest.raises(ParseError, match=f"formula nests deeper than {MAX_NESTING} levels"):
+        parse_formula(_at_limit(shape, MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("!" * 3000 + "(x > 0)", MAX_NESTING + 1),  # the first '!' past the limit
+        ("(" * 3000, MAX_NESTING + 1),
+        ("(" + "-" * 3000 + "x > 0)", MAX_NESTING + 1),  # not retried as a grouped formula
+        (" & ".join(["(x > 0)"] * 3000), 9 + 10 * (MAX_NESTING - 2)),  # the '&' making depth 101
+    ],
+    ids=["not", "parens", "minus", "and"],
+)
+def test_deep_nesting_is_a_positioned_error(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert str(err.value).endswith(f"formula nests deeper than {MAX_NESTING} levels")
+
+
+def test_formulas_at_the_limit_run_through_every_recursive_consumer():
+    # The limit must sit well below where evaluators, progression, the
+    # compiler and the printer run out of stack: run them all with a few
+    # hundred frames already in use.
+    s = Signal(np.arange(3, dtype=np.int64) * to_ticks(0.5), {"x": np.array([1.0, -2.0, 3.0])})
+
+    def consume(f):
+        robustness(s, s.t0, f)
+        rotogo(s, s.t0, s.t(1), f)
+        sat(s, s.t0, f)
+        robustness_witness(s, s.t0, f)
+        progress(f, s.t(1) - s.t0, s.state(0))
+        simplify(f)
+        eval_robustness_all(s, f)
+        assert parse_formula(format_formula(f)) == f
+
+    def with_frames(k, fn):
+        return with_frames(k - 1, fn) if k else fn()
+
+    for shape in ("not", "and", "until", "eventually", "sum", "power", "parens", "minus"):
+        text = _at_limit(shape, MAX_NESTING)
+        f = with_frames(200, lambda: parse_formula(text))
+        with_frames(200, lambda: consume(f))
+
+
+_TOKENS = (
+    "x", "y", "xe", "vx", "z", "F", "G", "U", "true", "false", "inf", "!", "&", "|", "(", ")", "[", "]",
+    ",", ".", "->", "<", ">", "<=", ">=", "+", "-", "*", "^", "0", "1", "2", "9", "1.5", ".5", "e", "E",
+    "1e400", "1e303", "1e", " ", "\n", "_", "@", "\u00b2",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=40))
+def test_parse_formula_raises_only_parse_errors(tokens):
+    try:
+        parse_formula("".join(tokens))
+    except ParseError:
+        pass
 
 
 @settings(max_examples=250, deadline=None)

@@ -1,6 +1,10 @@
-from rotogo.formula import And, BOTTOM, Bottom, Not, Or, Pred, TOP, Top, Until
+import numpy as np
+
+from rotogo.formula import And, BOTTOM, Bottom, Const, Neg, Not, Or, Pred, TOP, Top, Until, Var
 from rotogo.progression import simplify
 from rotogo.selftest import DEFAULT_SEED, run_selftest
+from rotogo.signals import Signal
+from rotogo.testgen import has_exact_zero
 
 
 def test_default_corpus_passes():
@@ -55,3 +59,13 @@ def test_corrupted_progression_rule_is_caught_and_shrunk():
     # the shrinker should reduce the witness to a handful of samples
     ticks_line = next(line for line in report.detail.splitlines() if "sample ticks" in line)
     assert ticks_line.count(",") <= 4
+
+
+def test_exact_zero_check_decides_redraws():
+    # The check decides which drawn instances are redrawn, so the corpus stream.
+    s = Signal(np.arange(3, dtype=np.int64), {"x": np.array([1.0, 0.0, 2.0]), "y": np.array([1.0, 2.0, 3.0])})
+    assert has_exact_zero(Pred(Var("x")), s)
+    assert has_exact_zero(Pred(Neg(Var("x"))), s)  # -0.0 is a zero too
+    assert not has_exact_zero(Pred(Var("y")), s)
+    assert has_exact_zero(And(Pred(Var("y")), Pred(Const(0.0))), s)  # a constant predicate
+    assert not has_exact_zero(Pred(Const(-1.5)), s)

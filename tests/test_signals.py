@@ -35,6 +35,22 @@ def test_value_at_between_samples_errors():
         s.value_at(SEC // 2)
 
 
+def test_value_at_rows_are_read_only_and_not_shared_with_replaced():
+    s = make_signal([0, 1, 2], x=[1.5, -0.0, 3.0], y=[4.0, 5.0, 6.0])
+    for i in range(3):
+        row = s.value_at(s.t(i))
+        assert row == s.state(i)
+        assert s.value_at(s.t(i)) is row  # built once, then reused
+        with pytest.raises(TypeError):
+            row["x"] = 9.0
+    assert math.copysign(1.0, s.value_at(SEC)["x"]) == -1.0
+    s.state(1)["x"] = 9.0  # state() is the caller's own dict
+    assert s.value_at(SEC)["x"] == 0.0
+    changed = s.replaced(1, {"x": 2.0})
+    assert changed.value_at(SEC) == {"x": 2.0, "y": 5.0}
+    assert s.value_at(SEC) == {"x": -0.0, "y": 5.0}
+
+
 def test_concat_owns_seam_exactly_once():
     prefix = make_signal([0, 1], x=[0.0, 1.0])
     suffix = make_signal([2, 3], x=[2.0, 3.0])
