@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -68,6 +67,8 @@ def run_bench(spec: BenchSpec) -> BenchResult:
         results: list[tuple[int, RunResult]] = []
         failures: list[tuple[int, str]] = []
         if spec.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=spec.workers) as pool:
                 futures = [pool.submit(mpc_run, cfg) for cfg in configs]
                 for episode, future in enumerate(futures):

@@ -14,25 +14,23 @@ property passes.  All other subcommands exit 0 on success and 2 on errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .bench import BenchSpec, run_bench
-from .cmaes import CmaesConfig, cmaes_minimize
-from .dynamics import EnvState, RobotState
+# Module-level imports are what ``monitor`` and ``progress`` use (the
+# argument parser's scenario and mode choices included); the other
+# commands import the planner, MPC and benchmark modules when they run.
 from .formula import Formula, expr_variables, formula_predicates, to_seconds, to_ticks
-from .mpc import mpc_run
 from .parser import format_formula, parse_formula
-from .planning import PlanningProblem, Trajectory, ViaPointPlan, rollout
 from .progression import monitor_step, start_monitor
 from .scenarios import BUILTIN_SCENARIOS, MODES, ScenarioConfig, get_scenario
-from .selftest import run_selftest
 from .semantics import robustness, rotogo, sat
-from .signals import read_trace_csv, write_trace_csv
+from .signals import read_trace_csv
+
+if TYPE_CHECKING:
+    from .planning import Trajectory
 
 
 def _fmt_value(v: float) -> str:
@@ -100,6 +98,12 @@ def cmd_progress(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    import numpy as np
+
+    from .cmaes import CmaesConfig, cmaes_minimize
+    from .dynamics import EnvState, RobotState
+    from .planning import PlanningProblem, ViaPointPlan, rollout
+
     cfg = _load_scenario(args)
     f = cfg.validate()
     robot = RobotState(*cfg.robot_start)
@@ -153,6 +157,11 @@ def _write_plan_csv(traj: Trajectory, path: Path) -> None:
 
 
 def cmd_run(args) -> int:
+    import json
+
+    from .mpc import mpc_run
+    from .signals import write_trace_csv
+
     cfg = _load_scenario(args)
     result = mpc_run(cfg)
     print(f"scenario: {result.scenario} mode: {result.mode} seed: {result.seed}")
@@ -173,6 +182,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import BenchSpec, run_bench
+
     cfg = _load_scenario(args)
     modes = tuple(args.modes.split(",")) if args.modes else MODES
     spec = BenchSpec(
@@ -199,6 +210,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     if args.cases <= 0:
         print("warning: --cases 0 requested; all properties pass vacuously")
     result = run_selftest(cases=args.cases, seed=args.seed)

@@ -39,21 +39,3 @@ class DoubleIntegrator:
             vx + ax * dt,
             vy + ay * dt,
         )
-
-
-def robot_step(state: RobotState, u: tuple[float, float], dt: float) -> RobotState:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x, y, vx, vy = DoubleIntegrator.step((state.x, state.y, state.vx, state.vy), u, dt)
-    return RobotState(x, y, vx, vy)
-
-
-def env_step(state: EnvState, rng: np.random.Generator, noise_std: float) -> EnvState:
-    """One environment step: position drifts by a zero-mean Gaussian draw.
-
-    Two draws are consumed per step (one per axis) even when the standard
-    deviation is zero, so seeded runs with different noise levels stay
-    aligned on the same random stream.
-    """
-    w = rng.normal(0.0, 1.0, size=2) * noise_std
-    return EnvState(state.xe + w[0], state.ye + w[1])

@@ -464,13 +464,18 @@ def _window(times: np.ndarray, interval: Interval, start) -> tuple:
     """Half-open index window [lo, hi) of the samples inside interval + start.
 
     ``start`` is one sample time or an array of them (then lo and hi are
-    arrays too).
+    arrays too).  A bound longer than the signal's span selects what the
+    span plus one tick selects (no later sample, or every one), so bounds
+    are clamped to that before the int64 sums: the parser accepts bounds
+    far beyond the int64 tick range, which would otherwise overflow or wrap.
     """
-    lo = np.searchsorted(times, start + interval.lower, side="left" if interval.lower_closed else "right")
+    reach = int(times[-1]) - int(times[0]) + 1
+    lo = np.searchsorted(times, start + min(interval.lower, reach), side="left" if interval.lower_closed else "right")
     if interval.upper == math.inf:
         hi = times.shape[0]
     else:
-        hi = np.searchsorted(times, start + int(interval.upper), side="right" if interval.upper_closed else "left")
+        upper = min(int(interval.upper), reach)
+        hi = np.searchsorted(times, start + upper, side="right" if interval.upper_closed else "left")
     return lo, np.maximum(lo, hi)
 
 

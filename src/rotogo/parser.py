@@ -25,7 +25,9 @@ Grammar (EBNF, whitespace insensitive):
 Interval bounds are seconds and are converted to integer ticks.  `F`, `G`
 and `->` are syntactic sugar and are desugared at parse time; comparisons
 are normalized to the canonical `f(state) > 0` form (`a < b` becomes
-`b - a > 0`, and `<=`/`>=` normalize identically to `<`/`>`).
+`b - a > 0`, and `<=`/`>=` normalize identically to `<`/`>`).  A number
+that overflows a float (`1e400`) is rejected, in a predicate as in a time
+bound.
 
 Nesting is limited to `MAX_NESTING` levels, counted twice: the text may
 open at most that many constructs inside one another (parentheses, `!`,
@@ -82,8 +84,9 @@ class ParseError(ValueError):
         self.column = column
 
 
-class _UnknownVariableError(ParseError):
-    """Unknown variable names are reported as such, never backtracked over."""
+class _PredicateError(ParseError):
+    """A token only a predicate can hold is wrong (an unknown variable name,
+    a number out of range): reported as such, never backtracked over."""
 
 
 class _TooDeepError(ParseError):
@@ -310,7 +313,7 @@ class _Parser:
         self.expect("(")
         try:
             lhs = self.parse_arith()
-        except (_UnknownVariableError, _TooDeepError):
+        except (_PredicateError, _TooDeepError):
             raise
         except ParseError as exc:
             raise _NotAPredicate from exc
@@ -367,13 +370,16 @@ class _Parser:
     def parse_primary(self) -> Expr:
         tok = self.peek()
         if tok.kind == "number":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise _PredicateError(f"number {tok.text} is out of range", tok.line, tok.column)
             self.next()
-            return Const(float(tok.text))
+            return Const(value)
         if tok.kind == "ident":
             if tok.text in _RESERVED or tok.text in self.aliases:
                 raise self.error(f"{tok.text!r} cannot appear in a predicate")
             if tok.text not in ALLOWED_VARIABLES:
-                raise _UnknownVariableError(f"unknown variable name {tok.text!r}", tok.line, tok.column)
+                raise _PredicateError(f"unknown variable name {tok.text!r}", tok.line, tok.column)
             self.next()
             return Var(tok.text)
         if tok.text == "(":

@@ -10,9 +10,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import TYPE_CHECKING
+
 from .formula import Formula, horizon, is_bounded, to_ticks
 from .parser import parse_formula
-from .planning import Limits, Workspace
+
+if TYPE_CHECKING:
+    from .planning import Limits, Workspace
 
 MODES = ("robustness", "rotogo")
 
@@ -53,10 +57,18 @@ class ScenarioConfig:
     def parsed_formula(self) -> Formula:
         return parse_formula(self.formula, aliases=self.aliases)
 
+    # The planner is imported by the two methods that build its types, so
+    # that reading a configuration (``rotogo monitor --config``) does not
+    # load it.
+
     def limits(self) -> Limits:
+        from .planning import Limits
+
         return Limits(v_max=self.v_max, a_max=self.a_max)
 
     def workspace_box(self) -> Workspace:
+        from .planning import Workspace
+
         x0, x1, y0, y1 = self.workspace
         return Workspace(x0, x1, y0, y1)
 

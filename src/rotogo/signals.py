@@ -34,16 +34,6 @@ class Sample:
     state: Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One trace sample with optional control input u and disturbance w."""
-
-    t: TimePoint
-    state: Mapping[str, float]
-    u: Optional[tuple[float, float]] = None
-    w: Optional[tuple[float, float]] = None
-
-
 class Signal:
     """Immutable sequence of samples with strictly increasing timestamps.
 
@@ -172,18 +162,6 @@ class Signal:
         return f"Signal({len(self)} samples over {span}, components={sorted(self.components)})"
 
 
-def signal_from_rows(rows: Sequence[TraceRow]) -> Signal:
-    names = sorted(rows[0].state)
-    comps = {n: np.array([r.state[n] for r in rows]) for n in names}
-    if rows[0].u is not None:
-        comps["ax"] = np.array([r.u[0] for r in rows])
-        comps["ay"] = np.array([r.u[1] for r in rows])
-    if rows[0].w is not None:
-        comps["w1"] = np.array([r.w[0] for r in rows])
-        comps["w2"] = np.array([r.w[1] for r in rows])
-    return Signal(np.array([r.t for r in rows], dtype=np.int64), comps)
-
-
 # ---------------------------------------------------------------------------
 # Trace validity
 
@@ -199,15 +177,13 @@ class TraceValidation:
         return self.valid
 
 
-def validate_trace(trace, dt: TimePoint, dynamics, tol: float = 1e-9) -> TraceValidation:
+def validate_trace(trace: Signal, dt: TimePoint, dynamics, tol: float = 1e-9) -> TraceValidation:
     """Check that consecutive samples follow the robot and environment models.
 
     Robot components must satisfy the dynamics step under the recorded control
     input, and environment components must advance by the recorded disturbance,
     within ``tol`` per component.  The first offending pair is reported.
     """
-    if not isinstance(trace, Signal):
-        trace = signal_from_rows(list(trace))
     for name in ("ax", "ay", "w1", "w2"):
         if name not in trace.components:
             raise ValueError(f"trace has no {name!r} column; validity is not checkable")
@@ -252,26 +228,12 @@ def write_trace_csv(trace: Signal, path) -> None:
 def read_trace_csv(path) -> Signal:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "t":
-            raise ValueError(f"{path}: not a trace CSV (missing 't' column)")
-        names = header[1:]
-        width = len(header)
-        times = []
-        columns: list[list[float]] = [[] for _ in names]
-        lines = []  # the file line of every sample, for the checks below
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, the header has {width}")
-            try:
-                times.append(to_ticks(float(row[0])))
-                for col, cell in zip(columns, row[1:]):
-                    col.append(float(cell))
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            lines.append(reader.line_num)
+        try:
+            names, times, columns, lines = _read_rows(reader, path)
+        except csv.Error as exc:  # a field over the csv module's size limit, say
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not times:
         raise ValueError(f"{path}: trace contains no samples")
     # Whole-column checks, so the row loop above does no per-cell work.
@@ -292,3 +254,29 @@ def read_trace_csv(path) -> Signal:
         t, before = to_seconds(int(times[i])), to_seconds(int(times[i - 1]))
         raise ValueError(f"{path}:{lines[i]}: time {t!r} s is not after the previous sample's {before!r} s")
     return Signal(times, dict(zip(names, values)))
+
+
+def _read_rows(reader, path) -> tuple:
+    """The column names, tick times, value columns and file line numbers of
+    a trace CSV's samples, checked cell by cell."""
+    header = next(reader, None)
+    if not header or header[0] != "t":
+        raise ValueError(f"{path}: not a trace CSV (missing 't' column)")
+    names = header[1:]
+    width = len(header)
+    times = []
+    columns: list[list[float]] = [[] for _ in names]
+    lines = []  # the file line of every sample, for the whole-column checks
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, the header has {width}")
+        try:
+            times.append(to_ticks(float(row[0])))
+            for col, cell in zip(columns, row[1:]):
+                col.append(float(cell))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        lines.append(reader.line_num)
+    return names, times, columns, lines

@@ -1,14 +1,21 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rotogo.bench import BenchSpec, format_stats_csv, run_bench
 from rotogo.cli import main
-from rotogo.formula import to_ticks
+from rotogo.formula import to_seconds, to_ticks
+from rotogo.parser import format_formula, parse_formula
 from rotogo.scenarios import ScenarioConfig
-from rotogo.signals import Signal, write_trace_csv
+from rotogo.semantics import sat
+from rotogo.signals import Signal, read_trace_csv, write_trace_csv
+from rotogo.testgen import random_instance
 
 
 def tiny_scenario(**overrides) -> ScenarioConfig:
@@ -215,10 +222,11 @@ def test_monitor_too_deep_formula_exit_two(tmp_path, capsys):
     "formula, message",
     [
         ("F[0,1e400] (x > 0)", "1:5: time bound 1e400 s is out of range"),
+        ("(1e400 > 1e400)", "1:2: number 1e400 is out of range"),
         ("!" * 3000 + "(x > 0)", "1:101: formula nests deeper than 100 levels"),
         ("(" * 3000, "1:101: formula nests deeper than 100 levels"),
     ],
-    ids=["infinite-bound", "deep-not", "deep-parens"],
+    ids=["infinite-bound", "infinite-constant", "deep-not", "deep-parens"],
 )
 def test_monitor_unparsable_formula_exit_two(tmp_path, capsys, formula, message):
     trace = goal_trace(tmp_path, [1.0] * 3)
@@ -303,3 +311,47 @@ def test_monitor_uses_config_aliases(tmp_path, capsys):
     trace = goal_trace(tmp_path, [4.5] * 5)
     code = main(["monitor", "F[0,0.4] goal", str(trace), "--config", str(cfg_path)])
     assert code == 0
+
+
+_MANGLE_CHARS = "xyz()&|!<>-+*^0123456789.e[], FGU"
+
+
+def _mangled(rng, text: str) -> str:
+    """``text`` with one character deleted, replaced or inserted."""
+    i = int(rng.integers(0, len(text) + 1))
+    c = _MANGLE_CHARS[int(rng.integers(0, len(_MANGLE_CHARS)))]
+    return [text[:i] + text[i + 1 :], text[:i] + c + text[i + 1 :], text[:i] + c + text[i:]][int(rng.integers(0, 3))]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["monitor", "progress"]))
+def test_monitor_and_progress_exit_codes_on_random_inputs(tmp_path, seed, command):
+    """Both commands exit in {0, 1, 2}, and monitor exits 1 exactly when the
+    trace violates the formula; half of the inputs are mangled."""
+    rng = np.random.default_rng(seed)
+    f, s = random_instance(rng, max_depth=3, max_temporal=2)
+    text = format_formula(f)
+    lines = ["t,x,y"] + [
+        f"{to_seconds(s.t(i)):.6f},{float(s.components['x'][i])!r},{float(s.components['y'][i])!r}"
+        for i in range(len(s))
+    ]
+    csv_text = "\n".join(lines) + "\n"
+    mangled = rng.random() < 0.5
+    if mangled:
+        if rng.random() < 0.5:
+            text = _mangled(rng, text)
+        else:
+            csv_text = _mangled(rng, csv_text)
+    path = tmp_path / "trace.csv"
+    path.write_text(csv_text, encoding="utf-8")
+    args = [command, text, str(path)]
+    if command == "monitor" and rng.random() < 0.5:
+        args += ["--rotogo-from", repr(float(rng.uniform(-1.0, 30.0)))]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(args)
+    assert code in (0, 1, 2)
+    if not mangled:
+        assert code == (1 if command == "monitor" and not sat(s, s.t0, f) else 0)
+    elif command == "monitor" and code != 2:
+        trace = read_trace_csv(path)
+        assert (code == 1) == (not sat(trace, trace.t0, parse_formula(text)))

@@ -109,6 +109,28 @@ def test_windows_respect_open_and_closed_bounds():
     assert robustness(s, 0, f) == 3.0
 
 
+def test_bounds_beyond_the_int64_tick_range_match_reference():
+    # 9223372036854 s is just under 2**63 ticks, so its sum with a sample
+    # time leaves int64; 9223372036854.775808 s is 2**63 ticks exactly, and
+    # 1e300 s is far beyond.
+    s = Signal(np.array([0, 1, 3], dtype=np.int64) * to_ticks(1.0), {"x": np.array([1.0, 2.0, -0.5])})
+    rows = {"x": s.components["x"][np.newaxis, :]}
+    for text in (
+        "F[0,1e300] (x > 0)",
+        "F[0,9223372036854] (x > 0)",
+        "F(9223372036854,1e300] (x > 0)",
+        "F[1e300,1e301] (x > 0)",
+        "G[1,1e300) (x > 0)",
+        "(x > 0) U[0,1e300] (x < 0)",
+        "(x > 0) U[0,9223372036854.775808] (x < 0)",
+        "(x > 0) U[2,inf) (x < 0)",
+    ):
+        f = parse_formula(text)
+        reference = np.array([robustness(s, t, f) for t in s.times.tolist()])
+        assert eval_robustness_all(s, f).tobytes() == reference.tobytes(), text
+        assert eval_robustness_start(s.times, rows, f).tobytes() == reference[:1].tobytes(), text
+
+
 # ---------------------------------------------------------------------------
 # Start-only evaluation
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rotogo.dynamics import DoubleIntegrator, EnvState, RobotState, env_step, robot_step
+from rotogo.dynamics import DoubleIntegrator
 from rotogo.fasteval import eval_robustness_arrays
 from rotogo.formula import to_ticks
 from rotogo.mpc import batch_stats, mpc_run
@@ -36,55 +36,22 @@ def tiny_scenario(**overrides) -> ScenarioConfig:
 
 
 def test_robot_step_from_rest():
-    s = robot_step(RobotState(0.0, 0.0, 0.0, 0.0), (1.0, 0.0), 1.0)
-    assert s.x == 0.5 and s.vx == 1.0 and s.y == 0.0 and s.vy == 0.0
+    assert DoubleIntegrator.step((0.0, 0.0, 0.0, 0.0), (1.0, 0.0), 1.0) == (0.5, 0.0, 1.0, 0.0)
 
 
 def test_robot_step_pure_drift():
-    s = robot_step(RobotState(1.0, 2.0, 0.25, -0.5), (0.0, 0.0), 2.0)
-    assert s.x == 1.5 and s.y == 1.0 and s.vx == 0.25 and s.vy == -0.5
+    assert DoubleIntegrator.step((1.0, 2.0, 0.25, -0.5), (0.0, 0.0), 2.0) == (1.5, 1.0, 0.25, -0.5)
 
 
 def test_zero_order_hold_semigroup_property():
     rng = np.random.default_rng(51)
     for _ in range(100):
-        start = RobotState(*rng.uniform(-1, 1, size=4))
+        start = tuple(rng.uniform(-1, 1, size=4))
         u = tuple(rng.uniform(-1, 1, size=2))
         dt = float(rng.uniform(0.01, 1.0))
-        two = robot_step(robot_step(start, u, dt), u, dt)
-        one = robot_step(start, u, 2 * dt)
-        for a, b in zip((two.x, two.y, two.vx, two.vy), (one.x, one.y, one.vx, one.vy)):
-            assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_env_step_static_when_noiseless():
-    rng = np.random.default_rng(0)
-    e = env_step(EnvState(2.5, 2.5), rng, 0.0)
-    assert e == EnvState(2.5, 2.5)
-
-
-def test_env_step_deterministic_stream():
-    def run():
-        rng = np.random.default_rng(7)
-        e = EnvState(0.0, 0.0)
-        return [env_step(e, rng, 0.05) for _ in range(100)]
-
-    assert run() == run()
-
-
-def test_env_step_displacement_mean_near_zero():
-    rng = np.random.default_rng(8)
-    std = 0.05
-    n = 10_000
-    e = EnvState(0.0, 0.0)
-    xs, ys = [], []
-    for _ in range(n):
-        nxt = env_step(e, rng, std)
-        xs.append(nxt.xe - e.xe)
-        ys.append(nxt.ye - e.ye)
-        e = nxt
-    bound = 3 * std / math.sqrt(n)
-    assert abs(np.mean(xs)) < bound * 2 and abs(np.mean(ys)) < bound * 2
+        two = DoubleIntegrator.step(DoubleIntegrator.step(start, u, dt), u, dt)
+        one = DoubleIntegrator.step(start, u, 2 * dt)
+        assert two == pytest.approx(one, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,21 @@ def test_infinite_time_bound_is_a_positioned_error(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(1e400 > 1e400)", "1:2: number 1e400 is out of range"),
+        ("(x > -1e400)", "1:7: number 1e400 is out of range"),
+        ("G[0,1] ((x * 1e999) < 2)", "1:14: number 1e999 is out of range"),
+        ("((1e400 > 0) & (x > 0))", "1:3: number 1e400 is out of range"),  # not backtracked over
+    ],
+)
+def test_infinite_predicate_constant_is_a_positioned_error(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+
+
 def test_malformed_numbers_are_positioned_errors():
     with pytest.raises(ParseError, match=r"^1:5: malformed number '1\.2\.3'$"):
         parse_formula("F[0,1.2.3] (x > 0)")

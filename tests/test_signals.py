@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rotogo.dynamics import DoubleIntegrator
 from rotogo.formula import Interval, to_ticks
@@ -9,9 +11,7 @@ from rotogo.signals import (
     NoSampleError,
     Sample,
     Signal,
-    TraceRow,
     read_trace_csv,
-    signal_from_rows,
     validate_trace,
     write_trace_csv,
 )
@@ -181,30 +181,19 @@ def test_from_samples_sorted_components():
 # Trace validity
 
 
-def _integrate_rows(start, controls, dt_s):
-    rows = []
-    state = start
-    for u in controls:
-        rows.append((state, u))
-        state = DoubleIntegrator.step(state, u, dt_s)
-    rows.append((state, (0.0, 0.0)))
-    return rows
-
-
 def build_trace(start=(0.0, 0.0, 0.0, 0.0), controls=((1.0, 0.0), (1.0, 0.0)), dt_s=0.1):
+    """A trace integrated under ``controls`` (then zero input), with a
+    still environment."""
     dt = to_ticks(dt_s)
-    rows = []
-    for i, (state, u) in enumerate(_integrate_rows(start, list(controls), dt_s)):
-        x, y, vx, vy = state
-        rows.append(
-            TraceRow(
-                t=i * dt,
-                state={"x": x, "y": y, "vx": vx, "vy": vy, "xe": 1.0, "ye": 1.0},
-                u=u,
-                w=(0.0, 0.0),
-            )
-        )
-    return signal_from_rows(rows), dt
+    states, inputs = [start], [*controls, (0.0, 0.0)]
+    for u in controls:
+        states.append(DoubleIntegrator.step(states[-1], u, dt_s))
+    n = len(states)
+    x, y, vx, vy = (np.array(col) for col in zip(*states))
+    ax, ay = (np.array(col) for col in zip(*inputs))
+    comps = {"x": x, "y": y, "vx": vx, "vy": vy, "xe": np.ones(n), "ye": np.ones(n),
+             "ax": ax, "ay": ay, "w1": np.zeros(n), "w2": np.zeros(n)}
+    return Signal(np.arange(n, dtype=np.int64) * dt, comps), dt
 
 
 def test_self_consistent_trace_is_valid():
@@ -260,3 +249,37 @@ def test_trace_csv_times_have_six_decimals(tmp_path):
     write_trace_csv(trace, path)
     first_data = path.read_text().splitlines()[1]
     assert first_data.startswith("0.000000,")
+
+
+def test_oversized_field_and_invalid_utf8_are_value_errors(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text('t,x\n0.0,"' + "1" * 200_000 + '"\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=r":2: field larger than field limit"):
+        read_trace_csv(path)
+    path.write_bytes(b"t,x\n0.0,\xff\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: not UTF-8 text \(invalid start byte\)$"):
+        read_trace_csv(path)
+
+
+#: Byte strings that trace CSVs and their near misses are made of.
+_CSV_PIECES = (
+    b"t", b"x", b"y", b",", b"\n", b"\r", b"\r\n", b'"', b"0", b"1", b"9", b".", b"-", b"e", b" ",
+    b"0.1", b"1e-7", b"nan", b"inf", b"1e400", b"1e300", b"\x00", b"\xff", b"\xc3\xa9",
+)
+_csv_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.sampled_from(_CSV_PIECES), max_size=40).map(b"".join),
+    st.lists(st.sampled_from(_CSV_PIECES), max_size=40).map(lambda pieces: b"t,x\n0,1\n" + b"".join(pieces)),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_bytes)
+def test_any_trace_csv_bytes_raise_only_value_errors(tmp_path, data):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    try:
+        trace = read_trace_csv(path)
+    except ValueError:
+        return
+    assert len(trace) >= 1 and (np.diff(trace.times) > 0).all()
