@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "fasteval": ("TouchCounter", "eval_robustness_all"),
     "cmaes": ("CmaesConfig", "CmaesResult", "cmaes_minimize"),
-    "planning": ("Limits", "PlanningProblem", "Trajectory", "ViaPointPlan", "Workspace", "rollout"),
+    "planning": ("Limits", "PlanningProblem", "Workspace"),
     "dynamics": ("DoubleIntegrator", "EnvState", "RobotState"),
     "scenarios": ("ScenarioConfig", "get_scenario", "scenario_phi_avoid", "scenario_phi_stayin"),
     "mpc": ("RunResult", "StatsRow", "batch_stats", "mpc_run"),

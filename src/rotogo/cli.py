@@ -17,7 +17,6 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 # Module-level imports are what ``monitor`` and ``progress`` use (the
 # argument parser's scenario and mode choices included); the other
@@ -28,9 +27,6 @@ from .progression import monitor_step, start_monitor
 from .scenarios import BUILTIN_SCENARIOS, MODES, ScenarioConfig, get_scenario
 from .semantics import robustness, rotogo, sat
 from .signals import read_trace_csv
-
-if TYPE_CHECKING:
-    from .planning import Trajectory
 
 
 def _fmt_value(v: float) -> str:
@@ -102,7 +98,8 @@ def cmd_plan(args) -> int:
 
     from .cmaes import CmaesConfig, cmaes_minimize
     from .dynamics import EnvState, RobotState
-    from .planning import PlanningProblem, ViaPointPlan, rollout
+    from .fasteval import Program
+    from .planning import PlanningProblem, rollout_arrays
 
     cfg = _load_scenario(args)
     f = cfg.validate()
@@ -117,7 +114,7 @@ def cmd_plan(args) -> int:
     # The scored signal starts at the initial state, which every candidate shares.
     start = {"x": robot.x, "y": robot.y, "vx": robot.vx, "vy": robot.vy, "xe": env.xe, "ye": env.ye}
     problem = PlanningProblem(
-        f, eval_times, start_pos, start_vel, (env.xe, env.ye), duration, hz, cfg.via_points,
+        Program(eval_times, f, 1), start_pos, start_vel, (env.xe, env.ye), duration, hz, cfg.via_points,
         cfg.limits(), cfg.workspace_box(), prefix={name: [value] for name, value in start.items()},
     )
 
@@ -128,7 +125,7 @@ def cmd_plan(args) -> int:
         max_iterations=cfg.first_attempt_iterations,
         seed=cfg.seed,
     )
-    result = cmaes_minimize(None, np.tile(start_pos, cfg.via_points), config, batch_objective=problem.cost)
+    result = cmaes_minimize(np.tile(start_pos, cfg.via_points), config, batch_objective=problem.cost)
     best = result.best_x.reshape(cfg.via_points, 2)
     print(f"scenario: {cfg.name}")
     print(f"cost: {result.best_value!r}")
@@ -142,18 +139,14 @@ def cmd_plan(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        traj = rollout(ViaPointPlan(best, duration), robot, hz)
+        times, pos, vel, acc = rollout_arrays(best, start_pos, start_vel, duration, hz)
         path = out / f"{cfg.name}_plan.csv"
-        _write_plan_csv(traj, path)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("t,x,y,vx,vy,ax,ay\n")
+            for row in np.column_stack([times, pos, vel, acc]):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
         print(f"trajectory written to {path}")
     return 0
-
-
-def _write_plan_csv(traj: Trajectory, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,x,y,vx,vy,ax,ay\n")
-        for row in traj.rows():
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def cmd_run(args) -> int:

@@ -57,26 +57,23 @@ class ObjectiveError(RuntimeError):
 
 
 def cmaes_minimize(
-    objective: Optional[Callable[[np.ndarray], float]],
     x0: Sequence[float],
     config: CmaesConfig,
     step_size: Optional[float] = None,
-    batch_objective: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    *,
+    batch_objective: Callable[[np.ndarray], np.ndarray],
     inject: Optional[np.ndarray] = None,
 ) -> CmaesResult:
-    """Minimize ``objective`` starting from ``x0``.
+    """Minimize ``batch_objective`` starting from ``x0``.
 
-    Either ``objective`` (one candidate vector to one value) or
-    ``batch_objective`` (a (lambda, dim) array to a (lambda,) array) must be
-    given; the batch form exists so callers can vectorize their evaluation.
+    ``batch_objective`` maps a (lambda, dim) array of candidates to their
+    (lambda,) values, so a caller can score a whole population at once.
     Runs exactly ``config.max_iterations`` generations.
 
     ``inject``, when given, replaces the first candidate of the first
     generation, so a known incumbent solution participates in the ranking
     and the returned best can never fall below it.
     """
-    if objective is None and batch_objective is None:
-        raise ValueError("an objective is required")
     mean = np.array(x0, dtype=np.float64)
     if mean.ndim != 1 or mean.size < 1:
         raise ValueError("x0 must be a nonempty vector")
@@ -117,10 +114,7 @@ def cmaes_minimize(
             y[0] = (np.asarray(inject, dtype=np.float64) - mean) / sigma
         candidates = mean + sigma * y
 
-        if batch_objective is not None:
-            values = np.asarray(batch_objective(candidates), dtype=np.float64)
-        else:
-            values = np.array([objective(c) for c in candidates], dtype=np.float64)
+        values = np.asarray(batch_objective(candidates), dtype=np.float64)
         if values.shape != (lam,):
             raise ValueError(f"objective returned shape {values.shape}, expected ({lam},)")
         if not np.isfinite(values).all():

@@ -144,6 +144,8 @@ class Program:
 
     def __init__(self, times: np.ndarray, f: Formula, width: int):
         build = _Compiler(np.ascontiguousarray(times, dtype=np.int64))
+        #: The sample times the program is compiled for, int64 ticks.
+        self.times = build.times
         root = build.emit(f, 0, width)
         if root in build.loads:
             # A bare component: copy it, or the table is the caller's array.
@@ -265,10 +267,11 @@ class _Compiler:
 
     def _until(self, f: Until, a: int, b: int) -> int:
         if isinstance(f.left, Top) and b - a == 1:
-            lo, hi = _window(self.times, f.interval, self.times[a])
+            lo, hi = _window(self.times, f.interval, self.times[a:b])
+            lo, hi = int(lo[0]), int(hi[0])
             if hi <= lo:
                 return self._fill(NEG_INF, 1)
-            return self._op(_make_row_max, (self.emit(f.right, int(lo), int(hi)),))
+            return self._op(_make_row_max, (self.emit(f.right, lo, hi),))
         lo, hi = _window(self.times, f.interval, self.times[a:b])
         live = hi > lo
         if not live.any():
@@ -460,23 +463,39 @@ def _covered(spans: list[tuple[int, int]]) -> int:
     return total
 
 
-def _window(times: np.ndarray, interval: Interval, start) -> tuple:
-    """Half-open index window [lo, hi) of the samples inside interval + start.
+def _window(times: np.ndarray, interval: Interval, start: np.ndarray) -> tuple:
+    """Half-open index windows [lo, hi) of the samples inside interval + start.
 
-    ``start`` is one sample time or an array of them (then lo and hi are
-    arrays too).  A bound longer than the signal's span selects what the
-    span plus one tick selects (no later sample, or every one), so bounds
-    are clamped to that before the int64 sums: the parser accepts bounds
-    far beyond the int64 tick range, which would otherwise overflow or wrap.
+    ``start`` is an array of sample times of ``times``; lo and hi hold one
+    bound per start.
     """
-    reach = int(times[-1]) - int(times[0]) + 1
-    lo = np.searchsorted(times, start + min(interval.lower, reach), side="left" if interval.lower_closed else "right")
+    # The exact distance from each start to the last sample: the int64
+    # difference wraps when it exceeds 2**63 - 1, and read as uint64 it is
+    # exact again.
+    room = (times[-1] - start).view(np.uint64)
+    lo = _search(times, start, room, interval.lower, "left" if interval.lower_closed else "right")
     if interval.upper == math.inf:
         hi = times.shape[0]
     else:
-        upper = min(int(interval.upper), reach)
-        hi = np.searchsorted(times, start + upper, side="right" if interval.upper_closed else "left")
+        hi = _search(times, start, room, int(interval.upper), "right" if interval.upper_closed else "left")
     return lo, np.maximum(lo, hi)
+
+
+def _search(times: np.ndarray, start: np.ndarray, room: np.ndarray, bound: int, side: str) -> np.ndarray:
+    """``searchsorted(times, start + bound, side)``, without forming a sum
+    that lies past the last sample and so could leave the int64 range.
+
+    The parser accepts bounds far beyond the int64 tick range, and sample
+    times may lie near either end of it.  A start with ``room`` < ``bound``
+    finds no sample at or past start + bound (index n); every other sum lies
+    within [start, last sample] and is formed exactly, by wrapping uint64
+    addition.
+    """
+    beyond = room < bound  # exact for any Python int
+    step = np.minimum(room, np.uint64(min(bound, 2**64 - 1)))
+    found = np.searchsorted(times, (start.view(np.uint64) + step).view(np.int64), side=side)
+    found[beyond] = times.shape[0]
+    return found
 
 
 def _windowed_max_plan(lo: np.ndarray, hi: np.ndarray):
@@ -493,9 +512,11 @@ def _windowed_max_plan(lo: np.ndarray, hi: np.ndarray):
     depth = int(width.max()).bit_length()
     exponents = np.frexp(np.maximum(width, 1).astype(np.float64))[1] - 1
     groups = []
-    for p in np.unique(exponents[live]):
+    # The block exponents in use, ascending; np.unique would give the same
+    # but import numpy.ma on its first call.
+    for p in np.flatnonzero(np.bincount(exponents[live])).tolist():
         mask = (exponents == p) & live
-        groups.append((int(p), mask, lo[mask], hi[mask] - (1 << int(p))))
+        groups.append((p, mask, lo[mask], hi[mask] - (1 << p)))
 
     def windowed_max(values: np.ndarray) -> np.ndarray:
         """out[:, j] = max(values[:, lo[j]:hi[j]]), -inf on empty windows."""

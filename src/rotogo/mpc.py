@@ -23,12 +23,13 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DoubleIntegrator, EnvState, RobotState
-# eval_robustness_arrays, limit_penalty and workspace_penalty are called
-# through PlanningProblem or not at all; the names stay importable here
-# because the benchmark's tracer (perfbench/workloads.py) wraps them on this
-# module.
-from .fasteval import TouchCounter, eval_robustness_all, eval_robustness_arrays  # noqa: F401
-from .formula import Formula, node_count, to_seconds, to_ticks
+# eval_robustness_all, eval_robustness_arrays, limit_penalty and
+# workspace_penalty are not called here: PlanningProblem computes the
+# penalties, and compiled programs score the candidates and the executed
+# trace.  The names stay importable here because the benchmark's tracer
+# (perfbench/workloads.py) wraps them on this module.
+from .fasteval import Program, TouchCounter, eval_robustness_all, eval_robustness_arrays  # noqa: F401
+from .formula import node_count, to_seconds, to_ticks
 from .cmaes import CmaesConfig, cmaes_minimize
 from .planning import (  # noqa: F401
     PlanningProblem,
@@ -37,7 +38,7 @@ from .planning import (  # noqa: F401
     spline_positions,
     workspace_penalty,
 )
-from .progression import MonitorState, monitor_step, start_monitor
+from .progression import monitor_step, start_monitor
 from .scenarios import ScenarioConfig
 from .signals import Signal
 from .semantics import POS_INF, NEG_INF
@@ -176,6 +177,11 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
 
     times = np.arange(n_samples, dtype=np.int64) * trace_dt
     cols = {n: np.zeros(n_samples) for n in ("x", "y", "vx", "vy", "xe", "ye", "ax", "ay", "w1", "w2")}
+    # The robustness of f0 at mission start over the whole mission: the
+    # objective of every robustness-mode replan and the episode's final
+    # score, compiled once.
+    scored = Program(times, f0, 1)
+    scored_nodes = node_count(f0)
 
     active: Optional[_ActivePlan] = None
     prev_rho = NEG_INF
@@ -195,16 +201,24 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
             monitor = monitor_step(monitor, t_i + trace_dt, obs)
 
         if t_i % replan_dt == 0 and t_i < mission_end:
+            if progressing:
+                # The progressed formula, anchored at t_i + trace_dt, scores
+                # the candidate suffix alone.
+                objective = Program(times[i + 1 :], monitor.current, 1)
+                nodes, prefix = node_count(monitor.current), None
+            else:
+                # The executed history including the current observation,
+                # shared by all candidates, then each candidate's suffix.
+                objective, nodes = scored, scored_nodes
+                prefix = {name: np.append(cols[name][:i], value) for name, value in obs.items()}
             warm = prev_rho > 0 and active is not None
             plan, record = _replan(
-                cfg, f0, monitor, robot, env, t_i, mission_end, trace_dt, hz,
+                cfg, objective, nodes, prefix, robot, env, t_i, mission_end, hz,
                 limits, workspace,
                 mean_via=active.resampled_via(t_i, cfg.via_points, mission_end) if active is not None else None,
                 warm=warm,
                 seed=int(opt_seeds.integers(0, 2**63)),
                 index=i,
-                trace_times=times,
-                trace_cols=cols,
             )
             active = plan
             prev_rho = record.objective_robustness
@@ -223,7 +237,7 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
             cols["w1"][i], cols["w2"][i] = env.xe - xe_prev, env.ye - ye_prev
 
     trace = Signal(times, cols)
-    final_rho = float(eval_robustness_all(trace, f0)[0])
+    final_rho = float(scored.run({name: col[np.newaxis] for name, col in trace.components.items()})[0, 0])
     dist = np.sqrt((cols["x"] - cols["xe"]) ** 2 + (cols["y"] - cols["ye"]) ** 2)
     return RunResult(
         scenario=cfg.name,
@@ -239,13 +253,13 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
 
 def _replan(
     cfg: ScenarioConfig,
-    f0: Formula,
-    monitor: MonitorState,
+    objective: Program,
+    formula_nodes: int,
+    prefix: Optional[dict[str, np.ndarray]],
     robot: RobotState,
     env: EnvState,
     t_i: int,
     mission_end: int,
-    trace_dt: int,
     hz: float,
     limits,
     workspace,
@@ -253,31 +267,18 @@ def _replan(
     warm: bool,
     seed: int,
     index: int,
-    trace_times: np.ndarray,
-    trace_cols: dict[str, np.ndarray],
 ):
+    """One CMA-ES replan at sample ``index``: the candidates are scored by
+    ``objective``, a width-1 program of ``formula_nodes`` formula nodes,
+    after the executed ``prefix`` (none in rotogo mode)."""
     duration = to_seconds(mission_end - t_i)
     n_via = cfg.via_points
     start_pos = np.array([robot.x, robot.y])
     start_vel = np.array([robot.vx, robot.vy])
     lam = cfg.population_size
     counter = TouchCounter()
-
-    rotogo_mode = cfg.objective_mode == "rotogo"
-    if rotogo_mode:
-        objective_formula = monitor.current  # progressed, anchored at t_i + trace_dt
-        eval_times = trace_times[index + 1 :]
-        prefix = None
-    else:
-        objective_formula = f0
-        eval_times = trace_times
-        # Executed history including the current observation, shared by all
-        # candidates; candidate suffixes are appended after it.
-        now = {"x": robot.x, "y": robot.y, "vx": robot.vx, "vy": robot.vy, "xe": env.xe, "ye": env.ye}
-        prefix = {name: np.append(trace_cols[name][:index], value) for name, value in now.items()}
-
     problem = PlanningProblem(
-        objective_formula, eval_times, start_pos, start_vel, (env.xe, env.ye), duration, hz, n_via,
+        objective, start_pos, start_vel, (env.xe, env.ye), duration, hz, n_via,
         limits, workspace, prefix=prefix, counter=counter,
     )
 
@@ -299,7 +300,7 @@ def _replan(
         seed=seed,
     )
     result = cmaes_minimize(
-        None, x0, config, step_size=sigma, batch_objective=problem.cost,
+        x0, config, step_size=sigma, batch_objective=problem.cost,
         inject=x0 if mean_via is not None else None,
     )
 
@@ -322,7 +323,7 @@ def _replan(
         plan_duration=duration,
         cost=result.best_value,
         objective_robustness=best_rho,
-        formula_nodes=node_count(objective_formula),
+        formula_nodes=formula_nodes,
         samples_touched=counter.samples,
         warm_started=warm,
     )

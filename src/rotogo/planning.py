@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .fasteval import Program, TouchCounter
-from .formula import Formula
 
 #: Cost assigned per trajectory sample outside the workspace.
 WORKSPACE_PENALTY = 1e8
@@ -35,45 +34,6 @@ LIMIT_PENALTY = 1e6
 
 #: Infinite robustness is mapped to +/- this value before cost arithmetic.
 ROBUSTNESS_CLAMP = 1e9
-
-
-@dataclass(frozen=True)
-class ViaPointPlan:
-    """Decision variables: N via points (x, y) and the plan duration."""
-
-    via_points: np.ndarray  # (N, 2)
-    duration: float  # seconds
-
-    def __post_init__(self):
-        pts = np.asarray(self.via_points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != 2:
-            raise ValueError("via_points must have shape (N, 2) with N >= 1")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        object.__setattr__(self, "via_points", pts)
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray, duration: float) -> "ViaPointPlan":
-        x = np.asarray(x, dtype=np.float64)
-        return cls(x.reshape(-1, 2), duration)
-
-    def as_vector(self) -> np.ndarray:
-        return self.via_points.reshape(-1)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray  # (L,) seconds from plan start
-    pos: np.ndarray  # (L, 2)
-    vel: np.ndarray  # (L, 2)
-    acc: np.ndarray  # (L, 2)
-
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-    def rows(self) -> np.ndarray:
-        """(L, 7) array of (t, x, y, vx, vy, ax, ay)."""
-        return np.column_stack([self.times, self.pos, self.vel, self.acc])
 
 
 @dataclass(frozen=True)
@@ -191,16 +151,6 @@ def spline_positions(
     return pos
 
 
-def rollout(plan: ViaPointPlan, start, resolution_hz: float = 10.0) -> Trajectory:
-    """Roll the plan out from ``start`` (anything with x, y, vx, vy)."""
-    start_pos = np.array([start.x, start.y])
-    start_vel = np.array([start.vx, start.vy])
-    times, pos, vel, acc = rollout_arrays(
-        plan.via_points, start_pos, start_vel, plan.duration, resolution_hz
-    )
-    return Trajectory(times, pos, vel, acc)
-
-
 def limit_penalty(vel: np.ndarray, acc: np.ndarray, limits: Limits) -> np.ndarray:
     """Penalty for speed/acceleration limit violations.
 
@@ -235,10 +185,11 @@ class PlanningProblem:
 
     A candidate is a flat vector of ``n_via`` via points (x1, y1, x2, ...)
     for a spline of ``duration`` seconds from ``start_pos``/``start_vel``,
-    sampled at ``resolution_hz``.  Its loss is the negative robustness of
-    ``formula`` at the first sample of the scored signal, plus the
-    workspace and limit penalties of the whole rollout.  The scored signal,
-    sampled at ``times``, is ``prefix`` (executed samples, one array per
+    sampled at ``resolution_hz``.  Its loss is the negative robustness that
+    ``program``, a width-1 :class:`~rotogo.fasteval.Program`, gives the
+    scored signal at its first sample, plus the workspace and limit
+    penalties of the whole rollout.  The scored signal, sampled at the
+    program's times, is ``prefix`` (executed samples, one array per
     component; none when omitted) followed by the rollout from its second
     sample on, with the environment held at ``env`` = (xe, ye).
 
@@ -247,15 +198,14 @@ class PlanningProblem:
     :meth:`rollout` is a single matrix product.  The signal buffers are
     allocated once, with the prefix and the environment columns already in
     place; each :meth:`cost` call writes only the candidates' suffixes.  The
-    formula's first-sample query is compiled once too (a width-1
-    :class:`~rotogo.fasteval.Program` over ``times``) and run by every
+    program is compiled by the caller, so that one compiled for a formula
+    and grid serves every replan that scores them, and it is run by every
     :meth:`cost` and :meth:`robustness` call.
     """
 
     def __init__(
         self,
-        formula: Formula,
-        times: np.ndarray,
+        program: Program,
         start_pos: np.ndarray,
         start_vel: np.ndarray,
         env: tuple[float, float],
@@ -267,8 +217,8 @@ class PlanningProblem:
         prefix: Optional[dict[str, np.ndarray]] = None,
         counter: Optional[TouchCounter] = None,
     ):
-        self.formula = formula
-        self.times = np.ascontiguousarray(times, dtype=np.int64)
+        self.program = program
+        self.times = program.times
         self.n_via = n_via
         self.limits = limits
         self.workspace = workspace
@@ -298,7 +248,6 @@ class PlanningProblem:
         if any(col.shape != (self._split,) for col in self._prefix.values()):
             raise ValueError(f"prefix columns must hold the {self._split} samples before the rollout suffix")
         self._buffers: dict[str, np.ndarray] = {}
-        self._program = Program(self.times, formula, 1)
 
     def rollout(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positions, velocities and accelerations of a (B, 2N) population.
@@ -339,7 +288,7 @@ class PlanningProblem:
         split = self._split
         for name, rows in (("x", pos[0]), ("y", pos[1]), ("vx", vel[0]), ("vy", vel[1])):
             comps[name][:, split:] = rows[:, 1:]
-        return self._program.run(comps, counter)[:, 0]
+        return self.program.run(comps, counter)[:, 0]
 
     def cost(self, X: np.ndarray) -> np.ndarray:
         """Loss of every row of a (B, 2N) population; shape (B,)."""

@@ -262,6 +262,11 @@ def _read_rows(reader, path) -> tuple:
     header = next(reader, None)
     if not header or header[0] != "t":
         raise ValueError(f"{path}: not a trace CSV (missing 't' column)")
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:  # a later column would silently replace the first
+            raise ValueError(f"{path}:{reader.line_num}: column {name!r} appears twice")
+        seen.add(name)
     names = header[1:]
     width = len(header)
     times = []

@@ -16,7 +16,7 @@ import pytest
 from rotogo.cmaes import CmaesConfig, cmaes_minimize
 from rotogo.dynamics import RobotState
 from rotogo.mpc import batch_stats, mpc_run
-from rotogo.planning import ViaPointPlan, rollout, spline_positions
+from rotogo.planning import rollout_arrays, spline_positions
 from rotogo.scenarios import scenario_phi_avoid, scenario_phi_stayin
 from rotogo.selftest import run_selftest
 
@@ -75,16 +75,16 @@ def test_c06_suffix_only_dependence():
 
 
 def test_c07_cmaes_sanity():
-    def quadratic(x):
-        return (x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2
+    def quadratic(X):
+        return (X[:, 0] - 2.0) ** 2 + (X[:, 1] + 1.0) ** 2
 
     for seed in range(10):
         cfg = CmaesConfig(seed=seed, max_iterations=60, initial_step_size=1.0)
-        result = cmaes_minimize(quadratic, [0.0, 0.0], cfg)
+        result = cmaes_minimize([0.0, 0.0], cfg, batch_objective=quadratic)
         assert abs(result.best_x[0] - 2.0) < 1e-3 and abs(result.best_x[1] + 1.0) < 1e-3
     cfg = CmaesConfig(seed=123, max_iterations=30)
-    a = cmaes_minimize(quadratic, [0.0, 0.0], cfg)
-    b = cmaes_minimize(quadratic, [0.0, 0.0], cfg)
+    a = cmaes_minimize([0.0, 0.0], cfg, batch_objective=quadratic)
+    b = cmaes_minimize([0.0, 0.0], cfg, batch_objective=quadratic)
     assert a.best_value == b.best_value
     for ra, rb in zip(a.history, b.history):
         assert np.array_equal(ra.mean, rb.mean) and ra.step_size == rb.step_size
@@ -98,18 +98,18 @@ def test_c08_rollout_boundary_and_knot_continuity():
         via = rng.uniform(0.0, 5.0, size=(n, 2))
         duration = float(rng.uniform(1.0, 20.0))
         start = RobotState(*rng.uniform(0.0, 5.0, 2), *rng.uniform(-0.5, 0.5, 2))
-        traj = rollout(ViaPointPlan(via, duration), start, resolution_hz=50.0)
-        assert traj.pos[0, 0] == start.x and traj.pos[0, 1] == start.y
-        assert traj.vel[0, 0] == start.vx and traj.vel[0, 1] == start.vy
-        assert np.abs(traj.vel[-1]).max() < 1e-9 and np.abs(traj.acc[-1]).max() < 1e-9
+        _, pos, vel, acc = rollout_arrays(via, start.position(), np.array([start.vx, start.vy]), duration, 50.0)
+        assert pos[0, 0] == start.x and pos[0, 1] == start.y
+        assert vel[0, 0] == start.vx and vel[0, 1] == start.vy
+        assert np.abs(vel[-1]).max() < 1e-9 and np.abs(acc[-1]).max() < 1e-9
         # both-sided evaluation at interior knots
         if n > 1:
             knots = duration / n * np.arange(1, n)
             h = 1e-7
-            p_l = spline_positions(via, traj.pos[0], traj.vel[0], duration, knots - h)
-            p_r = spline_positions(via, traj.pos[0], traj.vel[0], duration, knots + h)
+            p_l = spline_positions(via, pos[0], vel[0], duration, knots - h)
+            p_r = spline_positions(via, pos[0], vel[0], duration, knots + h)
             v_est_gap = np.abs(p_r - p_l) / (2 * h)  # finite, no jump to 1e-9 scale
-            p_c = spline_positions(via, traj.pos[0], traj.vel[0], duration, knots)
+            p_c = spline_positions(via, pos[0], vel[0], duration, knots)
             assert np.abs((p_l + p_r) / 2 - p_c).max() < 1e-9
     _passline(8, "100 random plans: exact boundary conditions, C1 knots at 1e-9")
 

@@ -198,6 +198,18 @@ def test_monitor_malformed_trace_row_exit_two(tmp_path, capsys, row, message):
     assert err == f"error: {path}:3: {message}\n"
 
 
+@pytest.mark.parametrize("header, name", [("t,x,x", "x"), ("t,x,y,x", "x"), ("t,x,t", "t")])
+def test_monitor_repeated_column_exit_two(tmp_path, capsys, header, name):
+    # Without the check the last of the repeated columns would silently win.
+    path = tmp_path / "bad.csv"
+    cells = ",".join(["1"] * (header.count(",")))
+    path.write_text(f"{header}\n0,{cells}\n0.1,{cells}\n", encoding="utf-8")
+    code = main(["monitor", "(x > 0)", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {path}:1: column {name!r} appears twice\n"
+
+
 @pytest.mark.parametrize("command", ["monitor", "progress"])
 def test_formula_variable_missing_from_trace_exit_two(tmp_path, capsys, command):
     path = tmp_path / "xonly.csv"

@@ -140,3 +140,32 @@ def test_selftest_in_a_fresh_interpreter():
     lines = done.stdout.splitlines()
     assert lines[0].startswith("warning: --cases 0 requested")
     assert lines[-1] == "selftest: pass"
+
+
+# ---------------------------------------------------------------------------
+# numpy.ma: np.unique imports it on its first call (numpy 2.4, through
+# np.ma.is_masked), at about 1.2 MB and 16 ms a process; no evaluation path
+# needs it.
+
+
+def test_full_table_does_not_load_numpy_ma():
+    modules = loaded_after(
+        "import numpy as np\n"
+        "from rotogo import Signal, eval_robustness_all, parse_formula\n"
+        "s = Signal(np.arange(20, dtype=np.int64) * 100_000, {'x': np.linspace(-1.0, 1.0, 20)})\n"
+        "eval_robustness_all(s, parse_formula('F[0,1] (x > 0)'))"
+    )
+    assert "numpy.ma" not in modules
+
+
+@pytest.mark.parametrize("mode", ["robustness", "rotogo"])
+def test_episode_does_not_load_numpy_ma(mode):
+    modules = loaded_after(
+        "from rotogo import ScenarioConfig, mpc_run\n"
+        "mpc_run(ScenarioConfig(\n"
+        "    name='tiny', formula='G[0,2] (x > -100)', robot_start=(1.0, 1.0, 0.0, 0.0), mission_horizon=2.0,\n"
+        f"    env_noise_std=0.0, objective_mode={mode!r}, first_attempt_iterations=3, cmaes_iterations=2,\n"
+        "))"
+    )
+    assert "rotogo.mpc" in modules
+    assert "numpy.ma" not in modules

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -112,10 +113,20 @@ def test_windows_respect_open_and_closed_bounds():
 def test_bounds_beyond_the_int64_tick_range_match_reference():
     # 9223372036854 s is just under 2**63 ticks, so its sum with a sample
     # time leaves int64; 9223372036854.775808 s is 2**63 ticks exactly, and
-    # 1e300 s is far beyond.
-    s = Signal(np.array([0, 1, 3], dtype=np.int64) * to_ticks(1.0), {"x": np.array([1.0, 2.0, -0.5])})
-    rows = {"x": s.components["x"][np.newaxis, :]}
-    for text in (
+    # 1e300 s is far beyond.  Sample times near the int64 limit make even a
+    # short bound's sum leave int64, up to a last sample at 2**63 - 1 and a
+    # span of 2**64 - 1 ticks.
+    top = 2**63
+    signals = [
+        Signal(np.array([0, 1, 3], dtype=np.int64) * to_ticks(1.0), {"x": np.array([1.0, 2.0, -0.5])}),
+        Signal(np.array([top - 15, top - 5], dtype=np.int64), {"x": np.array([2.0, 3.0])}),
+        Signal(np.array([top - 21, top - 11, top - 1], dtype=np.int64), {"x": np.array([1.0, 2.0, -0.5])}),
+        Signal(np.array([-top, 0, top - 1], dtype=np.int64), {"x": np.array([1.0, 2.0, -0.5])}),
+    ]
+    for s, text in itertools.product(signals, (
+        "F[0,0.0001] (x > 0)",
+        "F(0.00001,0.00002] (x > 0)",
+        "(x > 0) U(0,0.00001] (x < 0)",
         "F[0,1e300] (x > 0)",
         "F[0,9223372036854] (x > 0)",
         "F(9223372036854,1e300] (x > 0)",
@@ -124,11 +135,12 @@ def test_bounds_beyond_the_int64_tick_range_match_reference():
         "(x > 0) U[0,1e300] (x < 0)",
         "(x > 0) U[0,9223372036854.775808] (x < 0)",
         "(x > 0) U[2,inf) (x < 0)",
-    ):
+    )):
         f = parse_formula(text)
+        rows = {"x": s.components["x"][np.newaxis, :]}
         reference = np.array([robustness(s, t, f) for t in s.times.tolist()])
-        assert eval_robustness_all(s, f).tobytes() == reference.tobytes(), text
-        assert eval_robustness_start(s.times, rows, f).tobytes() == reference[:1].tobytes(), text
+        assert eval_robustness_all(s, f).tobytes() == reference.tobytes(), (s.times, text)
+        assert eval_robustness_start(s.times, rows, f).tobytes() == reference[:1].tobytes(), (s.times, text)
 
 
 # ---------------------------------------------------------------------------

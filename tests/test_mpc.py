@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rotogo.dynamics import DoubleIntegrator
-from rotogo.fasteval import eval_robustness_arrays
+from rotogo.fasteval import Program, eval_robustness_all, eval_robustness_arrays
 from rotogo.formula import to_ticks
 from rotogo.mpc import batch_stats, mpc_run
 from rotogo.planning import rollout_arrays
@@ -189,6 +189,40 @@ def test_robustness_mode_never_progresses_the_formula(monkeypatch):
     assert got.final_robustness == want.final_robustness
 
 
+def test_robustness_mode_compiles_one_program(monkeypatch):
+    # f0 over the whole mission is the objective of every replan and the
+    # final score, so the episode compiles it once.
+    import rotogo.mpc
+
+    cfg = tiny_scenario(formula="G[0,2] (x > 0.5) & F[0,2] (x > 1.2)", objective_mode="robustness", seed=6)
+    built = []
+
+    class Counted(Program):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rotogo.mpc, "Program", Counted)
+    result = mpc_run(cfg)
+    assert len(result.replans) > 1
+    assert len(built) == 1
+    times, f, width = built[0]
+    assert np.array_equal(times, result.trace.times) and f == cfg.parsed_formula() and width == 1
+
+
+@pytest.mark.parametrize("mode", ["robustness", "rotogo"])
+def test_final_robustness_is_the_table_value(mode):
+    cfg = tiny_scenario(
+        formula="G[0,2] !((x - xe)^2 + (y - ye)^2 < 0.25) & F[0,2] (x > 1.4)",
+        env_noise_std=0.01,
+        seed=3,
+        objective_mode=mode,
+    )
+    result = mpc_run(cfg)
+    table = eval_robustness_all(result.trace, cfg.parsed_formula())
+    assert np.float64(result.final_robustness).tobytes() == table[0].tobytes()
+
+
 def test_rotogo_mode_touches_only_the_suffix():
     cfg = tiny_scenario(formula="G[0,2] (x > 0)", seed=2)
     result = mpc_run(cfg)
@@ -219,7 +253,7 @@ def test_robustness_objective_reproducible_offline():
     record = result.replans[0]
     executed = result.trace.prefix(record.index)
     problem = PlanningProblem(
-        cfg.parsed_formula(), result.trace.times, np.array(record.robot[:2]), np.array(record.robot[2:]),
+        Program(result.trace.times, cfg.parsed_formula(), 1), np.array(record.robot[:2]), np.array(record.robot[2:]),
         record.env, record.plan_duration, 1.0 / cfg.trace_period, cfg.via_points,
         cfg.limits(), cfg.workspace_box(), prefix={name: executed.components[name] for name in COMPONENTS},
     )

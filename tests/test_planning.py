@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rotogo.dynamics import RobotState
-from rotogo.fasteval import TouchCounter, eval_robustness_arrays
+from rotogo.fasteval import Program, TouchCounter, eval_robustness_arrays
 from rotogo.formula import to_ticks
 from rotogo.parser import parse_formula
 from rotogo.planning import (
@@ -12,57 +12,58 @@ from rotogo.planning import (
     WORKSPACE_PENALTY,
     Limits,
     PlanningProblem,
-    ViaPointPlan,
     Workspace,
     clamp_robustness,
     limit_penalty,
-    rollout,
     rollout_arrays,
     spline_positions,
     workspace_penalty,
 )
 
 
-def plan_problem(formula, plan: ViaPointPlan, start: RobotState, env=(2.5, 2.5), hz=10.0, **kwargs):
+def rollout(via, duration: float, start: RobotState, hz: float):
+    """(times, pos, vel, acc) of one plan's spline from ``start``."""
+    start_pos, start_vel = np.array([start.x, start.y]), np.array([start.vx, start.vy])
+    return rollout_arrays(np.asarray(via, dtype=np.float64), start_pos, start_vel, duration, hz)
+
+
+def plan_problem(formula, via, duration: float, start: RobotState, env=(2.5, 2.5), hz=10.0, **kwargs):
     """The problem scoring a plan's whole rollout from its start state, the
     way the ``plan`` command scores its candidates."""
-    n = int(round(plan.duration * hz)) + 1
+    n = int(round(duration * hz)) + 1
     times = np.arange(n, dtype=np.int64) * to_ticks(1.0 / hz)
     first = {"x": start.x, "y": start.y, "vx": start.vx, "vy": start.vy, "xe": env[0], "ye": env[1]}
     return PlanningProblem(
-        formula, times, np.array([start.x, start.y]), np.array([start.vx, start.vy]), env,
-        plan.duration, hz, len(plan.via_points), prefix={k: [v] for k, v in first.items()}, **kwargs,
+        Program(times, formula, 1), np.array([start.x, start.y]), np.array([start.vx, start.vy]), env,
+        duration, hz, len(via), prefix={k: [v] for k, v in first.items()}, **kwargs,
     )
 
 
-def cost_of(plan: ViaPointPlan, start: RobotState, formula, **kwargs) -> float:
-    problem = plan_problem(formula, plan, start, **kwargs)
-    return float(problem.cost(plan.as_vector()[np.newaxis])[0])
+def cost_of(via, duration: float, start: RobotState, formula, **kwargs) -> float:
+    problem = plan_problem(formula, via, duration, start, **kwargs)
+    return float(problem.cost(np.asarray(via, dtype=np.float64).reshape(1, -1))[0])
 
 
 def test_stationary_plan_stays_put():
-    plan = ViaPointPlan(np.array([[1.0, 2.0]] * 4), duration=8.0)
-    traj = rollout(plan, RobotState(1.0, 2.0, 0.0, 0.0), 10.0)
-    assert np.all(traj.pos == [1.0, 2.0])
-    assert np.all(traj.vel == 0.0)
+    _, pos, vel, _ = rollout([[1.0, 2.0]] * 4, 8.0, RobotState(1.0, 2.0, 0.0, 0.0), 10.0)
+    assert np.all(pos == [1.0, 2.0])
+    assert np.all(vel == 0.0)
 
 
 def test_single_via_point_is_the_analytic_minimum_jerk_move():
-    plan = ViaPointPlan(np.array([[1.0, 0.0]]), duration=2.0)
-    traj = rollout(plan, RobotState(0.0, 0.0, 0.0, 0.0), 10.0)
-    assert len(traj) == 21
-    assert traj.times[0] == 0.0 and traj.times[-1] == 2.0
-    tau = traj.times / 2.0
+    times, pos, vel, _ = rollout([[1.0, 0.0]], 2.0, RobotState(0.0, 0.0, 0.0, 0.0), 10.0)
+    assert len(times) == 21
+    assert times[0] == 0.0 and times[-1] == 2.0
+    tau = times / 2.0
     analytic = 10 * tau**3 - 15 * tau**4 + 6 * tau**5
-    assert np.abs(traj.pos[:, 0] - analytic).max() < 1e-9
-    assert np.all(np.diff(traj.pos[:, 0]) >= -1e-15)  # monotone x
-    assert traj.vel[0, 0] == 0.0 and abs(traj.vel[-1, 0]) < 1e-9
+    assert np.abs(pos[:, 0] - analytic).max() < 1e-9
+    assert np.all(np.diff(pos[:, 0]) >= -1e-15)  # monotone x
+    assert vel[0, 0] == 0.0 and abs(vel[-1, 0]) < 1e-9
 
 
 def test_resolution_grid_row_count():
-    plan = ViaPointPlan(np.array([[1.0, 1.0]]), duration=2.0)
-    traj = rollout(plan, RobotState(0.0, 0.0, 0.0, 0.0), 10.0)
-    assert np.array_equal(traj.times, np.arange(21) / 10.0)
+    times, _, _, _ = rollout([[1.0, 1.0]], 2.0, RobotState(0.0, 0.0, 0.0, 0.0), 10.0)
+    assert np.array_equal(times, np.arange(21) / 10.0)
 
 
 def test_boundary_conditions_and_knot_continuity_random_plans():
@@ -72,25 +73,24 @@ def test_boundary_conditions_and_knot_continuity_random_plans():
         via = rng.uniform(0.0, 5.0, size=(n, 2))
         duration = float(rng.uniform(1.0, 20.0))
         start = RobotState(*rng.uniform(0.0, 5.0, 2), *rng.uniform(-0.5, 0.5, 2))
-        plan = ViaPointPlan(via, duration)
-        traj = rollout(plan, start, resolution_hz=100.0)
+        _, pos, vel, acc = rollout(via, duration, start, 100.0)
         # start state exact, terminal at rest on the last via point
-        assert traj.pos[0, 0] == start.x and traj.pos[0, 1] == start.y
-        assert traj.vel[0, 0] == start.vx and traj.vel[0, 1] == start.vy
-        assert np.abs(traj.vel[-1]).max() < 1e-9
-        assert np.abs(traj.acc[-1]).max() < 1e-9
-        assert np.abs(traj.pos[-1] - via[-1]).max() < 1e-9
+        assert pos[0, 0] == start.x and pos[0, 1] == start.y
+        assert vel[0, 0] == start.vx and vel[0, 1] == start.vy
+        assert np.abs(vel[-1]).max() < 1e-9
+        assert np.abs(acc[-1]).max() < 1e-9
+        assert np.abs(pos[-1] - via[-1]).max() < 1e-9
         # C1 continuity across knots: evaluate both sides of each knot
         seg_t = duration / n
         knots = seg_t * np.arange(1, n)
         if knots.size:
             eps = 1e-9
-            left = spline_positions(via, traj.pos[0], traj.vel[0], duration, knots - eps)
-            right = spline_positions(via, traj.pos[0], traj.vel[0], duration, knots + eps)
+            left = spline_positions(via, pos[0], vel[0], duration, knots - eps)
+            right = spline_positions(via, pos[0], vel[0], duration, knots + eps)
             assert np.abs(left - right).max() < 1e-6  # position continuity at eps scale
-            before = rollout(plan, start, resolution_hz=1000.0)
-            idx = np.searchsorted(before.times, knots)
-            dv = np.abs(np.diff(before.vel, axis=0))[idx - 1]
+            fine_times, _, fine_vel, _ = rollout(via, duration, start, 1000.0)
+            idx = np.searchsorted(fine_times, knots)
+            dv = np.abs(np.diff(fine_vel, axis=0))[idx - 1]
             assert dv.max() < 1e-2  # velocity has no jumps at knot crossings
 
 
@@ -99,10 +99,10 @@ def test_batch_rollout_matches_single():
     via = rng.uniform(0.0, 5.0, size=(6, 4, 2))
     times, pos, vel, acc = rollout_arrays(via, np.array([0.5, 2.5]), np.zeros(2), 20.0, 10.0)
     for b in range(6):
-        single = rollout(ViaPointPlan(via[b], 20.0), RobotState(0.5, 2.5, 0.0, 0.0), 10.0)
-        assert np.array_equal(single.pos, pos[b])
-        assert np.array_equal(single.vel, vel[b])
-        assert np.array_equal(single.acc, acc[b])
+        _, single_pos, single_vel, single_acc = rollout(via[b], 20.0, RobotState(0.5, 2.5, 0.0, 0.0), 10.0)
+        assert np.array_equal(single_pos, pos[b])
+        assert np.array_equal(single_vel, vel[b])
+        assert np.array_equal(single_acc, acc[b])
 
 
 # ---------------------------------------------------------------------------
@@ -110,38 +110,35 @@ def test_batch_rollout_matches_single():
 
 
 def test_out_of_workspace_penalty_dominates():
-    plan = ViaPointPlan(np.array([[8.0, 8.0]] * 4), duration=2.0)
-    cost = cost_of(plan, RobotState(7.0, 7.0, 0.0, 0.0), parse_formula("G[0,2] (x > 0)"))
+    cost = cost_of([[8.0, 8.0]] * 4, 2.0, RobotState(7.0, 7.0, 0.0, 0.0), parse_formula("G[0,2] (x > 0)"))
     assert cost >= 21 * WORKSPACE_PENALTY
 
 
 def test_stationary_goal_plan_costs_negative_robustness():
     goal = parse_formula("F[0,20] ((x > 4) & (y > 2) & (y < 3))")
-    plan = ViaPointPlan(np.array([[4.5, 2.5]] * 4), duration=20.0)
-    cost = cost_of(plan, RobotState(4.5, 2.5, 0.0, 0.0), goal)
+    cost = cost_of([[4.5, 2.5]] * 4, 20.0, RobotState(4.5, 2.5, 0.0, 0.0), goal)
     assert cost == -0.5  # min(x-4, y-2, 3-y) = 0.5 at the goal center
 
 
 def test_true_formula_maps_to_clamped_infinity():
-    plan = ViaPointPlan(np.array([[1.0, 1.0]] * 2), duration=2.0)
-    cost = cost_of(plan, RobotState(1.0, 1.0, 0.0, 0.0), parse_formula("true"))
+    cost = cost_of([[1.0, 1.0]] * 2, 2.0, RobotState(1.0, 1.0, 0.0, 0.0), parse_formula("true"))
     assert cost == -ROBUSTNESS_CLAMP
 
 
 def test_limit_penalty_scales_with_violation():
     # A long move in a short duration forces speeds beyond the cap.
-    plan = ViaPointPlan(np.array([[4.5, 0.0]]), duration=2.0)
+    via = np.array([[4.5, 0.0]])
     start = RobotState(0.0, 0.0, 0.0, 0.0)
-    problem = plan_problem(parse_formula("true"), plan, start, limits=Limits(v_max=0.5, a_max=1e9))
-    cost = float(problem.cost(plan.as_vector()[np.newaxis])[0])
-    _, vel, _ = problem.rollout(plan.as_vector()[np.newaxis])
+    problem = plan_problem(parse_formula("true"), via, 2.0, start, limits=Limits(v_max=0.5, a_max=1e9))
+    cost = float(problem.cost(via.reshape(1, -1))[0])
+    _, vel, _ = problem.rollout(via.reshape(1, -1))
     speed = np.sqrt(vel[0, 0] * vel[0, 0] + vel[1, 0] * vel[1, 0])
     expected = LIMIT_PENALTY * np.maximum(0.0, speed - 0.5).sum()
     assert cost == -ROBUSTNESS_CLAMP + expected
     assert expected > 0
     # the spline evaluated directly gives the same penalty up to rounding
-    traj = rollout(plan, start, 10.0)
-    direct = LIMIT_PENALTY * np.maximum(0.0, np.sqrt((traj.vel**2).sum(axis=1)) - 0.5).sum()
+    _, _, direct_vel, _ = rollout(via, 2.0, start, 10.0)
+    direct = LIMIT_PENALTY * np.maximum(0.0, np.sqrt((direct_vel**2).sum(axis=1)) - 0.5).sum()
     assert expected == pytest.approx(direct, rel=1e-9)
 
 
@@ -152,9 +149,8 @@ def test_clamp_robustness():
 
 
 def test_plan_cost_counts_touched_samples():
-    plan = ViaPointPlan(np.array([[1.0, 1.0]] * 2), duration=2.0)
     counter = TouchCounter()
-    cost_of(plan, RobotState(1.0, 1.0, 0.0, 0.0), parse_formula("G[0,2] (x > 0)"), counter=counter)
+    cost_of([[1.0, 1.0]] * 2, 2.0, RobotState(1.0, 1.0, 0.0, 0.0), parse_formula("G[0,2] (x > 0)"), counter=counter)
     assert counter.samples == 21
 
 
@@ -171,16 +167,17 @@ def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0
     times = np.arange(prefix_len + length - 1, dtype=np.int64) * to_ticks(0.1)
     prefix = {name: rng.uniform(0.0, 5.0, prefix_len) for name in COMPONENTS} if prefix_len else None
     env = tuple(rng.uniform(0.0, 5.0, 2))
+    f = parse_formula(formula)
     problem = PlanningProblem(
-        parse_formula(formula), times, start_pos, start_vel, env, duration, hz, n_via, prefix=prefix, counter=counter,
+        Program(times, f, 1), start_pos, start_vel, env, duration, hz, n_via, prefix=prefix, counter=counter,
     )
-    return problem, (start_pos, start_vel, duration, hz, n_via), prefix
+    return problem, (start_pos, start_vel, duration, hz, n_via, f), prefix
 
 
 def test_linear_map_rollout_matches_spline_evaluation():
     rng = np.random.default_rng(43)
     for _ in range(100):
-        problem, (start_pos, start_vel, duration, hz, n_via), _ = _random_problem(rng)
+        problem, (start_pos, start_vel, duration, hz, n_via, _), _ = _random_problem(rng)
         X = rng.uniform(-1.0, 6.0, size=(int(rng.integers(1, 8)), 2 * n_via))
         pos, vel, acc = problem.rollout(X)
         _, want_pos, want_vel, want_acc = rollout_arrays(X.reshape(-1, n_via, 2), start_pos, start_vel, duration, hz)
@@ -198,7 +195,7 @@ def test_cost_matches_prefix_plus_suffix_table():
     rng = np.random.default_rng(44)
     for _ in range(30):
         prefix_len = int(rng.integers(1, 30))
-        problem, (_, _, _, _, n_via), prefix = _random_problem(rng, prefix_len=prefix_len)
+        problem, (_, _, _, _, n_via, f), prefix = _random_problem(rng, prefix_len=prefix_len)
         batch = 6
         X = rng.uniform(0.0, 5.0, size=(batch, 2 * n_via))
         cost = problem.cost(X)
@@ -215,7 +212,7 @@ def test_cost_matches_prefix_plus_suffix_table():
         buffers = problem.signal(batch)
         for name in COMPONENTS:
             assert np.array_equal(buffers[name], concat[name]), name
-        rho = eval_robustness_arrays(problem.times, concat, problem.formula)[:, 0]
+        rho = eval_robustness_arrays(problem.times, concat, f)[:, 0]
         penalty = workspace_penalty(pos, Workspace()) + limit_penalty(vel, acc, Limits())
         assert np.array_equal(cost, -clamp_robustness(rho) + penalty)
 
@@ -227,14 +224,14 @@ def test_robustness_of_given_rows_matches_table_and_counts_nothing():
     rng = np.random.default_rng(46)
     for prefix_len in (0, 1, 17):
         counter = TouchCounter()
-        problem, (start_pos, start_vel, duration, hz, n_via), _ = _random_problem(rng, prefix_len=prefix_len, counter=counter)
+        problem, (start_pos, start_vel, duration, hz, n_via, f), _ = _random_problem(rng, prefix_len=prefix_len, counter=counter)
         X = rng.uniform(0.0, 5.0, size=(4, 2 * n_via))
         problem.cost(X)
         seen = (counter.samples, counter.reads)
         _, pos, vel, _ = rollout_arrays(X[:1].reshape(n_via, 2), start_pos, start_vel, duration, hz)
         rho = problem.robustness(pos.T[:, np.newaxis], vel.T[:, np.newaxis])
         assert (counter.samples, counter.reads) == seen
-        table = eval_robustness_arrays(problem.times, problem.signal(1), problem.formula)
+        table = eval_robustness_arrays(problem.times, problem.signal(1), f)
         assert rho.tobytes() == table[:, 0].tobytes()
         assert problem.signal(1)["x"][0, -1] == pos[-1, 0]
 
@@ -242,7 +239,7 @@ def test_robustness_of_given_rows_matches_table_and_counts_nothing():
 def test_cost_leaks_no_state_between_calls():
     rng = np.random.default_rng(45)
     for prefix_len in (0, 12):
-        problem, (_, _, _, _, n_via), _ = _random_problem(rng, prefix_len=prefix_len)
+        problem, (_, _, _, _, n_via, _), _ = _random_problem(rng, prefix_len=prefix_len)
         X = rng.uniform(0.0, 5.0, size=(10, 2 * n_via))
         first = problem.cost(X)
         small = problem.cost(X[:3] + 0.5)
@@ -257,7 +254,7 @@ def test_cost_leaks_no_state_between_calls():
 
 def test_prefix_must_fill_the_samples_before_the_suffix():
     times = np.arange(25, dtype=np.int64) * to_ticks(0.1)  # 21-sample rollout leaves 5
-    args = (parse_formula("G[0,2] (x > 0)"), times, np.zeros(2), np.zeros(2), (2.5, 2.5), 2.0, 10.0, 2)
+    args = (Program(times, parse_formula("G[0,2] (x > 0)"), 1), np.zeros(2), np.zeros(2), (2.5, 2.5), 2.0, 10.0, 2)
     with pytest.raises(ValueError, match="prefix"):
         PlanningProblem(*args)
     with pytest.raises(ValueError, match="prefix"):
