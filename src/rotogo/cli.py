@@ -69,6 +69,8 @@ def _read_trace_for(f: Formula, path):
 
 
 def cmd_monitor(args) -> int:
+    if args.rotogo_from is not None and not math.isfinite(args.rotogo_from):
+        raise ValueError("--rotogo-from must be a finite time")
     f = parse_formula(args.formula, aliases=_aliases_from(args))
     trace = _read_trace_for(f, args.trace)
     t0 = trace.t0

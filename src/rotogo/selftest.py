@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .formula import And, Formula, Interval, Not, Or, Until, formula_predicates, to_ticks
+from .formula import And, Formula, Interval, Not, Or, Top, Until, formula_predicates, to_ticks
 from .fasteval import eval_robustness_all, eval_robustness_start
 from .parser import format_formula
 from .progression import progress, simplify
@@ -289,13 +289,15 @@ def _prop_sup_domain_shift(rng, cases: int, progress_fn) -> PropertyReport:
 
 
 def _until_restricted_sup(s: Signal, t, f: Until, t_next) -> float:
+    sweep = not isinstance(f.left, Top)  # F: min(v, +inf) is v
     best = -math.inf
     for tp in s.times_in(f.interval, offset=t):
         if tp < t_next:
             continue
         v = robustness(s, tp, f.right)
-        for tpp in s.times_between(t, tp):
-            v = min(v, robustness(s, tpp, f.left))
+        if sweep:
+            for tpp in s.times_between(t, tp):
+                v = min(v, robustness(s, tpp, f.left))
         best = max(best, v)
     return best
 

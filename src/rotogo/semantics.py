@@ -10,6 +10,18 @@ Values are extended reals represented as Python floats: ``-inf`` and
 ``+inf`` are ordinary IEEE infinities, which already satisfy the required
 algebra (total order, exact negation, min/max absorption).  The supremum
 over an empty set is ``-inf`` and the infimum over an empty set is ``+inf``.
+
+An until whose left operand is ``Top`` (``F``, and ``G`` as ``!F!``) skips
+the sweep of its left operand, which makes ``F``/``G`` linear in the window
+instead of quadratic.  The sweep would fold ``min(v, +inf)`` for
+robustness and robustness-to-go, ``min(v, (+inf, None))`` by value for the
+witness, and ``all`` of ``True``s for satisfaction: Python's ``min`` keeps
+its first argument unless a later one is strictly smaller, so each fold
+returns ``v`` for every float, ``-0.0``, ``-inf`` and NaN included, and
+``Top`` reads no variable, so no error is skipped either.  The shortcut is
+therefore exact, not equal up to rounding, and the evaluators stay naive
+oracles: every other node keeps its quantifier ranges and fold order, and
+nothing is memoized or shared between calls or evaluators.
 """
 from __future__ import annotations
 
@@ -69,6 +81,8 @@ def _sat(signal: Signal, t: TimePoint, f: Formula) -> bool:
     if isinstance(f, Or):
         return _sat(signal, t, f.left) or _sat(signal, t, f.right)
     if isinstance(f, Until):
+        if isinstance(f.left, Top):  # F: every left value is True
+            return any(_sat(signal, tp, f.right) for tp in signal.times_in(f.interval, offset=t))
         for tp in signal.times_in(f.interval, offset=t):
             if _sat(signal, tp, f.right) and all(
                 _sat(signal, tpp, f.left) for tpp in signal.times_between(t, tp)
@@ -102,11 +116,13 @@ def _rob(signal: Signal, t: TimePoint, f: Formula) -> float:
     if isinstance(f, Or):
         return max(_rob(signal, t, f.left), _rob(signal, t, f.right))
     if isinstance(f, Until):
+        sweep = not isinstance(f.left, Top)  # F: min(v, +inf) is v
         best = NEG_INF
         for tp in signal.times_in(f.interval, offset=t):
             v = _rob(signal, tp, f.right)
-            for tpp in signal.times_between(t, tp):
-                v = min(v, _rob(signal, tpp, f.left))
+            if sweep:
+                for tpp in signal.times_between(t, tp):
+                    v = min(v, _rob(signal, tpp, f.left))
             best = max(best, v)
         return best
     raise TypeError(f"not a formula: {f!r}")
@@ -142,11 +158,13 @@ def _rtg(signal: Signal, t: TimePoint, t_hat: TimePoint, f: Formula) -> float:
     if isinstance(f, Or):
         return max(_rtg(signal, t, t_hat, f.left), _rtg(signal, t, t_hat, f.right))
     if isinstance(f, Until):
+        sweep = not isinstance(f.left, Top)  # F: min(v, +inf) is v
         best = NEG_INF
         for tp in signal.times_in(f.interval, offset=t):
             v = _rtg(signal, tp, t_hat, f.right)
-            for tpp in signal.times_between(t, tp):
-                v = min(v, _rtg(signal, tpp, t_hat, f.left))
+            if sweep:
+                for tpp in signal.times_between(t, tp):
+                    v = min(v, _rtg(signal, tpp, t_hat, f.left))
             best = max(best, v)
         return best
     raise TypeError(f"not a formula: {f!r}")
@@ -205,11 +223,13 @@ def _rob_wit(signal: Signal, t: TimePoint, f: Formula) -> tuple[float, Optional[
         rv = _rob_wit(signal, t, f.right)
         return max(lv, rv, key=lambda p: p[0])
     if isinstance(f, Until):
+        sweep = not isinstance(f.left, Top)  # F: min keeps v against (+inf, None)
         best: tuple[float, Optional[Witness]] = (NEG_INF, None)
         for tp in signal.times_in(f.interval, offset=t):
             v = _rob_wit(signal, tp, f.right)
-            for tpp in signal.times_between(t, tp):
-                v = min(v, _rob_wit(signal, tpp, f.left), key=lambda p: p[0])
+            if sweep:
+                for tpp in signal.times_between(t, tp):
+                    v = min(v, _rob_wit(signal, tpp, f.left), key=lambda p: p[0])
             best = max(best, v, key=lambda p: p[0])
         return best
     raise TypeError(f"not a formula: {f!r}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -229,7 +230,7 @@ def read_trace_csv(path) -> Signal:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            names, times, columns, lines = _read_rows(reader, path)
+            names, times, cells, lines = _read_rows(reader, path)
         except csv.Error as exc:  # a field over the csv module's size limit, say
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -242,7 +243,7 @@ def read_trace_csv(path) -> Signal:
     except OverflowError:
         i = next(i for i, t in enumerate(times) if not -(2**63) <= t < 2**63)
         raise ValueError(f"{path}:{lines[i]}: time {to_seconds(times[i])!r} s is out of range") from None
-    values = np.array(columns, dtype=np.float64).reshape(len(names), len(times))
+    values = np.frombuffer(cells, dtype=np.float64).reshape(len(times), len(names)).T.copy()
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -257,8 +258,8 @@ def read_trace_csv(path) -> Signal:
 
 
 def _read_rows(reader, path) -> tuple:
-    """The column names, tick times, value columns and file line numbers of
-    a trace CSV's samples, checked cell by cell."""
+    """The column names, tick times, row-major cell values and file line
+    numbers of a trace CSV's samples, checked cell by cell."""
     header = next(reader, None)
     if not header or header[0] != "t":
         raise ValueError(f"{path}: not a trace CSV (missing 't' column)")
@@ -269,9 +270,12 @@ def _read_rows(reader, path) -> tuple:
         seen.add(name)
     names = header[1:]
     width = len(header)
+    # The cells, row by row, and the line numbers go into typed arrays, 8
+    # bytes an entry instead of a Python object each.  The times stay Python
+    # ints, so an out-of-range time is reported as read.
     times = []
-    columns: list[list[float]] = [[] for _ in names]
-    lines = []  # the file line of every sample, for the whole-column checks
+    cells = array("d")
+    lines = array("q")  # the file line of every sample, for the whole-column checks
     for row in reader:
         if not row:
             continue
@@ -279,9 +283,8 @@ def _read_rows(reader, path) -> tuple:
             raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, the header has {width}")
         try:
             times.append(to_ticks(float(row[0])))
-            for col, cell in zip(columns, row[1:]):
-                col.append(float(cell))
+            cells.extend(map(float, row[1:]))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
         lines.append(reader.line_num)
-    return names, times, columns, lines
+    return names, times, cells, lines

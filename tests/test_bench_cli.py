@@ -257,6 +257,16 @@ def test_monitor_reports_rotogo_value(tmp_path, capsys):
     assert "rotogo[t_hat=0.0]: -inf" in out
 
 
+@pytest.mark.parametrize("cut", ["nan", "inf", "-inf"])
+def test_monitor_non_finite_rotogo_from_exit_two(tmp_path, capsys, cut):
+    trace = goal_trace(tmp_path, [-1.0, 2.0, 2.0])
+    code = main(["monitor", "G[0,0.2] (x > 0)", str(trace), f"--rotogo-from={cut}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # checked before anything is evaluated
+    assert captured.err == "error: --rotogo-from must be a finite time\n"
+
+
 def test_progress_prints_each_step(tmp_path, capsys):
     trace = goal_trace(tmp_path, [-1.0, 5.0, 6.0])
     code = main(["progress", "F[0,0.2] (x > 4)", str(trace)])

@@ -1,11 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from rotogo.formula import And, Interval, Not, Or, Pred, TOP, BOTTOM, Until, Var, to_ticks
+from rotogo import semantics
+from rotogo.formula import And, Interval, Not, Or, Pred, TOP, BOTTOM, Top, Bottom, Until, Var, to_ticks
 from rotogo.parser import parse_formula
 from rotogo.semantics import (
+    Witness,
     inf_sign,
     robustness,
     robustness_witness,
@@ -217,3 +220,159 @@ def test_witness_sign_flips_under_negation():
     f = parse_formula("(x > 0)")
     value, witness = robustness_witness(s, 0, Not(f))
     assert value == -1.5 and witness.sign == -1
+
+
+# ---------------------------------------------------------------------------
+# F and G: an until whose left operand is Top takes no left-operand sweep
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Count every call of ``semantics.<name>``, recursive ones included."""
+    calls = [0]
+    inner = getattr(semantics, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(semantics, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text, x, nodes",
+    [("F[0,20] (x > 0)", -1.0, 1), ("G[0,20] (x > 0)", 1.0, 2)],  # sat reads every sample of both
+    ids=["eventually", "always"],
+)
+def test_top_left_until_takes_linear_calls(monkeypatch, text, x, nodes):
+    n = 201
+    s = Signal(np.arange(n, dtype=np.int64) * to_ticks(0.1), {"x": np.full(n, x)})
+    f = parse_formula(text)
+    t_hat = s.t(n // 2)
+    calls = {name: _count_calls(monkeypatch, name) for name in ("_sat", "_rob", "_rtg", "_rob_wit")}
+    sat(s, 0, f)
+    robustness(s, 0, f)
+    rotogo(s, 0, t_hat, f)
+    robustness_witness(s, 0, f)
+    # F makes one call for the until at t and one for its predicate at each
+    # of the n samples in its window, n + 1; G, that is !F!, makes two of
+    # each, 2n + 2.  Sweeping Top at every sample before each of the n
+    # candidates would add n (n - 1) / 2 calls per Top: 20 100 here.
+    assert {name: c[0] for name, c in calls.items()} == {name: nodes * (n + 1) for name in calls}
+
+
+def _head_sat(signal, t, f):
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Pred):
+        return f.fn.eval(signal.value_at(t)) > 0
+    if isinstance(f, Not):
+        return not _head_sat(signal, t, f.child)
+    if isinstance(f, And):
+        return _head_sat(signal, t, f.left) and _head_sat(signal, t, f.right)
+    if isinstance(f, Or):
+        return _head_sat(signal, t, f.left) or _head_sat(signal, t, f.right)
+    for tp in signal.times_in(f.interval, offset=t):
+        if _head_sat(signal, tp, f.right) and all(
+            _head_sat(signal, tpp, f.left) for tpp in signal.times_between(t, tp)
+        ):
+            return True
+    return False
+
+
+def _head_rob(signal, t, f, t_hat=None):
+    """Robustness, or robustness-to-go when ``t_hat`` is given, with every
+    until sweeping its left operand, Top included."""
+    if isinstance(f, Top):
+        return math.inf
+    if isinstance(f, Bottom):
+        return -math.inf
+    if isinstance(f, Pred):
+        value = f.fn.eval(signal.value_at(t))
+        return value if t_hat is None or t > t_hat else inf_sign(value)
+    if isinstance(f, Not):
+        return -_head_rob(signal, t, f.child, t_hat)
+    if isinstance(f, And):
+        return min(_head_rob(signal, t, f.left, t_hat), _head_rob(signal, t, f.right, t_hat))
+    if isinstance(f, Or):
+        return max(_head_rob(signal, t, f.left, t_hat), _head_rob(signal, t, f.right, t_hat))
+    best = -math.inf
+    for tp in signal.times_in(f.interval, offset=t):
+        v = _head_rob(signal, tp, f.right, t_hat)
+        for tpp in signal.times_between(t, tp):
+            v = min(v, _head_rob(signal, tpp, f.left, t_hat))
+        best = max(best, v)
+    return best
+
+
+def _head_rob_wit(signal, t, f):
+    if isinstance(f, Top):
+        return math.inf, None
+    if isinstance(f, Bottom):
+        return -math.inf, None
+    if isinstance(f, Pred):
+        return f.fn.eval(signal.value_at(t)), Witness(f.fn, t, +1)
+    if isinstance(f, Not):
+        v, w = _head_rob_wit(signal, t, f.child)
+        return -v, None if w is None else Witness(w.fn, w.time, -w.sign)
+    if isinstance(f, And):
+        return min(_head_rob_wit(signal, t, f.left), _head_rob_wit(signal, t, f.right), key=lambda p: p[0])
+    if isinstance(f, Or):
+        return max(_head_rob_wit(signal, t, f.left), _head_rob_wit(signal, t, f.right), key=lambda p: p[0])
+    best = (-math.inf, None)
+    for tp in signal.times_in(f.interval, offset=t):
+        v = _head_rob_wit(signal, tp, f.right)
+        for tpp in signal.times_between(t, tp):
+            v = min(v, _head_rob_wit(signal, tpp, f.left), key=lambda p: p[0])
+        best = max(best, v, key=lambda p: p[0])
+    return best
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+def assert_evaluators_match_sweeping_loops(s, f):
+    ticks = s.times.tolist()
+    cuts = [ticks[0] - SEC, ticks[-1] + SEC, *ticks, *((a + b) // 2 for a, b in zip(ticks, ticks[1:]))]
+    for t in ticks:
+        assert sat(s, t, f) is _head_sat(s, t, f)
+        assert _bits(robustness(s, t, f)) == _bits(_head_rob(s, t, f))
+        value, witness = robustness_witness(s, t, f)
+        head_value, head_witness = _head_rob_wit(s, t, f)
+        assert (_bits(value), witness) == (_bits(head_value), head_witness)
+        for t_hat in cuts:
+            assert _bits(rotogo(s, t, t_hat, f)) == _bits(_head_rob(s, t, f, t_hat))
+
+
+def test_evaluators_byte_equal_to_sweeping_loops_random():
+    rng = np.random.default_rng(15)
+    for _ in range(120):
+        f, s = random_instance(rng)
+        assert_evaluators_match_sweeping_loops(s, f)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "F[0,0.2] !(x > 0)",
+        "F(0,0.2) !(x > 0)",
+        "F(0.1,inf) !(x > 0)",
+        "F[0.1,0.3) ((x > 0) | !(x > 0))",
+        "G[0,0.2] (x > 0)",
+        "G(0,0.3] !(x > 0)",
+        "G[0.1,inf) (x > 0)",
+        "!F[0,inf) !(x > 0) & F[0,0.1] G(0,0.2) !(x > 0)",
+        "(x > 0) U(0,0.2] !F[0,0.1] (x > 0)",
+    ],
+)
+@pytest.mark.parametrize(
+    "xs", [[0.0, 0.0, 1.0, 0.0, -1.0], [-0.0, 0.0, -0.0, 0.0, -0.0], [0.0, -2.0, 0.0, 2.0, 0.0]]
+)
+def test_evaluators_byte_equal_to_sweeping_loops_on_zeros(text, xs):
+    # Predicates exactly 0 under Not give -0.0, whose sign only a byte
+    # comparison sees.
+    s = make_signal([0.1 * i for i in range(len(xs))], x=xs)
+    assert_evaluators_match_sweeping_loops(s, parse_formula(text))
