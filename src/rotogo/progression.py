@@ -10,8 +10,17 @@ randomized corpora.
 
 Until operators are rewritten by shifting their interval earlier by the step
 and clipping at zero; an until whose interval becomes empty resolves to
-false.  Each progression step runs the result through :func:`simplify`,
-without which the rewritten formula grows by a constant factor per step.
+false.  Without simplification the rewritten formula grows by a constant
+factor per step, so every node a step builds goes through the same smart
+constructors that :func:`simplify` uses (``_not``, ``_and``, ``_or``,
+``_until``): one walk per step progresses, simplifies and counts nodes, and
+its result equals ``simplify`` of the plain rewrite.  Each constructor
+returns the node with its size, so the size guard needs no further walk.
+
+The operands of an until that the rewrite keeps untouched are simplified
+again only when the input may be unsimplified: in :func:`progress`, and at
+a monitor's first step.  From then on a step's input is the previous step's
+output, already simplified, and simplifying it again would return it as is.
 """
 from __future__ import annotations
 
@@ -23,6 +32,7 @@ from .formula import (
     BOTTOM,
     Bottom,
     Formula,
+    Interval,
     Not,
     Or,
     Pred,
@@ -48,33 +58,67 @@ def progress(f: Formula, delta: TimePoint, state: Mapping[str, float]) -> Formul
 
     The result is simplified.  ``delta`` must be positive.
     """
+    return _progress_checked(f, delta, state, True)
+
+
+def _progress_checked(f: Formula, delta: TimePoint, state: Mapping[str, float], fresh: bool) -> Formula:
+    """:func:`progress`; ``fresh`` is False only when ``f`` is known to be
+    simplified already, a previous step's result."""
     if delta <= 0:
         raise ValueError("progression requires delta > 0")
-    out = simplify(_progress(f, delta, state))
-    if node_count(out) > MAX_PROGRESSED_NODES:
+    out, size, _ = _step(f, delta, state, fresh)
+    if size > MAX_PROGRESSED_NODES:
         raise FormulaSizeError(f"progressed formula exceeds {MAX_PROGRESSED_NODES} nodes")
     return out
 
 
-def _progress(f: Formula, delta: TimePoint, state: Mapping[str, float]) -> Formula:
-    if isinstance(f, (Top, Bottom)):
-        return f
+def _step(f: Formula, delta: TimePoint, state: Mapping[str, float], fresh: bool) -> tuple[Formula, int, int]:
+    """``simplify`` of ``f`` progressed, its size, and the size of ``f``.
+
+    Predicates are evaluated in the order of a plain rewrite followed by
+    :func:`simplify`: both operands of ``And`` and ``Or`` even when the
+    left one decides it, and an until's left operand before its right one,
+    so a missing variable raises where that form raises.
+    """
     if isinstance(f, Pred):
-        return TOP if f.fn.eval(state) > 0 else BOTTOM
+        return (TOP if f.fn.eval(state) > 0 else BOTTOM), 1, 1
     if isinstance(f, Not):
-        return Not(_progress(f.child, delta, state))
+        c, n, m = _step(f.child, delta, state, fresh)
+        return (*_not(c, n), m + 1)
     if isinstance(f, And):
-        return And(_progress(f.left, delta, state), _progress(f.right, delta, state))
+        l, nl, ml = _step(f.left, delta, state, fresh)
+        r, nr, mr = _step(f.right, delta, state, fresh)
+        return (*_and(l, nl, r, nr), ml + mr + 1)
     if isinstance(f, Or):
-        return Or(_progress(f.left, delta, state), _progress(f.right, delta, state))
+        l, nl, ml = _step(f.left, delta, state, fresh)
+        r, nr, mr = _step(f.right, delta, state, fresh)
+        return (*_or(l, nl, r, nr), ml + mr + 1)
     if isinstance(f, Until):
-        shifted = f.interval.shift_truncate(delta)
-        tail: Formula = BOTTOM if shifted.is_empty() else Until(f.left, shifted, f.right)
-        left_now = _progress(f.left, delta, state)
-        if f.interval.strictly_positive():
-            return And(left_now, tail)
-        # 0 lies in the interval: the right operand may already hold now.
-        return Or(_progress(f.right, delta, state), And(left_now, tail))
+        interval = f.interval
+        if interval.is_empty():  # no time in the window: false, reading nothing
+            return BOTTOM, 1, node_count(f)
+        left_now, n_now, ml = _step(f.left, delta, state, fresh)
+        now = interval.contains_zero()
+        if now:  # the right operand may already hold now
+            right_now, n_right, mr = _step(f.right, delta, state, fresh)
+        else:
+            mr = node_count(f.right)
+        if isinstance(left_now, Bottom):
+            out = BOTTOM, 1  # the left operand fails now: nothing is left to hold later
+        else:
+            # The rest of the obligation: the same operands over the
+            # shifted window, simplified again only if the input may not be.
+            if fresh:
+                l, nl = _simplified(f.left)
+                r, nr = _simplified(f.right)
+            else:
+                l, nl, r, nr = f.left, ml, f.right, mr
+            out = _and(left_now, n_now, *_until(l, nl, interval.shift_truncate(delta), r, nr))
+        if now:
+            out = _or(right_now, n_right, *out)
+        return (*out, ml + mr + 1)
+    if isinstance(f, (Top, Bottom)):
+        return f, 1, 1
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -85,44 +129,62 @@ def simplify(f: Formula) -> Formula:
     signal: each rule only discards operands that are absorbed by min/max
     against an infinity.
     """
+    return _simplified(f)[0]
+
+
+def _simplified(f: Formula) -> tuple[Formula, int]:
+    """:func:`simplify` of ``f`` and its size."""
     if isinstance(f, Not):
-        c = simplify(f.child)
-        if isinstance(c, Top):
-            return BOTTOM
-        if isinstance(c, Bottom):
-            return TOP
-        if isinstance(c, Not):
-            return c.child
-        return Not(c)
+        return _not(*_simplified(f.child))
     if isinstance(f, And):
-        l = simplify(f.left)
-        r = simplify(f.right)
-        if isinstance(l, Bottom) or isinstance(r, Bottom):
-            return BOTTOM
-        if isinstance(l, Top):
-            return r
-        if isinstance(r, Top):
-            return l
-        return And(l, r)
+        return _and(*_simplified(f.left), *_simplified(f.right))
     if isinstance(f, Or):
-        l = simplify(f.left)
-        r = simplify(f.right)
-        if isinstance(l, Top) or isinstance(r, Top):
-            return TOP
-        if isinstance(l, Bottom):
-            return r
-        if isinstance(r, Bottom):
-            return l
-        return Or(l, r)
+        return _or(*_simplified(f.left), *_simplified(f.right))
     if isinstance(f, Until):
-        l = simplify(f.left)
-        r = simplify(f.right)
-        if f.interval.is_empty():
-            return BOTTOM
-        if isinstance(l, Bottom) and not f.interval.contains_zero():
-            return BOTTOM
-        return Until(l, f.interval, r)
-    return f
+        return _until(*_simplified(f.left), f.interval, *_simplified(f.right))
+    return f, 1
+
+
+# Smart constructors: the simplification rules for one node whose operands
+# are simplified already.  Each takes and returns (node, size) pairs, flat.
+
+
+def _not(c: Formula, n: int) -> tuple[Formula, int]:
+    if isinstance(c, Top):
+        return BOTTOM, 1
+    if isinstance(c, Bottom):
+        return TOP, 1
+    if isinstance(c, Not):
+        return c.child, n - 1
+    return Not(c), n + 1
+
+
+def _and(l: Formula, nl: int, r: Formula, nr: int) -> tuple[Formula, int]:
+    if isinstance(l, Bottom) or isinstance(r, Bottom):
+        return BOTTOM, 1
+    if isinstance(l, Top):
+        return r, nr
+    if isinstance(r, Top):
+        return l, nl
+    return And(l, r), nl + nr + 1
+
+
+def _or(l: Formula, nl: int, r: Formula, nr: int) -> tuple[Formula, int]:
+    if isinstance(l, Top) or isinstance(r, Top):
+        return TOP, 1
+    if isinstance(l, Bottom):
+        return r, nr
+    if isinstance(r, Bottom):
+        return l, nl
+    return Or(l, r), nl + nr + 1
+
+
+def _until(l: Formula, nl: int, interval: Interval, r: Formula, nr: int) -> tuple[Formula, int]:
+    if interval.is_empty():
+        return BOTTOM, 1
+    if isinstance(l, Bottom) and not interval.contains_zero():
+        return BOTTOM, 1
+    return Until(l, interval, r), nl + nr + 1
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +225,9 @@ def monitor_step(m: MonitorState, next_sample_time: TimePoint, state: Mapping[st
     if isinstance(m.current, (Top, Bottom)):
         progressed = m.current  # absorbing verdict, skip the recursion
     else:
-        progressed = progress(m.current, next_sample_time - m.anchor_time, state)
+        # After the first step, ``current`` is a previous step's result.
+        fresh = m.step_count == 0
+        progressed = _progress_checked(m.current, next_sample_time - m.anchor_time, state, fresh)
     return MonitorState(progressed, next_sample_time, m.original, m.step_count + 1)
 
 
@@ -171,7 +235,7 @@ def progress_along(f0: Formula, signal: Signal, upto_index: int) -> Formula:
     """Fold :func:`progress` over samples 0..upto_index of ``signal``."""
     f = f0
     for k in range(upto_index + 1):
-        f = progress(f, signal.t(k + 1) - signal.t(k), signal.state(k))
+        f = _progress_checked(f, signal.t(k + 1) - signal.t(k), signal.state(k), k == 0)
     return f
 
 

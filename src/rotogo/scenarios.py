@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .formula import Formula, horizon, is_bounded, to_ticks
@@ -107,16 +107,18 @@ class ScenarioConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        d = dict(d)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
+    def from_dict(cls, d) -> "ScenarioConfig":
+        """A configuration from decoded JSON.  The shape and type of every
+        field are checked first, so a bad value fails with its field's name."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a scenario config must be a JSON object, not {_json_type(d)}")
+        unknown = sorted(set(d) - set(_FIELD_KINDS))
         if unknown:
             raise ValueError(f"unknown scenario config keys: {', '.join(unknown)}")
-        for key in ("robot_start", "env_start", "workspace"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        missing = [key for key in ("name", "formula") if key not in d]
+        if missing:
+            raise ValueError(f"scenario config lacks {' and '.join(map(repr, missing))}")
+        return cls(**{key: _checked_field(key, value) for key, value in d.items()})
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -125,8 +127,96 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """A configuration read from a JSON file; every error names the file,
+        and a syntax error its line and column too."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: not valid JSON: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+        try:
+            return cls.from_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+#: What JSON value each configuration field takes: "string", "integer",
+#: "number" (finite), "aliases" (an object of strings), or the length of an
+#: array of numbers.
+_FIELD_KINDS: dict[str, object] = {
+    "name": "string",
+    "formula": "string",
+    "aliases": "aliases",
+    "robot_start": 4,
+    "env_start": 2,
+    "workspace": 4,
+    "mission_horizon": "number",
+    "trace_period": "number",
+    "replan_period": "number",
+    "env_step_period": "number",
+    "env_noise_std": "number",
+    "objective_mode": "string",
+    "seed": "integer",
+    "min_distance_radius": "number",
+    "via_points": "integer",
+    "population_size": "integer",
+    "cmaes_iterations": "integer",
+    "first_attempt_iterations": "integer",
+    "initial_step_size": "number",
+    "warm_start_step_size": "number",
+    "v_max": "number",
+    "a_max": "number",
+}
+
+
+def _checked_field(key: str, value):
+    """``value`` as field ``key`` stores it; ValueError naming the field
+    when its JSON type or shape is wrong."""
+    kind = _FIELD_KINDS[key]
+    if kind == "string":
+        ok = isinstance(value, str)
+    elif kind == "integer":
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind == "number":
+        ok = _is_number(value)
+    elif kind == "aliases":
+        ok = isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+    else:
+        ok = isinstance(value, list) and len(value) == kind and all(_is_number(v) for v in value)
+    if not ok:
+        want = {
+            "string": "a string",
+            "integer": "an integer",
+            "number": "a finite number",
+            "aliases": "an object of strings",
+        }.get(kind, f"an array of {kind} finite numbers")
+        raise ValueError(f"field {key!r} must be {want}, got {_json_type(value)} {_short(value)}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, list):
+        return "array"
+    return "object" if isinstance(value, dict) else "null"
+
+
+def _short(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def scenario_phi_avoid(mode: str = "rotogo", seed: int = 0) -> ScenarioConfig:

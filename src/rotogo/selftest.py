@@ -277,10 +277,9 @@ def _prop_sup_domain_shift(rng, cases: int, progress_fn) -> PropertyReport:
         if has_exact_zero(f, s):
             continue
         k = int(rng.integers(0, len(s) - 1))
-        t_k = s.t(k)
         done += 1
-        full = robustness(s, t_k, f)
-        restricted = _until_restricted_sup(s, t_k, f, s.t(k + 1))
+        full = robustness(s, s.t(k), f)
+        restricted = _until_restricted_sup(s, k, f)
         if not _ext_eq(full, restricted):
             failures += 1
             if detail is None:
@@ -288,16 +287,17 @@ def _prop_sup_domain_shift(rng, cases: int, progress_fn) -> PropertyReport:
     return PropertyReport("sup_domain_shift", done, failures, detail)
 
 
-def _until_restricted_sup(s: Signal, t, f: Until, t_next) -> float:
+def _until_restricted_sup(s: Signal, k: int, f: Until) -> float:
+    """Robustness of ``f`` at sample ``k`` with the sup over candidates from
+    sample ``k + 1`` on only."""
     sweep = not isinstance(f.left, Top)  # F: min(v, +inf) is v
     best = -math.inf
-    for tp in s.times_in(f.interval, offset=t):
-        if tp < t_next:
-            continue
-        v = robustness(s, tp, f.right)
+    lo, hi = s.index_range_in(f.interval, offset=s.t(k))
+    for j in range(max(lo, k + 1), hi):
+        v = robustness(s, s.t(j), f.right)
         if sweep:
-            for tpp in s.times_between(t, tp):
-                v = min(v, robustness(s, tpp, f.left))
+            for m in range(k, j):
+                v = min(v, robustness(s, s.t(m), f.left))
         best = max(best, v)
     return best
 

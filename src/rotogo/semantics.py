@@ -1,10 +1,13 @@
 """Reference evaluators: boolean satisfaction, robustness, robustness-to-go.
 
 All three recurse directly over the formula tree with quantifiers ranging
-over sample timestamps, one subterm at a time.  This module is deliberately
-naive (no memoization or vectorization): it doubles as the brute-force
-oracle that the fast evaluator in :mod:`rotogo.fasteval` is checked against,
-bit for bit.
+over the signal's samples, one subterm at a time.  The recursion carries a
+sample index: an until locates its window once, with one
+:meth:`~rotogo.signals.Signal.index_range_in`, and its quantifiers range
+over index ranges; a predicate reads its sample's cached row by index.
+This module is deliberately naive (no memoization or vectorization): it
+doubles as the brute-force oracle that the fast evaluator in
+:mod:`rotogo.fasteval` is checked against, bit for bit.
 
 Values are extended reals represented as Python floats: ``-inf`` and
 ``+inf`` are ordinary IEEE infinities, which already satisfy the required
@@ -63,30 +66,28 @@ def inf_sign(value: float) -> float:
 
 def sat(signal: Signal, t: TimePoint, f: Formula) -> bool:
     """Pointwise boolean satisfaction of ``f`` over ``signal`` at time ``t``."""
-    signal.index_of(t)  # raises NoSampleError when t is not a sample time
-    return _sat(signal, t, f)
+    return _sat(signal, signal.index_of(t), f)  # NoSampleError when t is not a sample time
 
 
-def _sat(signal: Signal, t: TimePoint, f: Formula) -> bool:
+def _sat(signal: Signal, i: int, f: Formula) -> bool:
+    if isinstance(f, Pred):
+        return f.fn.eval(signal.row(i)) > 0
     if isinstance(f, Top):
         return True
     if isinstance(f, Bottom):
         return False
-    if isinstance(f, Pred):
-        return f.fn.eval(signal.value_at(t)) > 0
     if isinstance(f, Not):
-        return not _sat(signal, t, f.child)
+        return not _sat(signal, i, f.child)
     if isinstance(f, And):
-        return _sat(signal, t, f.left) and _sat(signal, t, f.right)
+        return _sat(signal, i, f.left) and _sat(signal, i, f.right)
     if isinstance(f, Or):
-        return _sat(signal, t, f.left) or _sat(signal, t, f.right)
+        return _sat(signal, i, f.left) or _sat(signal, i, f.right)
     if isinstance(f, Until):
+        lo, hi = signal.index_range_in(f.interval, offset=signal.t(i))
         if isinstance(f.left, Top):  # F: every left value is True
-            return any(_sat(signal, tp, f.right) for tp in signal.times_in(f.interval, offset=t))
-        for tp in signal.times_in(f.interval, offset=t):
-            if _sat(signal, tp, f.right) and all(
-                _sat(signal, tpp, f.left) for tpp in signal.times_between(t, tp)
-            ):
+            return any(_sat(signal, j, f.right) for j in range(lo, hi))
+        for j in range(lo, hi):
+            if _sat(signal, j, f.right) and all(_sat(signal, k, f.left) for k in range(i, j)):
                 return True
         return False
     raise TypeError(f"not a formula: {f!r}")
@@ -98,31 +99,31 @@ def _sat(signal: Signal, t: TimePoint, f: Formula) -> bool:
 
 def robustness(signal: Signal, t: TimePoint, f: Formula) -> float:
     """Robust satisfaction value of ``f`` over ``signal`` at time ``t``."""
-    signal.index_of(t)
-    return _rob(signal, t, f)
+    return _rob(signal, signal.index_of(t), f)
 
 
-def _rob(signal: Signal, t: TimePoint, f: Formula) -> float:
+def _rob(signal: Signal, i: int, f: Formula) -> float:
+    if isinstance(f, Pred):
+        return f.fn.eval(signal.row(i))
     if isinstance(f, Top):
         return POS_INF
     if isinstance(f, Bottom):
         return NEG_INF
-    if isinstance(f, Pred):
-        return f.fn.eval(signal.value_at(t))
     if isinstance(f, Not):
-        return -_rob(signal, t, f.child)
+        return -_rob(signal, i, f.child)
     if isinstance(f, And):
-        return min(_rob(signal, t, f.left), _rob(signal, t, f.right))
+        return min(_rob(signal, i, f.left), _rob(signal, i, f.right))
     if isinstance(f, Or):
-        return max(_rob(signal, t, f.left), _rob(signal, t, f.right))
+        return max(_rob(signal, i, f.left), _rob(signal, i, f.right))
     if isinstance(f, Until):
         sweep = not isinstance(f.left, Top)  # F: min(v, +inf) is v
         best = NEG_INF
-        for tp in signal.times_in(f.interval, offset=t):
-            v = _rob(signal, tp, f.right)
+        lo, hi = signal.index_range_in(f.interval, offset=signal.t(i))
+        for j in range(lo, hi):
+            v = _rob(signal, j, f.right)
             if sweep:
-                for tpp in signal.times_between(t, tp):
-                    v = min(v, _rob(signal, tpp, f.left))
+                for k in range(i, j):
+                    v = min(v, _rob(signal, k, f.left))
             best = max(best, v)
         return best
     raise TypeError(f"not a formula: {f!r}")
@@ -139,32 +140,32 @@ def rotogo(signal: Signal, t: TimePoint, t_hat: TimePoint, f: Formula) -> float:
     evaluated at a time at or before ``t_hat`` contributes only its sign,
     scaled to infinity, so the value isolates the suffix's contribution.
     """
-    signal.index_of(t)
-    return _rtg(signal, t, t_hat, f)
+    return _rtg(signal, signal.index_of(t), t_hat, f)
 
 
-def _rtg(signal: Signal, t: TimePoint, t_hat: TimePoint, f: Formula) -> float:
+def _rtg(signal: Signal, i: int, t_hat: TimePoint, f: Formula) -> float:
+    if isinstance(f, Pred):
+        value = f.fn.eval(signal.row(i))
+        return value if signal.t(i) > t_hat else inf_sign(value)
     if isinstance(f, Top):
         return POS_INF
     if isinstance(f, Bottom):
         return NEG_INF
-    if isinstance(f, Pred):
-        value = f.fn.eval(signal.value_at(t))
-        return value if t > t_hat else inf_sign(value)
     if isinstance(f, Not):
-        return -_rtg(signal, t, t_hat, f.child)
+        return -_rtg(signal, i, t_hat, f.child)
     if isinstance(f, And):
-        return min(_rtg(signal, t, t_hat, f.left), _rtg(signal, t, t_hat, f.right))
+        return min(_rtg(signal, i, t_hat, f.left), _rtg(signal, i, t_hat, f.right))
     if isinstance(f, Or):
-        return max(_rtg(signal, t, t_hat, f.left), _rtg(signal, t, t_hat, f.right))
+        return max(_rtg(signal, i, t_hat, f.left), _rtg(signal, i, t_hat, f.right))
     if isinstance(f, Until):
         sweep = not isinstance(f.left, Top)  # F: min(v, +inf) is v
         best = NEG_INF
-        for tp in signal.times_in(f.interval, offset=t):
-            v = _rtg(signal, tp, t_hat, f.right)
+        lo, hi = signal.index_range_in(f.interval, offset=signal.t(i))
+        for j in range(lo, hi):
+            v = _rtg(signal, j, t_hat, f.right)
             if sweep:
-                for tpp in signal.times_between(t, tp):
-                    v = min(v, _rtg(signal, tpp, t_hat, f.left))
+                for k in range(i, j):
+                    v = min(v, _rtg(signal, k, t_hat, f.left))
             best = max(best, v)
         return best
     raise TypeError(f"not a formula: {f!r}")
@@ -200,36 +201,36 @@ class Witness:
 
 
 def robustness_witness(signal: Signal, t: TimePoint, f: Formula) -> tuple[float, Optional[Witness]]:
-    signal.index_of(t)
-    return _rob_wit(signal, t, f)
+    return _rob_wit(signal, signal.index_of(t), f)
 
 
-def _rob_wit(signal: Signal, t: TimePoint, f: Formula) -> tuple[float, Optional[Witness]]:
+def _rob_wit(signal: Signal, i: int, f: Formula) -> tuple[float, Optional[Witness]]:
+    if isinstance(f, Pred):
+        return f.fn.eval(signal.row(i)), Witness(f.fn, signal.t(i), +1)
     if isinstance(f, Top):
         return POS_INF, None
     if isinstance(f, Bottom):
         return NEG_INF, None
-    if isinstance(f, Pred):
-        return f.fn.eval(signal.value_at(t)), Witness(f.fn, t, +1)
     if isinstance(f, Not):
-        v, w = _rob_wit(signal, t, f.child)
+        v, w = _rob_wit(signal, i, f.child)
         return -v, None if w is None else Witness(w.fn, w.time, -w.sign)
     if isinstance(f, And):
-        lv = _rob_wit(signal, t, f.left)
-        rv = _rob_wit(signal, t, f.right)
+        lv = _rob_wit(signal, i, f.left)
+        rv = _rob_wit(signal, i, f.right)
         return min(lv, rv, key=lambda p: p[0])
     if isinstance(f, Or):
-        lv = _rob_wit(signal, t, f.left)
-        rv = _rob_wit(signal, t, f.right)
+        lv = _rob_wit(signal, i, f.left)
+        rv = _rob_wit(signal, i, f.right)
         return max(lv, rv, key=lambda p: p[0])
     if isinstance(f, Until):
         sweep = not isinstance(f.left, Top)  # F: min keeps v against (+inf, None)
         best: tuple[float, Optional[Witness]] = (NEG_INF, None)
-        for tp in signal.times_in(f.interval, offset=t):
-            v = _rob_wit(signal, tp, f.right)
+        lo, hi = signal.index_range_in(f.interval, offset=signal.t(i))
+        for j in range(lo, hi):
+            v = _rob_wit(signal, j, f.right)
             if sweep:
-                for tpp in signal.times_between(t, tp):
-                    v = min(v, _rob_wit(signal, tpp, f.left), key=lambda p: p[0])
+                for k in range(i, j):
+                    v = min(v, _rob_wit(signal, k, f.left), key=lambda p: p[0])
             best = max(best, v, key=lambda p: p[0])
         return best
     raise TypeError(f"not a formula: {f!r}")

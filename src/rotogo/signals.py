@@ -41,16 +41,17 @@ class Signal:
     Stored as one int64 array of tick times plus one float64 array per
     component, which lets evaluators and predicates work on whole columns.
     The tick times are also kept once as a list of Python ints: the
-    reference evaluators look up sample times one at a time, and ``bisect``
-    on that list and list slices answer such lookups several times faster
+    reference evaluators look up sample times and windows one at a time,
+    and ``bisect`` on that list answers such lookups several times faster
     than scalar calls into numpy.
 
     The reference evaluators also read one sample's state per predicate
-    evaluation through :meth:`value_at`.  Its row is built the first time
-    that sample is read and kept in a per-sample slot, so memory grows with
-    the samples read, not with the signal's length.  Rows are shared between
-    callers and therefore read-only (``types.MappingProxyType``);
-    :meth:`state` returns a fresh dict that the caller may change.
+    evaluation through :meth:`row`, by sample index.  A row is built the
+    first time that sample is read and kept in a per-sample slot, so memory
+    grows with the samples read, not with the signal's length.  Rows are
+    shared between callers and therefore read-only
+    (``types.MappingProxyType``); :meth:`state` returns a fresh dict that
+    the caller may change.
     """
 
     __slots__ = ("times", "components", "_ticks", "_rows")
@@ -107,13 +108,16 @@ class Signal:
             raise NoSampleError(f"no sample at t={to_seconds(t)} s")
         return i
 
+    def row(self, index: int) -> Mapping[str, float]:
+        """The read-only state of sample ``index``, built on first use."""
+        row = self._rows[index]
+        if row is None:
+            row = self._rows[index] = MappingProxyType(self.state(index))
+        return row
+
     def value_at(self, t: TimePoint) -> Mapping[str, float]:
         """The read-only state at sample time ``t``, built on first use."""
-        i = self.index_of(t)
-        row = self._rows[i]
-        if row is None:
-            row = self._rows[i] = MappingProxyType(self.state(i))
-        return row
+        return self.row(self.index_of(t))
 
     def index_range_in(self, interval: Interval, offset: TimePoint = 0) -> tuple[int, int]:
         """Half-open index range of samples inside ``interval`` shifted by ``offset``."""
@@ -125,16 +129,6 @@ class Signal:
         upper = interval.upper + offset
         hi = bisect_right(ticks, upper) if interval.upper_closed else bisect_left(ticks, upper)
         return lo, max(lo, hi)
-
-    def times_in(self, interval: Interval, offset: TimePoint = 0) -> list[TimePoint]:
-        """Sample timestamps inside ``interval`` shifted by ``offset``, in order."""
-        lo, hi = self.index_range_in(interval, offset)
-        return self._ticks[lo:hi]
-
-    def times_between(self, start: TimePoint, stop: TimePoint) -> list[TimePoint]:
-        """Sample timestamps in the half-open window [start, stop)."""
-        ticks = self._ticks
-        return ticks[bisect_left(ticks, start) : bisect_left(ticks, stop)]
 
     def suffix(self, index: int) -> "Signal":
         return Signal(self.times[index:], {n: c[index:] for n, c in self.components.items()})

@@ -377,3 +377,65 @@ def test_monitor_and_progress_exit_codes_on_random_inputs(tmp_path, seed, comman
     elif command == "monitor" and code != 2:
         trace = read_trace_csv(path)
         assert (code == 1) == (not sat(trace, trace.t0, parse_formula(text)))
+
+
+# ---------------------------------------------------------------------------
+# Scenario config JSON: every error names the file and the field
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"name": "a", "formula": "(x > 0)", "via_points": "x"}', "field 'via_points' must be an integer, got string"),
+        ("[1, 2]", "a scenario config must be a JSON object, not array"),
+        ('{"name": "a",\n "formula": 3,\n', ":3:1: not valid JSON"),
+        ('{"name": "a", "formula": "(x > 0)", "env_start": [1, NaN]}', "field 'env_start' must be an array of 2 finite"),
+        ('{"formula": "(x > 0)"}', "scenario config lacks 'name'"),
+    ],
+)
+def test_config_errors_name_file_and_field(tmp_path, capsys, text, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        ScenarioConfig.load(path)
+    assert str(info.value).startswith(f"{path}") and message in str(info.value)
+    trace = goal_trace(tmp_path, [4.5] * 5)
+    assert main(["monitor", "(x > 0)", str(trace), "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+#: Objects with the config's own keys, so that the field checks are reached.
+_config_like = st.fixed_dictionaries(
+    {"name": st.text(max_size=4) | _json_values, "formula": st.just("(x > 0)") | _json_values},
+    optional={
+        f: _json_values | st.lists(st.floats(), min_size=2, max_size=4)
+        for f in ScenarioConfig.__dataclass_fields__
+        if f not in ("name", "formula")
+    },
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given((_json_values | _config_like).map(lambda v: json.dumps(v).encode()) | st.binary(max_size=40))
+def test_any_config_json_raises_only_value_errors(tmp_path, content):
+    """Any JSON value, or any bytes, loads or fails with a ValueError that
+    starts with the path; then the CLI exits 2 with that message."""
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    try:
+        ScenarioConfig.load(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:")
+    else:
+        return
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,x\n0.000000,1.0\n", encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(["monitor", "(x > 0)", str(trace), "--config", str(path)]) == 2
+    assert err.getvalue().startswith(f"error: {path}:")

@@ -261,6 +261,15 @@ def test_top_left_until_takes_linear_calls(monkeypatch, text, x, nodes):
     assert {name: c[0] for name, c in calls.items()} == {name: nodes * (n + 1) for name in calls}
 
 
+def _times_in(signal, interval, offset):
+    lo, hi = signal.index_range_in(interval, offset)
+    return signal.times[lo:hi].tolist()
+
+
+def _times_between(signal, start, stop):
+    return [t for t in signal.times.tolist() if start <= t < stop]
+
+
 def _head_sat(signal, t, f):
     if isinstance(f, Top):
         return True
@@ -274,9 +283,9 @@ def _head_sat(signal, t, f):
         return _head_sat(signal, t, f.left) and _head_sat(signal, t, f.right)
     if isinstance(f, Or):
         return _head_sat(signal, t, f.left) or _head_sat(signal, t, f.right)
-    for tp in signal.times_in(f.interval, offset=t):
+    for tp in _times_in(signal, f.interval, t):
         if _head_sat(signal, tp, f.right) and all(
-            _head_sat(signal, tpp, f.left) for tpp in signal.times_between(t, tp)
+            _head_sat(signal, tpp, f.left) for tpp in _times_between(signal, t, tp)
         ):
             return True
     return False
@@ -299,9 +308,9 @@ def _head_rob(signal, t, f, t_hat=None):
     if isinstance(f, Or):
         return max(_head_rob(signal, t, f.left, t_hat), _head_rob(signal, t, f.right, t_hat))
     best = -math.inf
-    for tp in signal.times_in(f.interval, offset=t):
+    for tp in _times_in(signal, f.interval, t):
         v = _head_rob(signal, tp, f.right, t_hat)
-        for tpp in signal.times_between(t, tp):
+        for tpp in _times_between(signal, t, tp):
             v = min(v, _head_rob(signal, tpp, f.left, t_hat))
         best = max(best, v)
     return best
@@ -322,9 +331,9 @@ def _head_rob_wit(signal, t, f):
     if isinstance(f, Or):
         return max(_head_rob_wit(signal, t, f.left), _head_rob_wit(signal, t, f.right), key=lambda p: p[0])
     best = (-math.inf, None)
-    for tp in signal.times_in(f.interval, offset=t):
+    for tp in _times_in(signal, f.interval, t):
         v = _head_rob_wit(signal, tp, f.right)
-        for tpp in signal.times_between(t, tp):
+        for tpp in _times_between(signal, t, tp):
             v = min(v, _head_rob_wit(signal, tpp, f.left), key=lambda p: p[0])
         best = max(best, v, key=lambda p: p[0])
     return best

@@ -51,6 +51,12 @@ def test_value_at_rows_are_read_only_and_not_shared_with_replaced():
     assert s.value_at(SEC) == {"x": -0.0, "y": 5.0}
 
 
+def test_row_is_value_at_by_index():
+    s = make_signal([0, 1, 2], x=[1.5, -0.0, 3.0])
+    for i in range(3):
+        assert s.row(i) is s.value_at(s.t(i))
+
+
 def test_concat_owns_seam_exactly_once():
     prefix = make_signal([0, 1], x=[0.0, 1.0])
     suffix = make_signal([2, 3], x=[2.0, 3.0])
@@ -71,19 +77,25 @@ def test_non_finite_components_rejected():
         Signal(np.array([0]), {"x": np.array([np.inf])})
 
 
+def times_in(s, interval, offset=0):
+    """The sample times in the window, through ``index_range_in``."""
+    lo, hi = s.index_range_in(interval, offset)
+    return s.times[lo:hi].tolist()
+
+
 def test_times_in_basic_window():
     s = make_signal([0, 1, 2, 3], x=[0, 0, 0, 0])
-    assert s.times_in(Interval(SEC, 2 * SEC)) == [SEC, 2 * SEC]
+    assert times_in(s, Interval(SEC, 2 * SEC)) == [SEC, 2 * SEC]
 
 
 def test_times_in_open_lower_bound():
     s = make_signal([0, 1, 2, 3], x=[0, 0, 0, 0])
-    assert s.times_in(Interval(SEC, 3 * SEC, False, True)) == [2 * SEC, 3 * SEC]
+    assert times_in(s, Interval(SEC, 3 * SEC, False, True)) == [2 * SEC, 3 * SEC]
 
 
 def test_times_in_no_samples_inside():
     s = make_signal([0, 1, 2, 3], x=[0, 0, 0, 0])
-    assert s.times_in(Interval(to_ticks(0.2), to_ticks(0.8))) == []
+    assert times_in(s, Interval(to_ticks(0.2), to_ticks(0.8))) == []
 
 
 def test_times_in_agrees_with_interval_membership():
@@ -95,7 +107,7 @@ def test_times_in_agrees_with_interval_membership():
         upper = lower + int(rng.integers(1, 5 * SEC))
         interval = Interval(lower, upper, bool(rng.random() < 0.5), bool(rng.random() < 0.5))
         offset = int(rng.integers(0, 2 * SEC))
-        selected = set(s.times_in(interval, offset))
+        selected = set(times_in(s, interval, offset))
         for t in times.tolist():
             assert (t in selected) == interval.contains(t - offset)
 
@@ -107,9 +119,9 @@ def test_times_in_merges_across_prefix_suffix_views():
         lower = int(rng.integers(0, 3 * SEC))
         interval = Interval(lower, lower + int(rng.integers(1, 4 * SEC)))
         offset = int(rng.integers(0, 2 * SEC))
-        whole = s.times_in(interval, offset)
+        whole = times_in(s, interval, offset)
         for k in range(len(s) - 1):
-            merged = s.prefix(k).times_in(interval, offset) + s.suffix(k + 1).times_in(interval, offset)
+            merged = times_in(s.prefix(k), interval, offset) + times_in(s.suffix(k + 1), interval, offset)
             assert merged == whole
 
 
@@ -142,17 +154,10 @@ def test_lookups_match_searchsorted_on_random_times():
             for off in (offset, np.int64(offset), float(offset), offset + 0.5):
                 lo, hi = _searchsorted_range(times, interval, off)
                 assert s.index_range_in(interval, off) == (lo, hi), (interval, off)
-                got = s.times_in(interval, off)
-                assert got == times[lo:hi].tolist() and all(type(t) is int for t in got)
-            start, stop = (int(v) for v in rng.integers(first - SEC, last + SEC, size=2))
-            for a, b in ((start, stop), (np.int64(start), np.int64(stop)), (start - 0.5, stop + 0.5)):
-                lo, hi = np.searchsorted(times, a, side="left"), np.searchsorted(times, b, side="left")
-                assert s.times_between(a, b) == times[lo:hi].tolist(), (a, b)
             # an empty window on a sample time: (a, a) open at both ends
             point = Interval(lower, lower, False, False)
             off = int(times[int(rng.integers(0, n))]) - lower
             assert s.index_range_in(point, off) == _searchsorted_range(times, point, off)
-            assert s.times_in(point, off) == []
         for k, t in enumerate(times.tolist()):
             for probe in (t, np.int64(t), float(t)):
                 assert s.index_of(probe) == k
@@ -167,9 +172,9 @@ def test_tick_lookups_follow_suffix_prefix_and_concat():
     tail = s.suffix(2)
     assert (tail.t0, tail.t_end, len(tail)) == (to_ticks(1.25), 2 * SEC, 2)
     assert tail.index_of(2 * SEC) == 1
-    assert s.prefix(1).times_in(Interval(0, 10 * SEC)) == [0, SEC // 2]
+    assert times_in(s.prefix(1), Interval(0, 10 * SEC)) == [0, SEC // 2]
     joined = s.prefix(1).concat(tail)
-    assert joined.times_between(0, 3 * SEC) == [0, SEC // 2, to_ticks(1.25), 2 * SEC]
+    assert times_in(joined, Interval(0, 3 * SEC, True, False)) == [0, SEC // 2, to_ticks(1.25), 2 * SEC]
 
 
 def test_from_samples_sorted_components():
