@@ -191,7 +191,7 @@ def _until(l: Formula, nl: int, interval: Interval, r: Formula, nr: int) -> tupl
 # Incremental monitor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonitorState:
     """A progressed formula together with the time it is anchored at.
 

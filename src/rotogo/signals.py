@@ -11,12 +11,13 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .formula import Interval, TimePoint, to_seconds, to_ticks
+from .formula import TICKS_PER_SECOND, Interval, TimePoint, to_seconds, to_ticks
 
 #: Core state components carried by every simulation trace.
 STATE_COMPONENTS = ("x", "y", "vx", "vy", "xe", "ye")
@@ -51,10 +52,12 @@ class Signal:
     grows with the samples read, not with the signal's length.  Rows are
     shared between callers and therefore read-only
     (``types.MappingProxyType``); :meth:`state` returns a fresh dict that
-    the caller may change.
+    the caller may change.  Both read one row of an ``(n, k)`` copy of the
+    components, made on the first such read: one ``tolist`` per sample
+    instead of one ``item`` call per component.
     """
 
-    __slots__ = ("times", "components", "_ticks", "_rows")
+    __slots__ = ("times", "components", "_ticks", "_rows", "_block")
 
     def __init__(self, times: np.ndarray, components: Mapping[str, np.ndarray]):
         times = np.asarray(times, dtype=np.int64)
@@ -74,6 +77,7 @@ class Signal:
         self.components = comps
         self._ticks: list[int] = times.tolist()
         self._rows: list[Optional[Mapping[str, float]]] = [None] * len(self._ticks)
+        self._block: Optional[np.ndarray] = None
 
     @classmethod
     def from_samples(cls, samples: Sequence[Sample]) -> "Signal":
@@ -99,7 +103,11 @@ class Signal:
         return self._ticks[index]
 
     def state(self, index: int) -> dict[str, float]:
-        return {name: col.item(index) for name, col in self.components.items()}
+        block = self._block
+        if block is None:
+            values = np.array(list(self.components.values()), dtype=np.float64)
+            block = self._block = values.reshape(-1, len(self._ticks)).T.copy()
+        return dict(zip(self.components, block[index].tolist()))
 
     def index_of(self, t: TimePoint) -> int:
         ticks = self._ticks
@@ -203,8 +211,15 @@ def validate_trace(trace: Signal, dt: TimePoint, dynamics, tol: float = 1e-9) ->
 
 
 # ---------------------------------------------------------------------------
-# Trace CSV format: header t,x,y,vx,vy,xe,ye[,ax,ay,w1,w2]; times in seconds
-# with six decimal places (exact in ticks); UTF-8 with LF line endings.
+# Trace CSV format.  write_trace_csv writes the header
+# t,x,y,vx,vy,xe,ye[,ax,ay,w1,w2], times in seconds with six decimal places
+# (exact in ticks) and components as repr() floats, UTF-8 with LF line
+# endings.  read_trace_csv accepts more: see its docstring.
+
+#: Characters per block of lines that the plain-text reader parses at once.
+#: Small enough that one block's cell strings, all alive at once, stay a
+#: small share of a short-lived monitoring process.
+_BLOCK_CHARS = 1 << 14
 
 
 def write_trace_csv(trace: Signal, path) -> None:
@@ -221,7 +236,37 @@ def write_trace_csv(trace: Signal, path) -> None:
 
 
 def read_trace_csv(path) -> Signal:
+    """The signal in the trace CSV at ``path``.
+
+    The file is UTF-8 text in the csv module's default (Excel) dialect, so
+    cells may be quoted and lines may end in LF or CRLF.  The header names
+    the columns: ``t`` first, then the components, each once, in any order
+    and under any name.  Every other non-blank line is one sample with one
+    cell per column.  A cell is whatever Python's ``float`` reads (so
+    ``" 1.5"``, ``"1_0"`` and ``"1e-7"`` are numbers); times are in seconds,
+    rounded to the nearest tick, and must increase strictly; components must
+    be finite.  Column names are not checked against
+    :data:`STATE_COMPONENTS`; callers check the columns they read.
+
+    Plain text, with no quote, CR or NUL and no line longer than
+    ``csv.field_size_limit()``, is parsed in blocks of lines, where
+    ``line.split(",")`` gives exactly the csv module's cells.  Any other
+    file, and any file the block parser refuses, is read again row by row
+    with ``csv.reader``, which gives the same signal or raises the error.
+
+    Raises ``ValueError`` naming the file, and the line where there is one,
+    for: a missing ``t`` column, a repeated column name, a row of the wrong
+    width, a cell that is not a number, a time out of the tick range, a
+    non-finite component, a time not after the previous sample's, a field
+    over the csv module's size limit, text that is not UTF-8, and a file
+    with no samples.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
+        plain = _read_plain(fh)
+        if plain is not None:
+            names, times, values = plain
+            return Signal(times, dict(zip(names, values)))
+        fh.seek(0)
         reader = csv.reader(fh)
         try:
             names, times, cells, lines = _read_rows(reader, path)
@@ -243,12 +288,63 @@ def read_trace_csv(path) -> Signal:
         i = int(np.flatnonzero(bad.any(axis=0))[0])
         k = int(np.flatnonzero(bad[:, i])[0])
         raise ValueError(f"{path}:{lines[i]}: {names[k]} is {float(values[k, i])!r}, not a finite number")
-    stalled = np.flatnonzero(np.diff(times) <= 0)
+    # Neighbours compared, not differenced: a difference of int64 times can wrap.
+    stalled = np.flatnonzero(times[1:] <= times[:-1])
     if stalled.size:
         i = int(stalled[0]) + 1
         t, before = to_seconds(int(times[i])), to_seconds(int(times[i - 1]))
         raise ValueError(f"{path}:{lines[i]}: time {t!r} s is not after the previous sample's {before!r} s")
     return Signal(times, dict(zip(names, values)))
+
+
+def _read_plain(fh) -> Optional[tuple]:
+    """The component names, tick times and ``(k, n)`` component values of
+    the plain-text trace CSV open as ``fh``, or None where the text is not
+    plain or is not a valid trace; the caller then reads the file again
+    with :func:`_read_rows`, which says what is wrong and where.
+
+    The cells are those of ``csv.reader``: without quotes and CRs, a
+    non-blank line's cells are its ``split(",")``.  A last cell keeps its
+    line's LF, which ``float`` strips like any surrounding whitespace.
+    """
+    limit = csv.field_size_limit()
+    header = None
+    blocks = []
+    try:  # a cell that is not a number, or bytes that are not UTF-8
+        while lines := fh.readlines(_BLOCK_CHARS):
+            text = "".join(lines)
+            if '"' in text or "\r" in text or "\0" in text:
+                return None
+            if len(text) > limit and max(map(len, lines)) > limit:
+                return None
+            if header is None:
+                header = lines.pop(0).removesuffix("\n").split(",")
+                if header[0] != "t" or len(set(header)) < len(header):
+                    return None
+            width = len(header)
+            rows = [line.split(",") for line in lines if line != "\n"]
+            if set(map(len, rows)) - {width}:
+                return None
+            blocks.append(np.fromiter(map(float, chain.from_iterable(rows)), np.float64, len(rows) * width))
+    except ValueError:
+        return None
+    if not blocks:
+        return None
+    flat = np.concatenate(blocks)
+    del blocks  # before the transposed copy, so that it can take their memory
+    table = flat.reshape(-1, width).T.copy()
+    if table.shape[1] == 0 or not np.isfinite(table).all():
+        return None
+    # round(s * TICKS_PER_SECOND), as to_ticks computes it: the same IEEE
+    # multiply, and rint rounds half to even as round does.  The range test
+    # also refuses the infinite products of huge finite times.
+    ticks = np.rint(table[0] * TICKS_PER_SECOND)
+    if not ((ticks >= -(2.0**63)) & (ticks < 2.0**63)).all():
+        return None
+    times = ticks.astype(np.int64)
+    if not (times[1:] > times[:-1]).all():
+        return None
+    return header[1:], times, table[1:]
 
 
 def _read_rows(reader, path) -> tuple:

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -275,6 +276,29 @@ def test_progress_prints_each_step(tmp_path, capsys):
     assert out[0].startswith("t=0:")
     assert out[2] == "t=0.2: true"
     assert out[-1].endswith("satisfied")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["monitor", "G[0,1] (x > 0.5) & F[0,2] (vx > 0.1)", "--rotogo-from", "0.7"], ["progress", "F[0,0.4] (x > 4)"]],
+    ids=["monitor", "progress"],
+)
+def test_quoted_crlf_trace_reads_as_the_plain_one(tmp_path, capsys, args):
+    """A quoted CRLF copy of a trace takes the csv module's row scanner and
+    the plain file the block parser; the commands print the same."""
+    plain = goal_trace(tmp_path, [1.0, 2.5, 4.5, 5.0, 3.0, 0.25, -0.0, 1e-310])
+    quoted = tmp_path / "quoted.csv"
+    with open(plain, encoding="utf-8", newline="") as src, open(quoted, "w", encoding="utf-8", newline="") as dst:
+        csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(src))
+    assert quoted.read_bytes().startswith(b'"t","x",') and b"\r\n" in quoted.read_bytes()
+    outputs = []
+    for path in (plain, quoted):
+        code = main([args[0], args[1], str(path), *args[2:]])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append((code, captured.out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count("\n") >= 3
 
 
 def test_run_writes_trace_and_summary(tmp_path, capsys):

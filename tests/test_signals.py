@@ -1,4 +1,6 @@
+import csv
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rotogo.dynamics import DoubleIntegrator
-from rotogo.formula import Interval, to_ticks
+from rotogo.formula import Interval, to_seconds, to_ticks
 from rotogo.signals import (
     NoSampleError,
     Sample,
     Signal,
+    _read_plain,
     read_trace_csv,
     validate_trace,
     write_trace_csv,
@@ -177,6 +180,43 @@ def test_tick_lookups_follow_suffix_prefix_and_concat():
     assert times_in(joined, Interval(0, 3 * SEC, True, False)) == [0, SEC // 2, to_ticks(1.25), 2 * SEC]
 
 
+#: Values whose bits a conversion could lose: signed zeros, subnormals and
+#: the extremes.
+_EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, -2.5e-320)
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+def test_state_and_row_are_the_component_items():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(0, 5))  # k = 0: no components
+        names = [str(name) for name in rng.permutation(list("abcdefg"))[:k]]
+        comps = {}
+        for name in names:
+            col = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+            edge = rng.random(n) < 0.3
+            col[edge] = rng.choice(_EDGE_VALUES, size=int(edge.sum()))
+            comps[name] = col
+        s = Signal(np.arange(n, dtype=np.int64) * SEC, comps)
+        views = [s]
+        if n > 1:
+            views.append(s.suffix(1))
+        if names:
+            s.state(0)  # the block of ``s`` exists before ``replaced`` copies it
+            views.append(s.replaced(n - 1, {names[0]: -0.0}))
+        for view in views:
+            for i in range(len(view)):
+                expected = {name: col.item(i) for name, col in view.components.items()}
+                for got in (view.state(i), view.row(i)):
+                    assert list(got) == list(expected)
+                    assert _bits(got.values()) == _bits(expected.values())
+        if names:
+            assert math.copysign(1.0, views[-1].state(n - 1)[names[0]]) == -1.0
+
+
 def test_from_samples_sorted_components():
     s = Signal.from_samples([Sample(0, {"x": 1.0, "y": 2.0}), Sample(SEC, {"x": 3.0, "y": 4.0})])
     assert s.state(1) == {"x": 3.0, "y": 4.0}
@@ -256,6 +296,43 @@ def test_trace_csv_times_have_six_decimals(tmp_path):
     assert first_data.startswith("0.000000,")
 
 
+def test_time_jump_that_wraps_int64_is_positioned(tmp_path):
+    # The difference of these tick times wraps in int64 and reads positive.
+    path = tmp_path / "wrap.csv"
+    path.write_text("t,x\n9000000000000,1\n-9000000000000,2\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_trace_csv(path)
+    assert str(info.value) == (
+        f"{path}:3: time -9000000000000.0 s is not after the previous sample's 9000000000000.0 s"
+    )
+
+
+def _benchmark_trace_text(rng, n):
+    """A trace in the format of the benchmark's monitoring workload."""
+    cols = {name: rng.normal(size=n) for name in ("x", "y", "vx", "vy", "xe", "ye")}
+    lines = ["t," + ",".join(cols)]
+    for i in range(n):
+        lines.append(f"{i * 0.1:.6f}," + ",".join(repr(float(c[i])) for c in cols.values()))
+    return "\n".join(lines) + "\n"
+
+
+def test_plain_traces_take_the_block_parser(tmp_path):
+    """The files this package and its benchmark write are parsed in blocks;
+    a silent fallback to the row scanner would pass every other test."""
+    trace, _ = build_trace()
+    written = tmp_path / "written.csv"
+    write_trace_csv(trace, written)
+    rng = np.random.default_rng(3)
+    paths = [written]
+    for n in (1, 201, 2001):  # one sample, one block, many blocks
+        paths.append(tmp_path / f"bench{n}.csv")
+        paths[-1].write_text(_benchmark_trace_text(rng, n), encoding="utf-8")
+    for path in paths:
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert _read_plain(fh) is not None, path.name
+        assert _outcome(read_trace_csv, path) == _outcome(_reference_read_trace_csv, path), path.name
+
+
 def test_oversized_field_and_invalid_utf8_are_value_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text('t,x\n0.0,"' + "1" * 200_000 + '"\n', encoding="utf-8")
@@ -278,13 +355,130 @@ _csv_bytes = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_csv_bytes)
-def test_any_trace_csv_bytes_raise_only_value_errors(tmp_path, data):
-    path = tmp_path / "fuzz.csv"
-    path.write_bytes(data)
+# ---------------------------------------------------------------------------
+# The block parser against the row-by-row reader
+
+
+def _reference_read_trace_csv(path) -> Signal:
+    """The reader before plain text was parsed in blocks: ``csv.reader``
+    row by row, every cell through ``float``, whole-column checks after.
+    Stalled times are found by comparing neighbours, as the package does
+    since a difference of int64 times was found to wrap."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if not header or header[0] != "t":
+                raise ValueError(f"{path}: not a trace CSV (missing 't' column)")
+            seen = set()
+            for name in header:
+                if name in seen:
+                    raise ValueError(f"{path}:{reader.line_num}: column {name!r} appears twice")
+                seen.add(name)
+            names, width = header[1:], len(header)
+            times, cells, lines = [], array("d"), array("q")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, the header has {width}")
+                try:
+                    times.append(to_ticks(float(row[0])))
+                    cells.extend(map(float, row[1:]))
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                lines.append(reader.line_num)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not times:
+        raise ValueError(f"{path}: trace contains no samples")
     try:
-        trace = read_trace_csv(path)
-    except ValueError:
-        return
-    assert len(trace) >= 1 and (np.diff(trace.times) > 0).all()
+        times = np.array(times, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, t in enumerate(times) if not -(2**63) <= t < 2**63)
+        raise ValueError(f"{path}:{lines[i]}: time {to_seconds(times[i])!r} s is out of range") from None
+    values = np.frombuffer(cells, dtype=np.float64).reshape(len(times), len(names)).T.copy()
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        k = int(np.flatnonzero(bad[:, i])[0])
+        raise ValueError(f"{path}:{lines[i]}: {names[k]} is {float(values[k, i])!r}, not a finite number")
+    stalled = np.flatnonzero(times[1:] <= times[:-1])
+    if stalled.size:
+        i = int(stalled[0]) + 1
+        t, before = to_seconds(int(times[i])), to_seconds(int(times[i - 1]))
+        raise ValueError(f"{path}:{lines[i]}: time {t!r} s is not after the previous sample's {before!r} s")
+    return Signal(times, dict(zip(names, values)))
+
+
+def _outcome(read, path):
+    """The times and component bytes ``read`` gets from ``path``, or its
+    error message."""
+    try:
+        s = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return s.times.tobytes(), [(name, col.tobytes()) for name, col in s.components.items()]
+
+
+#: One cell of a plain-text trace, in spellings ``float`` reads as finite
+#: numbers, and then also in others.
+_number_cells = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: "%.3e" % v),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from([" 1.5", "1_0", "-0.0", "5e-324", "1e300", "\u0661"]),
+)
+_plain_cells = _number_cells | st.floats().map(repr) | st.sampled_from(["inf", "nan", "1e400", "", "x", " ", "1" * 30])
+
+
+#: True about one time in sixteen: a value inside the range, as hypothesis
+#: draws the bounds of a range more often than the rest.
+_rarely = st.integers(0, 15).map(lambda v: v == 7)
+
+
+@st.composite
+def _plain_traces(draw):
+    """Plain-text trace CSVs: increasing times in most, cells of every
+    spelling, blank lines, rows of the wrong width, and a missing final LF."""
+    names = draw(st.lists(st.sampled_from(["x", "y", "vx"]), max_size=3, unique=True))
+    if draw(_rarely):
+        names.append(draw(st.sampled_from(["t", "x", " y"])))
+    lines = [",".join(["t", *names])]
+    cell = draw(st.sampled_from([_number_cells, _plain_cells]))
+    time = draw(st.integers(-5, 5))
+    for _ in range(draw(st.sampled_from(range(9)))):
+        time += draw(st.sampled_from([-1, 0] if draw(_rarely) else [1, 2]))
+        if not draw(_rarely):
+            first = draw(st.sampled_from([f"{time * 0.1:.6f}", repr(time / 7), str(time), f"{time * 1e12:.1f}"]))
+        else:
+            first = draw(cell)
+        cells = [first, *(draw(cell) for _ in names)]
+        if draw(_rarely):
+            cells = cells[:-1] if len(cells) > 1 and draw(st.booleans()) else [*cells, "0"]
+        lines.append(",".join(cells))
+        if draw(_rarely):
+            lines.append("")
+    text = "\n".join(lines)
+    if not draw(_rarely):
+        text += "\n"
+    return text.encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_bytes | _plain_traces(), st.sampled_from([None, 24]))
+def test_any_trace_csv_bytes_read_as_row_by_row(tmp_path, data, field_limit):
+    """Any bytes give the row-by-row reader's signal, bit for bit, or raise
+    its ValueError, message for message.  A small field limit puts some
+    lines over it."""
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    old_limit = csv.field_size_limit()
+    if field_limit is not None:
+        csv.field_size_limit(field_limit)
+    try:
+        assert _outcome(read_trace_csv, path) == _outcome(_reference_read_trace_csv, path)
+    finally:
+        csv.field_size_limit(old_limit)
