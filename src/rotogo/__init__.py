@@ -23,8 +23,8 @@ _EXPORTS = {
         "to_seconds", "to_ticks",
     ),
     "parser": ("ParseError", "format_formula", "parse_formula"),
-    "signals": ("Sample", "Signal", "read_trace_csv", "validate_trace", "write_trace_csv"),
-    "semantics": ("robustness", "rotogo", "sat", "sign_consistency_check"),
+    "signals": ("Signal", "read_trace_csv", "validate_trace", "write_trace_csv"),
+    "semantics": ("robustness", "rotogo", "sat"),
     "progression": (
         "MonitorState", "monitor_step", "progress", "rotogo_via_progression", "simplify",
         "start_monitor",

@@ -54,9 +54,12 @@ class BenchResult:
 def run_bench(spec: BenchSpec) -> BenchResult:
     """Run all episodes for every requested mode and write output files.
 
-    Episode failures are recorded and skipped, never abort the batch.
-    Results are collected in episode order regardless of worker scheduling.
+    An invalid scenario raises ValueError before any episode runs or any
+    file is written.  Episode failures are recorded and skipped, never abort
+    the batch.  Results are collected in episode order regardless of worker
+    scheduling.
     """
+    spec.scenario.validate()
     out = BenchResult(stats=[], results={}, failures={})
     jsonl_rows: list[dict] = []
     for mode in spec.modes:

@@ -21,7 +21,7 @@ from pathlib import Path
 # Module-level imports are what ``monitor`` and ``progress`` use (the
 # argument parser's scenario and mode choices included); the other
 # commands import the planner, MPC and benchmark modules when they run.
-from .formula import Formula, expr_variables, formula_predicates, to_seconds, to_ticks
+from .formula import Formula, expr_variables, formula_predicates, node_count, to_seconds, to_ticks
 from .parser import format_formula, parse_formula
 from .progression import monitor_step, start_monitor
 from .scenarios import BUILTIN_SCENARIOS, MODES, ScenarioConfig, get_scenario
@@ -98,50 +98,33 @@ def cmd_progress(args) -> int:
 def cmd_plan(args) -> int:
     import numpy as np
 
-    from .cmaes import CmaesConfig, cmaes_minimize
     from .dynamics import EnvState, RobotState
     from .fasteval import Program
-    from .planning import PlanningProblem, rollout_arrays
+    from .mpc import mission_times, observation, replan
+    from .planning import rollout_arrays
 
     cfg = _load_scenario(args)
     f = cfg.validate()
     robot = RobotState(*cfg.robot_start)
     env = EnvState(*cfg.env_start)
-    duration = cfg.mission_horizon
-    hz = 1.0 / cfg.trace_period
-    start_pos = np.array([robot.x, robot.y])
-    start_vel = np.array([robot.vx, robot.vy])
-    n_samples = to_ticks(cfg.mission_horizon) // to_ticks(cfg.trace_period) + 1
-    eval_times = np.arange(n_samples, dtype=np.int64) * to_ticks(cfg.trace_period)
     # The scored signal starts at the initial state, which every candidate shares.
-    start = {"x": robot.x, "y": robot.y, "vx": robot.vx, "vy": robot.vy, "xe": env.xe, "ye": env.ye}
-    problem = PlanningProblem(
-        Program(eval_times, f, 1), start_pos, start_vel, (env.xe, env.ye), duration, hz, cfg.via_points,
-        cfg.limits(), cfg.workspace_box(), prefix={name: [value] for name, value in start.items()},
-    )
-
-    config = CmaesConfig(
-        population_size=cfg.population_size,
-        initial_step_size=cfg.initial_step_size,
-        warm_start_step_size=cfg.warm_start_step_size,
-        max_iterations=cfg.first_attempt_iterations,
-        seed=cfg.seed,
-    )
-    result = cmaes_minimize(np.tile(start_pos, cfg.via_points), config, batch_objective=problem.cost)
-    best = result.best_x.reshape(cfg.via_points, 2)
+    start = {name: [value] for name, value in observation(robot, env).items()}
+    objective = Program(mission_times(cfg), f, 1)
+    plan, record = replan(cfg, objective, node_count(f), start, robot, env, 0, seed=cfg.seed)
     print(f"scenario: {cfg.name}")
-    print(f"cost: {result.best_value!r}")
-    if abs(result.best_value) < 1e7:
-        print(f"robustness: {_fmt_value(-result.best_value)}")
+    print(f"cost: {record.cost!r}")
+    if abs(record.cost) < 1e7:
+        print(f"robustness: {_fmt_value(-record.cost)}")
     else:
         print("robustness: plan dominated by penalties")
     print("via points:")
-    for j, (x, y) in enumerate(best, 1):
+    for j, (x, y) in enumerate(plan.via, 1):
         print(f"  {j}: ({x:.4f}, {y:.4f})")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        times, pos, vel, acc = rollout_arrays(best, start_pos, start_vel, duration, hz)
+        hz = 1.0 / cfg.trace_period
+        times, pos, vel, acc = rollout_arrays(plan.via, plan.start_pos, plan.start_vel, plan.duration, hz)
         path = out / f"{cfg.name}_plan.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,x,y,vx,vy,ax,ay\n")

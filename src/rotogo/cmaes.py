@@ -19,15 +19,14 @@ import numpy as np
 class CmaesConfig:
     population_size: int = 25
     initial_step_size: float = math.sqrt(10.0)
-    warm_start_step_size: float = math.sqrt(5.0)
     max_iterations: int = 20
     seed: int = 0
 
     def __post_init__(self):
         if self.population_size < 4:
             raise ValueError("population_size must be >= 4")
-        if self.initial_step_size <= 0 or self.warm_start_step_size <= 0:
-            raise ValueError("step sizes must be positive")
+        if not self.initial_step_size > 0:
+            raise ValueError("initial_step_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class ObjectiveError(RuntimeError):
 def cmaes_minimize(
     x0: Sequence[float],
     config: CmaesConfig,
-    step_size: Optional[float] = None,
     *,
     batch_objective: Callable[[np.ndarray], np.ndarray],
     inject: Optional[np.ndarray] = None,
@@ -78,7 +76,7 @@ def cmaes_minimize(
     if mean.ndim != 1 or mean.size < 1:
         raise ValueError("x0 must be a nonempty vector")
     n = mean.size
-    sigma = float(step_size if step_size is not None else config.initial_step_size)
+    sigma = float(config.initial_step_size)
     lam = config.population_size
     rng = np.random.default_rng(np.random.PCG64(config.seed))
 

@@ -13,8 +13,8 @@ minimum of the left operand along.
 There is one evaluator, :class:`Program`: the robustness at the samples
 [0, width) of a time grid, split into compile and run.  Monitoring asks for
 every sample (:func:`eval_robustness_arrays`, width n); the planner asks
-for the first sample of every candidate (:func:`eval_robustness_start` and
-:class:`~rotogo.planning.PlanningProblem`, width 1).  Compiling asks each
+for the first sample of every candidate
+(:class:`~rotogo.planning.PlanningProblem`, width 1).  Compiling asks each
 node, top-down, for the contiguous index range its parent needs
 (robustness over the index ranges a query needs, as in Donze, Ferrere and
 Maler, "Efficient Robust Monitoring for STL", CAV 2013), so an eventually
@@ -111,22 +111,6 @@ def eval_robustness_arrays(
     candidate b at sample j.
     """
     return Program(times, f, len(times)).run(components, counter)
-
-
-def eval_robustness_start(
-    times: np.ndarray,
-    components: dict[str, np.ndarray],
-    f: Formula,
-    counter: TouchCounter | None = None,
-) -> np.ndarray:
-    """Robustness of ``f`` at the first sample of every candidate; shape (B,).
-
-    Takes the arguments of :func:`eval_robustness_arrays` and returns its
-    first column, computing only the index ranges that column depends on.
-    Callers that score many populations against one formula and one time
-    grid compile a width-1 :class:`Program` once instead.
-    """
-    return Program(times, f, 1).run(components, counter)[:, 0]
 
 
 class Program:

@@ -124,7 +124,11 @@ def batch_stats(results: list[RunResult]) -> StatsRow:
 
 
 @dataclass
-class _ActivePlan:
+class Plan:
+    """A replan's chosen via points, from ``start_pos``/``start_vel`` at
+    ``start_tick`` over ``duration`` seconds, and their accelerations on
+    the trace grid."""
+
     start_tick: int
     acc: np.ndarray  # (L, 2) accelerations on the trace grid
     via: np.ndarray
@@ -151,6 +155,17 @@ class _ActivePlan:
         return spline_positions(self.via, self.start_pos, self.start_vel, self.duration, local)
 
 
+def mission_times(cfg: ScenarioConfig) -> np.ndarray:
+    """The scenario's trace grid: int64 ticks from 0 to the mission end."""
+    trace_dt = to_ticks(cfg.trace_period)
+    return np.arange(to_ticks(cfg.mission_horizon) // trace_dt + 1, dtype=np.int64) * trace_dt
+
+
+def observation(robot: RobotState, env: EnvState) -> dict[str, float]:
+    """One trace sample's state components."""
+    return {"x": robot.x, "y": robot.y, "vx": robot.vx, "vy": robot.vy, "xe": env.xe, "ye": env.ye}
+
+
 def mpc_run(cfg: ScenarioConfig) -> RunResult:
     """Run one episode of the configured scenario."""
     f0 = cfg.validate()
@@ -158,7 +173,8 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     replan_dt = to_ticks(cfg.replan_period)
     env_dt = to_ticks(cfg.env_step_period)
     mission_end = to_ticks(cfg.mission_horizon)
-    n_samples = mission_end // trace_dt + 1
+    times = mission_times(cfg)
+    n_samples = len(times)
     micro_per_step = trace_dt // env_dt
 
     env_ss, opt_ss = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -171,11 +187,7 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     # Only rotogo mode scores the progressed formula, so only it progresses.
     progressing = cfg.objective_mode == "rotogo"
     monitor = start_monitor(f0, 0)
-    limits = cfg.limits()
-    workspace = cfg.workspace_box()
-    hz = 1.0 / cfg.trace_period
 
-    times = np.arange(n_samples, dtype=np.int64) * trace_dt
     cols = {n: np.zeros(n_samples) for n in ("x", "y", "vx", "vy", "xe", "ye", "ax", "ay", "w1", "w2")}
     # The robustness of f0 at mission start over the whole mission: the
     # objective of every robustness-mode replan and the episode's final
@@ -183,20 +195,13 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     scored = Program(times, f0, 1)
     scored_nodes = node_count(f0)
 
-    active: Optional[_ActivePlan] = None
+    active: Optional[Plan] = None
     prev_rho = NEG_INF
     replans: list[ReplanRecord] = []
 
     for i in range(n_samples):
         t_i = int(times[i])
-        obs = {
-            "x": robot.x,
-            "y": robot.y,
-            "vx": robot.vx,
-            "vy": robot.vy,
-            "xe": env.xe,
-            "ye": env.ye,
-        }
+        obs = observation(robot, env)
         if progressing and i < n_samples - 1:
             monitor = monitor_step(monitor, t_i + trace_dt, obs)
 
@@ -211,16 +216,12 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
                 # shared by all candidates, then each candidate's suffix.
                 objective, nodes = scored, scored_nodes
                 prefix = {name: np.append(cols[name][:i], value) for name, value in obs.items()}
-            warm = prev_rho > 0 and active is not None
-            plan, record = _replan(
-                cfg, objective, nodes, prefix, robot, env, t_i, mission_end, hz,
-                limits, workspace,
+            active, record = replan(
+                cfg, objective, nodes, prefix, robot, env, t_i,
                 mean_via=active.resampled_via(t_i, cfg.via_points, mission_end) if active is not None else None,
-                warm=warm,
+                warm=prev_rho > 0 and active is not None,
                 seed=int(opt_seeds.integers(0, 2**63)),
-                index=i,
             )
-            active = plan
             prev_rho = record.objective_robustness
             replans.append(record)
 
@@ -251,7 +252,7 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     )
 
 
-def _replan(
+def replan(
     cfg: ScenarioConfig,
     objective: Program,
     formula_nodes: int,
@@ -259,27 +260,31 @@ def _replan(
     robot: RobotState,
     env: EnvState,
     t_i: int,
-    mission_end: int,
-    hz: float,
-    limits,
-    workspace,
-    mean_via: Optional[np.ndarray],
-    warm: bool,
+    *,
+    mean_via: Optional[np.ndarray] = None,
+    warm: bool = False,
     seed: int,
-    index: int,
-):
-    """One CMA-ES replan at sample ``index``: the candidates are scored by
-    ``objective``, a width-1 program of ``formula_nodes`` formula nodes,
-    after the executed ``prefix`` (none in rotogo mode)."""
-    duration = to_seconds(mission_end - t_i)
+) -> tuple[Plan, ReplanRecord]:
+    """One CMA-ES plan from ``robot`` at tick ``t_i`` to the mission end.
+
+    The candidates are scored by ``objective``, a width-1 program of
+    ``formula_nodes`` formula nodes, after the executed ``prefix`` (none
+    when the program scores the suffix alone, as in rotogo mode).  Without
+    ``mean_via`` the search starts at the robot's position and runs
+    ``first_attempt_iterations`` generations; with it, the search starts
+    there, keeps it as a candidate and runs ``cmaes_iterations``.
+    ``rotogo plan`` is the call at t = 0 with the initial state as prefix.
+    """
+    duration = to_seconds(to_ticks(cfg.mission_horizon) - t_i)
+    hz = 1.0 / cfg.trace_period
+    limits = cfg.limits()
     n_via = cfg.via_points
     start_pos = np.array([robot.x, robot.y])
     start_vel = np.array([robot.vx, robot.vy])
-    lam = cfg.population_size
     counter = TouchCounter()
     problem = PlanningProblem(
         objective, start_pos, start_vel, (env.xe, env.ye), duration, hz, n_via,
-        limits, workspace, prefix=prefix, counter=counter,
+        limits, cfg.workspace_box(), prefix=prefix, counter=counter,
     )
 
     # The previous plan's via points seed the search mean whenever one
@@ -290,18 +295,17 @@ def _replan(
     # Under the shrinking horizon the reachable disc contracts; sampling via
     # points beyond it only buys limit penalties, so cap the step size by the
     # distance the robot could still cover.  At full horizon the cap is
-    # inactive and the configured step sizes apply unchanged.
+    # inactive for the built-in scenarios and the configured step sizes
+    # apply unchanged.
     sigma = max(min(sigma, 0.5 * limits.v_max * duration), 1e-3)
     config = CmaesConfig(
-        population_size=lam,
-        initial_step_size=cfg.initial_step_size,
-        warm_start_step_size=cfg.warm_start_step_size,
+        population_size=cfg.population_size,
+        initial_step_size=sigma,
         max_iterations=cfg.cmaes_iterations if mean_via is not None else cfg.first_attempt_iterations,
         seed=seed,
     )
     result = cmaes_minimize(
-        x0, config, step_size=sigma, batch_objective=problem.cost,
-        inject=x0 if mean_via is not None else None,
+        x0, config, batch_objective=problem.cost, inject=x0 if mean_via is not None else None,
     )
 
     best_via = result.best_x.reshape(n_via, 2)
@@ -310,12 +314,12 @@ def _replan(
     _, pos, vel, acc = rollout_arrays(best_via, start_pos, start_vel, duration, hz)
     best_rho = float(problem.robustness(pos.T[:, np.newaxis], vel.T[:, np.newaxis])[0])
 
-    plan = _ActivePlan(
+    plan = Plan(
         start_tick=t_i, acc=acc, via=best_via, duration=duration,
         start_pos=start_pos, start_vel=start_vel,
     )
     record = ReplanRecord(
-        index=index,
+        index=t_i // to_ticks(cfg.trace_period),
         time=to_seconds(t_i),
         robot=(robot.x, robot.y, robot.vx, robot.vy),
         env=(env.xe, env.ye),
@@ -328,4 +332,3 @@ def _replan(
         warm_started=warm,
     )
     return plan, record
-

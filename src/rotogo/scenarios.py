@@ -91,6 +91,11 @@ class ScenarioConfig:
             raise ValueError("mission_horizon must be a multiple of trace_period")
         if trace_dt % to_ticks(self.env_step_period) != 0:
             raise ValueError("trace_period must be a multiple of env_step_period")
+        if self.population_size < 4:
+            raise ValueError("population_size must be >= 4")
+        for name in ("initial_step_size", "warm_start_step_size"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         return f
 
     def with_mode(self, mode: str) -> "ScenarioConfig":

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .formula import And, Formula, Interval, Not, Or, Top, Until, formula_predicates, to_ticks
-from .fasteval import eval_robustness_all, eval_robustness_start
+from .fasteval import Program, eval_robustness_all
 from .parser import format_formula
 from .progression import progress, simplify
 from .semantics import robustness, robustness_witness, rotogo, sat
@@ -377,7 +377,7 @@ def _prop_fast_matches_reference(rng, cases: int, progress_fn) -> PropertyReport
         table = eval_robustness_all(s, f)
         # The planner's start-only evaluation must reproduce the table's
         # first value; it rides along with the instance's index-0 case.
-        start = float(eval_robustness_start(s.times, {n: c[np.newaxis] for n, c in s.components.items()}, f)[0])
+        start = float(Program(s.times, f, 1).run({n: c[np.newaxis] for n, c in s.components.items()})[0, 0])
         for j in range(len(s)):
             if done >= cases:
                 break

@@ -171,16 +171,6 @@ def _rtg(signal: Signal, i: int, t_hat: TimePoint, f: Formula) -> float:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def sign_consistency_check(signal: Signal, f: Formula, t_hat: TimePoint) -> bool:
-    """Satisfaction at the first sample agrees with positive robustness-to-go.
-
-    This must hold for every signal, formula, and cut time; the randomized
-    self-test suite exercises it across the generated corpus.
-    """
-    t0 = signal.t0
-    return (rotogo(signal, t0, t_hat, f) > 0) == sat(signal, t0, f)
-
-
 # ---------------------------------------------------------------------------
 # Witness-reporting robustness
 #

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -28,12 +28,6 @@ EXTRA_COMPONENTS = ("ax", "ay", "w1", "w2")
 
 class NoSampleError(ValueError):
     """Raised when a signal is queried at a non-sample time."""
-
-
-@dataclass(frozen=True)
-class Sample:
-    t: TimePoint
-    state: Mapping[str, float]
 
 
 class Signal:
@@ -78,15 +72,6 @@ class Signal:
         self._ticks: list[int] = times.tolist()
         self._rows: list[Optional[Mapping[str, float]]] = [None] * len(self._ticks)
         self._block: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[Sample]) -> "Signal":
-        if not samples:
-            raise ValueError("a signal needs at least one sample")
-        names = sorted(samples[0].state)
-        times = np.array([s.t for s in samples], dtype=np.int64)
-        comps = {n: np.array([s.state[n] for s in samples]) for n in names}
-        return cls(times, comps)
 
     def __len__(self) -> int:
         return len(self._ticks)
@@ -264,8 +249,7 @@ def read_trace_csv(path) -> Signal:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         plain = _read_plain(fh)
         if plain is not None:
-            names, times, values = plain
-            return Signal(times, dict(zip(names, values)))
+            return plain
         fh.seek(0)
         reader = csv.reader(fh)
         try:
@@ -297,11 +281,11 @@ def read_trace_csv(path) -> Signal:
     return Signal(times, dict(zip(names, values)))
 
 
-def _read_plain(fh) -> Optional[tuple]:
-    """The component names, tick times and ``(k, n)`` component values of
-    the plain-text trace CSV open as ``fh``, or None where the text is not
-    plain or is not a valid trace; the caller then reads the file again
-    with :func:`_read_rows`, which says what is wrong and where.
+def _read_plain(fh) -> Optional[Signal]:
+    """The signal in the plain-text trace CSV open as ``fh``, or None where
+    the text is not plain or is not a valid trace; the caller then reads
+    the file again with :func:`_read_rows`, which says what is wrong and
+    where.
 
     The cells are those of ``csv.reader``: without quotes and CRs, a
     non-blank line's cells are its ``split(",")``.  A last cell keeps its
@@ -333,18 +317,17 @@ def _read_plain(fh) -> Optional[tuple]:
     flat = np.concatenate(blocks)
     del blocks  # before the transposed copy, so that it can take their memory
     table = flat.reshape(-1, width).T.copy()
-    if table.shape[1] == 0 or not np.isfinite(table).all():
-        return None
     # round(s * TICKS_PER_SECOND), as to_ticks computes it: the same IEEE
     # multiply, and rint rounds half to even as round does.  The range test
-    # also refuses the infinite products of huge finite times.
+    # also refuses infinite and NaN times and the infinite products of huge
+    # finite times.
     ticks = np.rint(table[0] * TICKS_PER_SECOND)
     if not ((ticks >= -(2.0**63)) & (ticks < 2.0**63)).all():
         return None
-    times = ticks.astype(np.int64)
-    if not (times[1:] > times[:-1]).all():
+    try:  # no samples, a non-finite component, or a time not after the last
+        return Signal(ticks.astype(np.int64), dict(zip(header[1:], table[1:])))
+    except ValueError:
         return None
-    return header[1:], times, table[1:]
 
 
 def _read_rows(reader, path) -> tuple:

@@ -325,6 +325,29 @@ def test_bench_cli_runs(tmp_path, capsys):
     assert "success_rate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"formula": "F[0,1] (x >"}, "1:12: expected a value"),
+        ({"population_size": 3}, "population_size must be >= 4"),
+        ({"warm_start_step_size": -1.0}, "warm_start_step_size must be positive"),
+    ],
+)
+def test_invalid_scenario_exits_two_before_any_output(tmp_path, capsys, overrides, message):
+    """An invalid scenario is an error before any episode: ``bench`` exits 2
+    and writes no output directory, ``run`` and ``plan`` exit 2 too."""
+    cfg_path = tmp_path / "cfg.json"
+    tiny_scenario(**overrides).save(cfg_path)
+    out_dir = tmp_path / "out"
+    for command in (["bench", "--episodes", "1"], ["run"], ["plan"]):
+        code = main([*command, "--config", str(cfg_path), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2, command
+        assert captured.err.startswith("error: ") and message in captured.err, (command, captured.err)
+        assert "episode failed" not in captured.err
+        assert not out_dir.exists(), command
+
+
 def test_plan_prints_via_points(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     tiny_scenario().save(cfg_path)

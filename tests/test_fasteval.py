@@ -4,12 +4,12 @@ import math
 import numpy as np
 
 from rotogo.fasteval import (
+    Program,
     TouchCounter,
     _until_general,
     _window,
     eval_robustness_all,
     eval_robustness_arrays,
-    eval_robustness_start,
 )
 from rotogo.formula import And, BOTTOM, Interval, Not, Or, Pred, TOP, Until, Var, formula_predicates, to_ticks
 from rotogo.parser import parse_formula
@@ -140,7 +140,7 @@ def test_bounds_beyond_the_int64_tick_range_match_reference():
         rows = {"x": s.components["x"][np.newaxis, :]}
         reference = np.array([robustness(s, t, f) for t in s.times.tolist()])
         assert eval_robustness_all(s, f).tobytes() == reference.tobytes(), (s.times, text)
-        assert eval_robustness_start(s.times, rows, f).tobytes() == reference[:1].tobytes(), (s.times, text)
+        assert Program(s.times, f, 1).run(rows)[:, 0].tobytes() == reference[:1].tobytes(), (s.times, text)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +153,12 @@ def _rows(signal: Signal, batch: int = 1) -> dict:
 
 
 def assert_start_matches_table(times, comps, f):
-    """eval_robustness_start equals the table's first column, reads no more
+    """A width-1 program gives the table's first column, reads no more
     samples than the full table and no more predicate values than every
     predicate leaf evaluated at every sample."""
     full_counter, start_counter = TouchCounter(), TouchCounter()
     table = eval_robustness_arrays(times, comps, f, full_counter)
-    start = eval_robustness_start(times, comps, f, start_counter)
+    start = Program(times, f, 1).run(comps, start_counter)[:, 0]
     assert start.shape == (table.shape[0],)
     assert np.array_equal(start, table[:, 0]), (f, start, table[:, 0])
     assert start_counter.samples <= full_counter.samples
@@ -256,7 +256,7 @@ def assert_every_start_matches_table(times, comps, f):
     table = eval_robustness_arrays(times, comps, f)
     before = {name: col.copy() for name, col in comps.items()}
     for k in range(times.shape[0]):
-        start = eval_robustness_start(times[k:], {name: col[:, k:] for name, col in comps.items()}, f)
+        start = Program(times[k:], f, 1).run({name: col[:, k:] for name, col in comps.items()})[:, 0]
         assert start.tobytes() == table[:, k].tobytes(), (f, k, start, table[:, k])
     for name, col in comps.items():
         assert col.tobytes() == before[name].tobytes(), name
@@ -295,11 +295,11 @@ def test_double_negation_cancels_bit_for_bit():
     comps = {"x": np.array([[-0.0, 1.0, 2.0, 3.0], [0.0, -1.0, -0.0, 5.0], [np.nan, 0.0, 1.0, -2.0]])}
     p = Pred(Var("x"))
     for phi in (p, Or(p, Not(p)), Until(TOP, Interval(0, to_ticks(0.2)), p)):
-        plain = eval_robustness_start(times, comps, phi)
+        plain = Program(times, phi, 1).run(comps)[:, 0]
         for wrapped in (Not(Not(phi)), Not(Not(Not(Not(phi))))):
-            assert eval_robustness_start(times, comps, wrapped).tobytes() == plain.tobytes()
+            assert Program(times, wrapped, 1).run(comps)[:, 0].tobytes() == plain.tobytes()
             assert eval_robustness_arrays(times, comps, wrapped)[:, 0].tobytes() == plain.tobytes()
-    assert np.signbit(eval_robustness_start(times, comps, Not(Not(p)))[0])
+    assert np.signbit(Program(times, Not(Not(p)), 1).run(comps)[0, 0])
 
 
 def test_bare_component_table_does_not_alias_the_signal():
@@ -307,7 +307,7 @@ def test_bare_component_table_does_not_alias_the_signal():
     before = s.components["x"].copy()
     f = Pred(Var("x"))
     rows = {"x": s.components["x"][np.newaxis]}
-    for table in (eval_robustness_all(s, f), eval_robustness_arrays(s.times, rows, f), eval_robustness_start(s.times, rows, f)):
+    for table in (eval_robustness_all(s, f), eval_robustness_arrays(s.times, rows, f), Program(s.times, f, 1).run(rows)):
         assert not np.shares_memory(table, s.components["x"])
     table = eval_robustness_all(s, f)
     assert table.tobytes() == before.tobytes()  # the values, -0.0 included
@@ -424,7 +424,7 @@ def test_until_sweep_without_left_operand():
     assert _until_general(None, right, lo, hi).tobytes() == right.tobytes()
     f = Until(Pred(Var("y")), Interval(0, 0), Pred(Var("x")))
     comps = {"x": right, "y": -right}
-    assert eval_robustness_start(times, comps, f).tobytes() == right[:, 0].tobytes()
+    assert Program(times, f, 1).run(comps)[:, 0].tobytes() == right[:, 0].tobytes()
 
 
 def test_unbounded_general_until_matches_reference():

@@ -351,3 +351,48 @@ def test_scenario_config_json_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     cfg.save(path)
     assert ScenarioConfig.load(path) == cfg
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's layer wrappers
+
+
+def test_benchmark_layer_wrappers_see_an_episode(tmp_path, monkeypatch):
+    """The benchmark times an episode's layers by wrapping names on
+    ``rotogo.mpc``; a replan that stopped calling through them would leave
+    its layer table empty while every other test passes."""
+    from pathlib import Path
+
+    import rotogo.mpc
+    import rotogo.scenarios
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracer import Tracer
+    from workloads import MpcWorkload
+
+    # Every attribute the tracer replaces is restored after the test.
+    for name in (
+        "rollout_arrays", "spline_positions", "workspace_penalty", "limit_penalty",
+        "eval_robustness_arrays", "eval_robustness_all", "cmaes_minimize", "monitor_step",
+    ):
+        monkeypatch.setattr(rotogo.mpc, name, getattr(rotogo.mpc, name))
+    monkeypatch.setattr(rotogo.scenarios, "parse_formula", rotogo.scenarios.parse_formula)
+
+    workload = MpcWorkload("mpc_stayin", 1, tmp_path)
+    workload.cfg = tiny_scenario(formula="G[0,2] ((x - xe)^2 + (y - ye)^2 < 8)", cmaes_iterations=3)
+    workload.f0 = workload.cfg.validate()
+    tracer = Tracer()
+    workload.install(tracer)
+    unit = workload.run(0)
+
+    assert workload.check(unit) == []
+    results, _ = unit
+    assert [r.mode for r in results] == ["robustness", "rotogo"]
+    cfg = workload.cfg
+    replans = round(cfg.mission_horizon / cfg.replan_period)
+    per_episode = cfg.first_attempt_iterations + (replans - 1) * cfg.cmaes_iterations
+    assert [len(r.replans) for r in results] == [replans, replans]
+    assert tracer.counts["cmaes.generations"] == 2 * per_episode
+    totals = tracer.totals()
+    for span in ("cmaes.minimize", "mpc.objective", "planning.rollout", "planning.spline"):
+        assert totals.get(span, {}).get("calls", 0) > 0, span

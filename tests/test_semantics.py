@@ -14,7 +14,6 @@ from rotogo.semantics import (
     robustness_witness,
     rotogo,
     sat,
-    sign_consistency_check,
 )
 from rotogo.signals import NoSampleError, Signal
 from rotogo.testgen import random_instance
@@ -179,13 +178,18 @@ def test_masked_satisfied_always_keeps_future_margin():
     assert rotogo(s, 0, 0, g) == 0.3
 
 
+def sign_consistent(signal, f, t_hat):
+    """Satisfaction at the first sample agrees with positive robustness-to-go."""
+    return (rotogo(signal, signal.t0, t_hat, f) > 0) == sat(signal, signal.t0, f)
+
+
 def test_sign_consistency_check_basics():
     s = make_signal([0], x=[1.0])
-    assert sign_consistency_check(s, TOP, -SEC)
+    assert sign_consistent(s, TOP, -SEC)
     zero = make_signal([0], x=[3.0])
     f = parse_formula("(x > 3)")
     # value exactly 0 at an unmasked time: not satisfied, rotogo 0, consistent
-    assert sign_consistency_check(zero, f, -SEC)
+    assert sign_consistent(zero, f, -SEC)
 
 
 def test_sign_consistency_random_cuts():
@@ -193,7 +197,7 @@ def test_sign_consistency_random_cuts():
     for _ in range(200):
         f, s = random_instance(rng)
         for t_hat in (s.t0 - to_ticks(1.0), s.t0, s.t(int(rng.integers(0, len(s))))):
-            assert sign_consistency_check(s, f, t_hat)
+            assert sign_consistent(s, f, t_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from rotogo.dynamics import DoubleIntegrator
 from rotogo.formula import Interval, to_seconds, to_ticks
 from rotogo.signals import (
     NoSampleError,
-    Sample,
     Signal,
     _read_plain,
     read_trace_csv,
@@ -215,11 +214,6 @@ def test_state_and_row_are_the_component_items():
                     assert _bits(got.values()) == _bits(expected.values())
         if names:
             assert math.copysign(1.0, views[-1].state(n - 1)[names[0]]) == -1.0
-
-
-def test_from_samples_sorted_components():
-    s = Signal.from_samples([Sample(0, {"x": 1.0, "y": 2.0}), Sample(SEC, {"x": 3.0, "y": 4.0})])
-    assert s.state(1) == {"x": 3.0, "y": 4.0}
 
 
 # ---------------------------------------------------------------------------
