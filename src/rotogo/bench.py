@@ -39,6 +39,8 @@ class BenchSpec:
     def __post_init__(self):
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")

@@ -190,7 +190,7 @@ def cmd_bench(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    if args.cases <= 0:
+    if args.cases == 0:
         print("warning: --cases 0 requested; all properties pass vacuously")
     result = run_selftest(cases=args.cases, seed=args.seed)
     width = max(len(r.name) for r in result.reports)

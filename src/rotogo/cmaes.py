@@ -27,6 +27,8 @@ class CmaesConfig:
             raise ValueError("population_size must be >= 4")
         if not self.initial_step_size > 0:
             raise ValueError("initial_step_size must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)

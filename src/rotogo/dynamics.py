@@ -16,9 +16,6 @@ class RobotState:
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y])
 
-    def velocity(self) -> np.ndarray:
-        return np.array([self.vx, self.vy])
-
 
 @dataclass(frozen=True)
 class EnvState:

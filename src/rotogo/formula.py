@@ -72,10 +72,6 @@ class Interval:
     def contains_zero(self) -> bool:
         return self.contains(0)
 
-    def strictly_positive(self) -> bool:
-        """True when every element of the interval is > 0."""
-        return not self.is_empty() and not self.contains(0)
-
     def shift_truncate(self, delta: int) -> "Interval":
         """Shift the interval earlier by ``delta`` and clip at zero.
 

@@ -93,7 +93,10 @@ class ScenarioConfig:
             raise ValueError("trace_period must be a multiple of env_step_period")
         if self.population_size < 4:
             raise ValueError("population_size must be >= 4")
-        for name in ("initial_step_size", "warm_start_step_size"):
+        for name in ("cmaes_iterations", "first_attempt_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("initial_step_size", "warm_start_step_size", "v_max", "a_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         return f

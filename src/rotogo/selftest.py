@@ -6,12 +6,16 @@ formula vs. its rewriting) and requires exact extended-real equality.  The
 suite runs from a fixed seed so failures are reproducible, and failing
 progression-equivalence instances are shrunk to small counterexamples by
 greedy subtree replacement and signal truncation.
+
+Each property is an endless generator of checks over its own random stream;
+`run_selftest` is the one harness that pulls, counts and describes them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -24,6 +28,13 @@ from .signals import Signal
 from .testgen import has_exact_zero, random_instance, random_interval, random_signal, shrink_instance
 
 DEFAULT_SEED = 74250917
+
+#: Signals drawn per formula by ``simplify_preserves_semantics``.
+_SIGNALS_PER_FORMULA = 20
+
+#: One check's outcome: None when the identity holds, otherwise a function
+#: that builds the counterexample text.
+_Check = Optional[Callable[[], str]]
 
 
 @dataclass
@@ -47,10 +58,6 @@ class SelfTestResult:
         return all(r.passed for r in self.reports)
 
 
-def _ext_eq(a: float, b: float) -> bool:
-    return a == b
-
-
 def _fold(f0: Formula, signal: Signal, upto_index: int, progress_fn) -> Formula:
     f = f0
     for k in range(upto_index + 1):
@@ -65,26 +72,18 @@ def _describe(f: Formula, s: Signal, extra: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Properties.  Each runs until `cases` checks have been performed and reports
-# the number of failures plus a (shrunk, where available) counterexample.
+# Properties.  Each takes (rng, progress_fn) and yields one `_Check` per check
+# forever; a describe function reads the generator's current locals, so the
+# harness calls it before pulling the next check.
 
 
-def _prop_progression_equivalence(rng, cases: int, progress_fn) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_progression_equivalence(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         f, s = random_instance(rng)
         for cut in range(len(s) - 1):
-            if done >= cases:
-                break
-            done += 1
             got = robustness(s, s.t(cut + 1), _fold(f, s, cut, progress_fn))
             want = rotogo(s, s.t0, s.t(cut), f)
-            if not _ext_eq(got, want):
-                failures += 1
-                if detail is None:
-                    detail = _shrink_progression_failure(f, s, cut, progress_fn)
-    return PropertyReport("progression_equivalence", done, failures, detail)
+            yield None if got == want else lambda: _shrink_progression_failure(f, s, cut, progress_fn)
 
 
 def _shrink_progression_failure(f: Formula, s: Signal, cut: int, progress_fn) -> str:
@@ -95,7 +94,7 @@ def _shrink_progression_failure(f: Formula, s: Signal, cut: int, progress_fn) ->
                 want = rotogo(sig, sig.t0, sig.t(c), g)
             except Exception:
                 return False
-            if not _ext_eq(got, want):
+            if got != want:
                 return True
         return False
 
@@ -103,7 +102,7 @@ def _shrink_progression_failure(f: Formula, s: Signal, cut: int, progress_fn) ->
     for c in range(len(small_s) - 1):
         got = robustness(small_s, small_s.t(c + 1), _fold(small_f, small_s, c, progress_fn))
         want = rotogo(small_s, small_s.t0, small_s.t(c), small_f)
-        if not _ext_eq(got, want):
+        if got != want:
             return _describe(
                 small_f,
                 small_s,
@@ -112,126 +111,85 @@ def _shrink_progression_failure(f: Formula, s: Signal, cut: int, progress_fn) ->
     return _describe(small_f, small_s, "counterexample no longer reproduces after shrinking")
 
 
-def _prop_sign_consistency(rng, cases: int, progress_fn) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_sign_consistency(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         f, s = random_instance(rng)
         before = s.t0 - to_ticks(1.0)
         interior = s.t(int(rng.integers(0, len(s))))
         for t_hat in (before, s.t0, interior):
-            if done >= cases:
-                break
-            done += 1
             value = rotogo(s, s.t0, t_hat, f)
             holds = (value > 0) == sat(s, s.t0, f)
-            if not holds:
-                failures += 1
-                if detail is None:
-                    detail = _describe(f, s, f"t_hat: {t_hat}, rotogo: {value}, sat: {sat(s, s.t0, f)}")
-    return PropertyReport("sign_consistency", done, failures, detail)
+            yield None if holds else lambda: _describe(
+                f, s, f"t_hat: {t_hat}, rotogo: {value}, sat: {sat(s, s.t0, f)}"
+            )
 
 
-def _prop_cut_before_signal(rng, cases: int, progress_fn) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_cut_before_signal(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         f, s = random_instance(rng)
         k = int(rng.integers(0, len(s)))
         t_k = s.t(k)
         t_hat = t_k - int(rng.integers(1, to_ticks(2.0)))
-        done += 1
         got = rotogo(s, t_k, t_hat, f)
         want = robustness(s, t_k, f)
-        if not _ext_eq(got, want):
-            failures += 1
-            if detail is None:
-                detail = _describe(f, s, f"k: {k}, t_hat: {t_hat}, rotogo: {got}, robustness: {want}")
-    return PropertyReport("cut_before_time_matches_robustness", done, failures, detail)
+        yield None if got == want else lambda: _describe(
+            f, s, f"k: {k}, t_hat: {t_hat}, rotogo: {got}, robustness: {want}"
+        )
 
 
-def _prop_single_step_at_cut(rng, cases: int, progress_fn) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_single_step_at_cut(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         f, s = random_instance(rng)
         k = int(rng.integers(0, len(s) - 1))
-        done += 1
         got = rotogo(s, s.t(k), s.t(k), f)
         stepped = progress_fn(f, s.t(k + 1) - s.t(k), s.state(k))
         want = robustness(s, s.t(k + 1), stepped)
-        if not _ext_eq(got, want):
-            failures += 1
-            if detail is None:
-                detail = _describe(f, s, f"k: {k}, rotogo at cut: {got}, progressed robustness: {want}")
-    return PropertyReport("single_step_at_cut", done, failures, detail)
+        yield None if got == want else lambda: _describe(
+            f, s, f"k: {k}, rotogo at cut: {got}, progressed robustness: {want}"
+        )
 
 
-def _prop_single_step_after_cut(rng, cases: int, progress_fn) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_single_step_after_cut(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         f, s = random_instance(rng)
         k = int(rng.integers(0, len(s) - 1))
         if rng.random() < 0.5:
             t_hat = s.t(int(rng.integers(k + 1, len(s))))
         else:
             t_hat = s.t(k) + int(rng.integers(1, to_ticks(3.0)))
-        done += 1
         got = rotogo(s, s.t(k), t_hat, f)
         stepped = progress_fn(f, s.t(k + 1) - s.t(k), s.state(k))
         want = rotogo(s, s.t(k + 1), t_hat, stepped)
-        if not _ext_eq(got, want):
-            failures += 1
-            if detail is None:
-                detail = _describe(f, s, f"k: {k}, t_hat: {t_hat}, got: {got}, want: {want}")
-    return PropertyReport("single_step_after_cut", done, failures, detail)
+        yield None if got == want else lambda: _describe(f, s, f"k: {k}, t_hat: {t_hat}, got: {got}, want: {want}")
 
 
-def _prop_progression_chain(rng, cases: int, progress_fn) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_progression_chain(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         f, s = random_instance(rng)
         i = int(rng.integers(1, len(s)))
         t_i = s.t(i)
         base = rotogo(s, s.t0, t_i, f)
         g = f
         for k in range(1, i + 1):
-            if done >= cases:
-                break
             g = progress_fn(g, s.t(k) - s.t(k - 1), s.state(k - 1))
-            done += 1
             got = rotogo(s, s.t(k), t_i, g)
-            if not _ext_eq(got, base):
-                failures += 1
-                if detail is None:
-                    detail = _describe(f, s, f"i: {i}, k: {k}, chained: {got}, direct: {base}")
-    return PropertyReport("progression_chain", done, failures, detail)
+            yield None if got == base else lambda: _describe(f, s, f"i: {i}, k: {k}, chained: {got}, direct: {base}")
 
 
-def _prop_simplify_preserves_semantics(rng, cases: int, progress_fn, signals_per_formula: int = 20) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_simplify_preserves_semantics(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         f, first = random_instance(rng)
         g = simplify(f)
-        for i in range(signals_per_formula):
-            if done >= cases:
-                break
+        for i in range(_SIGNALS_PER_FORMULA):
             s = first if i == 0 else _fresh_signal_for(f, rng)
-            done += 1
-            if not _ext_eq(robustness(s, s.t0, f), robustness(s, s.t0, g)):
-                failures += 1
-                if detail is None:
-                    detail = _describe(f, s, f"simplified: {format_formula(g)}")
+            if robustness(s, s.t0, f) != robustness(s, s.t0, g):
+                yield lambda: _describe(f, s, f"simplified: {format_formula(g)}")
                 continue
             t_hat = s.t(int(rng.integers(0, len(s))))
-            if not _ext_eq(rotogo(s, s.t0, t_hat, f), rotogo(s, s.t0, t_hat, g)):
-                failures += 1
-                if detail is None:
-                    detail = _describe(f, s, f"simplified: {format_formula(g)} (rotogo mismatch, t_hat={t_hat})")
-    return PropertyReport("simplify_preserves_semantics", done, failures, detail)
+            same = rotogo(s, s.t0, t_hat, f) == rotogo(s, s.t0, t_hat, g)
+            yield None if same else lambda: _describe(
+                f, s, f"simplified: {format_formula(g)} (rotogo mismatch, t_hat={t_hat})"
+            )
 
 
 def _fresh_signal_for(f: Formula, rng) -> Signal:
@@ -241,10 +199,8 @@ def _fresh_signal_for(f: Formula, rng) -> Signal:
             return s
 
 
-def _prop_suffix_independence(rng, cases: int, progress_fn) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_suffix_independence(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         f, s = random_instance(rng, min_len=3)
         cut = int(rng.integers(0, len(s) - 1))
         progressed = _fold(f, s, cut, progress_fn)
@@ -252,21 +208,14 @@ def _prop_suffix_independence(rng, cases: int, progress_fn) -> PropertyReport:
         mutated = s
         for j in range(cut + 1):
             mutated = mutated.replaced(j, {n: float(rng.uniform(-10, 10)) for n in s.components})
-        done += 1
         got = robustness(mutated, mutated.t(cut + 1), progressed)
-        if not _ext_eq(got, base):
-            failures += 1
-            if detail is None:
-                detail = _describe(f, s, f"cut: {cut}, before mutation: {base}, after: {got}")
-    return PropertyReport("suffix_independence", done, failures, detail)
+        yield None if got == base else lambda: _describe(f, s, f"cut: {cut}, before mutation: {base}, after: {got}")
 
 
-def _prop_sup_domain_shift(rng, cases: int, progress_fn) -> PropertyReport:
+def _prop_sup_domain_shift(rng, progress_fn) -> Iterator[_Check]:
     # For untils with strictly positive lower bound, dropping sup candidates
     # before the next sample does not change the value.
-    done = failures = 0
-    detail = None
-    while done < cases:
+    while True:
         _, s = random_instance(rng)
         left, _ = random_instance(rng, max_depth=2, max_temporal=1)
         right, _ = random_instance(rng, max_depth=2, max_temporal=1)
@@ -277,14 +226,9 @@ def _prop_sup_domain_shift(rng, cases: int, progress_fn) -> PropertyReport:
         if has_exact_zero(f, s):
             continue
         k = int(rng.integers(0, len(s) - 1))
-        done += 1
         full = robustness(s, s.t(k), f)
         restricted = _until_restricted_sup(s, k, f)
-        if not _ext_eq(full, restricted):
-            failures += 1
-            if detail is None:
-                detail = _describe(f, s, f"k: {k}, full: {full}, restricted: {restricted}")
-    return PropertyReport("sup_domain_shift", done, failures, detail)
+        yield None if full == restricted else lambda: _describe(f, s, f"k: {k}, full: {full}, restricted: {restricted}")
 
 
 def _until_restricted_sup(s: Signal, k: int, f: Until) -> float:
@@ -302,12 +246,10 @@ def _until_restricted_sup(s: Signal, k: int, f: Until) -> float:
     return best
 
 
-def _prop_masked_prefix_insensitive(rng, cases: int, progress_fn) -> PropertyReport:
+def _prop_masked_prefix_insensitive(rng, progress_fn) -> Iterator[_Check]:
     # Changing a sample at or before the cut leaves rotogo unchanged as long
     # as no predicate of the formula flips sign at that sample.
-    done = failures = 0
-    detail = None
-    while done < cases:
+    while True:
         f, s = random_instance(rng)
         preds = formula_predicates(f)
         if not preds:
@@ -323,108 +265,78 @@ def _prop_masked_prefix_insensitive(rng, cases: int, progress_fn) -> PropertyRep
         )
         if not signs_ok:
             continue
-        done += 1
         base = rotogo(s, s.t0, t_hat, f)
         got = rotogo(s.replaced(j, new_state), s.t0, t_hat, f)
-        if not _ext_eq(got, base):
-            failures += 1
-            if detail is None:
-                detail = _describe(f, s, f"t_hat: {t_hat}, mutated index: {j}, before: {base}, after: {got}")
-    return PropertyReport("masked_prefix_insensitive", done, failures, detail)
+        yield None if got == base else lambda: _describe(
+            f, s, f"t_hat: {t_hat}, mutated index: {j}, before: {base}, after: {got}"
+        )
 
 
-def _prop_negation_duality(rng, cases: int, progress_fn) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_negation_duality(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         f, s = random_instance(rng)
         t_hat = s.t(int(rng.integers(0, len(s))))
-        done += 1
-        ok = _ext_eq(robustness(s, s.t0, Not(f)), -robustness(s, s.t0, f)) and _ext_eq(
-            rotogo(s, s.t0, t_hat, Not(f)), -rotogo(s, s.t0, t_hat, f)
+        ok = robustness(s, s.t0, Not(f)) == -robustness(s, s.t0, f) and (
+            rotogo(s, s.t0, t_hat, Not(f)) == -rotogo(s, s.t0, t_hat, f)
         )
-        if not ok:
-            failures += 1
-            if detail is None:
-                detail = _describe(f, s, "negation duality violated")
-    return PropertyReport("negation_duality", done, failures, detail)
+        yield None if ok else lambda: _describe(f, s, "negation duality violated")
 
 
-def _prop_disjunction_demorgan(rng, cases: int, progress_fn) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_disjunction_demorgan(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         a, s = random_instance(rng)
         b, _ = random_instance(rng)
         if has_exact_zero(b, s):
             continue
-        done += 1
         direct = robustness(s, s.t0, Or(a, b))
         desugared = robustness(s, s.t0, Not(And(Not(a), Not(b))))
         parts = max(robustness(s, s.t0, a), robustness(s, s.t0, b))
-        if not (_ext_eq(direct, desugared) and _ext_eq(direct, parts)):
-            failures += 1
-            if detail is None:
-                detail = _describe(Or(a, b), s, f"direct: {direct}, desugared: {desugared}, max of parts: {parts}")
-    return PropertyReport("disjunction_demorgan", done, failures, detail)
+        yield None if direct == desugared == parts else lambda: _describe(
+            Or(a, b), s, f"direct: {direct}, desugared: {desugared}, max of parts: {parts}"
+        )
 
 
-def _prop_fast_matches_reference(rng, cases: int, progress_fn) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_fast_matches_reference(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         f, s = random_instance(rng)
         table = eval_robustness_all(s, f)
         # The planner's start-only evaluation must reproduce the table's
         # first value; it rides along with the instance's index-0 case.
         start = float(Program(s.times, f, 1).run({n: c[np.newaxis] for n, c in s.components.items()})[0, 0])
         for j in range(len(s)):
-            if done >= cases:
-                break
-            done += 1
             want = robustness(s, s.t(j), f)
-            if not _ext_eq(float(table[j]), want) or (j == 0 and not _ext_eq(start, float(table[0]))):
-                failures += 1
-                if detail is None:
-                    detail = _describe(
-                        f, s, f"index: {j}, fast: {float(table[j])}, start-only: {start}, reference: {want}"
-                    )
-    return PropertyReport("fast_matches_reference", done, failures, detail)
+            ok = float(table[j]) == want and (j > 0 or start == float(table[0]))
+            yield None if ok else lambda: _describe(
+                f, s, f"index: {j}, fast: {float(table[j])}, start-only: {start}, reference: {want}"
+            )
 
 
-def _prop_finite_value_has_witness(rng, cases: int, progress_fn) -> PropertyReport:
-    done = failures = 0
-    detail = None
-    while done < cases:
+def _prop_finite_value_has_witness(rng, progress_fn) -> Iterator[_Check]:
+    while True:
         f, s = random_instance(rng)
-        done += 1
         value, witness = robustness_witness(s, s.t0, f)
-        if math.isinf(value):
-            continue
-        if witness is None or witness.value(s) != value:
-            failures += 1
-            if detail is None:
-                got = None if witness is None else witness.value(s)
-                detail = _describe(f, s, f"value: {value}, witness value: {got}")
-    return PropertyReport("finite_value_has_witness", done, failures, detail)
+        ok = math.isinf(value) or (witness is not None and witness.value(s) == value)
+        yield None if ok else lambda: _describe(
+            f, s, f"value: {value}, witness value: {None if witness is None else witness.value(s)}"
+        )
 
 
-_PROPERTIES: list[tuple[str, Callable]] = [
-    ("progression_equivalence", _prop_progression_equivalence),
-    ("sign_consistency", _prop_sign_consistency),
-    ("cut_before_time_matches_robustness", _prop_cut_before_signal),
-    ("single_step_at_cut", _prop_single_step_at_cut),
-    ("single_step_after_cut", _prop_single_step_after_cut),
-    ("progression_chain", _prop_progression_chain),
-    ("simplify_preserves_semantics", _prop_simplify_preserves_semantics),
-    ("suffix_independence", _prop_suffix_independence),
-    ("sup_domain_shift", _prop_sup_domain_shift),
-    ("masked_prefix_insensitive", _prop_masked_prefix_insensitive),
-    ("negation_duality", _prop_negation_duality),
-    ("disjunction_demorgan", _prop_disjunction_demorgan),
-    ("fast_matches_reference", _prop_fast_matches_reference),
-    ("finite_value_has_witness", _prop_finite_value_has_witness),
-]
+_PROPERTIES: dict[str, Callable[..., Iterator[_Check]]] = {
+    "progression_equivalence": _prop_progression_equivalence,
+    "sign_consistency": _prop_sign_consistency,
+    "cut_before_time_matches_robustness": _prop_cut_before_signal,
+    "single_step_at_cut": _prop_single_step_at_cut,
+    "single_step_after_cut": _prop_single_step_after_cut,
+    "progression_chain": _prop_progression_chain,
+    "simplify_preserves_semantics": _prop_simplify_preserves_semantics,
+    "suffix_independence": _prop_suffix_independence,
+    "sup_domain_shift": _prop_sup_domain_shift,
+    "masked_prefix_insensitive": _prop_masked_prefix_insensitive,
+    "negation_duality": _prop_negation_duality,
+    "disjunction_demorgan": _prop_disjunction_demorgan,
+    "fast_matches_reference": _prop_fast_matches_reference,
+    "finite_value_has_witness": _prop_finite_value_has_witness,
+}
 
 
 def run_selftest(
@@ -433,16 +345,25 @@ def run_selftest(
     progress_fn: Optional[Callable] = None,
     only: Optional[set[str]] = None,
 ) -> SelfTestResult:
-    """Run the property corpus; `progress_fn` overrides the progression rule
-    (used by mutation tests that verify the suite catches a corrupted rule)."""
+    """Run exactly `cases` checks of each property (of those named in `only`,
+    when given); `progress_fn` overrides the progression rule (used by
+    mutation tests that verify the suite catches a corrupted rule).  Raises
+    ValueError for a negative `cases` or an unknown property name."""
+    if cases < 0:
+        raise ValueError(f"cases must be >= 0, got {cases}")
+    unknown = sorted(set(only or ()) - _PROPERTIES.keys())
+    if unknown:
+        raise ValueError(f"unknown selftest properties: {', '.join(unknown)}")
     fn = progress_fn if progress_fn is not None else progress
     result = SelfTestResult()
-    for index, (name, prop) in enumerate(_PROPERTIES):
+    for index, (name, prop) in enumerate(_PROPERTIES.items()):
         if only is not None and name not in only:
             continue
-        rng = np.random.default_rng([seed, index])
-        if cases <= 0:
-            result.reports.append(PropertyReport(name, 0, 0, None))
-            continue
-        result.reports.append(prop(rng, cases, fn))
+        failures, detail = 0, None
+        for describe in islice(prop(np.random.default_rng([seed, index]), fn), cases):
+            if describe is not None:
+                failures += 1
+                if detail is None:
+                    detail = describe()
+        result.reports.append(PropertyReport(name, cases, failures, detail))
     return result

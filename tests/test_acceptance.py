@@ -31,7 +31,7 @@ def _passline(n, text):
 def _run_property(name: str, cases: int):
     result = run_selftest(cases=cases, seed=ACCEPT_SEED, only={name})
     report = result.reports[0]
-    assert report.cases >= cases
+    assert report.cases == cases
     assert report.failures == 0, report.detail
     return report
 

@@ -331,6 +331,10 @@ def test_bench_cli_runs(tmp_path, capsys):
         ({"formula": "F[0,1] (x >"}, "1:12: expected a value"),
         ({"population_size": 3}, "population_size must be >= 4"),
         ({"warm_start_step_size": -1.0}, "warm_start_step_size must be positive"),
+        ({"first_attempt_iterations": 0}, "first_attempt_iterations must be >= 1"),
+        ({"cmaes_iterations": -3}, "cmaes_iterations must be >= 1"),
+        ({"v_max": -1.0}, "v_max must be positive"),
+        ({"a_max": 0.0}, "a_max must be positive"),
     ],
 )
 def test_invalid_scenario_exits_two_before_any_output(tmp_path, capsys, overrides, message):
@@ -348,6 +352,18 @@ def test_invalid_scenario_exits_two_before_any_output(tmp_path, capsys, override
         assert not out_dir.exists(), command
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_bench_workers_below_one_exits_two(tmp_path, capsys, workers):
+    cfg_path = tmp_path / "cfg.json"
+    tiny_scenario().save(cfg_path)
+    out_dir = tmp_path / "out"
+    code = main(["bench", "--config", str(cfg_path), "--episodes", "1", "--workers", workers, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: workers must be >= 1\n"
+    assert captured.out == "" and not out_dir.exists()
+
+
 def test_plan_prints_via_points(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     tiny_scenario().save(cfg_path)
@@ -363,6 +379,15 @@ def test_selftest_zero_cases_vacuous(capsys):
     assert code == 0
     assert "warning" in out
     assert "selftest: pass" in out
+
+
+@pytest.mark.parametrize("cases", ["-1", "-3"])
+def test_selftest_negative_cases_exits_two(capsys, cases):
+    code = main(["selftest", "--cases", cases])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: cases must be >= 0, got {cases}\n"
+    assert captured.out == ""
 
 
 def test_selftest_small_run(capsys):

@@ -82,3 +82,10 @@ def test_injected_incumbent_floors_the_result():
 def test_population_size_floor():
     with pytest.raises(ValueError):
         CmaesConfig(population_size=3)
+
+
+@pytest.mark.parametrize("iterations", [0, -3])
+def test_max_iterations_floor(iterations):
+    # A run of no generation would return the unevaluated x0 with best_value inf.
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        CmaesConfig(max_iterations=iterations)

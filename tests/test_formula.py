@@ -64,16 +64,9 @@ def test_shift_truncate_requires_positive_delta():
 
 def test_zero_membership_split():
     assert Interval(0, 5 * SEC).contains_zero()
-    assert Interval(0, 5 * SEC, False, True).strictly_positive()
-    assert Interval(SEC, 2 * SEC).strictly_positive()
-
-
-def test_exactly_one_of_contains_zero_or_strictly_positive():
-    cases = [Interval(0, SEC), Interval(0, SEC, False, True), Interval(1, SEC), Interval(0, 0)]
-    for interval in cases:
-        if interval.is_empty():
-            continue
-        assert interval.contains_zero() != interval.strictly_positive()
+    assert Interval(0, 0).contains_zero()
+    assert not Interval(0, 5 * SEC, False, True).contains_zero()
+    assert not Interval(SEC, 2 * SEC).contains_zero()
 
 
 def test_infinite_upper_must_be_open():

@@ -301,7 +301,7 @@ def _two_pass_rewrite(f, delta, state):
     shifted = f.interval.shift_truncate(delta)
     tail = BOTTOM if shifted.is_empty() else Until(f.left, shifted, f.right)
     left_now = _two_pass_rewrite(f.left, delta, state)
-    if f.interval.strictly_positive():
+    if not f.interval.contains_zero():  # the interval is non-empty here
         return And(left_now, tail)
     return Or(_two_pass_rewrite(f.right, delta, state), And(left_now, tail))
 

@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import pytest
 
 from rotogo.formula import And, BOTTOM, Bottom, Const, Neg, Not, Or, Pred, TOP, Top, Until, Var
 from rotogo.progression import simplify
@@ -10,7 +13,12 @@ from rotogo.testgen import has_exact_zero
 def test_default_corpus_passes():
     result = run_selftest(cases=120)
     assert result.passed
-    assert all(r.cases >= 120 for r in result.reports)
+    assert all(r.cases == 120 for r in result.reports)
+
+
+def _report_digest(result) -> str:
+    rows = [(r.name, r.cases, r.failures, r.detail) for r in result.reports]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def test_reports_are_deterministic_for_a_seed():
@@ -19,12 +27,27 @@ def test_reports_are_deterministic_for_a_seed():
     assert [(r.name, r.cases, r.failures) for r in a.reports] == [
         (r.name, r.cases, r.failures) for r in b.reports
     ]
+    # The reports are pinned. A passing report carries no detail, so the
+    # corrupted rule's counterexamples are what pin the draws and their text.
+    assert _report_digest(a) == "36c31c8ffb826b9c688a3af980efc1878184a9893d4aaa7b5aa198420051339f"
+    corrupted = run_selftest(cases=120, progress_fn=_corrupted_progress)
+    assert [r.name for r in corrupted.reports if r.failures] == [
+        "progression_equivalence", "single_step_at_cut", "single_step_after_cut", "progression_chain"
+    ]
+    assert _report_digest(corrupted) == "163869f859c24f25c72de6257a4fac8b78643f6df946263ff29653930f15328e"
 
 
 def test_zero_cases_is_a_vacuous_pass():
     result = run_selftest(cases=0)
     assert result.passed
     assert all(r.cases == 0 for r in result.reports)
+
+
+def test_negative_cases_and_unknown_names_are_errors():
+    with pytest.raises(ValueError, match="cases must be >= 0, got -3"):
+        run_selftest(cases=-3)
+    with pytest.raises(ValueError, match="unknown selftest properties: typo"):
+        run_selftest(cases=5, only={"typo", "sign_consistency"})
 
 
 def _corrupted_progress(f, delta, state):
