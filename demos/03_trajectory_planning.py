@@ -9,7 +9,6 @@ from pathlib import Path
 
 from rotogo import EnvState, RobotState, scenario_phi_avoid
 from rotogo.fasteval import Program
-from rotogo.formula import node_count
 from rotogo.mpc import mission_times, observation, replan
 from rotogo.planning import rollout_arrays
 
@@ -28,10 +27,10 @@ print(f"scenario {cfg.name}: start ({robot.x}, {robot.y}), human at {cfg.env_sta
 
 program = Program(mission_times(cfg), phi, 1)
 start = {name: [value] for name, value in observation(robot, env).items()}  # the scored signal starts here
-plan, record = replan(cfg, program, node_count(phi), start, robot, env, 0, seed=cfg.seed)
+plan, record = replan(cfg, program, start, robot, env, 0, seed=cfg.seed)
 evaluations = cfg.population_size * cfg.first_attempt_iterations
 print(f"best loss {record.cost:.4f} after {evaluations} evaluations")
-print("robustness of best plan:", -record.cost)
+print("robustness of best plan:", record.objective_robustness)
 print("via points:")
 for j, (x, y) in enumerate(plan.via, 1):
     print(f"  {j}: ({x:6.3f}, {y:6.3f})")

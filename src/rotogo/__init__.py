@@ -29,7 +29,7 @@ _EXPORTS = {
         "MonitorState", "monitor_step", "progress", "rotogo_via_progression", "simplify",
         "start_monitor",
     ),
-    "fasteval": ("TouchCounter", "eval_robustness_all"),
+    "fasteval": ("eval_robustness_all",),
     "cmaes": ("CmaesConfig", "CmaesResult", "cmaes_minimize"),
     "planning": ("Limits", "PlanningProblem", "Workspace"),
     "dynamics": ("DoubleIntegrator", "EnvState", "RobotState"),

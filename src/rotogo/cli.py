@@ -21,7 +21,7 @@ from pathlib import Path
 # Module-level imports are what ``monitor`` and ``progress`` use (the
 # argument parser's scenario and mode choices included); the other
 # commands import the planner, MPC and benchmark modules when they run.
-from .formula import Formula, expr_variables, formula_predicates, node_count, to_seconds, to_ticks
+from .formula import Formula, expr_variables, formula_predicates, to_seconds, to_ticks
 from .parser import format_formula, parse_formula
 from .progression import monitor_step, start_monitor
 from .scenarios import BUILTIN_SCENARIOS, MODES, ScenarioConfig, get_scenario
@@ -110,13 +110,10 @@ def cmd_plan(args) -> int:
     # The scored signal starts at the initial state, which every candidate shares.
     start = {name: [value] for name, value in observation(robot, env).items()}
     objective = Program(mission_times(cfg), f, 1)
-    plan, record = replan(cfg, objective, node_count(f), start, robot, env, 0, seed=cfg.seed)
+    plan, record = replan(cfg, objective, start, robot, env, 0, seed=cfg.seed)
     print(f"scenario: {cfg.name}")
     print(f"cost: {record.cost!r}")
-    if abs(record.cost) < 1e7:
-        print(f"robustness: {_fmt_value(-record.cost)}")
-    else:
-        print("robustness: plan dominated by penalties")
+    print(f"robustness: {_fmt_value(record.objective_robustness)}")
     print("via points:")
     for j, (x, y) in enumerate(plan.via, 1):
         print(f"  {j}: ({x:.4f}, {y:.4f})")

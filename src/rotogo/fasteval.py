@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import partial
 
 import numpy as np
@@ -73,36 +73,13 @@ NEG_INF = -math.inf
 POS_INF = math.inf
 
 
-@dataclass
-class TouchCounter:
-    """Counts how much signal an evaluation had to look at.
-
-    ``samples`` is the number of distinct sample slots read, the union of
-    the index ranges the predicates were evaluated over; ``reads`` counts
-    predicate-sample evaluations, a predicate shared by several subformulas
-    over one index range counting once.
-    """
-
-    samples: int = 0
-    reads: int = 0
-
-    def visit(self, n_samples: int, n_reads: int) -> None:
-        self.samples = max(self.samples, n_samples)
-        self.reads += n_reads
-
-
-def eval_robustness_all(signal: Signal, f: Formula, counter: TouchCounter | None = None) -> np.ndarray:
+def eval_robustness_all(signal: Signal, f: Formula) -> np.ndarray:
     """Robustness of ``f`` at every sample time of ``signal``; shape (n,)."""
     comps = {name: col[np.newaxis, :] for name, col in signal.components.items()}
-    return eval_robustness_arrays(signal.times, comps, f, counter)[0]
+    return eval_robustness_arrays(signal.times, comps, f)[0]
 
 
-def eval_robustness_arrays(
-    times: np.ndarray,
-    components: dict[str, np.ndarray],
-    f: Formula,
-    counter: TouchCounter | None = None,
-) -> np.ndarray:
+def eval_robustness_arrays(times: np.ndarray, components: dict[str, np.ndarray], f: Formula) -> np.ndarray:
     """Batched robustness table.
 
     ``times`` has shape (n,) and every component array shape (B, n), one row
@@ -110,7 +87,7 @@ def eval_robustness_arrays(
     robustness values, value[b, j] being the robustness of ``f`` over
     candidate b at sample j.
     """
-    return Program(times, f, len(times)).run(components, counter)
+    return Program(times, f, len(times)).run(components)
 
 
 class Program:
@@ -124,10 +101,16 @@ class Program:
     ``Not(Not(phi))`` is ``phi``.  :meth:`run` executes the steps on one
     batch of candidates, releasing each intermediate table after its last
     reader.
+
+    What a run reads is settled by compiling too: :attr:`samples_touched`
+    is the number of distinct samples in the union of the index ranges the
+    predicates are evaluated over, the same for every run.
     """
 
     def __init__(self, times: np.ndarray, f: Formula, width: int):
         build = _Compiler(np.ascontiguousarray(times, dtype=np.int64))
+        #: The formula the program evaluates.
+        self.formula = f
         #: The sample times the program is compiled for, int64 ticks.
         self.times = build.times
         root = build.emit(f, 0, width)
@@ -135,11 +118,14 @@ class Program:
             # A bare component: copy it, or the table is the caller's array.
             root = build._op(_make_call, (root,), np.copy)
         self._loads, self._steps, self._out, self._registers = build.allocate(root)
-        # Distinct samples and, per candidate, predicate-sample reads of a run.
-        self._samples = _covered(build.spans)
-        self._reads = build.reads
+        self._samples = _covered(build.spans.values())
 
-    def run(self, components: dict[str, np.ndarray], counter: TouchCounter | None = None) -> np.ndarray:
+    @property
+    def samples_touched(self) -> int:
+        """Distinct samples of a candidate that one run reads."""
+        return self._samples
+
+    def run(self, components: dict[str, np.ndarray]) -> np.ndarray:
         """Robustness at the compiled samples of every row of ``components``.
 
         ``components`` maps each name to a (B, n) array over the compiled
@@ -152,8 +138,6 @@ class Program:
             r[slot] = np.asarray(components[name], dtype=np.float64)[:, a:b]
         for step in self._steps:
             step(r)
-        if counter is not None and self._samples:
-            counter.visit(self._samples, batch * self._reads)
         return r[self._out]
 
 
@@ -194,10 +178,8 @@ class _Compiler:
         self.times = times
         self.code: list[tuple] = []
         self.loads: dict[int, tuple[str, int, int]] = {}
-        self.spans: list[tuple[int, int]] = []  # index ranges predicates read
-        self.reads = 0  # per candidate
+        self.spans: dict[int, tuple[int, int]] = {}  # predicate value -> range it is read over
         self._numbers: dict[tuple, int] = {}
-        self._predicates: set[int] = set()  # values predicates produced
 
     def _load(self, name: str, a: int, b: int) -> int:
         key = ("load", name, a, b)
@@ -230,10 +212,7 @@ class _Compiler:
             v = self.expr(f.fn, a, b)
             if isinstance(v, _Const):
                 v = self._fill(v.value, b - a)
-            if v not in self._predicates:
-                self._predicates.add(v)
-                self.spans.append((a, b))
-                self.reads += b - a
+            self.spans.setdefault(v, (a, b))
             return v
         if isinstance(f, And):
             return self._op(_make_call, (self.emit(f.left, a, b), self.emit(f.right, a, b)), np.minimum)
@@ -437,7 +416,7 @@ def _make_row_max(out: int, args, param):
     return step
 
 
-def _covered(spans: list[tuple[int, int]]) -> int:
+def _covered(spans: Iterable[tuple[int, int]]) -> int:
     """Number of indices in the union of half-open ranges."""
     total = end = 0
     for a, b in sorted(spans):

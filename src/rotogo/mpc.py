@@ -28,7 +28,7 @@ from .dynamics import DoubleIntegrator, EnvState, RobotState
 # penalties, and compiled programs score the candidates and the executed
 # trace.  The names stay importable here because the benchmark's tracer
 # (perfbench/workloads.py) wraps them on this module.
-from .fasteval import Program, TouchCounter, eval_robustness_all, eval_robustness_arrays  # noqa: F401
+from .fasteval import Program, eval_robustness_all, eval_robustness_arrays  # noqa: F401
 from .formula import node_count, to_seconds, to_ticks
 from .cmaes import CmaesConfig, cmaes_minimize
 from .planning import (  # noqa: F401
@@ -193,7 +193,6 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     # objective of every robustness-mode replan and the episode's final
     # score, compiled once.
     scored = Program(times, f0, 1)
-    scored_nodes = node_count(f0)
 
     active: Optional[Plan] = None
     prev_rho = NEG_INF
@@ -209,15 +208,14 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
             if progressing:
                 # The progressed formula, anchored at t_i + trace_dt, scores
                 # the candidate suffix alone.
-                objective = Program(times[i + 1 :], monitor.current, 1)
-                nodes, prefix = node_count(monitor.current), None
+                objective, prefix = Program(times[i + 1 :], monitor.current, 1), None
             else:
                 # The executed history including the current observation,
                 # shared by all candidates, then each candidate's suffix.
-                objective, nodes = scored, scored_nodes
+                objective = scored
                 prefix = {name: np.append(cols[name][:i], value) for name, value in obs.items()}
             active, record = replan(
-                cfg, objective, nodes, prefix, robot, env, t_i,
+                cfg, objective, prefix, robot, env, t_i,
                 mean_via=active.resampled_via(t_i, cfg.via_points, mission_end) if active is not None else None,
                 warm=prev_rho > 0 and active is not None,
                 seed=int(opt_seeds.integers(0, 2**63)),
@@ -255,7 +253,6 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
 def replan(
     cfg: ScenarioConfig,
     objective: Program,
-    formula_nodes: int,
     prefix: Optional[dict[str, np.ndarray]],
     robot: RobotState,
     env: EnvState,
@@ -267,9 +264,10 @@ def replan(
 ) -> tuple[Plan, ReplanRecord]:
     """One CMA-ES plan from ``robot`` at tick ``t_i`` to the mission end.
 
-    The candidates are scored by ``objective``, a width-1 program of
-    ``formula_nodes`` formula nodes, after the executed ``prefix`` (none
-    when the program scores the suffix alone, as in rotogo mode).  Without
+    The candidates are scored by ``objective``, a width-1 program, after
+    the executed ``prefix`` (none when the program scores the suffix alone,
+    as in rotogo mode).  The record takes the size of the program's formula
+    and the samples it reads, both fixed when it was compiled.  Without
     ``mean_via`` the search starts at the robot's position and runs
     ``first_attempt_iterations`` generations; with it, the search starts
     there, keeps it as a candidate and runs ``cmaes_iterations``.
@@ -281,10 +279,9 @@ def replan(
     n_via = cfg.via_points
     start_pos = np.array([robot.x, robot.y])
     start_vel = np.array([robot.vx, robot.vy])
-    counter = TouchCounter()
     problem = PlanningProblem(
         objective, start_pos, start_vel, (env.xe, env.ye), duration, hz, n_via,
-        limits, cfg.workspace_box(), prefix=prefix, counter=counter,
+        limits, cfg.workspace_box(), prefix=prefix,
     )
 
     # The previous plan's via points seed the search mean whenever one
@@ -327,8 +324,8 @@ def replan(
         plan_duration=duration,
         cost=result.best_value,
         objective_robustness=best_rho,
-        formula_nodes=formula_nodes,
-        samples_touched=counter.samples,
+        formula_nodes=node_count(objective.formula),
+        samples_touched=objective.samples_touched,
         warm_started=warm,
     )
     return plan, record

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fasteval import Program, TouchCounter
+from .fasteval import Program
 
 #: Cost assigned per trajectory sample outside the workspace.
 WORKSPACE_PENALTY = 1e8
@@ -215,14 +215,12 @@ class PlanningProblem:
         limits: Limits = Limits(),
         workspace: Workspace = Workspace(),
         prefix: Optional[dict[str, np.ndarray]] = None,
-        counter: Optional[TouchCounter] = None,
     ):
         self.program = program
         self.times = program.times
         self.n_via = n_via
         self.limits = limits
         self.workspace = workspace
-        self.counter = counter
         self.env = env
         # Rows (p0, v0) of each coordinate's coefficient vector.
         self._start = np.column_stack([start_pos, start_vel]).astype(np.float64)
@@ -278,21 +276,18 @@ class PlanningProblem:
             self._buffers["ye"][:, split:] = self.env[1]
         return {name: buf[:batch] for name, buf in self._buffers.items()}
 
-    def robustness(self, pos: np.ndarray, vel: np.ndarray, counter: Optional[TouchCounter] = None) -> np.ndarray:
+    def robustness(self, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
         """Robustness at the first sample of the scored signals whose
-        rollout rows are ``pos`` and ``vel`` (planar, (2, B, L)); shape (B,).
-
-        ``counter``, when given, records the samples the evaluation read.
-        """
+        rollout rows are ``pos`` and ``vel`` (planar, (2, B, L)); shape (B,)."""
         comps = self.signal(pos.shape[1])
         split = self._split
         for name, rows in (("x", pos[0]), ("y", pos[1]), ("vx", vel[0]), ("vy", vel[1])):
             comps[name][:, split:] = rows[:, 1:]
-        return self.program.run(comps, counter)[:, 0]
+        return self.program.run(comps)[:, 0]
 
     def cost(self, X: np.ndarray) -> np.ndarray:
         """Loss of every row of a (B, 2N) population; shape (B,)."""
         pos, vel, acc = self.rollout(X)
-        rho = self.robustness(pos, vel, self.counter)
+        rho = self.robustness(pos, vel)
         penalty = workspace_penalty(pos, self.workspace) + limit_penalty(vel, acc, self.limits)
         return -clamp_robustness(rho) + penalty

@@ -348,9 +348,12 @@ def run_selftest(
     """Run exactly `cases` checks of each property (of those named in `only`,
     when given); `progress_fn` overrides the progression rule (used by
     mutation tests that verify the suite catches a corrupted rule).  Raises
-    ValueError for a negative `cases` or an unknown property name."""
+    ValueError for a negative `cases`, an empty `only` or an unknown
+    property name."""
     if cases < 0:
         raise ValueError(f"cases must be >= 0, got {cases}")
+    if only is not None and not only:
+        raise ValueError("no selftest properties selected")
     unknown = sorted(set(only or ()) - _PROPERTIES.keys())
     if unknown:
         raise ValueError(f"unknown selftest properties: {', '.join(unknown)}")

@@ -123,9 +123,6 @@ class Signal:
         hi = bisect_right(ticks, upper) if interval.upper_closed else bisect_left(ticks, upper)
         return lo, max(lo, hi)
 
-    def suffix(self, index: int) -> "Signal":
-        return Signal(self.times[index:], {n: c[index:] for n, c in self.components.items()})
-
     def prefix(self, index: int) -> "Signal":
         """Samples 0..index inclusive."""
         return Signal(self.times[: index + 1], {n: c[: index + 1] for n, c in self.components.items()})
@@ -135,15 +132,6 @@ class Signal:
         for name, value in state.items():
             comps[name][index] = value
         return Signal(self.times, comps)
-
-    def concat(self, other: "Signal") -> "Signal":
-        if other.t0 <= self.t_end:
-            raise ValueError("concatenated suffix must start after the prefix ends")
-        names = set(self.components) & set(other.components)
-        return Signal(
-            np.concatenate([self.times, other.times]),
-            {n: np.concatenate([self.components[n], other.components[n]]) for n in names},
-        )
 
     def __repr__(self) -> str:
         span = f"[{to_seconds(self.t0)}, {to_seconds(self.t_end)}]s"

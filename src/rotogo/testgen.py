@@ -21,7 +21,8 @@ the stream with digests: a change that moves any draw fails there.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -184,43 +185,20 @@ def has_exact_zero(f: Formula, s: Signal) -> bool:
 # signal truncation from the end.
 
 
-def _subtree_paths(f: Formula) -> list[tuple[str, ...]]:
-    paths: list[tuple[str, ...]] = []
-
-    def walk(g: Formula, path: tuple[str, ...]) -> None:
-        paths.append(path)
-        if isinstance(g, Not):
-            walk(g.child, path + ("child",))
-        elif isinstance(g, (And, Or)):
-            walk(g.left, path + ("left",))
-            walk(g.right, path + ("right",))
-        elif isinstance(g, Until):
-            walk(g.left, path + ("left",))
-            walk(g.right, path + ("right",))
-
-    walk(f, ())
-    return paths
-
-
-def _replace(f: Formula, path: tuple[str, ...], new: Formula) -> Formula:
-    if not path:
-        return new
-    head, rest = path[0], path[1:]
+def _one_subtree_replaced(f: Formula) -> Iterator[Formula]:
+    """``f`` with one proper subtree replaced by TOP, then by BOTTOM, the
+    subtrees taken in pre-order."""
     if isinstance(f, Not):
-        return Not(_replace(f.child, rest, new))
-    if isinstance(f, And):
-        if head == "left":
-            return And(_replace(f.left, rest, new), f.right)
-        return And(f.left, _replace(f.right, rest, new))
-    if isinstance(f, Or):
-        if head == "left":
-            return Or(_replace(f.left, rest, new), f.right)
-        return Or(f.left, _replace(f.right, rest, new))
-    if isinstance(f, Until):
-        if head == "left":
-            return Until(_replace(f.left, rest, new), f.interval, f.right)
-        return Until(f.left, f.interval, _replace(f.right, rest, new))
-    raise ValueError(f"bad path {path} into {f!r}")
+        children, rebuild = (f.child,), Not
+    elif isinstance(f, (And, Or)):
+        children, rebuild = (f.left, f.right), type(f)
+    elif isinstance(f, Until):
+        children, rebuild = (f.left, f.right), lambda left, right: Until(left, f.interval, right)
+    else:
+        return
+    for k, child in enumerate(children):
+        for new in chain((TOP, BOTTOM), _one_subtree_replaced(child)):
+            yield rebuild(*children[:k], new, *children[k + 1 :])
 
 
 def shrink_instance(
@@ -240,15 +218,9 @@ def shrink_instance(
                 changed = True
             else:
                 break
-        for path in _subtree_paths(f):
-            if not path:
-                continue
-            for repl in (TOP, BOTTOM):
-                candidate = _replace(f, path, repl)
-                if candidate != f and still_failing(candidate, s):
-                    f = candidate
-                    changed = True
-                    break
-            if changed:
+        for candidate in _one_subtree_replaced(f):
+            if candidate != f and still_failing(candidate, s):
+                f = candidate
+                changed = True
                 break
     return f, s

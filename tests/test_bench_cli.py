@@ -14,7 +14,7 @@ from rotogo.cli import main
 from rotogo.formula import to_seconds, to_ticks
 from rotogo.parser import format_formula, parse_formula
 from rotogo.scenarios import ScenarioConfig
-from rotogo.semantics import sat
+from rotogo.semantics import robustness, sat
 from rotogo.signals import Signal, read_trace_csv, write_trace_csv
 from rotogo.testgen import random_instance
 
@@ -371,6 +371,31 @@ def test_plan_prints_via_points(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "via points:" in out
+
+
+def test_plan_prints_the_plans_robustness_not_its_cost(tmp_path, capsys):
+    # Starting above v_max, every plan pays a limit penalty; the robustness
+    # line is still the chosen plan's robustness, that of the written
+    # trajectory after the initial state with the environment held.
+    from dataclasses import replace
+
+    from rotogo.mpc import mission_times
+    from rotogo.scenarios import scenario_phi_stayin
+
+    cfg = replace(scenario_phi_stayin(), robot_start=(1.2, 2.5, 0.6, 0.0))
+    cfg_path = tmp_path / "cfg.json"
+    cfg.save(cfg_path)
+    assert main(["plan", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines() if ": " in line)
+    cost = float(lines["cost"])
+    assert cost > 1e5
+    with open(tmp_path / "phi_stayin_plan.csv", encoding="utf-8") as fh:
+        rows = np.array([[float(v) for v in line.split(",")] for line in list(fh)[1:]])
+    comps = {name: rows[:, k] for k, name in enumerate(("x", "y", "vx", "vy"), 1)}
+    comps["xe"], comps["ye"] = (np.full(len(rows), v) for v in cfg.env_start)
+    want = robustness(Signal(mission_times(cfg), comps), 0, cfg.parsed_formula())
+    assert lines["robustness"] == repr(want)
+    assert float(lines["robustness"]) != -cost
 
 
 def test_selftest_zero_cases_vacuous(capsys):

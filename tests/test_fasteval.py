@@ -5,13 +5,12 @@ import numpy as np
 
 from rotogo.fasteval import (
     Program,
-    TouchCounter,
     _until_general,
     _window,
     eval_robustness_all,
     eval_robustness_arrays,
 )
-from rotogo.formula import And, BOTTOM, Interval, Not, Or, Pred, TOP, Until, Var, formula_predicates, to_ticks
+from rotogo.formula import And, BOTTOM, Interval, Not, Or, Pred, TOP, Until, Var, to_ticks
 from rotogo.parser import parse_formula
 from rotogo.semantics import robustness
 from rotogo.signals import Signal
@@ -57,24 +56,16 @@ def test_batched_rows_evaluate_independently():
         assert np.array_equal(table[b], expect)
 
 
-def test_touch_counter_tracks_distinct_samples_and_reads():
-    s = Signal(
-        np.arange(5, dtype=np.int64) * to_ticks(0.1),
-        {"x": np.arange(5.0), "y": np.arange(5.0)},
-    )
+def test_samples_touched_counts_distinct_samples():
+    times = np.arange(5, dtype=np.int64) * to_ticks(0.1)
     f = parse_formula("G[0,0.4] ((x > 0) & (y > 1))")
-    counter = TouchCounter()
-    eval_robustness_all(s, f, counter)
-    assert counter.samples == 5  # distinct sample slots
-    assert counter.reads == 10  # two predicates over five samples
+    assert Program(times, f, 5).samples_touched == 5  # two predicates, five distinct samples
 
 
 def test_constant_formulas_touch_nothing():
     s = Signal(np.arange(3, dtype=np.int64), {"x": np.zeros(3)})
-    counter = TouchCounter()
-    table = eval_robustness_all(s, TOP, counter)
-    assert counter.samples == 0 and counter.reads == 0
-    assert np.all(np.isposinf(table))
+    assert Program(s.times, TOP, 3).samples_touched == 0
+    assert np.all(np.isposinf(eval_robustness_all(s, TOP)))
 
 
 def test_matches_reference_at_mission_scale():
@@ -153,17 +144,15 @@ def _rows(signal: Signal, batch: int = 1) -> dict:
 
 
 def assert_start_matches_table(times, comps, f):
-    """A width-1 program gives the table's first column, reads no more
-    samples than the full table and no more predicate values than every
-    predicate leaf evaluated at every sample."""
-    full_counter, start_counter = TouchCounter(), TouchCounter()
-    table = eval_robustness_arrays(times, comps, f, full_counter)
-    start = Program(times, f, 1).run(comps, start_counter)[:, 0]
+    """A width-1 program gives the table's first column and reads no more
+    samples than the full table; returns the width-1 program."""
+    full, first = Program(times, f, len(times)), Program(times, f, 1)
+    table = full.run(comps)
+    start = first.run(comps)[:, 0]
     assert start.shape == (table.shape[0],)
     assert np.array_equal(start, table[:, 0]), (f, start, table[:, 0])
-    assert start_counter.samples <= full_counter.samples
-    assert start_counter.reads <= table.size * len(formula_predicates(f))
-    return start_counter
+    assert first.samples_touched <= full.samples_touched
+    return first
 
 
 def _random_interval(rng, span_s=5.0):
@@ -212,8 +201,7 @@ def test_start_of_decided_formulas_reads_nothing():
     s = Signal(np.arange(4, dtype=np.int64) * to_ticks(0.5), {"x": np.arange(4.0)})
     comps = _rows(s, 3)
     for f, want in ((TOP, np.inf), (BOTTOM, -np.inf), (Until(TOP, Interval(0, to_ticks(1.0)), TOP), np.inf)):
-        counter = assert_start_matches_table(s.times, comps, f)
-        assert counter.samples == 0 and counter.reads == 0
+        assert assert_start_matches_table(s.times, comps, f).samples_touched == 0
     mixed = Or(And(TOP, Pred(Var("x"))), BOTTOM)
     assert_start_matches_table(s.times, comps, mixed)
 
@@ -222,12 +210,10 @@ def test_start_reads_only_the_samples_the_first_value_needs():
     s = Signal(np.arange(10, dtype=np.int64) * to_ticks(1.0), {"x": np.arange(10.0) - 4.5})
     # F[2,4] x>0 at t=0 reads samples 2, 3, 4
     f = Until(TOP, Interval(to_ticks(2.0), to_ticks(4.0)), Pred(Var("x")))
-    counter = assert_start_matches_table(s.times, _rows(s), f)
-    assert counter.samples == 3 and counter.reads == 3
+    assert assert_start_matches_table(s.times, _rows(s), f).samples_touched == 3
     # an eventually whose window lies past the signal reads nothing
     late = Until(TOP, Interval(to_ticks(20.0), to_ticks(30.0)), Pred(Var("x")))
-    counter = assert_start_matches_table(s.times, _rows(s), late)
-    assert counter.samples == 0
+    assert assert_start_matches_table(s.times, _rows(s), late).samples_touched == 0
 
 
 def test_start_matches_table_at_mission_scale():
@@ -242,8 +228,8 @@ def test_start_matches_table_at_mission_scale():
             "vx": rng.uniform(-0.5, 0.5, (batch, n)), "vy": rng.uniform(-0.5, 0.5, (batch, n)),
             "xe": np.full((batch, n), 2.5), "ye": np.full((batch, n), 2.5),
         }
-        counter = assert_start_matches_table(times, comps, cfg.parsed_formula())
-        assert counter.samples == n  # G[0,20] reads the whole mission
+        program = assert_start_matches_table(times, comps, cfg.parsed_formula())
+        assert program.samples_touched == n  # G[0,20] reads the whole mission
 
 
 # ---------------------------------------------------------------------------
@@ -315,33 +301,34 @@ def test_bare_component_table_does_not_alias_the_signal():
     assert s.components["x"].tobytes() == before.tobytes()
 
 
+def _steps(times, formula: str, width: int) -> int:
+    return len(Program(times, parse_formula(formula), width)._steps)
+
+
 def test_shared_predicates_are_read_once():
     s = Signal(np.arange(5, dtype=np.int64) * to_ticks(0.1), {"x": np.arange(5.0), "y": np.arange(5.0)})
-    # (x > 0.5) appears twice, both times over samples 0..4
-    f = parse_formula("F[0,0.4] ((x > 0.5) & (y > 1)) | F[0,0.4] ((x > 0.5) & (y < 2))")
-    counter = assert_start_matches_table(s.times, _rows(s, 3), f)
-    assert counter.samples == 5
-    assert counter.reads == 3 * 3 * 5  # three distinct predicates, three rows
-    full = TouchCounter()
-    eval_robustness_arrays(s.times, _rows(s, 3), f, full)
-    assert full.samples == 5 and full.reads == 3 * 3 * 5
+    # (x > 0.5) appears twice, both times over samples 0..4: one step fewer
+    # than the same formula with the second (x > 0.5) made distinct
+    f = "F[0,0.4] ((x > 0.5) & (y > 1)) | F[0,0.4] ((x > 0.5) & (y < 2))"
+    distinct = "F[0,0.4] ((x > 0.5) & (y > 1)) | F[0,0.4] ((x > 0.6) & (y < 2))"
+    assert_start_matches_table(s.times, _rows(s, 3), parse_formula(f))
+    for width in (1, 5):
+        assert _steps(s.times, f, width) == _steps(s.times, distinct, width) - 1
+        assert Program(s.times, parse_formula(f), width).samples_touched == 5
     # the same predicate over different index ranges is read over each
-    g = parse_formula("(x > 0) & F[0.2,0.3] (x > 0)")
-    counter = assert_start_matches_table(s.times, _rows(s), g)
-    assert counter.samples == 3 and counter.reads == 3
-    # ... and over one range once: the full table needs (x > 0) at all
-    # samples 0..2 for both operands
-    short = Signal(s.times[:3], {"x": np.arange(3.0)})
-    h = parse_formula("(x > 0) & F[0,0.2] (x > 0)")
-    counter = assert_start_matches_table(short.times, _rows(short), h)
-    assert counter.samples == 3 and counter.reads == 4
-    full = TouchCounter()
-    eval_robustness_all(short, h, full)
-    assert full.samples == 3 and full.reads == 3
+    g, g_distinct = "(x > 0.5) & F[0.2,0.3] (x > 0.5)", "(x > 0.5) & F[0.2,0.3] (x > 1)"
+    assert assert_start_matches_table(s.times, _rows(s), parse_formula(g)).samples_touched == 3
+    assert _steps(s.times, g, 1) == _steps(s.times, g_distinct, 1)
+    # ... and over one range once: the full table needs (x > 0.5) at all
+    # samples 0..2 for both operands, the first value at 0 and at 0..2
+    short = s.times[:3]
+    h, h_distinct = "(x > 0.5) & F[0,0.2] (x > 0.5)", "(x > 0.5) & F[0,0.2] (x > 1)"
+    assert _steps(short, h, 1) == _steps(short, h_distinct, 1)
+    assert _steps(short, h, 3) == _steps(short, h_distinct, 3) - 1
+    assert Program(short, parse_formula(h), 1).samples_touched == 3
+    assert Program(short, parse_formula(h), 3).samples_touched == 3
     # a late window leaves the early samples of the full table unread
-    full = TouchCounter()
-    eval_robustness_all(s, parse_formula("F[0.2,0.3] (x > 0)"), full)
-    assert full.samples == 3 and full.reads == 3
+    assert Program(s.times, parse_formula("F[0.2,0.3] (x > 0)"), 5).samples_touched == 3
 
 
 # ---------------------------------------------------------------------------

@@ -114,20 +114,19 @@ def _rebuild_objective_signal(result, record, cfg):
         record.via_points, start_pos, start_vel, record.plan_duration, hz
     )
     n_suffix = pos.shape[0] - 1
-    suffix_times = result.trace.times[record.index + 1 : record.index + 1 + n_suffix]
-    suffix = Signal(
-        suffix_times,
-        {
-            "x": pos[1:, 0],
-            "y": pos[1:, 1],
-            "vx": vel[1:, 0],
-            "vy": vel[1:, 1],
-            "xe": np.full(n_suffix, record.env[0]),
-            "ye": np.full(n_suffix, record.env[1]),
-        },
+    suffix = {
+        "x": pos[1:, 0],
+        "y": pos[1:, 1],
+        "vx": vel[1:, 0],
+        "vy": vel[1:, 1],
+        "xe": np.full(n_suffix, record.env[0]),
+        "ye": np.full(n_suffix, record.env[1]),
+    }
+    split = record.index + 1
+    return Signal(
+        result.trace.times[: split + n_suffix],
+        {name: np.concatenate([result.trace.components[name][:split], col]) for name, col in suffix.items()},
     )
-    prefix = result.trace.prefix(record.index)
-    return prefix.concat(suffix)
 
 
 def test_rotogo_objective_matches_direct_definition_in_the_live_loop():

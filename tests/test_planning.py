@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rotogo.dynamics import RobotState
-from rotogo.fasteval import Program, TouchCounter, eval_robustness_arrays
+from rotogo.fasteval import Program, eval_robustness_arrays
 from rotogo.formula import to_ticks
 from rotogo.parser import parse_formula
 from rotogo.planning import (
@@ -149,16 +149,15 @@ def test_clamp_robustness():
 
 
 def test_plan_cost_counts_touched_samples():
-    counter = TouchCounter()
-    cost_of([[1.0, 1.0]] * 2, 2.0, RobotState(1.0, 1.0, 0.0, 0.0), parse_formula("G[0,2] (x > 0)"), counter=counter)
-    assert counter.samples == 21
+    problem = plan_problem(parse_formula("G[0,2] (x > 0)"), [[1.0, 1.0]] * 2, 2.0, RobotState(1.0, 1.0, 0.0, 0.0))
+    assert problem.program.samples_touched == 21
 
 
 # ---------------------------------------------------------------------------
 # PlanningProblem
 
 
-def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0,20] (x > 4)", prefix_len=0, counter=None):
+def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0,20] (x > 4)", prefix_len=0):
     n_via = int(rng.integers(1, 6))
     hz = 10.0
     duration = float(rng.uniform(1.0, 20.0))
@@ -169,7 +168,7 @@ def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0
     env = tuple(rng.uniform(0.0, 5.0, 2))
     f = parse_formula(formula)
     problem = PlanningProblem(
-        Program(times, f, 1), start_pos, start_vel, env, duration, hz, n_via, prefix=prefix, counter=counter,
+        Program(times, f, 1), start_pos, start_vel, env, duration, hz, n_via, prefix=prefix,
     )
     return problem, (start_pos, start_vel, duration, hz, n_via, f), prefix
 
@@ -217,20 +216,17 @@ def test_cost_matches_prefix_plus_suffix_table():
         assert np.array_equal(cost, -clamp_robustness(rho) + penalty)
 
 
-def test_robustness_of_given_rows_matches_table_and_counts_nothing():
+def test_robustness_of_given_rows_matches_table():
     # Rows from the direct spline evaluation, as the best plan is scored:
     # the problem's start-only value equals the table of the assembled
-    # signal, and the problem's counter keeps what the cost calls read.
+    # signal.
     rng = np.random.default_rng(46)
     for prefix_len in (0, 1, 17):
-        counter = TouchCounter()
-        problem, (start_pos, start_vel, duration, hz, n_via, f), _ = _random_problem(rng, prefix_len=prefix_len, counter=counter)
+        problem, (start_pos, start_vel, duration, hz, n_via, f), _ = _random_problem(rng, prefix_len=prefix_len)
         X = rng.uniform(0.0, 5.0, size=(4, 2 * n_via))
         problem.cost(X)
-        seen = (counter.samples, counter.reads)
         _, pos, vel, _ = rollout_arrays(X[:1].reshape(n_via, 2), start_pos, start_vel, duration, hz)
         rho = problem.robustness(pos.T[:, np.newaxis], vel.T[:, np.newaxis])
-        assert (counter.samples, counter.reads) == seen
         table = eval_robustness_arrays(problem.times, problem.signal(1), f)
         assert rho.tobytes() == table[:, 0].tobytes()
         assert problem.signal(1)["x"][0, -1] == pos[-1, 0]

@@ -26,6 +26,11 @@ def make_signal(times_s, **comps):
     return Signal(times, {k: np.asarray(v, dtype=float) for k, v in comps.items()})
 
 
+def _suffix(s, index):
+    """The samples of ``s`` from ``index`` on, built from slices of its columns."""
+    return Signal(s.times[index:], {n: c[index:] for n, c in s.components.items()})
+
+
 def test_value_at_exact_sample():
     s = make_signal([0, 1], x=[1.5, 2.5])
     assert s.value_at(SEC) == {"x": 2.5}
@@ -57,16 +62,6 @@ def test_row_is_value_at_by_index():
     s = make_signal([0, 1, 2], x=[1.5, -0.0, 3.0])
     for i in range(3):
         assert s.row(i) is s.value_at(s.t(i))
-
-
-def test_concat_owns_seam_exactly_once():
-    prefix = make_signal([0, 1], x=[0.0, 1.0])
-    suffix = make_signal([2, 3], x=[2.0, 3.0])
-    joined = prefix.concat(suffix)
-    assert len(joined) == 4
-    assert joined.times.tolist() == [0, SEC, 2 * SEC, 3 * SEC]
-    with pytest.raises(ValueError):
-        prefix.concat(make_signal([1, 2], x=[9.0, 9.0]))  # seam would repeat
 
 
 def test_times_strictly_increasing_enforced():
@@ -123,7 +118,7 @@ def test_times_in_merges_across_prefix_suffix_views():
         offset = int(rng.integers(0, 2 * SEC))
         whole = times_in(s, interval, offset)
         for k in range(len(s) - 1):
-            merged = times_in(s.prefix(k), interval, offset) + times_in(s.suffix(k + 1), interval, offset)
+            merged = times_in(s.prefix(k), interval, offset) + times_in(_suffix(s, k + 1), interval, offset)
             assert merged == whole
 
 
@@ -171,11 +166,14 @@ def test_lookups_match_searchsorted_on_random_times():
 
 def test_tick_lookups_follow_suffix_prefix_and_concat():
     s = make_signal([0, 0.5, 1.25, 2], x=[0, 1, 2, 3])
-    tail = s.suffix(2)
+    tail = _suffix(s, 2)
     assert (tail.t0, tail.t_end, len(tail)) == (to_ticks(1.25), 2 * SEC, 2)
     assert tail.index_of(2 * SEC) == 1
-    assert times_in(s.prefix(1), Interval(0, 10 * SEC)) == [0, SEC // 2]
-    joined = s.prefix(1).concat(tail)
+    head = s.prefix(1)
+    assert times_in(head, Interval(0, 10 * SEC)) == [0, SEC // 2]
+    joined = Signal(
+        np.concatenate([head.times, tail.times]), {"x": np.concatenate([head.components["x"], tail.components["x"]])}
+    )
     assert times_in(joined, Interval(0, 3 * SEC, True, False)) == [0, SEC // 2, to_ticks(1.25), 2 * SEC]
 
 
@@ -202,7 +200,7 @@ def test_state_and_row_are_the_component_items():
         s = Signal(np.arange(n, dtype=np.int64) * SEC, comps)
         views = [s]
         if n > 1:
-            views.append(s.suffix(1))
+            views.append(_suffix(s, 1))
         if names:
             s.state(0)  # the block of ``s`` exists before ``replaced`` copies it
             views.append(s.replaced(n - 1, {names[0]: -0.0}))
