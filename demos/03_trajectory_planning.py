@@ -10,7 +10,6 @@ from pathlib import Path
 from rotogo import EnvState, RobotState, scenario_phi_avoid
 from rotogo.fasteval import Program
 from rotogo.mpc import mission_times, observation, replan
-from rotogo.planning import rollout_arrays
 
 cfg = scenario_phi_avoid()
 phi = cfg.validate()
@@ -39,12 +38,11 @@ for j, (x, y) in enumerate(plan.via, 1):
 # obstacles, and nothing the plan does later can widen that.
 
 # ---------------------------------------------------------------------------
-# Roll the winner out and check its kinematics.
+# The winner's rollout, which the replan keeps, and its kinematics.
 
-hz = 1.0 / cfg.trace_period
-times, pos, vel, acc = rollout_arrays(plan.via, plan.start_pos, plan.start_vel, plan.duration, hz)
-speed = np.sqrt((vel**2).sum(axis=1))
-print(f"trajectory: {len(times)} rows, peak speed {speed.max():.3f} m/s (limit {cfg.v_max})")
+pos = plan.pos
+speed = np.sqrt((plan.vel**2).sum(axis=1))
+print(f"trajectory: {len(plan.times)} rows, peak speed {speed.max():.3f} m/s (limit {cfg.v_max})")
 print(f"final position ({pos[-1, 0]:.3f}, {pos[-1, 1]:.3f}), final speed {speed[-1]:.2e}")
 
 try:

@@ -101,7 +101,6 @@ def cmd_plan(args) -> int:
     from .dynamics import EnvState, RobotState
     from .fasteval import Program
     from .mpc import mission_times, observation, replan
-    from .planning import rollout_arrays
 
     cfg = _load_scenario(args)
     f = cfg.validate()
@@ -120,12 +119,10 @@ def cmd_plan(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        hz = 1.0 / cfg.trace_period
-        times, pos, vel, acc = rollout_arrays(plan.via, plan.start_pos, plan.start_vel, plan.duration, hz)
         path = out / f"{cfg.name}_plan.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,x,y,vx,vy,ax,ay\n")
-            for row in np.column_stack([times, pos, vel, acc]):
+            for row in np.column_stack([plan.times, plan.pos, plan.vel, plan.acc]):
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
         print(f"trajectory written to {path}")
     return 0

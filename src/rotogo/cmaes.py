@@ -9,7 +9,7 @@ in the fitness ranking are broken stably.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,22 +31,14 @@ class CmaesConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    best_value: float          # best objective value seen this iteration
-    best_so_far: float         # elitist best across all evaluations so far
-    best_x: np.ndarray         # this iteration's best candidate
-    mean: np.ndarray
-    step_size: float
-
-
 @dataclass
 class CmaesResult:
     best_x: np.ndarray
     best_value: float
-    history: list[IterationRecord] = field(default_factory=list)
-    evaluations: int = 0
+    # One (best value, step size) pair per generation: the generation's
+    # lowest objective value and the step size after its update.
+    history: list[tuple[float, float]]
+    evaluations: int
 
 
 class ObjectiveError(RuntimeError):
@@ -105,7 +97,7 @@ def cmaes_minimize(
     best_x = mean.copy()
     best_value = math.inf
     evaluations = 0
-    history: list[IterationRecord] = []
+    history: list[tuple[float, float]] = []
 
     for iteration in range(config.max_iterations):
         z = rng.standard_normal((lam, n))
@@ -156,15 +148,6 @@ def cmaes_minimize(
         eigvals, eigvecs = np.linalg.eigh(cov)
         sqrt_eigvals = np.sqrt(np.maximum(eigvals, 1e-20))
 
-        history.append(
-            IterationRecord(
-                iteration=iteration,
-                best_value=float(values[order[0]]),
-                best_so_far=best_value,
-                best_x=candidates[order[0]].copy(),
-                mean=mean.copy(),
-                step_size=sigma,
-            )
-        )
+        history.append((float(values[order[0]]), sigma))
 
     return CmaesResult(best_x=best_x, best_value=best_value, history=history, evaluations=evaluations)

@@ -211,7 +211,7 @@ class _Compiler:
         if isinstance(f, Pred):
             v = self.expr(f.fn, a, b)
             if isinstance(v, _Const):
-                v = self._fill(v.value, b - a)
+                return self._fill(v.value, b - a)  # reads no sample
             self.spans.setdefault(v, (a, b))
             return v
         if isinstance(f, And):

@@ -13,6 +13,9 @@ from typing import Union
 
 TICKS_PER_SECOND = 1_000_000
 
+#: The state components every trace carries and a predicate may reference.
+STATE_COMPONENTS = ("x", "y", "vx", "vy", "xe", "ye")
+
 #: A time point is an integer count of microseconds.
 TimePoint = int
 

@@ -29,7 +29,7 @@ from .dynamics import DoubleIntegrator, EnvState, RobotState
 # trace.  The names stay importable here because the benchmark's tracer
 # (perfbench/workloads.py) wraps them on this module.
 from .fasteval import Program, eval_robustness_all, eval_robustness_arrays  # noqa: F401
-from .formula import node_count, to_seconds, to_ticks
+from .formula import STATE_COMPONENTS, node_count, to_seconds, to_ticks
 from .cmaes import CmaesConfig, cmaes_minimize
 from .planning import (  # noqa: F401
     PlanningProblem,
@@ -40,7 +40,7 @@ from .planning import (  # noqa: F401
 )
 from .progression import monitor_step, start_monitor
 from .scenarios import ScenarioConfig
-from .signals import Signal
+from .signals import EXTRA_COMPONENTS, Signal
 from .semantics import POS_INF, NEG_INF
 
 
@@ -126,11 +126,14 @@ def batch_stats(results: list[RunResult]) -> StatsRow:
 @dataclass
 class Plan:
     """A replan's chosen via points, from ``start_pos``/``start_vel`` at
-    ``start_tick`` over ``duration`` seconds, and their accelerations on
-    the trace grid."""
+    ``start_tick`` over ``duration`` seconds, and their rollout on the
+    trace grid."""
 
     start_tick: int
-    acc: np.ndarray  # (L, 2) accelerations on the trace grid
+    times: np.ndarray  # (L,) seconds from start_tick
+    pos: np.ndarray  # (L, 2) positions, velocities and accelerations
+    vel: np.ndarray
+    acc: np.ndarray
     via: np.ndarray
     duration: float
     start_pos: np.ndarray
@@ -188,7 +191,7 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     progressing = cfg.objective_mode == "rotogo"
     monitor = start_monitor(f0, 0)
 
-    cols = {n: np.zeros(n_samples) for n in ("x", "y", "vx", "vy", "xe", "ye", "ax", "ay", "w1", "w2")}
+    cols = {n: np.zeros(n_samples) for n in (*STATE_COMPONENTS, *EXTRA_COMPONENTS)}
     # The robustness of f0 at mission start over the whole mission: the
     # objective of every robustness-mode replan and the episode's final
     # score, compiled once.
@@ -308,11 +311,11 @@ def replan(
     best_via = result.best_x.reshape(n_via, 2)
     # The plan executes the directly evaluated spline, so its logged
     # robustness scores those rows rather than the linear map's.
-    _, pos, vel, acc = rollout_arrays(best_via, start_pos, start_vel, duration, hz)
+    times, pos, vel, acc = rollout_arrays(best_via, start_pos, start_vel, duration, hz)
     best_rho = float(problem.robustness(pos.T[:, np.newaxis], vel.T[:, np.newaxis])[0])
 
     plan = Plan(
-        start_tick=t_i, acc=acc, via=best_via, duration=duration,
+        start_tick=t_i, times=times, pos=pos, vel=vel, acc=acc, via=best_via, duration=duration,
         start_pos=start_pos, start_vel=start_vel,
     )
     record = ReplanRecord(

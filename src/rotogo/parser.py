@@ -58,6 +58,8 @@ from .formula import (
     Or,
     Pow,
     Pred,
+    STATE_COMPONENTS,
+    TICKS_PER_SECOND,
     TOP,
     BOTTOM,
     Top,
@@ -66,10 +68,8 @@ from .formula import (
     eventually,
     always,
     implies,
+    to_ticks,
 )
-
-#: State components a predicate may reference.
-ALLOWED_VARIABLES = frozenset({"x", "y", "vx", "vy", "xe", "ye"})
 
 _RESERVED = frozenset({"U", "F", "G", "true", "false", "inf"})
 
@@ -165,10 +165,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], tick_unit: float, aliases: Mapping[str, Formula]):
+    def __init__(self, tokens: list[_Token], aliases: Mapping[str, Formula]):
         self.tokens = tokens
         self.pos = 0
-        self.tick_unit = tick_unit
         self.aliases = aliases
         self.open = 0  # constructs currently open in the text
         self.depths: dict[int, tuple[object, int]] = {}  # id(node) -> (node, tree depth)
@@ -378,7 +377,7 @@ class _Parser:
         if tok.kind == "ident":
             if tok.text in _RESERVED or tok.text in self.aliases:
                 raise self.error(f"{tok.text!r} cannot appear in a predicate")
-            if tok.text not in ALLOWED_VARIABLES:
+            if tok.text not in STATE_COMPONENTS:
                 raise _PredicateError(f"unknown variable name {tok.text!r}", tok.line, tok.column)
             self.next()
             return Var(tok.text)
@@ -427,10 +426,10 @@ class _Parser:
         if tok.kind != "number":
             raise self.error(f"expected a time bound, found {tok.text or 'end of input'!r}")
         self.next()
-        ticks = float(tok.text) / self.tick_unit
-        if not math.isfinite(ticks):
+        seconds = float(tok.text)
+        if not math.isfinite(seconds * TICKS_PER_SECOND):
             raise ParseError(f"time bound {tok.text} s is out of range", tok.line, tok.column)
-        return round(ticks)
+        return to_ticks(seconds)
 
 
 class _NotAPredicate(Exception):
@@ -458,9 +457,7 @@ def _difference(lhs: Expr, rhs: Expr) -> Expr:
     return BinOp("-", lhs, rhs)
 
 
-def _resolve_aliases(
-    raw: Optional[Mapping[str, Union[str, Formula]]], tick_unit: float
-) -> dict[str, Formula]:
+def _resolve_aliases(raw: Optional[Mapping[str, Union[str, Formula]]]) -> dict[str, Formula]:
     if not raw:
         return {}
     resolved: dict[str, Formula] = {}
@@ -476,7 +473,7 @@ def _resolve_aliases(
         if isinstance(value, Formula):
             out = value
         else:
-            out = _parse(f"({value})", tick_unit, _LazyAliases(raw, resolve))
+            out = _parse(f"({value})", _LazyAliases(raw, resolve))
         resolving.discard(name)
         resolved[name] = out
         return out
@@ -504,8 +501,8 @@ class _LazyAliases(Mapping[str, Formula]):
         return key in self._raw
 
 
-def _parse(text: str, tick_unit: float, aliases: Mapping[str, Formula]) -> Formula:
-    parser = _Parser(_tokenize(text), tick_unit, aliases)
+def _parse(text: str, aliases: Mapping[str, Formula]) -> Formula:
+    parser = _Parser(_tokenize(text), aliases)
     out = parser.parse_formula()
     tok = parser.peek()
     if tok.kind != "end":
@@ -513,19 +510,15 @@ def _parse(text: str, tick_unit: float, aliases: Mapping[str, Formula]) -> Formu
     return out
 
 
-def parse_formula(
-    text: str,
-    tick_unit: float = 1e-6,
-    aliases: Optional[Mapping[str, Union[str, Formula]]] = None,
-) -> Formula:
+def parse_formula(text: str, *, aliases: Optional[Mapping[str, Union[str, Formula]]] = None) -> Formula:
     """Parse concrete syntax into a desugared formula tree.
 
-    ``tick_unit`` is the duration of one tick in seconds (1 microsecond by
-    default); interval bounds are converted to ticks at parse time.
+    Interval bounds are seconds, converted to ticks at parse time by
+    :func:`rotogo.formula.to_ticks`, as trace and scenario times are.
     ``aliases`` maps bare names to formula fragments (strings or already
     parsed formulas), as bound by a scenario configuration.
     """
-    return _parse(text, tick_unit, _resolve_aliases(aliases, tick_unit))
+    return _parse(text, _resolve_aliases(aliases))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .fasteval import Program
+from .formula import STATE_COMPONENTS
 
 #: Cost assigned per trajectory sample outside the workspace.
 WORKSPACE_PENALTY = 1e8
@@ -176,10 +177,6 @@ def clamp_robustness(rho: np.ndarray) -> np.ndarray:
     return np.clip(rho, -ROBUSTNESS_CLAMP, ROBUSTNESS_CLAMP)
 
 
-#: Signal components of a scored candidate, in buffer order.
-COMPONENTS = ("x", "y", "vx", "vy", "xe", "ye")
-
-
 class PlanningProblem:
     """The planning loss of one replan, evaluated for whole populations.
 
@@ -241,8 +238,8 @@ class PlanningProblem:
         if self._split < 0:
             raise ValueError("times are shorter than the rollout suffix")
         if prefix is None:
-            prefix = {name: () for name in COMPONENTS}
-        self._prefix = {name: np.asarray(prefix[name], dtype=np.float64) for name in COMPONENTS}
+            prefix = {name: () for name in STATE_COMPONENTS}
+        self._prefix = {name: np.asarray(prefix[name], dtype=np.float64) for name in STATE_COMPONENTS}
         if any(col.shape != (self._split,) for col in self._prefix.values()):
             raise ValueError(f"prefix columns must hold the {self._split} samples before the rollout suffix")
         self._buffers: dict[str, np.ndarray] = {}
@@ -269,7 +266,7 @@ class PlanningProblem:
         """The (batch, n) component buffers, prefix and environment filled in."""
         if not self._buffers or self._buffers["x"].shape[0] < batch:
             split = self._split
-            for name in COMPONENTS:
+            for name in STATE_COMPONENTS:
                 buf = self._buffers[name] = np.empty((batch, self.times.size))
                 buf[:, :split] = self._prefix[name]
             self._buffers["xe"][:, split:] = self.env[0]

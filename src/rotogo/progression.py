@@ -202,7 +202,6 @@ class MonitorState:
 
     current: Formula
     anchor_time: TimePoint
-    original: Formula
     step_count: int = 0
 
     @property
@@ -215,7 +214,7 @@ class MonitorState:
 
 
 def start_monitor(f: Formula, t0: TimePoint) -> MonitorState:
-    return MonitorState(current=f, anchor_time=t0, original=f, step_count=0)
+    return MonitorState(current=f, anchor_time=t0)
 
 
 def monitor_step(m: MonitorState, next_sample_time: TimePoint, state: Mapping[str, float]) -> MonitorState:
@@ -228,7 +227,7 @@ def monitor_step(m: MonitorState, next_sample_time: TimePoint, state: Mapping[st
         # After the first step, ``current`` is a previous step's result.
         fresh = m.step_count == 0
         progressed = _progress_checked(m.current, next_sample_time - m.anchor_time, state, fresh)
-    return MonitorState(progressed, next_sample_time, m.original, m.step_count + 1)
+    return MonitorState(progressed, next_sample_time, m.step_count + 1)
 
 
 def progress_along(f0: Formula, signal: Signal, upto_index: int) -> Formula:

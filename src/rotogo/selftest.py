@@ -201,7 +201,7 @@ def _fresh_signal_for(f: Formula, rng) -> Signal:
 
 def _prop_suffix_independence(rng, progress_fn) -> Iterator[_Check]:
     while True:
-        f, s = random_instance(rng, min_len=3)
+        f, s = random_instance(rng)
         cut = int(rng.integers(0, len(s) - 1))
         progressed = _fold(f, s, cut, progress_fn)
         base = robustness(s, s.t(cut + 1), progressed)

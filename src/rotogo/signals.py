@@ -17,10 +17,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .formula import TICKS_PER_SECOND, Interval, TimePoint, to_seconds, to_ticks
-
-#: Core state components carried by every simulation trace.
-STATE_COMPONENTS = ("x", "y", "vx", "vy", "xe", "ye")
+from .formula import STATE_COMPONENTS, TICKS_PER_SECOND, Interval, TimePoint, to_seconds, to_ticks
 
 #: Optional control-input and disturbance columns.
 EXTRA_COMPONENTS = ("ax", "ay", "w1", "w2")
@@ -153,14 +150,15 @@ class TraceValidation:
         return self.valid
 
 
-def validate_trace(trace: Signal, dt: TimePoint, dynamics, tol: float = 1e-9) -> TraceValidation:
+def validate_trace(trace: Signal, dt: TimePoint, dynamics) -> TraceValidation:
     """Check that consecutive samples follow the robot and environment models.
 
     Robot components must satisfy the dynamics step under the recorded control
     input, and environment components must advance by the recorded disturbance,
-    within ``tol`` per component.  The first offending pair is reported.
+    within 1e-9 per component.  The first offending pair is reported.
     """
-    for name in ("ax", "ay", "w1", "w2"):
+    tol = 1e-9
+    for name in EXTRA_COMPONENTS:
         if name not in trace.components:
             raise ValueError(f"trace has no {name!r} column; validity is not checkable")
     c = trace.components

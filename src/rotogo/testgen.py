@@ -51,17 +51,19 @@ _VARS = ("x", "y")
 _PERIODS = (to_ticks(0.1), to_ticks(0.5), to_ticks(1.0))
 #: Gap and start-time draw bounds of irregularly sampled signals, in ticks.
 _GAP_LOW, _GAP_HIGH, _START_HIGH = to_ticks(0.05), to_ticks(3.0), to_ticks(2.0)
+#: Random intervals: a lower bound below 8 s, a finite upper bound of at most 10 s.
+_LOWER_HIGH, _UPPER_MAX = to_ticks(8.0), to_ticks(10.0)
 
 
-def random_interval(rng: np.random.Generator, span_s: float = 10.0) -> Interval:
+def random_interval(rng: np.random.Generator) -> Interval:
     if rng.random() < 0.25:
         lower = 0
     else:
-        lower = int(rng.integers(0, to_ticks(span_s * 0.8)))
+        lower = int(rng.integers(0, _LOWER_HIGH))
     if rng.random() < 0.05:
         upper: float = math.inf
     else:
-        upper = int(rng.integers(lower + 1, to_ticks(span_s) + 1))
+        upper = int(rng.integers(lower + 1, _UPPER_MAX + 1))
     lower_closed = bool(rng.random() < 0.7)
     upper_closed = upper != math.inf and bool(rng.random() < 0.7)
     return Interval(lower, upper, lower_closed, upper_closed)
@@ -89,12 +91,7 @@ def random_predicate(rng: np.random.Generator) -> Pred:
     return Pred(BinOp("-", r2, Pow(BinOp("-", var, cx), 2)))
 
 
-def random_formula(
-    rng: np.random.Generator,
-    max_depth: int = 4,
-    max_temporal: int = 3,
-    interval_span_s: float = 10.0,
-) -> Formula:
+def random_formula(rng: np.random.Generator, max_depth: int = 4, max_temporal: int = 3) -> Formula:
     budget = [max_temporal]
 
     def build(depth: int) -> Formula:
@@ -114,7 +111,7 @@ def random_formula(
             return Or(build(depth + 1), build(depth + 1))
         if budget[0] > 0:
             budget[0] -= 1
-            interval = random_interval(rng, interval_span_s)
+            interval = random_interval(rng)
             kind = rng.random()
             if kind < 0.4:
                 return Until(build(depth + 1), interval, build(depth + 1))
@@ -205,13 +202,13 @@ def shrink_instance(
     f: Formula,
     s: Signal,
     still_failing: Callable[[Formula, Signal], bool],
-    min_samples: int = 2,
 ) -> tuple[Formula, Signal]:
-    """Greedy minimization of a failing (formula, signal) instance."""
+    """Greedy minimization of a failing (formula, signal) instance; the
+    signal keeps at least two samples."""
     changed = True
     while changed:
         changed = False
-        while len(s) > min_samples:
+        while len(s) > 2:
             shorter = s.prefix(len(s) - 2)
             if still_failing(f, shorter):
                 s = shorter

@@ -83,11 +83,21 @@ def test_c07_cmaes_sanity():
         result = cmaes_minimize([0.0, 0.0], cfg, batch_objective=quadratic)
         assert abs(result.best_x[0] - 2.0) < 1e-3 and abs(result.best_x[1] + 1.0) < 1e-3
     cfg = CmaesConfig(seed=123, max_iterations=30)
-    a = cmaes_minimize([0.0, 0.0], cfg, batch_objective=quadratic)
-    b = cmaes_minimize([0.0, 0.0], cfg, batch_objective=quadratic)
-    assert a.best_value == b.best_value
-    for ra, rb in zip(a.history, b.history):
-        assert np.array_equal(ra.mean, rb.mean) and ra.step_size == rb.step_size
+    runs = []
+    for _ in range(2):
+        # Candidate batches are mean + step_size * y: equal batches replay
+        # the mean and the sampling.
+        batches = []
+
+        def recorded(X, batches=batches):
+            batches.append(X.copy())
+            return quadratic(X)
+
+        runs.append((cmaes_minimize([0.0, 0.0], cfg, batch_objective=recorded), batches))
+    (a, batches_a), (b, batches_b) = runs
+    assert a.best_value == b.best_value and a.history == b.history
+    assert len(batches_a) == cfg.max_iterations
+    assert all(xa.tobytes() == xb.tobytes() for xa, xb in zip(batches_a, batches_b))
     _passline(7, "quadratic minimum recovered to 1e-3 on 10/10 seeds; replay bit-identical")
 
 

@@ -170,6 +170,18 @@ def test_monitor_violated_exit_one(tmp_path, capsys):
     assert "verdict: violated" in capsys.readouterr().out
 
 
+def test_monitor_formula_bounds_round_like_trace_times(tmp_path, capsys):
+    # 0.0000025 s is tick 2 both as a trace time and as the interval's open
+    # upper bound, so the positive sample lies outside the window.
+    path = tmp_path / "half_tick.csv"
+    path.write_text("t,x\n0,-1\n0.0000025,1\n", encoding="utf-8")
+    code = main(["monitor", "F[0,0.0000025) (x > 0)", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "verdict: violated" in out
+    assert "robustness: -1.0" in out
+
+
 def test_monitor_missing_file_exit_two(tmp_path, capsys):
     code = main(["monitor", "(x > 0)", str(tmp_path / "nope.csv")])
     assert code == 2

@@ -1,9 +1,14 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from rotogo.cmaes import CmaesConfig, ObjectiveError, cmaes_minimize
+
+# The history of CmaesConfig(seed=7, max_iterations=25) on the quadratic.
+HISTORY_SHA256 = "e8f1ebfe7c1fbb69f92bc10443a847903b3e789706fb5a50449893397d9af086"
 
 
 def quadratic(X):
@@ -29,37 +34,72 @@ def test_sphere_ten_dimensional():
     assert ok == 10
 
 
+def recording(objective):
+    """``objective`` plus the list of candidate batches it was called with.
+
+    Each batch is ``mean + step_size * y``, so the batches carry what the
+    optimizer's mean and step size did."""
+    batches = []
+
+    def batch_objective(X):
+        batches.append(X.copy())
+        return objective(X)
+
+    return batch_objective, batches
+
+
 def test_same_seed_gives_bit_identical_history():
     cfg = CmaesConfig(seed=7, max_iterations=25)
-    a = cmaes_minimize([0.0, 0.0], cfg, batch_objective=quadratic)
-    b = cmaes_minimize([0.0, 0.0], cfg, batch_objective=quadratic)
+    runs = []
+    for _ in range(2):
+        objective, batches = recording(quadratic)
+        runs.append((cmaes_minimize([0.0, 0.0], cfg, batch_objective=objective), batches))
+    (a, batches_a), (b, batches_b) = runs
     assert a.best_value == b.best_value
     assert np.array_equal(a.best_x, b.best_x)
-    for ra, rb in zip(a.history, b.history):
-        assert np.array_equal(ra.mean, rb.mean)
-        assert np.array_equal(ra.best_x, rb.best_x)
-        assert ra.step_size == rb.step_size
-        assert ra.best_value == rb.best_value
+    assert a.history == b.history
+    assert len(batches_a) == len(batches_b) == cfg.max_iterations
+    for xa, xb in zip(batches_a, batches_b):
+        assert xa.tobytes() == xb.tobytes()
+
+
+def test_history_is_one_best_value_and_step_size_per_generation():
+    # SHA-256 over the little-endian (best value, step size) doubles.  The
+    # pin predates the pair history, so it checks that no float moved.
+    cfg = CmaesConfig(seed=7, max_iterations=25)
+    result = cmaes_minimize([0.0, 0.0], cfg, batch_objective=quadratic)
+    assert len(result.history) == cfg.max_iterations
+    digest = hashlib.sha256(b"".join(struct.pack("<dd", v, s) for v, s in result.history)).hexdigest()
+    assert digest == HISTORY_SHA256
 
 
 def test_elitist_best_is_non_increasing():
     cfg = CmaesConfig(seed=3, max_iterations=40, initial_step_size=2.0)
-    result = cmaes_minimize([5.0, 5.0], cfg, batch_objective=quadratic)
-    values = [rec.best_so_far for rec in result.history]
-    assert all(a >= b for a, b in zip(values, values[1:]))
-    assert result.best_value == values[-1]
+    objective, batches = recording(quadratic)
+    result = cmaes_minimize([5.0, 5.0], cfg, batch_objective=objective)
+    values = np.concatenate([quadratic(X) for X in batches])
+    candidates = np.concatenate(batches)
+    assert result.best_value == values.min()
+    first = int(np.flatnonzero(values == values.min())[0])
+    assert result.best_x.tobytes() == candidates[first].tobytes()
+    assert result.best_value == min(v for v, _ in result.history)
 
 
 def test_mean_sequence_translation_equivariant():
     # Exact equality is impossible in floating point (addition does not
-    # associate); the sequences agree to near machine precision.
+    # associate); the candidate batches, mean + step_size * y with the same
+    # y, agree to near machine precision.
     shift = np.array([3.0, -2.0])
     cfg = CmaesConfig(seed=5, max_iterations=30, initial_step_size=1.0)
-    base = cmaes_minimize([0.5, 0.25], cfg, batch_objective=quadratic)
-    shifted = cmaes_minimize(np.array([0.5, 0.25]) + shift, cfg, batch_objective=lambda X: quadratic(X - shift))
-    for ra, rb in zip(base.history, shifted.history):
-        assert np.max(np.abs(rb.mean - shift - ra.mean)) < 1e-12
-        assert rb.step_size == pytest.approx(ra.step_size, rel=1e-12)
+    base_objective, base_batches = recording(quadratic)
+    shifted_objective, shifted_batches = recording(lambda X: quadratic(X - shift))
+    base = cmaes_minimize([0.5, 0.25], cfg, batch_objective=base_objective)
+    shifted = cmaes_minimize(np.array([0.5, 0.25]) + shift, cfg, batch_objective=shifted_objective)
+    assert len(base_batches) == len(shifted_batches) == cfg.max_iterations
+    for xa, xb in zip(base_batches, shifted_batches):
+        assert np.max(np.abs(xb - shift - xa)) < 1e-12
+    for (_, sa), (_, sb) in zip(base.history, shifted.history):
+        assert sb == pytest.approx(sa, rel=1e-12)
 
 
 def test_non_finite_objective_is_an_error_not_a_penalty():

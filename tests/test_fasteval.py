@@ -68,6 +68,23 @@ def test_constant_formulas_touch_nothing():
     assert np.all(np.isposinf(eval_robustness_all(s, TOP)))
 
 
+def test_constant_predicates_touch_nothing():
+    s = Signal(np.arange(10, dtype=np.int64) * to_ticks(0.1), {"x": np.arange(10.0) - 4.5})
+    for text in (
+        "(1 > 0)",
+        "F[0.5,0.6] (1 > 0) & F[0.1,0.2] (2 > 0)",
+        "F[0.5,0.6] (1 > 0) & F[0.1,0.2] (1 > 0)",
+        "G[0,0.9] (2 * 3 - 1 > 0)",
+    ):
+        for width in (1, 10):
+            assert Program(s.times, parse_formula(text), width).samples_touched == 0, (text, width)
+        assert_start_matches_table(s.times, _rows(s, 2), parse_formula(text))
+    # Mixed with a variable, only the variable's range counts: samples 3..4.
+    mixed = parse_formula("F[0.5,0.6] (1 > 0) & F[0.3,0.4] (x > 0)")
+    assert Program(s.times, mixed, 1).samples_touched == 2
+    assert assert_start_matches_table(s.times, _rows(s), mixed).samples_touched == 2
+
+
 def test_matches_reference_at_mission_scale():
     # Benchmark-sized signals: 201 samples at 10 Hz with the reach-avoid
     # formula shape, checked at a spread of evaluation times.

@@ -5,7 +5,7 @@ import pytest
 
 from rotogo.dynamics import DoubleIntegrator
 from rotogo.fasteval import Program, eval_robustness_all, eval_robustness_arrays
-from rotogo.formula import to_ticks
+from rotogo.formula import STATE_COMPONENTS, to_ticks
 from rotogo.mpc import batch_stats, mpc_run
 from rotogo.planning import rollout_arrays
 from rotogo.progression import progress_along
@@ -241,7 +241,7 @@ def test_robustness_mode_touches_full_history():
 def test_robustness_objective_reproducible_offline():
     # The first replan's logged cost equals an offline re-evaluation of the
     # logged best plan through the public cost function, bit for bit.
-    from rotogo.planning import COMPONENTS, PlanningProblem
+    from rotogo.planning import PlanningProblem
 
     cfg = tiny_scenario(
         formula="G[0,2] (x > 0.5) & F[0,2] (x > 1.2)",
@@ -254,7 +254,7 @@ def test_robustness_objective_reproducible_offline():
     problem = PlanningProblem(
         Program(result.trace.times, cfg.parsed_formula(), 1), np.array(record.robot[:2]), np.array(record.robot[2:]),
         record.env, record.plan_duration, 1.0 / cfg.trace_period, cfg.via_points,
-        cfg.limits(), cfg.workspace_box(), prefix={name: executed.components[name] for name in COMPONENTS},
+        cfg.limits(), cfg.workspace_box(), prefix={name: executed.components[name] for name in STATE_COMPONENTS},
     )
     cost = problem.cost(record.via_points.reshape(1, -1))[0]
     assert cost == record.cost

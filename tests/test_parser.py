@@ -163,6 +163,14 @@ def test_infinite_time_bound_is_a_positioned_error(text, message):
     assert str(err.value) == message
 
 
+@given(st.integers(0, 10**9), st.integers(0, 10**7 - 1))
+def test_time_bounds_are_to_ticks_of_their_seconds(whole, fraction):
+    # Bounds round as trace and scenario times do, half-tick decimals included.
+    text = f"{whole}.{fraction:07d}"
+    f = parse_formula(f"F[{text},inf) (x > 0)")
+    assert f.interval.lower == to_ticks(float(text))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

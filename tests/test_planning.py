@@ -3,10 +3,9 @@ import pytest
 
 from rotogo.dynamics import RobotState
 from rotogo.fasteval import Program, eval_robustness_arrays
-from rotogo.formula import to_ticks
+from rotogo.formula import STATE_COMPONENTS, to_ticks
 from rotogo.parser import parse_formula
 from rotogo.planning import (
-    COMPONENTS,
     LIMIT_PENALTY,
     ROBUSTNESS_CLAMP,
     WORKSPACE_PENALTY,
@@ -164,7 +163,7 @@ def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0
     start_pos, start_vel = rng.uniform(0.0, 5.0, 2), rng.uniform(-0.5, 0.5, 2)
     length = rollout_arrays(np.zeros((n_via, 2)), start_pos, start_vel, duration, hz)[0].size
     times = np.arange(prefix_len + length - 1, dtype=np.int64) * to_ticks(0.1)
-    prefix = {name: rng.uniform(0.0, 5.0, prefix_len) for name in COMPONENTS} if prefix_len else None
+    prefix = {name: rng.uniform(0.0, 5.0, prefix_len) for name in STATE_COMPONENTS} if prefix_len else None
     env = tuple(rng.uniform(0.0, 5.0, 2))
     f = parse_formula(formula)
     problem = PlanningProblem(
@@ -206,10 +205,10 @@ def test_cost_matches_prefix_plus_suffix_table():
         }
         concat = {
             name: np.concatenate([np.broadcast_to(prefix[name], (batch, prefix_len)), suffix[name]], axis=1)
-            for name in COMPONENTS
+            for name in STATE_COMPONENTS
         }
         buffers = problem.signal(batch)
-        for name in COMPONENTS:
+        for name in STATE_COMPONENTS:
             assert np.array_equal(buffers[name], concat[name]), name
         rho = eval_robustness_arrays(problem.times, concat, f)[:, 0]
         penalty = workspace_penalty(pos, Workspace()) + limit_penalty(vel, acc, Limits())
@@ -254,5 +253,5 @@ def test_prefix_must_fill_the_samples_before_the_suffix():
     with pytest.raises(ValueError, match="prefix"):
         PlanningProblem(*args)
     with pytest.raises(ValueError, match="prefix"):
-        PlanningProblem(*args, prefix={name: np.zeros(4) for name in COMPONENTS})
-    PlanningProblem(*args, prefix={name: np.zeros(5) for name in COMPONENTS})
+        PlanningProblem(*args, prefix={name: np.zeros(4) for name in STATE_COMPONENTS})
+    PlanningProblem(*args, prefix={name: np.zeros(5) for name in STATE_COMPONENTS})

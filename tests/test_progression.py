@@ -157,7 +157,7 @@ def test_simplify_preserves_robustness_bit_exactly():
 
 
 def test_monitor_absorbs_verdicts():
-    m = MonitorState(current=TOP, anchor_time=0, original=TOP)
+    m = MonitorState(current=TOP, anchor_time=0)
     m2 = monitor_step(m, SEC, {"x": -1.0})
     assert m2.current == TOP and m2.step_count == 1 and m2.verdict == "satisfied"
 
@@ -167,8 +167,8 @@ def test_monitor_state_is_a_frozen_hashable_value():
     m = monitor_step(start_monitor(f, 0), SEC, {"x": 1.0, "y": 0.5})
     for copy in (pickle.loads(pickle.dumps(m)), copy_module.deepcopy(m), copy_module.copy(m)):
         assert copy == m and hash(copy) == hash(m)
-        assert (copy.current, copy.anchor_time, copy.original, copy.step_count, copy.verdict) == (
-            m.current, m.anchor_time, m.original, m.step_count, m.verdict
+        assert (copy.current, copy.anchor_time, copy.step_count, copy.verdict) == (
+            m.current, m.anchor_time, m.step_count, m.verdict
         )
     assert m != start_monitor(f, 0) and len({m, start_monitor(f, 0), copy_module.copy(m)}) == 2
     with pytest.raises(dataclasses.FrozenInstanceError):
