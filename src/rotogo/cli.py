@@ -43,7 +43,7 @@ def _load_scenario(args) -> ScenarioConfig:
     elif getattr(args, "scenario", None):
         cfg = get_scenario(args.scenario)
     else:
-        raise SystemExit("error: one of --config or --scenario is required")
+        raise ValueError("one of --config or --scenario is required")
     if getattr(args, "mode", None):
         cfg = cfg.with_mode(args.mode)
     if getattr(args, "seed", None) is not None:

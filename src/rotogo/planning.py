@@ -75,23 +75,25 @@ def _quintic_coefficients(p0, v0, a0, p1, v1, a1, T):
 
 
 def _segment_coefficients(via: np.ndarray, start_pos: np.ndarray, start_vel: np.ndarray, duration: float):
-    """Quintic coefficients for every segment; via is (..., N, 2).
+    """Quintic coefficients for every segment; via is (..., N, 2), or
+    (..., N, 1) for one coordinate.
 
     Knots sit at t_j = j * duration / N with via point j at knot j; knot N is
     the trajectory end, reached at rest.  Interior knot velocities are
     central finite differences of the neighboring knot positions, so the
     robot flows through via points instead of stopping at each one.  Returns
-    an array of shape (..., N, 2, 6).
+    an array of shape (..., N, 2, 6) (or (..., N, 1, 6)).
     """
     via = np.asarray(via, dtype=np.float64)
     n_via = via.shape[-2]
     batch_shape = via.shape[:-2]
     seg_t = duration / n_via
 
+    width = via.shape[-1]
     knots_p = np.concatenate(
-        [np.broadcast_to(start_pos, batch_shape + (1, 2)), via], axis=-2
-    )  # (..., N+1, 2)
-    knots_v = np.zeros(batch_shape + (n_via + 1, 2))
+        [np.broadcast_to(start_pos, batch_shape + (1, width)), via], axis=-2
+    )  # (..., N+1, width)
+    knots_v = np.zeros(batch_shape + (n_via + 1, width))
     knots_v[..., 0, :] = start_vel
     if n_via > 1:
         knots_v[..., 1:-1, :] = (knots_p[..., 2:, :] - knots_p[..., :-2, :]) / (2.0 * seg_t)
@@ -191,13 +193,14 @@ class PlanningProblem:
     sample on, with the environment held at ``env`` = (xe, ye).
 
     Per coordinate the spline is linear in (start position, start velocity,
-    via points), so construction samples it once per unit vector and
-    :meth:`rollout` is a single matrix product.  The signal buffers are
-    allocated once, with the prefix and the environment columns already in
-    place; each :meth:`cost` call writes only the candidates' suffixes.  The
-    program is compiled by the caller, so that one compiled for a formula
-    and grid serves every replan that scores them, and it is run by every
-    :meth:`cost` and :meth:`robustness` call.
+    via points), and both coordinates share that map, so construction
+    samples it once per unit vector of one coordinate and :meth:`rollout`
+    is a single matrix product.  The signal buffers are allocated once, as
+    one block with the prefix and the environment rows already in place;
+    each :meth:`cost` call writes only the candidates' suffixes, in one
+    copy.  The program is compiled by the caller, so that one compiled for
+    a formula and grid serves every replan that scores them, and it is run
+    by every :meth:`cost` and :meth:`robustness` call.
     """
 
     def __init__(
@@ -221,16 +224,14 @@ class PlanningProblem:
         self.env = env
         # Rows (p0, v0) of each coordinate's coefficient vector.
         self._start = np.column_stack([start_pos, start_vel]).astype(np.float64)
+        # Stacked per-plane bounds, shaped to broadcast over (2, B, L).
+        self._lower = np.array([workspace.x_min, workspace.y_min])[:, np.newaxis, np.newaxis]
+        self._upper = np.array([workspace.x_max, workspace.y_max])[:, np.newaxis, np.newaxis]
+        self._caps = np.array([limits.v_max, limits.a_max])[:, np.newaxis, np.newaxis]
 
-        # Unit vector k of (p0, v0, via_1..via_N), fed to both coordinates.
-        probe = np.eye(n_via + 2)
-        _, pos, vel, acc = rollout_arrays(
-            np.repeat(probe[:, 2:, np.newaxis], 2, axis=2),
-            np.repeat(probe[:, 0:1, np.newaxis], 2, axis=2),
-            np.repeat(probe[:, 1:2], 2, axis=1),
-            duration,
-            resolution_hz,
-        )
+        # Unit vector k of (p0, v0, via_1..via_N) as one coordinate.
+        probe = np.eye(n_via + 2)[:, :, np.newaxis]
+        _, pos, vel, acc = rollout_arrays(probe[:, 2:], probe[:, 0:1], probe[:, 1], duration, resolution_hz)
         self.length = pos.shape[1]
         self._basis = np.stack([pos[..., 0], vel[..., 0], acc[..., 0]])  # (3, N+2, L)
 
@@ -239,52 +240,96 @@ class PlanningProblem:
             raise ValueError("times are shorter than the rollout suffix")
         if prefix is None:
             prefix = {name: () for name in STATE_COMPONENTS}
-        self._prefix = {name: np.asarray(prefix[name], dtype=np.float64) for name in STATE_COMPONENTS}
-        if any(col.shape != (self._split,) for col in self._prefix.values()):
+        columns = [np.asarray(prefix[name], dtype=np.float64) for name in STATE_COMPONENTS]
+        if any(col.shape != (self._split,) for col in columns):
             raise ValueError(f"prefix columns must hold the {self._split} samples before the rollout suffix")
-        self._buffers: dict[str, np.ndarray] = {}
+        self._prefix = np.array(columns)  # (components, split)
+        # The (components, batch, samples) signal block, and per batch size
+        # the coefficient buffer and the name -> (batch, samples) views.
+        # STATE_COMPONENTS is (x, y, vx, vy, xe, ye), so rows 0-1 take the
+        # position plane, rows 2-3 the velocity plane and rows 4-5 the
+        # environment.
+        self._block = np.empty((len(STATE_COMPONENTS), 0, self.times.size))
+        self._views: dict[int, dict[str, np.ndarray]] = {}
+        self._coef: dict[int, np.ndarray] = {}
 
-    def rollout(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions, velocities and accelerations of a (B, 2N) population.
-
-        Each is planar, shape (2, B, L): x rows in [0], y rows in [1].
-        """
+    def _product(self, X: np.ndarray) -> np.ndarray:
+        """Position, velocity and acceleration planes of a (B, 2N)
+        population, stacked as one (3, 2, B, L) array."""
         X = np.asarray(X, dtype=np.float64)
         batch = X.shape[0]
-        coef = np.empty((2, batch, self.n_via + 2))
-        coef[:, :, :2] = self._start[:, np.newaxis, :]
+        coef = self._coef.get(batch)
+        if coef is None:
+            coef = self._coef[batch] = np.empty((2, batch, self.n_via + 2))
+            coef[:, :, :2] = self._start[:, np.newaxis, :]
         coef[:, :, 2:] = X.reshape(batch, self.n_via, 2).transpose(2, 0, 1)
         # One (2B, N+2) @ (N+2, L) product per quantity, so every (B, L)
         # block of the result is contiguous.  The x and y rows are stacked,
         # so even one candidate is a two-row product and takes the same gemm
         # path as a whole population (numpy hands one-row products to gemv,
         # whose rounding can differ).
-        out = (coef.reshape(2 * batch, -1) @ self._basis).reshape(3, 2, batch, self.length)
-        return out[0], out[1], out[2]
+        return (coef.reshape(2 * batch, -1) @ self._basis).reshape(3, 2, batch, self.length)
+
+    def rollout(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positions, velocities and accelerations of a (B, 2N) population.
+
+        Each is planar, shape (2, B, L): x rows in [0], y rows in [1].
+        """
+        pos, vel, acc = self._product(X)
+        return pos, vel, acc
 
     def signal(self, batch: int) -> dict[str, np.ndarray]:
         """The (batch, n) component buffers, prefix and environment filled in."""
-        if not self._buffers or self._buffers["x"].shape[0] < batch:
-            split = self._split
-            for name in STATE_COMPONENTS:
-                buf = self._buffers[name] = np.empty((batch, self.times.size))
-                buf[:, :split] = self._prefix[name]
-            self._buffers["xe"][:, split:] = self.env[0]
-            self._buffers["ye"][:, split:] = self.env[1]
-        return {name: buf[:batch] for name, buf in self._buffers.items()}
+        views = self._views.get(batch)
+        if views is None:
+            if self._block.shape[1] < batch:
+                split = self._split
+                self._block = np.empty((len(STATE_COMPONENTS), batch, self.times.size))
+                self._block[:, :, :split] = self._prefix[:, np.newaxis]
+                self._block[4:, :, split:] = np.array(self.env)[:, np.newaxis, np.newaxis]
+                self._views = {}
+            views = self._views[batch] = dict(zip(STATE_COMPONENTS, self._block[:, :batch]))
+        return views
 
     def robustness(self, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
         """Robustness at the first sample of the scored signals whose
         rollout rows are ``pos`` and ``vel`` (planar, (2, B, L)); shape (B,)."""
-        comps = self.signal(pos.shape[1])
-        split = self._split
-        for name, rows in (("x", pos[0]), ("y", pos[1]), ("vx", vel[0]), ("vy", vel[1])):
-            comps[name][:, split:] = rows[:, 1:]
+        batch = pos.shape[1]
+        comps = self.signal(batch)
+        rows = self._block[:, :batch, self._split :]
+        rows[:2] = pos[:, :, 1:]
+        rows[2:4] = vel[:, :, 1:]
         return self.program.run(comps)[:, 0]
 
     def cost(self, X: np.ndarray) -> np.ndarray:
-        """Loss of every row of a (B, 2N) population; shape (B,)."""
-        pos, vel, acc = self.rollout(X)
-        rho = self.robustness(pos, vel)
-        penalty = workspace_penalty(pos, self.workspace) + limit_penalty(vel, acc, self.limits)
-        return -clamp_robustness(rho) + penalty
+        """Loss of every row of a (B, 2N) population; shape (B,).
+
+        Bit for bit ``-clamp_robustness(rho) + (workspace_penalty(pos) +
+        limit_penalty(vel, acc))``, computed on the stacked planes.
+        """
+        planes = self._product(X)
+        batch = planes.shape[2]
+        comps = self.signal(batch)
+        # The position and velocity planes are rows 0-3, in one copy.
+        self._block[:4, :batch, self._split :] = planes[:2].reshape(4, batch, -1)[:, :, 1:]
+        rho = self.program.run(comps)[:, 0]
+
+        outside = (planes[0] < self._lower) | (planes[0] > self._upper)
+        workspace = WORKSPACE_PENALTY * np.add.reduce(outside[0] | outside[1], axis=-1)
+
+        # Speed and acceleration norms, in place over the (vel, acc) planes
+        # now that the signal holds its copy of the velocities.
+        moving = planes[1:]
+        np.multiply(moving, moving, out=moving)
+        norms = np.add(moving[:, 0], moving[:, 1], out=moving[:, 0])
+        np.sqrt(norms, out=norms)
+        norms -= self._caps
+        np.maximum(norms, 0.0, out=norms)
+        over = np.add.reduce(norms, axis=-1)
+        limit = LIMIT_PENALTY * (over[0] + over[1])
+
+        loss = np.maximum(rho, -ROBUSTNESS_CLAMP)
+        np.minimum(loss, ROBUSTNESS_CLAMP, out=loss)
+        np.negative(loss, out=loss)
+        loss += workspace + limit
+        return loss

@@ -376,6 +376,17 @@ def test_bench_workers_below_one_exits_two(tmp_path, capsys, workers):
     assert captured.out == "" and not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "plan", "bench"])
+def test_missing_scenario_exits_two(tmp_path, capsys, command):
+    # Exit 1 means "violated" for monitor; a usage error is 2 like any other.
+    out_dir = tmp_path / "out"
+    code = main([command, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: one of --config or --scenario is required\n"
+    assert captured.out == "" and not out_dir.exists()
+
+
 def test_plan_prints_via_points(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     tiny_scenario().save(cfg_path)

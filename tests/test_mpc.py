@@ -9,9 +9,12 @@ from rotogo.formula import STATE_COMPONENTS, to_ticks
 from rotogo.mpc import batch_stats, mpc_run
 from rotogo.planning import rollout_arrays
 from rotogo.progression import progress_along
-from rotogo.scenarios import ScenarioConfig, scenario_phi_avoid
+from rotogo.scenarios import MODES, ScenarioConfig, scenario_phi_avoid
 from rotogo.semantics import rotogo
 from rotogo.signals import Signal, validate_trace
+
+from episode_digest import episode_digest
+from test_cmaes import _reference_minimize
 
 
 def tiny_scenario(**overrides) -> ScenarioConfig:
@@ -77,6 +80,21 @@ def test_same_seed_reproduces_bitwise():
     for name in a.trace.components:
         assert np.array_equal(a.trace.components[name], b.trace.components[name])
     assert a.final_robustness == b.final_robustness
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_episode_matches_the_reference_optimizer_bytewise(monkeypatch, mode):
+    # This episode's candidates leave the workspace and exceed the limits,
+    # and its objectives reach finite and (rotogo mode) infinite values, so
+    # every term of the loss is live.
+    cfg = tiny_scenario(
+        formula="G[0,2] ((x - xe)^2 + (y - ye)^2 < 9)", env_noise_std=0.02, seed=4, objective_mode=mode,
+    )
+    lean = mpc_run(cfg)
+    monkeypatch.setattr("rotogo.mpc.cmaes_minimize", _reference_minimize)
+    reference = mpc_run(cfg)
+    assert len(reference.replans) == 4
+    assert episode_digest(lean) == episode_digest(reference)
 
 
 def test_modes_share_the_environment_stream():

@@ -255,3 +255,43 @@ def test_prefix_must_fill_the_samples_before_the_suffix():
     with pytest.raises(ValueError, match="prefix"):
         PlanningProblem(*args, prefix={name: np.zeros(4) for name in STATE_COMPONENTS})
     PlanningProblem(*args, prefix={name: np.zeros(5) for name in STATE_COMPONENTS})
+
+
+@pytest.mark.parametrize("batch", [1, 25])
+def test_cost_at_the_penalty_boundaries_is_the_reference_sum(batch):
+    # Caps and box edges taken from the rollout's own samples: speeds and
+    # accelerations exactly at the caps, positions exactly on every edge of
+    # the box, and samples beyond each.  The stacked, in-place loss must
+    # equal the penalty functions' sum bit for bit there.
+    rng = np.random.default_rng(48 + batch)
+    for prefix_len in (0, 9):
+        problem, (start_pos, start_vel, duration, hz, n_via, _), prefix = _random_problem(rng, prefix_len=prefix_len)
+        X = rng.uniform(-1.0, 6.0, size=(batch, 2 * n_via))
+        pos, vel, acc = problem.rollout(X)
+
+        def middle(values):
+            return float(np.sort(values, axis=None)[values.size // 2])
+
+        def quartiles(values):
+            ordered = np.sort(values, axis=None)
+            return float(ordered[values.size // 4]), float(ordered[3 * values.size // 4])
+
+        speed = np.sqrt(vel[0] * vel[0] + vel[1] * vel[1])
+        accel = np.sqrt(acc[0] * acc[0] + acc[1] * acc[1])
+        limits = Limits(v_max=middle(speed), a_max=middle(accel))
+        (x_min, x_max), (y_min, y_max) = quartiles(pos[0]), quartiles(pos[1])
+        workspace = Workspace(x_min, x_max, y_min, y_max)
+        edge = PlanningProblem(
+            problem.program, start_pos, start_vel, problem.env, duration, hz, n_via, limits, workspace, prefix=prefix,
+        )
+
+        cost = edge.cost(X)
+        pos, vel, acc = edge.rollout(X)
+        rho = edge.robustness(pos, vel)
+        want = -clamp_robustness(rho) + (workspace_penalty(pos, workspace) + limit_penalty(vel, acc, limits))
+        assert cost.tobytes() == want.tobytes()
+        assert (speed == limits.v_max).any() and (speed > limits.v_max).any()
+        assert (accel == limits.a_max).any() and (accel > limits.a_max).any()
+        for plane, edge_value in ((pos[0], x_min), (pos[0], x_max), (pos[1], y_min), (pos[1], y_max)):
+            assert (plane == edge_value).any()
+        assert (workspace_penalty(pos, workspace) > 0).any()
