@@ -26,12 +26,13 @@ print(f"scenario {cfg.name}: start ({robot.x}, {robot.y}), human at {cfg.env_sta
 
 program = Program(mission_times(cfg), phi, 1)
 start = {name: [value] for name, value in observation(robot, env).items()}  # the scored signal starts here
-plan, record = replan(cfg, program, start, robot, env, 0, seed=cfg.seed)
+plan = replan(cfg, program, start, robot, env, 0, seed=cfg.seed)
+record = plan.record
 evaluations = cfg.population_size * cfg.first_attempt_iterations
 print(f"best loss {record.cost:.4f} after {evaluations} evaluations")
 print("robustness of best plan:", record.objective_robustness)
 print("via points:")
-for j, (x, y) in enumerate(plan.via, 1):
+for j, (x, y) in enumerate(record.via_points, 1):
     print(f"  {j}: ({x:6.3f}, {y:6.3f})")
 
 # The margin tops out near 0.1: the start position sits 0.1 from both static
@@ -57,7 +58,7 @@ try:
     ax.add_patch(plt.Circle(cfg.env_start, 0.5, color="tab:red", alpha=0.4))
     ax.add_patch(plt.Rectangle((4.0, 2.0), 1.0, 1.0, color="tab:green", alpha=0.3))
     ax.plot(pos[:, 0], pos[:, 1], "-", lw=2)
-    ax.plot(*plan.via.T, "o", ms=5)
+    ax.plot(*record.via_points.T, "o", ms=5)
     ax.set_xlim(0, 5), ax.set_ylim(0, 5), ax.set_aspect("equal")
     out = Path(__file__).parent / "plan_phi_avoid.png"
     fig.savefig(out, dpi=120)

@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .mpc import RunResult, StatsRow, batch_stats, mpc_run
 from .scenarios import MODES, ScenarioConfig
@@ -41,9 +42,13 @@ class BenchSpec:
             raise ValueError("episodes must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        for mode in self.modes:
+        if not self.modes:
+            raise ValueError("modes must name at least one mode")
+        for i, mode in enumerate(self.modes):
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
+            if mode in self.modes[:i]:
+                raise ValueError(f"mode {mode!r} is listed more than once")
 
 
 @dataclass
@@ -71,22 +76,11 @@ def run_bench(spec: BenchSpec) -> BenchResult:
         ]
         results: list[tuple[int, RunResult]] = []
         failures: list[tuple[int, str]] = []
-        if spec.workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                futures = [pool.submit(mpc_run, cfg) for cfg in configs]
-                for episode, future in enumerate(futures):
-                    try:
-                        results.append((episode, future.result()))
-                    except Exception as exc:  # noqa: BLE001 - episode isolation
-                        failures.append((episode, f"{type(exc).__name__}: {exc}"))
-        else:
-            for episode, cfg in enumerate(configs):
-                try:
-                    results.append((episode, mpc_run(cfg)))
-                except Exception as exc:  # noqa: BLE001 - episode isolation
-                    failures.append((episode, f"{type(exc).__name__}: {exc}"))
+        for episode, outcome in enumerate(_episode_outcomes(configs, spec.workers)):
+            try:
+                results.append((episode, outcome()))
+            except Exception as exc:  # noqa: BLE001 - episode isolation
+                failures.append((episode, f"{type(exc).__name__}: {exc}"))
         out.results[mode] = results
         out.failures[mode] = failures
         if results:
@@ -110,6 +104,20 @@ def run_bench(spec: BenchSpec) -> BenchResult:
     if spec.out_dir is not None:
         _write_outputs(spec, out, jsonl_rows)
     return out
+
+
+def _episode_outcomes(configs: list[ScenarioConfig], workers: int) -> Iterator[Callable[[], RunResult]]:
+    """One call per episode, in episode order, that returns its result or
+    raises its error; with several workers the episodes run in a process
+    pool, all submitted up front."""
+    if workers == 1:
+        yield from (partial(mpc_run, cfg) for cfg in configs)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(mpc_run, cfg) for cfg in configs]
+        yield from (future.result for future in futures)
 
 
 def format_stats_csv(stats: list[StatsRow]) -> str:

@@ -109,12 +109,13 @@ def cmd_plan(args) -> int:
     # The scored signal starts at the initial state, which every candidate shares.
     start = {name: [value] for name, value in observation(robot, env).items()}
     objective = Program(mission_times(cfg), f, 1)
-    plan, record = replan(cfg, objective, start, robot, env, 0, seed=cfg.seed)
+    plan = replan(cfg, objective, start, robot, env, 0, seed=cfg.seed)
+    record = plan.record
     print(f"scenario: {cfg.name}")
     print(f"cost: {record.cost!r}")
     print(f"robustness: {_fmt_value(record.objective_robustness)}")
     print("via points:")
-    for j, (x, y) in enumerate(plan.via, 1):
+    for j, (x, y) in enumerate(record.via_points, 1):
         print(f"  {j}: ({x:.4f}, {y:.4f})")
     if args.out:
         out = Path(args.out)
@@ -157,7 +158,7 @@ def cmd_bench(args) -> int:
     from .bench import BenchSpec, run_bench
 
     cfg = _load_scenario(args)
-    modes = tuple(args.modes.split(",")) if args.modes else MODES
+    modes = tuple(args.modes.split(",")) if args.modes is not None else MODES
     spec = BenchSpec(
         scenario=cfg,
         modes=modes,

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class RobotState:
@@ -12,9 +10,6 @@ class RobotState:
     y: float
     vx: float = 0.0
     vy: float = 0.0
-
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @dataclass(frozen=True)

@@ -96,8 +96,6 @@ class StatsRow:
     mode: str
     episodes: int
     mean_robustness: float  # over finite outcomes only
-    pos_inf_count: int
-    neg_inf_count: int
     mean_min_distance: float
     success_rate: float
 
@@ -112,8 +110,6 @@ def batch_stats(results: list[RunResult]) -> StatsRow:
         mode=results[0].mode,
         episodes=len(results),
         mean_robustness=mean_rho,
-        pos_inf_count=sum(1 for r in results if r.final_robustness == POS_INF),
-        neg_inf_count=sum(1 for r in results if r.final_robustness == NEG_INF),
         mean_min_distance=float(np.mean([r.min_distance for r in results])),
         success_rate=float(np.mean([r.success for r in results])),
     )
@@ -125,19 +121,15 @@ def batch_stats(results: list[RunResult]) -> StatsRow:
 
 @dataclass
 class Plan:
-    """A replan's chosen via points, from ``start_pos``/``start_vel`` at
-    ``start_tick`` over ``duration`` seconds, and their rollout on the
-    trace grid."""
+    """A replan's record and the rollout of its chosen via points on the
+    trace grid, from ``start_tick`` on."""
 
+    record: ReplanRecord
     start_tick: int
     times: np.ndarray  # (L,) seconds from start_tick
     pos: np.ndarray  # (L, 2) positions, velocities and accelerations
     vel: np.ndarray
     acc: np.ndarray
-    via: np.ndarray
-    duration: float
-    start_pos: np.ndarray
-    start_vel: np.ndarray
 
     def control_at(self, t_tick: int, trace_dt: int) -> tuple[float, float]:
         j = (t_tick - self.start_tick) // trace_dt
@@ -152,10 +144,12 @@ class Plan:
         window and bend the plan back on itself.  Sampling this plan's own
         spline at the new knot times slides the window forward instead.
         """
+        record = self.record
         elapsed = to_seconds(new_start_tick - self.start_tick)
         remaining = to_seconds(mission_end - new_start_tick)
         local = elapsed + (np.arange(1, n_via + 1) / n_via) * remaining
-        return spline_positions(self.via, self.start_pos, self.start_vel, self.duration, local)
+        start_pos, start_vel = np.array(record.robot[:2]), np.array(record.robot[2:])
+        return spline_positions(record.via_points, start_pos, start_vel, record.plan_duration, local)
 
 
 def mission_times(cfg: ScenarioConfig) -> np.ndarray:
@@ -198,7 +192,6 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     scored = Program(times, f0, 1)
 
     active: Optional[Plan] = None
-    prev_rho = NEG_INF
     replans: list[ReplanRecord] = []
 
     for i in range(n_samples):
@@ -217,14 +210,13 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
                 # shared by all candidates, then each candidate's suffix.
                 objective = scored
                 prefix = {name: np.append(cols[name][:i], value) for name, value in obs.items()}
-            active, record = replan(
+            active = replan(
                 cfg, objective, prefix, robot, env, t_i,
                 mean_via=active.resampled_via(t_i, cfg.via_points, mission_end) if active is not None else None,
-                warm=prev_rho > 0 and active is not None,
+                warm=active is not None and active.record.objective_robustness > 0,
                 seed=int(opt_seeds.integers(0, 2**63)),
             )
-            prev_rho = record.objective_robustness
-            replans.append(record)
+            replans.append(active.record)
 
         u = active.control_at(t_i, trace_dt) if active is not None else (0.0, 0.0)
         for name, value in obs.items():
@@ -264,7 +256,7 @@ def replan(
     mean_via: Optional[np.ndarray] = None,
     warm: bool = False,
     seed: int,
-) -> tuple[Plan, ReplanRecord]:
+) -> Plan:
     """One CMA-ES plan from ``robot`` at tick ``t_i`` to the mission end.
 
     The candidates are scored by ``objective``, a width-1 program, after
@@ -312,12 +304,8 @@ def replan(
     # The plan executes the directly evaluated spline, so its logged
     # robustness scores those rows rather than the linear map's.
     times, pos, vel, acc = rollout_arrays(best_via, start_pos, start_vel, duration, hz)
-    best_rho = float(problem.robustness(pos.T[:, np.newaxis], vel.T[:, np.newaxis])[0])
+    best_rho = float(problem.robustness(np.stack([pos.T, vel.T])[:, :, np.newaxis])[0])
 
-    plan = Plan(
-        start_tick=t_i, times=times, pos=pos, vel=vel, acc=acc, via=best_via, duration=duration,
-        start_pos=start_pos, start_vel=start_vel,
-    )
     record = ReplanRecord(
         index=t_i // to_ticks(cfg.trace_period),
         time=to_seconds(t_i),
@@ -331,4 +319,4 @@ def replan(
         samples_touched=objective.samples_touched,
         warm_started=warm,
     )
-    return plan, record
+    return Plan(record=record, start_tick=t_i, times=times, pos=pos, vel=vel, acc=acc)

@@ -460,6 +460,20 @@ def _difference(lhs: Expr, rhs: Expr) -> Expr:
 def _resolve_aliases(raw: Optional[Mapping[str, Union[str, Formula]]]) -> dict[str, Formula]:
     if not raw:
         return {}
+    for name in raw:
+        # The parser reads a name as an alias only when it is one
+        # identifier token and neither a keyword nor a state variable, so
+        # any other alias could never be referred to.
+        if not (
+            isinstance(name, str)
+            and (name[:1].isalpha() or name[:1] == "_")
+            and all(ch.isalnum() or ch == "_" for ch in name)
+        ):
+            raise ValueError(f"alias {name!r} is not a name: one letter or '_', then letters, digits or '_'")
+        if name in _RESERVED:
+            raise ValueError(f"alias {name!r} is a reserved word")
+        if name in STATE_COMPONENTS:
+            raise ValueError(f"alias {name!r} shadows the state variable of that name")
     resolved: dict[str, Formula] = {}
     resolving: set[str] = set()
 

@@ -195,12 +195,12 @@ class PlanningProblem:
     Per coordinate the spline is linear in (start position, start velocity,
     via points), and both coordinates share that map, so construction
     samples it once per unit vector of one coordinate and :meth:`rollout`
-    is a single matrix product.  The signal buffers are allocated once, as
-    one block with the prefix and the environment rows already in place;
-    each :meth:`cost` call writes only the candidates' suffixes, in one
-    copy.  The program is compiled by the caller, so that one compiled for
-    a formula and grid serves every replan that scores them, and it is run
-    by every :meth:`cost` and :meth:`robustness` call.
+    is a single matrix product.  Per batch size the coefficient buffer and
+    the signal block, with the prefix and the environment rows already in
+    place, are allocated once; each :meth:`robustness` call writes only the
+    candidates' suffixes, in one copy.  The program is compiled by the
+    caller, so that one compiled for a formula and grid serves every replan
+    that scores them.
     """
 
     def __init__(
@@ -218,9 +218,6 @@ class PlanningProblem:
     ):
         self.program = program
         self.times = program.times
-        self.n_via = n_via
-        self.limits = limits
-        self.workspace = workspace
         self.env = env
         # Rows (p0, v0) of each coordinate's coefficient vector.
         self._start = np.column_stack([start_pos, start_vel]).astype(np.float64)
@@ -232,10 +229,9 @@ class PlanningProblem:
         # Unit vector k of (p0, v0, via_1..via_N) as one coordinate.
         probe = np.eye(n_via + 2)[:, :, np.newaxis]
         _, pos, vel, acc = rollout_arrays(probe[:, 2:], probe[:, 0:1], probe[:, 1], duration, resolution_hz)
-        self.length = pos.shape[1]
         self._basis = np.stack([pos[..., 0], vel[..., 0], acc[..., 0]])  # (3, N+2, L)
 
-        self._split = self.times.size - (self.length - 1)
+        self._split = self.times.size - (pos.shape[1] - 1)
         if self._split < 0:
             raise ValueError("times are shorter than the rollout suffix")
         if prefix is None:
@@ -244,61 +240,49 @@ class PlanningProblem:
         if any(col.shape != (self._split,) for col in columns):
             raise ValueError(f"prefix columns must hold the {self._split} samples before the rollout suffix")
         self._prefix = np.array(columns)  # (components, split)
-        # The (components, batch, samples) signal block, and per batch size
-        # the coefficient buffer and the name -> (batch, samples) views.
-        # STATE_COMPONENTS is (x, y, vx, vy, xe, ye), so rows 0-1 take the
-        # position plane, rows 2-3 the velocity plane and rows 4-5 the
+        # Per batch size B: the (2, B, N+2) coefficient buffer, the
+        # (components, B, samples) signal block and its name -> (B, samples)
+        # rows.  STATE_COMPONENTS is (x, y, vx, vy, xe, ye), so rows 0-1 take
+        # the position plane, rows 2-3 the velocity plane and rows 4-5 the
         # environment.
-        self._block = np.empty((len(STATE_COMPONENTS), 0, self.times.size))
-        self._views: dict[int, dict[str, np.ndarray]] = {}
-        self._coef: dict[int, np.ndarray] = {}
+        self._cache: dict[int, tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]] = {}
 
-    def _product(self, X: np.ndarray) -> np.ndarray:
+    def _buffers(self, batch: int) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """The coefficient buffer, signal block and row views for ``batch``
+        candidates; start, prefix and environment filled in on first use."""
+        entry = self._cache.get(batch)
+        if entry is None:
+            coef = np.empty((2, batch, self._basis.shape[1]))
+            coef[:, :, :2] = self._start[:, np.newaxis, :]
+            block = np.empty((len(STATE_COMPONENTS), batch, self.times.size))
+            block[:, :, : self._split] = self._prefix[:, np.newaxis]
+            block[4:, :, self._split :] = np.array(self.env)[:, np.newaxis, np.newaxis]
+            entry = self._cache[batch] = (coef, block, dict(zip(STATE_COMPONENTS, block)))
+        return entry
+
+    def rollout(self, X: np.ndarray) -> np.ndarray:
         """Position, velocity and acceleration planes of a (B, 2N)
-        population, stacked as one (3, 2, B, L) array."""
+        population, stacked as one (3, 2, B, L) array: x rows in [:, 0],
+        y rows in [:, 1]."""
         X = np.asarray(X, dtype=np.float64)
         batch = X.shape[0]
-        coef = self._coef.get(batch)
-        if coef is None:
-            coef = self._coef[batch] = np.empty((2, batch, self.n_via + 2))
-            coef[:, :, :2] = self._start[:, np.newaxis, :]
-        coef[:, :, 2:] = X.reshape(batch, self.n_via, 2).transpose(2, 0, 1)
+        coef = self._buffers(batch)[0]
+        coef[:, :, 2:] = X.reshape(batch, -1, 2).transpose(2, 0, 1)
         # One (2B, N+2) @ (N+2, L) product per quantity, so every (B, L)
         # block of the result is contiguous.  The x and y rows are stacked,
         # so even one candidate is a two-row product and takes the same gemm
         # path as a whole population (numpy hands one-row products to gemv,
         # whose rounding can differ).
-        return (coef.reshape(2 * batch, -1) @ self._basis).reshape(3, 2, batch, self.length)
+        return (coef.reshape(2 * batch, -1) @ self._basis).reshape(3, 2, batch, -1)
 
-    def rollout(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions, velocities and accelerations of a (B, 2N) population.
-
-        Each is planar, shape (2, B, L): x rows in [0], y rows in [1].
-        """
-        pos, vel, acc = self._product(X)
-        return pos, vel, acc
-
-    def signal(self, batch: int) -> dict[str, np.ndarray]:
-        """The (batch, n) component buffers, prefix and environment filled in."""
-        views = self._views.get(batch)
-        if views is None:
-            if self._block.shape[1] < batch:
-                split = self._split
-                self._block = np.empty((len(STATE_COMPONENTS), batch, self.times.size))
-                self._block[:, :, :split] = self._prefix[:, np.newaxis]
-                self._block[4:, :, split:] = np.array(self.env)[:, np.newaxis, np.newaxis]
-                self._views = {}
-            views = self._views[batch] = dict(zip(STATE_COMPONENTS, self._block[:, :batch]))
-        return views
-
-    def robustness(self, pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
+    def robustness(self, planes: np.ndarray) -> np.ndarray:
         """Robustness at the first sample of the scored signals whose
-        rollout rows are ``pos`` and ``vel`` (planar, (2, B, L)); shape (B,)."""
-        batch = pos.shape[1]
-        comps = self.signal(batch)
-        rows = self._block[:, :batch, self._split :]
-        rows[:2] = pos[:, :, 1:]
-        rows[2:4] = vel[:, :, 1:]
+        rollout has position and velocity planes ``planes[0]`` and
+        ``planes[1]`` (each (2, B, L)); shape (B,)."""
+        batch = planes.shape[2]
+        _, block, comps = self._buffers(batch)
+        # The position and velocity planes are rows 0-3, in one copy.
+        block[:4, :, self._split :] = planes[:2].reshape(4, batch, -1)[:, :, 1:]
         return self.program.run(comps)[:, 0]
 
     def cost(self, X: np.ndarray) -> np.ndarray:
@@ -307,12 +291,8 @@ class PlanningProblem:
         Bit for bit ``-clamp_robustness(rho) + (workspace_penalty(pos) +
         limit_penalty(vel, acc))``, computed on the stacked planes.
         """
-        planes = self._product(X)
-        batch = planes.shape[2]
-        comps = self.signal(batch)
-        # The position and velocity planes are rows 0-3, in one copy.
-        self._block[:4, :batch, self._split :] = planes[:2].reshape(4, batch, -1)[:, :, 1:]
-        rho = self.program.run(comps)[:, 0]
+        planes = self.rollout(X)
+        rho = self.robustness(planes)
 
         outside = (planes[0] < self._lower) | (planes[0] > self._upper)
         workspace = WORKSPACE_PENALTY * np.add.reduce(outside[0] | outside[1], axis=-1)

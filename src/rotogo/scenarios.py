@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
 from .formula import Formula, horizon, is_bounded, to_ticks
 from .parser import parse_formula
@@ -107,13 +107,6 @@ class ScenarioConfig:
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=seed)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["robot_start"] = list(self.robot_start)
-        d["env_start"] = list(self.env_start)
-        d["workspace"] = list(self.workspace)
-        return d
-
     @classmethod
     def from_dict(cls, d) -> "ScenarioConfig":
         """A configuration from decoded JSON.  The shape and type of every
@@ -130,7 +123,7 @@ class ScenarioConfig:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
@@ -152,32 +145,13 @@ class ScenarioConfig:
             raise ValueError(f"{path}: {exc}") from None
 
 
-#: What JSON value each configuration field takes: "string", "integer",
-#: "number" (finite), "aliases" (an object of strings), or the length of an
-#: array of numbers.
+#: What JSON value each configuration field takes, read off its annotation:
+#: "string", "integer", "number" (finite), "aliases" (an object of strings),
+#: or the length of an array of numbers.
 _FIELD_KINDS: dict[str, object] = {
-    "name": "string",
-    "formula": "string",
-    "aliases": "aliases",
-    "robot_start": 4,
-    "env_start": 2,
-    "workspace": 4,
-    "mission_horizon": "number",
-    "trace_period": "number",
-    "replan_period": "number",
-    "env_step_period": "number",
-    "env_noise_std": "number",
-    "objective_mode": "string",
-    "seed": "integer",
-    "min_distance_radius": "number",
-    "via_points": "integer",
-    "population_size": "integer",
-    "cmaes_iterations": "integer",
-    "first_attempt_iterations": "integer",
-    "initial_step_size": "number",
-    "warm_start_step_size": "number",
-    "v_max": "number",
-    "a_max": "number",
+    key: {str: "string", int: "integer", float: "number"}.get(hint)
+    or ("aliases" if get_origin(hint) is dict else len(get_args(hint)))
+    for key, hint in get_type_hints(ScenarioConfig).items()
 }
 
 

@@ -108,7 +108,7 @@ def test_c08_rollout_boundary_and_knot_continuity():
         via = rng.uniform(0.0, 5.0, size=(n, 2))
         duration = float(rng.uniform(1.0, 20.0))
         start = RobotState(*rng.uniform(0.0, 5.0, 2), *rng.uniform(-0.5, 0.5, 2))
-        _, pos, vel, acc = rollout_arrays(via, start.position(), np.array([start.vx, start.vy]), duration, 50.0)
+        _, pos, vel, acc = rollout_arrays(via, np.array([start.x, start.y]), np.array([start.vx, start.vy]), duration, 50.0)
         assert pos[0, 0] == start.x and pos[0, 1] == start.y
         assert vel[0, 0] == start.vx and vel[0, 1] == start.vy
         assert np.abs(vel[-1]).max() < 1e-9 and np.abs(acc[-1]).max() < 1e-9

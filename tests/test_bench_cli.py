@@ -145,7 +145,7 @@ def test_paired_static_avoid_rows_favor_rotogo(tmp_path):
 def test_format_stats_csv_handles_all_infinite():
     from rotogo.mpc import StatsRow
 
-    row = StatsRow("p", "rotogo", 1, math.nan, 1, 0, 0.0, 1.0)
+    row = StatsRow("p", "rotogo", 1, math.nan, 0.0, 1.0)
     text = format_stats_csv([row])
     assert "nan" in text
 
@@ -373,6 +373,28 @@ def test_bench_workers_below_one_exits_two(tmp_path, capsys, workers):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: workers must be >= 1\n"
+    assert captured.out == "" and not out_dir.exists()
+
+
+def test_bench_spec_rejects_a_repeated_mode():
+    with pytest.raises(ValueError, match="'rotogo' is listed more than once"):
+        BenchSpec(scenario=tiny_scenario(), modes=("rotogo", "robustness", "rotogo"), episodes=1)
+    with pytest.raises(ValueError, match="at least one mode"):
+        BenchSpec(scenario=tiny_scenario(), modes=(), episodes=1)
+
+
+@pytest.mark.parametrize(
+    "modes, message",
+    [("rotogo,rotogo", "error: mode 'rotogo' is listed more than once\n"), ("", "error: unknown mode ''\n")],
+)
+def test_bench_bad_modes_exit_two(tmp_path, capsys, modes, message):
+    cfg_path = tmp_path / "cfg.json"
+    tiny_scenario().save(cfg_path)
+    out_dir = tmp_path / "out"
+    code = main(["bench", "--config", str(cfg_path), "--episodes", "1", "--modes", modes, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == message
     assert captured.out == "" and not out_dir.exists()
 
 

@@ -95,6 +95,20 @@ def test_alias_cycle_detected():
         parse_formula("a", aliases={"a": "b", "b": "a"})
 
 
+@pytest.mark.parametrize(
+    "name, reason",
+    [("x", "state variable"), ("ye", "state variable"), ("true", "reserved"), ("F", "reserved"),
+     ("inf", "reserved"), ("a b", "not a name"), ("", "not a name"), ("2nd", "not a name"), (3, "not a name")],
+)
+def test_alias_the_parser_cannot_read_is_rejected(name, reason):
+    # Each would shadow a state variable, be read as a keyword, or never
+    # tokenize as one name; the error names the alias, not a position.
+    with pytest.raises(ValueError, match=reason) as info:
+        parse_formula("G[0,1] (x > 0)", aliases={"ok": "(y > 1)", name: "(y > 1)"})
+    assert repr(name) in str(info.value)
+    assert parse_formula("G[0,1] _near2", aliases={"_near2": "(y > 1)"}) == parse_formula("G[0,1] (y > 1)")
+
+
 def test_comparison_normalization():
     # a < b becomes b - a; <= and >= normalize identically
     assert parse_formula("(x < 3)") == parse_formula("(x <= 3)")

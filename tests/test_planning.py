@@ -207,7 +207,7 @@ def test_cost_matches_prefix_plus_suffix_table():
             name: np.concatenate([np.broadcast_to(prefix[name], (batch, prefix_len)), suffix[name]], axis=1)
             for name in STATE_COMPONENTS
         }
-        buffers = problem.signal(batch)
+        buffers = problem._buffers(batch)[2]
         for name in STATE_COMPONENTS:
             assert np.array_equal(buffers[name], concat[name]), name
         rho = eval_robustness_arrays(problem.times, concat, f)[:, 0]
@@ -225,16 +225,16 @@ def test_robustness_of_given_rows_matches_table():
         X = rng.uniform(0.0, 5.0, size=(4, 2 * n_via))
         problem.cost(X)
         _, pos, vel, _ = rollout_arrays(X[:1].reshape(n_via, 2), start_pos, start_vel, duration, hz)
-        rho = problem.robustness(pos.T[:, np.newaxis], vel.T[:, np.newaxis])
-        table = eval_robustness_arrays(problem.times, problem.signal(1), f)
+        rho = problem.robustness(np.stack([pos.T, vel.T])[:, :, np.newaxis])
+        table = eval_robustness_arrays(problem.times, problem._buffers(1)[2], f)
         assert rho.tobytes() == table[:, 0].tobytes()
-        assert problem.signal(1)["x"][0, -1] == pos[-1, 0]
+        assert problem._buffers(1)[2]["x"][0, -1] == pos[-1, 0]
 
 
 def test_cost_leaks_no_state_between_calls():
     rng = np.random.default_rng(45)
     for prefix_len in (0, 12):
-        problem, (_, _, _, _, n_via, _), _ = _random_problem(rng, prefix_len=prefix_len)
+        problem, (start_pos, start_vel, _, _, n_via, _), prefix = _random_problem(rng, prefix_len=prefix_len)
         X = rng.uniform(0.0, 5.0, size=(10, 2 * n_via))
         first = problem.cost(X)
         small = problem.cost(X[:3] + 0.5)
@@ -243,8 +243,22 @@ def test_cost_leaks_no_state_between_calls():
         assert np.array_equal(small, problem.cost(X[:3] + 0.5))
         # a candidate's cost does not depend on the batch it is scored in
         assert np.array_equal(problem.cost(X[4:5]), first[4:5])
-        # a larger batch than any before regrows the buffers
+        # a larger batch than any before gets buffers of its own
         assert np.array_equal(problem.cost(np.vstack([X, X]))[10:], first)
+        # a batch size seen before reuses its buffers, and every cached
+        # entry still holds the start state, the prefix and the environment
+        entry = problem._buffers(10)
+        problem.cost(X + 0.5)
+        assert np.array_equal(problem.cost(X), first)
+        assert all(got is want for got, want in zip(problem._buffers(10), entry))
+        for batch in (1, 3, 10, 20):
+            coef, _, rows = problem._buffers(batch)
+            assert (coef[:, :, 0] == start_pos[:, np.newaxis]).all()
+            assert (coef[:, :, 1] == start_vel[:, np.newaxis]).all()
+            for name in STATE_COMPONENTS:
+                assert (rows[name][:, :prefix_len] == (prefix[name] if prefix else ())).all(), name
+            assert (rows["xe"][:, prefix_len:] == problem.env[0]).all()
+            assert (rows["ye"][:, prefix_len:] == problem.env[1]).all()
 
 
 def test_prefix_must_fill_the_samples_before_the_suffix():
@@ -287,7 +301,7 @@ def test_cost_at_the_penalty_boundaries_is_the_reference_sum(batch):
 
         cost = edge.cost(X)
         pos, vel, acc = edge.rollout(X)
-        rho = edge.robustness(pos, vel)
+        rho = edge.robustness(np.stack([pos, vel]))
         want = -clamp_robustness(rho) + (workspace_penalty(pos, workspace) + limit_penalty(vel, acc, limits))
         assert cost.tobytes() == want.tobytes()
         assert (speed == limits.v_max).any() and (speed > limits.v_max).any()
