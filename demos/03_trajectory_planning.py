@@ -7,14 +7,13 @@ how the loss is assembled from robustness and penalties.
 import numpy as np
 from pathlib import Path
 
-from rotogo import EnvState, RobotState, scenario_phi_avoid
+from rotogo import scenario_phi_avoid
 from rotogo.fasteval import Program
-from rotogo.mpc import mission_times, observation, replan
+from rotogo.mpc import mission_times, replan
 
 cfg = scenario_phi_avoid()
 phi = cfg.validate()
-robot, env = RobotState(*cfg.robot_start), EnvState(*cfg.env_start)
-print(f"scenario {cfg.name}: start ({robot.x}, {robot.y}), human at {cfg.env_start}")
+print(f"scenario {cfg.name}: start {cfg.robot_start[:2]}, human at {cfg.env_start}")
 
 # ---------------------------------------------------------------------------
 # The decision vector is the flat list of via points.  A candidate's loss is
@@ -22,11 +21,13 @@ print(f"scenario {cfg.name}: start ({robot.x}, {robot.y}), human at {cfg.env_sta
 # penalties.  The replan builds the rollout as a linear map once and
 # evaluates the whole population in one vectorized pass; the formula's
 # robustness at the first sample is a program compiled once for the grid.
-# This is the MPC loop's first replan, and what `rotogo plan` runs.
+# This is the MPC loop's first replan, and what `rotogo plan` runs: the
+# executed history is the initial state alone, one column of
+# (x, y, vx, vy, xe, ye), and the scored signal starts there.
 
 program = Program(mission_times(cfg), phi, 1)
-start = {name: [value] for name, value in observation(robot, env).items()}  # the scored signal starts here
-plan = replan(cfg, program, start, robot, env, 0, seed=cfg.seed)
+history = np.array([*cfg.robot_start, *cfg.env_start])[:, np.newaxis]
+plan = replan(cfg, program, history, seed=cfg.seed)
 record = plan.record
 evaluations = cfg.population_size * cfg.first_attempt_iterations
 print(f"best loss {record.cost:.4f} after {evaluations} evaluations")

@@ -42,6 +42,8 @@ class BenchSpec:
             raise ValueError("episodes must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.modes:
             raise ValueError("modes must name at least one mode")
         for i, mode in enumerate(self.modes):

@@ -98,18 +98,14 @@ def cmd_progress(args) -> int:
 def cmd_plan(args) -> int:
     import numpy as np
 
-    from .dynamics import EnvState, RobotState
     from .fasteval import Program
-    from .mpc import mission_times, observation, replan
+    from .mpc import mission_times, replan
 
     cfg = _load_scenario(args)
     f = cfg.validate()
-    robot = RobotState(*cfg.robot_start)
-    env = EnvState(*cfg.env_start)
     # The scored signal starts at the initial state, which every candidate shares.
-    start = {name: [value] for name, value in observation(robot, env).items()}
-    objective = Program(mission_times(cfg), f, 1)
-    plan = replan(cfg, objective, start, robot, env, 0, seed=cfg.seed)
+    history = np.array([*cfg.robot_start, *cfg.env_start])[:, np.newaxis]
+    plan = replan(cfg, Program(mission_times(cfg), f, 1), history, seed=cfg.seed)
     record = plan.record
     print(f"scenario: {cfg.name}")
     print(f"cost: {record.cost!r}")
@@ -225,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="scenario config JSON file")
         p.add_argument("--scenario", default=None, choices=sorted(BUILTIN_SCENARIOS))
-        p.add_argument("--mode", default=None, choices=MODES)
+        if name == "run":
+            p.add_argument("--mode", default=None, choices=MODES)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(fn=fn)

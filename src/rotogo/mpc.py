@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DoubleIntegrator, EnvState, RobotState
+from .dynamics import DoubleIntegrator
 # eval_robustness_all, eval_robustness_arrays, limit_penalty and
 # workspace_penalty are not called here: PlanningProblem computes the
 # penalties, and compiled programs score the candidates and the executed
@@ -158,11 +158,6 @@ def mission_times(cfg: ScenarioConfig) -> np.ndarray:
     return np.arange(to_ticks(cfg.mission_horizon) // trace_dt + 1, dtype=np.int64) * trace_dt
 
 
-def observation(robot: RobotState, env: EnvState) -> dict[str, float]:
-    """One trace sample's state components."""
-    return {"x": robot.x, "y": robot.y, "vx": robot.vx, "vy": robot.vy, "xe": env.xe, "ye": env.ye}
-
-
 def mpc_run(cfg: ScenarioConfig) -> RunResult:
     """Run one episode of the configured scenario."""
     f0 = cfg.validate()
@@ -179,13 +174,16 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     env_draws *= cfg.env_noise_std
     opt_seeds = np.random.default_rng(opt_ss)
 
-    robot = RobotState(*cfg.robot_start)
-    env = EnvState(*cfg.env_start)
+    # One row per trace component, the STATE_COMPONENTS rows first: column i
+    # holds sample i once it is observed, so states[:, :i + 1] is the
+    # executed history at sample i.
+    block = np.zeros((len(STATE_COMPONENTS) + len(EXTRA_COMPONENTS), n_samples))
+    cols = dict(zip((*STATE_COMPONENTS, *EXTRA_COMPONENTS), block))
+    states = block[: len(STATE_COMPONENTS)]
+    states[:, 0] = (*cfg.robot_start, *cfg.env_start)
     # Only rotogo mode scores the progressed formula, so only it progresses.
     progressing = cfg.objective_mode == "rotogo"
     monitor = start_monitor(f0, 0)
-
-    cols = {n: np.zeros(n_samples) for n in (*STATE_COMPONENTS, *EXTRA_COMPONENTS)}
     # The robustness of f0 at mission start over the whole mission: the
     # objective of every robustness-mode replan and the episode's final
     # score, compiled once.
@@ -196,39 +194,28 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
 
     for i in range(n_samples):
         t_i = int(times[i])
-        obs = observation(robot, env)
+        state = states[:, i].tolist()
         if progressing and i < n_samples - 1:
-            monitor = monitor_step(monitor, t_i + trace_dt, obs)
+            monitor = monitor_step(monitor, t_i + trace_dt, dict(zip(STATE_COMPONENTS, state)))
 
         if t_i % replan_dt == 0 and t_i < mission_end:
-            if progressing:
-                # The progressed formula, anchored at t_i + trace_dt, scores
-                # the candidate suffix alone.
-                objective, prefix = Program(times[i + 1 :], monitor.current, 1), None
-            else:
-                # The executed history including the current observation,
-                # shared by all candidates, then each candidate's suffix.
-                objective = scored
-                prefix = {name: np.append(cols[name][:i], value) for name, value in obs.items()}
-            active = replan(
-                cfg, objective, prefix, robot, env, t_i,
-                mean_via=active.resampled_via(t_i, cfg.via_points, mission_end) if active is not None else None,
-                warm=active is not None and active.record.objective_robustness > 0,
-                seed=int(opt_seeds.integers(0, 2**63)),
-            )
+            # rotogo mode scores the candidate suffix alone by the progressed
+            # formula, anchored at t_i + trace_dt; robustness mode scores the
+            # executed history, then each candidate's suffix, by f0.
+            objective = Program(times[i + 1 :], monitor.current, 1) if progressing else scored
+            active = replan(cfg, objective, states[:, : i + 1], active, seed=int(opt_seeds.integers(0, 2**63)))
             replans.append(active.record)
 
         u = active.control_at(t_i, trace_dt) if active is not None else (0.0, 0.0)
-        for name, value in obs.items():
-            cols[name][i] = value
         cols["ax"][i], cols["ay"][i] = u
 
         if i < n_samples - 1:
-            robot = RobotState(*DoubleIntegrator.step((robot.x, robot.y, robot.vx, robot.vy), u, cfg.trace_period))
-            xe_prev, ye_prev = env.xe, env.ye
-            block = env_draws[i * micro_per_step : (i + 1) * micro_per_step]
-            env = EnvState(xe_prev + float(block[:, 0].sum()), ye_prev + float(block[:, 1].sum()))
-            cols["w1"][i], cols["w2"][i] = env.xe - xe_prev, env.ye - ye_prev
+            states[:4, i + 1] = DoubleIntegrator.step(state[:4], u, cfg.trace_period)
+            xe, ye = state[4:]
+            noise = env_draws[i * micro_per_step : (i + 1) * micro_per_step]
+            xe_next, ye_next = xe + float(noise[:, 0].sum()), ye + float(noise[:, 1].sum())
+            states[4:, i + 1] = xe_next, ye_next
+            cols["w1"][i], cols["w2"][i] = xe_next - xe, ye_next - ye
 
     trace = Signal(times, cols)
     final_rho = float(scored.run({name: col[np.newaxis] for name, col in trace.components.items()})[0, 0])
@@ -248,41 +235,45 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
 def replan(
     cfg: ScenarioConfig,
     objective: Program,
-    prefix: Optional[dict[str, np.ndarray]],
-    robot: RobotState,
-    env: EnvState,
-    t_i: int,
+    history: np.ndarray,
+    previous: Optional[Plan] = None,
     *,
-    mean_via: Optional[np.ndarray] = None,
-    warm: bool = False,
     seed: int,
 ) -> Plan:
-    """One CMA-ES plan from ``robot`` at tick ``t_i`` to the mission end.
+    """One CMA-ES plan from the current state to the mission end.
 
-    The candidates are scored by ``objective``, a width-1 program, after
-    the executed ``prefix`` (none when the program scores the suffix alone,
-    as in rotogo mode).  The record takes the size of the program's formula
-    and the samples it reads, both fixed when it was compiled.  Without
-    ``mean_via`` the search starts at the robot's position and runs
-    ``first_attempt_iterations`` generations; with it, the search starts
-    there, keeps it as a candidate and runs ``cmaes_iterations``.
-    ``rotogo plan`` is the call at t = 0 with the initial state as prefix.
+    ``history`` is the executed trace so far, a ``(len(STATE_COMPONENTS),
+    k)`` array whose last column is the current state, sample ``k - 1`` of
+    the trace grid.  The candidates are scored by ``objective``, a width-1
+    program, after as many of the history's last samples as its times
+    leave room for (none when it scores the suffix alone, as in rotogo
+    mode).  The record takes the size of the program's formula and the
+    samples it reads, both fixed when it was compiled.  Without
+    ``previous`` the search starts at the current position and runs
+    ``first_attempt_iterations`` generations with the full step size; with
+    it, the search starts at ``previous``'s path resampled onto the new
+    window, keeps that as a candidate and runs ``cmaes_iterations``, with
+    the warm-start step size when the previous plan's objective robustness
+    was positive.  ``rotogo plan`` is the call at t = 0 with the initial
+    state as the whole history.
     """
-    duration = to_seconds(to_ticks(cfg.mission_horizon) - t_i)
+    t_i = (history.shape[1] - 1) * to_ticks(cfg.trace_period)
+    mission_end = to_ticks(cfg.mission_horizon)
+    duration = to_seconds(mission_end - t_i)
     hz = 1.0 / cfg.trace_period
     limits = cfg.limits()
     n_via = cfg.via_points
-    start_pos = np.array([robot.x, robot.y])
-    start_vel = np.array([robot.vx, robot.vy])
-    problem = PlanningProblem(
-        objective, start_pos, start_vel, (env.xe, env.ye), duration, hz, n_via,
-        limits, cfg.workspace_box(), prefix=prefix,
-    )
+    problem = PlanningProblem(objective, history, duration, hz, n_via, limits, cfg.workspace_box())
+    current = history[:, -1]
+    start_pos, start_vel = current[:2], current[2:4]
 
-    # The previous plan's via points seed the search mean whenever one
-    # exists; a positive previous objective additionally shrinks the step
-    # size (warm start), otherwise the full exploration step size applies.
-    x0 = mean_via.reshape(-1) if mean_via is not None else np.tile(start_pos, n_via)
+    if previous is None:
+        x0, inject, warm = np.tile(start_pos, n_via), None, False
+        iterations = cfg.first_attempt_iterations
+    else:
+        x0 = inject = previous.resampled_via(t_i, n_via, mission_end).reshape(-1)
+        warm = previous.record.objective_robustness > 0
+        iterations = cfg.cmaes_iterations
     sigma = cfg.warm_start_step_size if warm else cfg.initial_step_size
     # Under the shrinking horizon the reachable disc contracts; sampling via
     # points beyond it only buys limit penalties, so cap the step size by the
@@ -291,14 +282,9 @@ def replan(
     # apply unchanged.
     sigma = max(min(sigma, 0.5 * limits.v_max * duration), 1e-3)
     config = CmaesConfig(
-        population_size=cfg.population_size,
-        initial_step_size=sigma,
-        max_iterations=cfg.cmaes_iterations if mean_via is not None else cfg.first_attempt_iterations,
-        seed=seed,
+        population_size=cfg.population_size, initial_step_size=sigma, max_iterations=iterations, seed=seed,
     )
-    result = cmaes_minimize(
-        x0, config, batch_objective=problem.cost, inject=x0 if mean_via is not None else None,
-    )
+    result = cmaes_minimize(x0, config, batch_objective=problem.cost, inject=inject)
 
     best_via = result.best_x.reshape(n_via, 2)
     # The plan executes the directly evaluated spline, so its logged
@@ -307,10 +293,10 @@ def replan(
     best_rho = float(problem.robustness(np.stack([pos.T, vel.T])[:, :, np.newaxis])[0])
 
     record = ReplanRecord(
-        index=t_i // to_ticks(cfg.trace_period),
+        index=history.shape[1] - 1,
         time=to_seconds(t_i),
-        robot=(robot.x, robot.y, robot.vx, robot.vy),
-        env=(env.xe, env.ye),
+        robot=tuple(current[:4].tolist()),
+        env=tuple(current[4:].tolist()),
         via_points=best_via,
         plan_duration=duration,
         cost=result.best_value,

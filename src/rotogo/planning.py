@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -182,15 +181,19 @@ def clamp_robustness(rho: np.ndarray) -> np.ndarray:
 class PlanningProblem:
     """The planning loss of one replan, evaluated for whole populations.
 
-    A candidate is a flat vector of ``n_via`` via points (x1, y1, x2, ...)
-    for a spline of ``duration`` seconds from ``start_pos``/``start_vel``,
-    sampled at ``resolution_hz``.  Its loss is the negative robustness that
-    ``program``, a width-1 :class:`~rotogo.fasteval.Program`, gives the
-    scored signal at its first sample, plus the workspace and limit
-    penalties of the whole rollout.  The scored signal, sampled at the
-    program's times, is ``prefix`` (executed samples, one array per
-    component; none when omitted) followed by the rollout from its second
-    sample on, with the environment held at ``env`` = (xe, ye).
+    ``history`` holds the executed samples, one row per
+    ``STATE_COMPONENTS`` entry and one column per sample; its last column
+    is the current state.  A candidate is a flat vector of ``n_via`` via
+    points (x1, y1, x2, ...) for a spline of ``duration`` seconds from that
+    state's position and velocity, sampled at ``resolution_hz``.  Its loss
+    is the negative robustness that ``program``, a width-1
+    :class:`~rotogo.fasteval.Program`, gives the scored signal at its first
+    sample, plus the workspace and limit penalties of the whole rollout.
+    The scored signal, sampled at the program's times, is the last
+    ``split`` columns of the history (``split`` is whatever the program's
+    times leave before the rollout's second sample, zero when it scores
+    the suffix alone) followed by the rollout from its second sample on,
+    with the environment held at the current state's (xe, ye).
 
     Per coordinate the spline is linear in (start position, start velocity,
     via points), and both coordinates share that map, so construction
@@ -206,21 +209,24 @@ class PlanningProblem:
     def __init__(
         self,
         program: Program,
-        start_pos: np.ndarray,
-        start_vel: np.ndarray,
-        env: tuple[float, float],
+        history: np.ndarray,
         duration: float,
         resolution_hz: float,
         n_via: int,
         limits: Limits = Limits(),
         workspace: Workspace = Workspace(),
-        prefix: Optional[dict[str, np.ndarray]] = None,
     ):
+        history = np.array(history, dtype=np.float64)
+        if history.ndim != 2 or history.shape[0] != len(STATE_COMPONENTS) or history.shape[1] == 0:
+            raise ValueError(
+                f"history must be a ({len(STATE_COMPONENTS)}, k) array with k >= 1, not shape {history.shape}"
+            )
         self.program = program
         self.times = program.times
-        self.env = env
+        current = history[:, -1]
+        self.env = current[4:]
         # Rows (p0, v0) of each coordinate's coefficient vector.
-        self._start = np.column_stack([start_pos, start_vel]).astype(np.float64)
+        self._start = np.column_stack([current[0:2], current[2:4]])
         # Stacked per-plane bounds, shaped to broadcast over (2, B, L).
         self._lower = np.array([workspace.x_min, workspace.y_min])[:, np.newaxis, np.newaxis]
         self._upper = np.array([workspace.x_max, workspace.y_max])[:, np.newaxis, np.newaxis]
@@ -234,12 +240,10 @@ class PlanningProblem:
         self._split = self.times.size - (pos.shape[1] - 1)
         if self._split < 0:
             raise ValueError("times are shorter than the rollout suffix")
-        if prefix is None:
-            prefix = {name: () for name in STATE_COMPONENTS}
-        columns = [np.asarray(prefix[name], dtype=np.float64) for name in STATE_COMPONENTS]
-        if any(col.shape != (self._split,) for col in columns):
-            raise ValueError(f"prefix columns must hold the {self._split} samples before the rollout suffix")
-        self._prefix = np.array(columns)  # (components, split)
+        k = history.shape[1]
+        if self._split > k:
+            raise ValueError(f"history holds {k} samples; the program scores {self._split} before the rollout suffix")
+        self._prefix = history[:, k - self._split :]  # (components, split)
         # Per batch size B: the (2, B, N+2) coefficient buffer, the
         # (components, B, samples) signal block and its name -> (B, samples)
         # rows.  STATE_COMPONENTS is (x, y, vx, vy, xe, ye), so rows 0-1 take
@@ -256,7 +260,7 @@ class PlanningProblem:
             coef[:, :, :2] = self._start[:, np.newaxis, :]
             block = np.empty((len(STATE_COMPONENTS), batch, self.times.size))
             block[:, :, : self._split] = self._prefix[:, np.newaxis]
-            block[4:, :, self._split :] = np.array(self.env)[:, np.newaxis, np.newaxis]
+            block[4:, :, self._split :] = self.env[:, np.newaxis, np.newaxis]
             entry = self._cache[batch] = (coef, block, dict(zip(STATE_COMPONENTS, block)))
         return entry
 

@@ -99,6 +99,8 @@ class ScenarioConfig:
         for name in ("initial_step_size", "warm_start_step_size", "v_max", "a_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         return f
 
     def with_mode(self, mode: str) -> "ScenarioConfig":

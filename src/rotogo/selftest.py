@@ -58,10 +58,10 @@ class SelfTestResult:
         return all(r.passed for r in self.reports)
 
 
-def _fold(f0: Formula, signal: Signal, upto_index: int, progress_fn) -> Formula:
+def _fold(f0: Formula, signal: Signal, upto_index: int) -> Formula:
     f = f0
     for k in range(upto_index + 1):
-        f = progress_fn(f, signal.t(k + 1) - signal.t(k), signal.state(k))
+        f = progress(f, signal.t(k + 1) - signal.t(k), signal.state(k))
     return f
 
 
@@ -72,25 +72,27 @@ def _describe(f: Formula, s: Signal, extra: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Properties.  Each takes (rng, progress_fn) and yields one `_Check` per check
-# forever; a describe function reads the generator's current locals, so the
-# harness calls it before pulling the next check.
+# Properties.  Each takes (rng) and yields one `_Check` per check forever; a
+# describe function reads the generator's current locals, so the harness
+# calls it before pulling the next check.  They progress through this
+# module's `progress`, looked up at every call, so a mutation test can
+# swap in a corrupted rule by patching that name.
 
 
-def _prop_progression_equivalence(rng, progress_fn) -> Iterator[_Check]:
+def _prop_progression_equivalence(rng) -> Iterator[_Check]:
     while True:
         f, s = random_instance(rng)
         for cut in range(len(s) - 1):
-            got = robustness(s, s.t(cut + 1), _fold(f, s, cut, progress_fn))
+            got = robustness(s, s.t(cut + 1), _fold(f, s, cut))
             want = rotogo(s, s.t0, s.t(cut), f)
-            yield None if got == want else lambda: _shrink_progression_failure(f, s, cut, progress_fn)
+            yield None if got == want else lambda: _shrink_progression_failure(f, s, cut)
 
 
-def _shrink_progression_failure(f: Formula, s: Signal, cut: int, progress_fn) -> str:
+def _shrink_progression_failure(f: Formula, s: Signal, cut: int) -> str:
     def still_failing(g: Formula, sig: Signal) -> bool:
         for c in range(min(cut + 1, len(sig) - 1)):
             try:
-                got = robustness(sig, sig.t(c + 1), _fold(g, sig, c, progress_fn))
+                got = robustness(sig, sig.t(c + 1), _fold(g, sig, c))
                 want = rotogo(sig, sig.t0, sig.t(c), g)
             except Exception:
                 return False
@@ -100,7 +102,7 @@ def _shrink_progression_failure(f: Formula, s: Signal, cut: int, progress_fn) ->
 
     small_f, small_s = shrink_instance(f, s, still_failing)
     for c in range(len(small_s) - 1):
-        got = robustness(small_s, small_s.t(c + 1), _fold(small_f, small_s, c, progress_fn))
+        got = robustness(small_s, small_s.t(c + 1), _fold(small_f, small_s, c))
         want = rotogo(small_s, small_s.t0, small_s.t(c), small_f)
         if got != want:
             return _describe(
@@ -111,7 +113,7 @@ def _shrink_progression_failure(f: Formula, s: Signal, cut: int, progress_fn) ->
     return _describe(small_f, small_s, "counterexample no longer reproduces after shrinking")
 
 
-def _prop_sign_consistency(rng, progress_fn) -> Iterator[_Check]:
+def _prop_sign_consistency(rng) -> Iterator[_Check]:
     while True:
         f, s = random_instance(rng)
         before = s.t0 - to_ticks(1.0)
@@ -124,7 +126,7 @@ def _prop_sign_consistency(rng, progress_fn) -> Iterator[_Check]:
             )
 
 
-def _prop_cut_before_signal(rng, progress_fn) -> Iterator[_Check]:
+def _prop_cut_before_signal(rng) -> Iterator[_Check]:
     while True:
         f, s = random_instance(rng)
         k = int(rng.integers(0, len(s)))
@@ -137,19 +139,19 @@ def _prop_cut_before_signal(rng, progress_fn) -> Iterator[_Check]:
         )
 
 
-def _prop_single_step_at_cut(rng, progress_fn) -> Iterator[_Check]:
+def _prop_single_step_at_cut(rng) -> Iterator[_Check]:
     while True:
         f, s = random_instance(rng)
         k = int(rng.integers(0, len(s) - 1))
         got = rotogo(s, s.t(k), s.t(k), f)
-        stepped = progress_fn(f, s.t(k + 1) - s.t(k), s.state(k))
+        stepped = progress(f, s.t(k + 1) - s.t(k), s.state(k))
         want = robustness(s, s.t(k + 1), stepped)
         yield None if got == want else lambda: _describe(
             f, s, f"k: {k}, rotogo at cut: {got}, progressed robustness: {want}"
         )
 
 
-def _prop_single_step_after_cut(rng, progress_fn) -> Iterator[_Check]:
+def _prop_single_step_after_cut(rng) -> Iterator[_Check]:
     while True:
         f, s = random_instance(rng)
         k = int(rng.integers(0, len(s) - 1))
@@ -158,12 +160,12 @@ def _prop_single_step_after_cut(rng, progress_fn) -> Iterator[_Check]:
         else:
             t_hat = s.t(k) + int(rng.integers(1, to_ticks(3.0)))
         got = rotogo(s, s.t(k), t_hat, f)
-        stepped = progress_fn(f, s.t(k + 1) - s.t(k), s.state(k))
+        stepped = progress(f, s.t(k + 1) - s.t(k), s.state(k))
         want = rotogo(s, s.t(k + 1), t_hat, stepped)
         yield None if got == want else lambda: _describe(f, s, f"k: {k}, t_hat: {t_hat}, got: {got}, want: {want}")
 
 
-def _prop_progression_chain(rng, progress_fn) -> Iterator[_Check]:
+def _prop_progression_chain(rng) -> Iterator[_Check]:
     while True:
         f, s = random_instance(rng)
         i = int(rng.integers(1, len(s)))
@@ -171,12 +173,12 @@ def _prop_progression_chain(rng, progress_fn) -> Iterator[_Check]:
         base = rotogo(s, s.t0, t_i, f)
         g = f
         for k in range(1, i + 1):
-            g = progress_fn(g, s.t(k) - s.t(k - 1), s.state(k - 1))
+            g = progress(g, s.t(k) - s.t(k - 1), s.state(k - 1))
             got = rotogo(s, s.t(k), t_i, g)
             yield None if got == base else lambda: _describe(f, s, f"i: {i}, k: {k}, chained: {got}, direct: {base}")
 
 
-def _prop_simplify_preserves_semantics(rng, progress_fn) -> Iterator[_Check]:
+def _prop_simplify_preserves_semantics(rng) -> Iterator[_Check]:
     while True:
         f, first = random_instance(rng)
         g = simplify(f)
@@ -199,11 +201,11 @@ def _fresh_signal_for(f: Formula, rng) -> Signal:
             return s
 
 
-def _prop_suffix_independence(rng, progress_fn) -> Iterator[_Check]:
+def _prop_suffix_independence(rng) -> Iterator[_Check]:
     while True:
         f, s = random_instance(rng)
         cut = int(rng.integers(0, len(s) - 1))
-        progressed = _fold(f, s, cut, progress_fn)
+        progressed = _fold(f, s, cut)
         base = robustness(s, s.t(cut + 1), progressed)
         mutated = s
         for j in range(cut + 1):
@@ -212,7 +214,7 @@ def _prop_suffix_independence(rng, progress_fn) -> Iterator[_Check]:
         yield None if got == base else lambda: _describe(f, s, f"cut: {cut}, before mutation: {base}, after: {got}")
 
 
-def _prop_sup_domain_shift(rng, progress_fn) -> Iterator[_Check]:
+def _prop_sup_domain_shift(rng) -> Iterator[_Check]:
     # For untils with strictly positive lower bound, dropping sup candidates
     # before the next sample does not change the value.
     while True:
@@ -246,7 +248,7 @@ def _until_restricted_sup(s: Signal, k: int, f: Until) -> float:
     return best
 
 
-def _prop_masked_prefix_insensitive(rng, progress_fn) -> Iterator[_Check]:
+def _prop_masked_prefix_insensitive(rng) -> Iterator[_Check]:
     # Changing a sample at or before the cut leaves rotogo unchanged as long
     # as no predicate of the formula flips sign at that sample.
     while True:
@@ -272,7 +274,7 @@ def _prop_masked_prefix_insensitive(rng, progress_fn) -> Iterator[_Check]:
         )
 
 
-def _prop_negation_duality(rng, progress_fn) -> Iterator[_Check]:
+def _prop_negation_duality(rng) -> Iterator[_Check]:
     while True:
         f, s = random_instance(rng)
         t_hat = s.t(int(rng.integers(0, len(s))))
@@ -282,7 +284,7 @@ def _prop_negation_duality(rng, progress_fn) -> Iterator[_Check]:
         yield None if ok else lambda: _describe(f, s, "negation duality violated")
 
 
-def _prop_disjunction_demorgan(rng, progress_fn) -> Iterator[_Check]:
+def _prop_disjunction_demorgan(rng) -> Iterator[_Check]:
     while True:
         a, s = random_instance(rng)
         b, _ = random_instance(rng)
@@ -296,7 +298,7 @@ def _prop_disjunction_demorgan(rng, progress_fn) -> Iterator[_Check]:
         )
 
 
-def _prop_fast_matches_reference(rng, progress_fn) -> Iterator[_Check]:
+def _prop_fast_matches_reference(rng) -> Iterator[_Check]:
     while True:
         f, s = random_instance(rng)
         table = eval_robustness_all(s, f)
@@ -311,7 +313,7 @@ def _prop_fast_matches_reference(rng, progress_fn) -> Iterator[_Check]:
             )
 
 
-def _prop_finite_value_has_witness(rng, progress_fn) -> Iterator[_Check]:
+def _prop_finite_value_has_witness(rng) -> Iterator[_Check]:
     while True:
         f, s = random_instance(rng)
         value, witness = robustness_witness(s, s.t0, f)
@@ -339,17 +341,10 @@ _PROPERTIES: dict[str, Callable[..., Iterator[_Check]]] = {
 }
 
 
-def run_selftest(
-    cases: int = 1000,
-    seed: int = DEFAULT_SEED,
-    progress_fn: Optional[Callable] = None,
-    only: Optional[set[str]] = None,
-) -> SelfTestResult:
+def run_selftest(cases: int = 1000, seed: int = DEFAULT_SEED, only: Optional[set[str]] = None) -> SelfTestResult:
     """Run exactly `cases` checks of each property (of those named in `only`,
-    when given); `progress_fn` overrides the progression rule (used by
-    mutation tests that verify the suite catches a corrupted rule).  Raises
-    ValueError for a negative `cases`, an empty `only` or an unknown
-    property name."""
+    when given).  Raises ValueError for a negative `cases`, an empty `only`
+    or an unknown property name."""
     if cases < 0:
         raise ValueError(f"cases must be >= 0, got {cases}")
     if only is not None and not only:
@@ -357,13 +352,12 @@ def run_selftest(
     unknown = sorted(set(only or ()) - _PROPERTIES.keys())
     if unknown:
         raise ValueError(f"unknown selftest properties: {', '.join(unknown)}")
-    fn = progress_fn if progress_fn is not None else progress
     result = SelfTestResult()
     for index, (name, prop) in enumerate(_PROPERTIES.items()):
         if only is not None and name not in only:
             continue
         failures, detail = 0, None
-        for describe in islice(prop(np.random.default_rng([seed, index]), fn), cases):
+        for describe in islice(prop(np.random.default_rng([seed, index])), cases):
             if describe is not None:
                 failures += 1
                 if detail is None:

@@ -347,6 +347,7 @@ def test_bench_cli_runs(tmp_path, capsys):
         ({"cmaes_iterations": -3}, "cmaes_iterations must be >= 1"),
         ({"v_max": -1.0}, "v_max must be positive"),
         ({"a_max": 0.0}, "a_max must be positive"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ],
 )
 def test_invalid_scenario_exits_two_before_any_output(tmp_path, capsys, overrides, message):
@@ -374,6 +375,38 @@ def test_bench_workers_below_one_exits_two(tmp_path, capsys, workers):
     assert code == 2
     assert captured.err == "error: workers must be >= 1\n"
     assert captured.out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["run"], "error: seed must be >= 0, got -1\n"),
+        (["bench", "--episodes", "1"], "error: base_seed must be >= 0, got -1\n"),
+    ],
+)
+def test_negative_seed_exits_two_before_any_episode(tmp_path, capsys, command, message):
+    cfg_path = tmp_path / "cfg.json"
+    tiny_scenario().save(cfg_path)
+    out_dir = tmp_path / "out"
+    code = main([*command, "--config", str(cfg_path), "--seed", "-1", "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == message
+    assert captured.out == "" and not out_dir.exists()
+
+
+def test_bench_spec_rejects_a_negative_base_seed():
+    with pytest.raises(ValueError, match="base_seed must be >= 0, got -3"):
+        BenchSpec(scenario=tiny_scenario(), base_seed=-3, episodes=1)
+
+
+def test_plan_has_no_mode_option(capsys):
+    # A plan is one replan from the initial state with the original formula;
+    # the objective mode would change nothing, so it is not an option.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["plan", "--scenario", "phi_avoid", "--mode", "rotogo"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --mode rotogo" in capsys.readouterr().err
 
 
 def test_bench_spec_rejects_a_repeated_mode():

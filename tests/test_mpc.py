@@ -123,28 +123,22 @@ def test_replan_period_must_align():
         mpc_run(cfg)
 
 
+def _history(result, record):
+    """The executed history a replan was given: samples 0..index of the trace."""
+    return np.array([result.trace.components[name][: record.index + 1] for name in STATE_COMPONENTS])
+
+
 def _rebuild_objective_signal(result, record, cfg):
-    """Assemble executed-prefix ++ best-plan-suffix at a replan instant."""
-    hz = 1.0 / cfg.trace_period
-    start_pos = np.array(record.robot[:2])
-    start_vel = np.array(record.robot[2:])
+    """Assemble executed-history ++ best-plan-suffix at a replan instant."""
+    history = _history(result, record)
+    current = history[:, -1]
     _, pos, vel, _ = rollout_arrays(
-        record.via_points, start_pos, start_vel, record.plan_duration, hz
+        record.via_points, current[:2], current[2:4], record.plan_duration, 1.0 / cfg.trace_period
     )
     n_suffix = pos.shape[0] - 1
-    suffix = {
-        "x": pos[1:, 0],
-        "y": pos[1:, 1],
-        "vx": vel[1:, 0],
-        "vy": vel[1:, 1],
-        "xe": np.full(n_suffix, record.env[0]),
-        "ye": np.full(n_suffix, record.env[1]),
-    }
-    split = record.index + 1
-    return Signal(
-        result.trace.times[: split + n_suffix],
-        {name: np.concatenate([result.trace.components[name][:split], col]) for name, col in suffix.items()},
-    )
+    suffix = np.vstack([pos[1:].T, vel[1:].T, np.repeat(current[4:, np.newaxis], n_suffix, axis=1)])
+    block = np.hstack([history, suffix])
+    return Signal(result.trace.times[: block.shape[1]], dict(zip(STATE_COMPONENTS, block)))
 
 
 def test_rotogo_objective_matches_direct_definition_in_the_live_loop():
@@ -205,6 +199,49 @@ def test_run_logs_the_record_of_every_plan_it_executes(monkeypatch):
     assert len(result.replans) == len(plans) == 4
     assert all(record is plan.record for record, plan in zip(result.replans, plans))
     assert [plan.start_tick for plan in plans] == [to_ticks(record.time) for record in result.replans]
+
+
+def test_replan_warm_start_policy(monkeypatch):
+    # The first replan searches from the current position for
+    # first_attempt_iterations generations at the full step size.  A later
+    # one starts from the previous plan's path, keeps it as a candidate, runs
+    # cmaes_iterations and shrinks the step size only when the previous
+    # plan's objective robustness was positive.
+    import rotogo.mpc
+    from dataclasses import replace
+
+    calls = []
+    minimize = rotogo.mpc.cmaes_minimize
+
+    def recording(x0, config, *, batch_objective, inject=None):
+        calls.append((x0, config, inject))
+        return minimize(x0, config, batch_objective=batch_objective, inject=inject)
+
+    monkeypatch.setattr(rotogo.mpc, "cmaes_minimize", recording)
+    # A 20 s mission keeps the step-size cap (half the distance left at
+    # v_max) above both configured step sizes.
+    cfg = tiny_scenario(mission_horizon=20.0, first_attempt_iterations=7, cmaes_iterations=3)
+    program = Program(np.arange(201, dtype=np.int64) * to_ticks(0.1), cfg.validate(), 1)
+    history = np.array([*cfg.robot_start, *cfg.env_start])[:, np.newaxis]
+    first = replan(cfg, program, history, seed=1)
+    x0, config, inject = calls[-1]
+    assert config.max_iterations == cfg.first_attempt_iterations
+    assert config.initial_step_size == cfg.initial_step_size
+    assert np.array_equal(x0, np.tile(history[:2, 0], cfg.via_points))
+    assert inject is None and first.record.warm_started is False
+
+    later = np.repeat(history, 6, axis=1)  # at rest until t = 0.5 s
+    mission_end = to_ticks(cfg.mission_horizon)
+    for rho in (0.25, 0.0, -0.25):
+        previous = replace(first, record=replace(first.record, objective_robustness=rho))
+        plan = replan(cfg, program, later, previous, seed=2)
+        x0, config, inject = calls[-1]
+        assert config.max_iterations == cfg.cmaes_iterations
+        assert config.initial_step_size == (cfg.warm_start_step_size if rho > 0 else cfg.initial_step_size)
+        assert np.array_equal(x0, previous.resampled_via(to_ticks(0.5), cfg.via_points, mission_end).reshape(-1))
+        assert np.array_equal(inject, x0)
+        assert plan.record.warm_started is (rho > 0)
+        assert plan.record.index == 5 and plan.start_tick == to_ticks(0.5)
 
 
 def test_robustness_mode_never_progresses_the_formula(monkeypatch):
@@ -284,11 +321,11 @@ def test_robustness_objective_reproducible_offline():
     )
     result = mpc_run(cfg)
     record = result.replans[0]
-    executed = result.trace.prefix(record.index)
+    history = _history(result, record)
+    assert record.robot + record.env == tuple(history[:, -1])
     problem = PlanningProblem(
-        Program(result.trace.times, cfg.parsed_formula(), 1), np.array(record.robot[:2]), np.array(record.robot[2:]),
-        record.env, record.plan_duration, 1.0 / cfg.trace_period, cfg.via_points,
-        cfg.limits(), cfg.workspace_box(), prefix={name: executed.components[name] for name in STATE_COMPONENTS},
+        Program(result.trace.times, cfg.parsed_formula(), 1), history, record.plan_duration,
+        1.0 / cfg.trace_period, cfg.via_points, cfg.limits(), cfg.workspace_box(),
     )
     cost = problem.cost(record.via_points.reshape(1, -1))[0]
     assert cost == record.cost

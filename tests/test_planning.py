@@ -31,11 +31,8 @@ def plan_problem(formula, via, duration: float, start: RobotState, env=(2.5, 2.5
     way the ``plan`` command scores its candidates."""
     n = int(round(duration * hz)) + 1
     times = np.arange(n, dtype=np.int64) * to_ticks(1.0 / hz)
-    first = {"x": start.x, "y": start.y, "vx": start.vx, "vy": start.vy, "xe": env[0], "ye": env[1]}
-    return PlanningProblem(
-        Program(times, formula, 1), np.array([start.x, start.y]), np.array([start.vx, start.vy]), env,
-        duration, hz, len(via), prefix={k: [v] for k, v in first.items()}, **kwargs,
-    )
+    history = np.array([start.x, start.y, start.vx, start.vy, *env])[:, np.newaxis]
+    return PlanningProblem(Program(times, formula, 1), history, duration, hz, len(via), **kwargs)
 
 
 def cost_of(via, duration: float, start: RobotState, formula, **kwargs) -> float:
@@ -157,19 +154,20 @@ def test_plan_cost_counts_touched_samples():
 
 
 def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0,20] (x > 4)", prefix_len=0):
+    """A problem whose program scores the last ``prefix_len`` history
+    samples before the rollout suffix; the history holds up to two older
+    samples besides, and its last column is the start state."""
     n_via = int(rng.integers(1, 6))
     hz = 10.0
     duration = float(rng.uniform(1.0, 20.0))
-    start_pos, start_vel = rng.uniform(0.0, 5.0, 2), rng.uniform(-0.5, 0.5, 2)
+    history = rng.uniform(0.0, 5.0, (len(STATE_COMPONENTS), max(prefix_len, 1) + int(rng.integers(0, 3))))
+    history[2:4, -1] = rng.uniform(-0.5, 0.5, 2)
+    start_pos, start_vel = history[:2, -1], history[2:4, -1]
     length = rollout_arrays(np.zeros((n_via, 2)), start_pos, start_vel, duration, hz)[0].size
     times = np.arange(prefix_len + length - 1, dtype=np.int64) * to_ticks(0.1)
-    prefix = {name: rng.uniform(0.0, 5.0, prefix_len) for name in STATE_COMPONENTS} if prefix_len else None
-    env = tuple(rng.uniform(0.0, 5.0, 2))
     f = parse_formula(formula)
-    problem = PlanningProblem(
-        Program(times, f, 1), start_pos, start_vel, env, duration, hz, n_via, prefix=prefix,
-    )
-    return problem, (start_pos, start_vel, duration, hz, n_via, f), prefix
+    problem = PlanningProblem(Program(times, f, 1), history, duration, hz, n_via)
+    return problem, (start_pos, start_vel, duration, hz, n_via, f), history
 
 
 def test_linear_map_rollout_matches_spline_evaluation():
@@ -193,7 +191,8 @@ def test_cost_matches_prefix_plus_suffix_table():
     rng = np.random.default_rng(44)
     for _ in range(30):
         prefix_len = int(rng.integers(1, 30))
-        problem, (_, _, _, _, n_via, f), prefix = _random_problem(rng, prefix_len=prefix_len)
+        problem, (_, _, _, _, n_via, f), history = _random_problem(rng, prefix_len=prefix_len)
+        prefix = dict(zip(STATE_COMPONENTS, history[:, -prefix_len:]))
         batch = 6
         X = rng.uniform(0.0, 5.0, size=(batch, 2 * n_via))
         cost = problem.cost(X)
@@ -234,7 +233,7 @@ def test_robustness_of_given_rows_matches_table():
 def test_cost_leaks_no_state_between_calls():
     rng = np.random.default_rng(45)
     for prefix_len in (0, 12):
-        problem, (start_pos, start_vel, _, _, n_via, _), prefix = _random_problem(rng, prefix_len=prefix_len)
+        problem, (start_pos, start_vel, _, _, n_via, _), history = _random_problem(rng, prefix_len=prefix_len)
         X = rng.uniform(0.0, 5.0, size=(10, 2 * n_via))
         first = problem.cost(X)
         small = problem.cost(X[:3] + 0.5)
@@ -255,20 +254,43 @@ def test_cost_leaks_no_state_between_calls():
             coef, _, rows = problem._buffers(batch)
             assert (coef[:, :, 0] == start_pos[:, np.newaxis]).all()
             assert (coef[:, :, 1] == start_vel[:, np.newaxis]).all()
-            for name in STATE_COMPONENTS:
-                assert (rows[name][:, :prefix_len] == (prefix[name] if prefix else ())).all(), name
-            assert (rows["xe"][:, prefix_len:] == problem.env[0]).all()
-            assert (rows["ye"][:, prefix_len:] == problem.env[1]).all()
+            for name, row in zip(STATE_COMPONENTS, history[:, history.shape[1] - prefix_len :]):
+                assert (rows[name][:, :prefix_len] == row).all(), name
+            assert (rows["xe"][:, prefix_len:] == history[4, -1]).all()
+            assert (rows["ye"][:, prefix_len:] == history[5, -1]).all()
 
 
-def test_prefix_must_fill_the_samples_before_the_suffix():
+def test_history_must_hold_the_samples_the_program_scores():
     times = np.arange(25, dtype=np.int64) * to_ticks(0.1)  # 21-sample rollout leaves 5
-    args = (Program(times, parse_formula("G[0,2] (x > 0)"), 1), np.zeros(2), np.zeros(2), (2.5, 2.5), 2.0, 10.0, 2)
-    with pytest.raises(ValueError, match="prefix"):
-        PlanningProblem(*args)
-    with pytest.raises(ValueError, match="prefix"):
-        PlanningProblem(*args, prefix={name: np.zeros(4) for name in STATE_COMPONENTS})
-    PlanningProblem(*args, prefix={name: np.zeros(5) for name in STATE_COMPONENTS})
+    program = Program(times, parse_formula("G[0,2] (x > 0)"), 1)
+    with pytest.raises(ValueError, match="history holds 4 samples; the program scores 5"):
+        PlanningProblem(program, np.zeros((6, 4)), 2.0, 10.0, 2)
+    for bad in (np.zeros((6, 0)), np.zeros((4, 5)), np.zeros((7, 5)), np.zeros(6), np.zeros((1, 6, 5))):
+        with pytest.raises(ValueError, match=r"history must be a \(6, k\) array with k >= 1"):
+            PlanningProblem(program, bad, 2.0, 10.0, 2)
+    # A longer history is scored from its last five samples on.
+    history = np.arange(42.0).reshape(6, 7)
+    rows = PlanningProblem(program, history, 2.0, 10.0, 2)._buffers(1)[2]
+    for name, row in zip(STATE_COMPONENTS, history):
+        assert np.array_equal(rows[name][0, :5], row[2:]), name
+
+
+def test_suffix_only_program_reads_the_last_history_sample_alone():
+    # A program over the rollout's samples after the first scores no
+    # executed sample (split 0): only the start state in the last column
+    # counts, not the whole history that history[:, -0:] would select.
+    rng = np.random.default_rng(47)
+    times = np.arange(1, 21, dtype=np.int64) * to_ticks(0.1)
+    program = Program(times, parse_formula("G[0,2] ((x - xe)^2 + (y - ye)^2 > 1) & F[0,2] (x > 2)"), 1)
+    history = rng.uniform(0.0, 5.0, (6, 9))
+    X = rng.uniform(0.0, 5.0, size=(5, 4))
+    full = PlanningProblem(program, history, 2.0, 10.0, 2)
+    last = PlanningProblem(program, history[:, -1:], 2.0, 10.0, 2)
+    assert full.cost(X).tobytes() == last.cost(X).tobytes()
+    for problem in (full, last):
+        coef, _, rows = problem._buffers(5)
+        assert (coef[:, :, 0] == history[0:2, -1:]).all() and (coef[:, :, 1] == history[2:4, -1:]).all()
+        assert (rows["xe"] == history[4, -1]).all() and (rows["ye"] == history[5, -1]).all()
 
 
 @pytest.mark.parametrize("batch", [1, 25])
@@ -279,7 +301,7 @@ def test_cost_at_the_penalty_boundaries_is_the_reference_sum(batch):
     # equal the penalty functions' sum bit for bit there.
     rng = np.random.default_rng(48 + batch)
     for prefix_len in (0, 9):
-        problem, (start_pos, start_vel, duration, hz, n_via, _), prefix = _random_problem(rng, prefix_len=prefix_len)
+        problem, (_, _, duration, hz, n_via, _), history = _random_problem(rng, prefix_len=prefix_len)
         X = rng.uniform(-1.0, 6.0, size=(batch, 2 * n_via))
         pos, vel, acc = problem.rollout(X)
 
@@ -295,9 +317,7 @@ def test_cost_at_the_penalty_boundaries_is_the_reference_sum(batch):
         limits = Limits(v_max=middle(speed), a_max=middle(accel))
         (x_min, x_max), (y_min, y_max) = quartiles(pos[0]), quartiles(pos[1])
         workspace = Workspace(x_min, x_max, y_min, y_max)
-        edge = PlanningProblem(
-            problem.program, start_pos, start_vel, problem.env, duration, hz, n_via, limits, workspace, prefix=prefix,
-        )
+        edge = PlanningProblem(problem.program, history, duration, hz, n_via, limits, workspace)
 
         cost = edge.cost(X)
         pos, vel, acc = edge.rollout(X)

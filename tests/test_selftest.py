@@ -23,7 +23,7 @@ def _report_digest(result) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def test_reports_are_deterministic_for_a_seed():
+def test_reports_are_deterministic_for_a_seed(monkeypatch):
     a = run_selftest(cases=60, seed=DEFAULT_SEED)
     b = run_selftest(cases=60, seed=DEFAULT_SEED)
     assert [(r.name, r.cases, r.failures) for r in a.reports] == [
@@ -32,7 +32,8 @@ def test_reports_are_deterministic_for_a_seed():
     # The reports are pinned. A passing report carries no detail, so the
     # corrupted rule's counterexamples are what pin the draws and their text.
     assert _report_digest(a) == "36c31c8ffb826b9c688a3af980efc1878184a9893d4aaa7b5aa198420051339f"
-    corrupted = run_selftest(cases=120, progress_fn=_corrupted_progress)
+    monkeypatch.setattr(selftest, "progress", _corrupted_progress)
+    corrupted = run_selftest(cases=120)
     assert [r.name for r in corrupted.reports if r.failures] == [
         "progression_equivalence", "single_step_at_cut", "single_step_after_cut", "progression_chain"
     ]
@@ -136,8 +137,9 @@ def _corrupted_progress(f, delta, state):
     return simplify(walk(f))
 
 
-def test_corrupted_progression_rule_is_caught_and_shrunk():
-    result = run_selftest(cases=400, progress_fn=_corrupted_progress, only={"progression_equivalence"})
+def test_corrupted_progression_rule_is_caught_and_shrunk(monkeypatch):
+    monkeypatch.setattr(selftest, "progress", _corrupted_progress)
+    result = run_selftest(cases=400, only={"progression_equivalence"})
     report = result.reports[0]
     assert report.failures > 0
     assert report.detail is not None
