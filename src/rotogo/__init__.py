@@ -32,7 +32,7 @@ _EXPORTS = {
     "fasteval": ("eval_robustness_all",),
     "cmaes": ("CmaesConfig", "CmaesResult", "cmaes_minimize"),
     "planning": ("Limits", "PlanningProblem", "Workspace"),
-    "dynamics": ("DoubleIntegrator", "EnvState", "RobotState"),
+    "dynamics": ("DoubleIntegrator", "RobotState"),
     "scenarios": ("ScenarioConfig", "get_scenario", "scenario_phi_avoid", "scenario_phi_stayin"),
     "mpc": ("RunResult", "StatsRow", "batch_stats", "mpc_run"),
     "bench": ("BenchSpec", "run_bench"),

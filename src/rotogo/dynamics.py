@@ -1,4 +1,4 @@
-"""Double-integrator robot and randomly drifting environment."""
+"""Double-integrator robot dynamics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,12 +10,6 @@ class RobotState:
     y: float
     vx: float = 0.0
     vy: float = 0.0
-
-
-@dataclass(frozen=True)
-class EnvState:
-    xe: float
-    ye: float
 
 
 class DoubleIntegrator:

@@ -23,11 +23,12 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DoubleIntegrator
-# eval_robustness_all, eval_robustness_arrays, limit_penalty and
-# workspace_penalty are not called here: PlanningProblem computes the
-# penalties, and compiled programs score the candidates and the executed
-# trace.  The names stay importable here because the benchmark's tracer
-# (perfbench/workloads.py) wraps them on this module.
+# eval_robustness_all, eval_robustness_arrays, limit_penalty,
+# rollout_arrays, spline_positions and workspace_penalty are not called
+# here: PlanningProblem computes the rollouts and the penalties, spline_basis
+# the warm start, and compiled programs score the candidates and the
+# executed trace.  The names stay importable here because the benchmark's
+# tracer (perfbench/workloads.py) wraps them on this module.
 from .fasteval import Program, eval_robustness_all, eval_robustness_arrays  # noqa: F401
 from .formula import STATE_COMPONENTS, node_count, to_seconds, to_ticks
 from .cmaes import CmaesConfig, cmaes_minimize
@@ -35,6 +36,8 @@ from .planning import (  # noqa: F401
     PlanningProblem,
     limit_penalty,
     rollout_arrays,
+    sample_times,
+    spline_basis,
     spline_positions,
     workspace_penalty,
 )
@@ -148,8 +151,10 @@ class Plan:
         elapsed = to_seconds(new_start_tick - self.start_tick)
         remaining = to_seconds(mission_end - new_start_tick)
         local = elapsed + (np.arange(1, n_via + 1) / n_via) * remaining
-        start_pos, start_vel = np.array(record.robot[:2]), np.array(record.robot[2:])
-        return spline_positions(record.via_points, start_pos, start_vel, record.plan_duration, local)
+        # One row per coordinate: (start position, start velocity, via points).
+        coef = np.column_stack([record.robot[:2], record.robot[2:], record.via_points.T])
+        basis = spline_basis(record.via_points.shape[0], record.plan_duration, local)
+        return (coef @ basis[0]).T
 
 
 def mission_times(cfg: ScenarioConfig) -> np.ndarray:
@@ -265,10 +270,9 @@ def replan(
     n_via = cfg.via_points
     problem = PlanningProblem(objective, history, duration, hz, n_via, limits, cfg.workspace_box())
     current = history[:, -1]
-    start_pos, start_vel = current[:2], current[2:4]
 
     if previous is None:
-        x0, inject, warm = np.tile(start_pos, n_via), None, False
+        x0, inject, warm = np.tile(current[:2], n_via), None, False
         iterations = cfg.first_attempt_iterations
     else:
         x0 = inject = previous.resampled_via(t_i, n_via, mission_end).reshape(-1)
@@ -286,18 +290,18 @@ def replan(
     )
     result = cmaes_minimize(x0, config, batch_objective=problem.cost, inject=inject)
 
-    best_via = result.best_x.reshape(n_via, 2)
-    # The plan executes the directly evaluated spline, so its logged
-    # robustness scores those rows rather than the linear map's.
-    times, pos, vel, acc = rollout_arrays(best_via, start_pos, start_vel, duration, hz)
-    best_rho = float(problem.robustness(np.stack([pos.T, vel.T])[:, :, np.newaxis])[0])
+    # The plan executes the chosen candidate's row of the population
+    # product, so its logged robustness and cost are the ones CMA-ES scored.
+    planes = problem.rollout(result.best_x[np.newaxis])
+    best_rho = float(problem.robustness(planes)[0])
+    pos, vel, acc = planes[:, :, 0].transpose(0, 2, 1)  # each (L, 2)
 
     record = ReplanRecord(
         index=history.shape[1] - 1,
         time=to_seconds(t_i),
         robot=tuple(current[:4].tolist()),
         env=tuple(current[4:].tolist()),
-        via_points=best_via,
+        via_points=result.best_x.reshape(n_via, 2),
         plan_duration=duration,
         cost=result.best_value,
         objective_robustness=best_rho,
@@ -305,4 +309,4 @@ def replan(
         samples_touched=objective.samples_touched,
         warm_started=warm,
     )
-    return Plan(record=record, start_tick=t_i, times=times, pos=pos, vel=vel, acc=acc)
+    return Plan(record=record, start_tick=t_i, times=sample_times(duration, hz), pos=pos, vel=vel, acc=acc)

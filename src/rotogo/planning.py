@@ -10,6 +10,13 @@ endpoint position/velocity/acceleration constraints, which is the
 minimum-jerk point-to-point solution; knots share their velocity and a zero
 acceleration, so the spline is twice differentiable.
 
+Per coordinate the spline is a linear map of (start position, start
+velocity, via points).  :func:`spline_basis` builds that map in closed form
+at any sample times, and the planner reads every spline it runs from it:
+candidates, the executed plan and the warm start.  :func:`rollout_arrays`
+and :func:`spline_positions` evaluate each segment's quintic directly; they
+are the reference the map is tested against.
+
 The loss for a candidate trajectory is the negative robustness of the
 signal assembled from it, plus hard penalties for leaving the workspace and
 soft penalties for exceeding velocity or acceleration limits.
@@ -128,18 +135,26 @@ def _sample_spline(coeffs: np.ndarray, duration: float, times: np.ndarray):
     return pos, vel, acc
 
 
-def rollout_arrays(
-    via: np.ndarray, start_pos: np.ndarray, start_vel: np.ndarray, duration: float, resolution_hz: float
-):
-    """Sample the via-point spline on the resolution grid.
-
-    ``via`` is (..., N, 2); returns (times (L,), pos/vel/acc (..., L, 2)).
-    """
-    coeffs = _segment_coefficients(via, start_pos, start_vel, duration)  # (..., S, 2, 6)
+def sample_times(duration: float, resolution_hz: float) -> np.ndarray:
+    """Plan-local sample times of a rollout: the resolution grid over the
+    duration, plus the terminal instant when the grid misses it."""
     count = int(math.floor(duration * resolution_hz + 1e-9)) + 1
     times = np.arange(count) / resolution_hz
     if duration - times[-1] > 1e-9:
         times = np.append(times, duration)  # always sample the terminal state
+    return times
+
+
+def rollout_arrays(
+    via: np.ndarray, start_pos: np.ndarray, start_vel: np.ndarray, duration: float, resolution_hz: float
+):
+    """Sample the via-point spline on the resolution grid, evaluating each
+    segment's quintic directly (Horner).
+
+    ``via`` is (..., N, 2); returns (times (L,), pos/vel/acc (..., L, 2)).
+    """
+    coeffs = _segment_coefficients(via, start_pos, start_vel, duration)  # (..., S, 2, 6)
+    times = sample_times(duration, resolution_hz)
     pos, vel, acc = _sample_spline(coeffs, duration, times)
     return times, pos, vel, acc
 
@@ -147,10 +162,67 @@ def rollout_arrays(
 def spline_positions(
     via: np.ndarray, start_pos: np.ndarray, start_vel: np.ndarray, duration: float, times: np.ndarray
 ) -> np.ndarray:
-    """Positions of the via-point spline at arbitrary plan-local times."""
+    """Positions of the via-point spline at arbitrary plan-local times (Horner)."""
     coeffs = _segment_coefficients(via, start_pos, start_vel, duration)
     pos, _, _ = _sample_spline(coeffs, duration, np.asarray(times, dtype=np.float64))
     return pos
+
+
+#: The zero-end-acceleration quintic Hermite weights as polynomials in a
+#: segment's phase u in [0, 1].  Row i holds the coefficients of u**i;
+#: column 4q + w holds the q-th derivative in u (q = 0, 1, 2: position,
+#: velocity, acceleration) of the weight on the segment's w-th endpoint
+#: quantity, in the order (P_s, h V_s, P_s+1, h V_s+1) for segment length h.
+_HERMITE = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -60.0, -36.0, 60.0, -24.0],
+        [0.0, 0.0, 0.0, 0.0, -30.0, -18.0, 30.0, -12.0, 180.0, 96.0, -180.0, 84.0],
+        [-10.0, -6.0, 10.0, -4.0, 60.0, 32.0, -60.0, 28.0, -120.0, -60.0, 120.0, -60.0],
+        [15.0, 8.0, -15.0, 7.0, -30.0, -15.0, 30.0, -15.0, 0.0, 0.0, 0.0, 0.0],
+        [-6.0, -3.0, 6.0, -3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+)
+
+
+def spline_basis(n_via: int, duration: float, times: np.ndarray) -> np.ndarray:
+    """The spline's linear map at plan-local ``times``, in closed form.
+
+    Per coordinate the spline is linear in the coefficient vector (start
+    position, start velocity, via points 1..N); returns the (3, N+2, L)
+    position, velocity and acceleration rows of that map, so a (B, N+2)
+    coefficient block times ``basis[q]`` samples quantity q of B splines.
+    Each sample weighs its segment's endpoint knots by the Hermite
+    polynomials at its phase, and the knots are themselves linear in the
+    coefficients: knot 0 is the start state, knot j >= 1 sits on via point
+    j, interior knot velocities are central differences, and the last knot
+    is at rest.
+    """
+    seg_t = duration / n_via
+    times = np.asarray(times, dtype=np.float64)
+    seg = np.minimum((times / seg_t).astype(np.int64), n_via - 1)
+    powers = np.empty((6, times.size))  # u**0 .. u**5
+    powers[0] = 1.0
+    np.divide(times - seg * seg_t, seg_t, out=powers[1])
+    for i in range(2, 6):
+        np.multiply(powers[i - 1], powers[1], out=powers[i])
+    # Derivatives in u become time derivatives over 1/h and 1/h**2.
+    scale = np.repeat([1.0, 1.0 / seg_t, 1.0 / (seg_t * seg_t)], 4)
+    weights = (_HERMITE * scale).T @ powers  # (12, L)
+
+    # knots[j] maps the coefficients to (P_j, h V_j) of knot j.
+    knots = np.zeros((n_via + 1, 2, n_via + 2))
+    knots[0, 0, 0] = 1.0
+    knots[0, 1, 1] = seg_t
+    knots[range(1, n_via + 1), 0, range(2, n_via + 2)] = 1.0
+    knots[1:-1, 1] = 0.5 * (knots[2:, 0] - knots[:-2, 0])
+
+    # Sample l weighs the four knot quantities 2 s .. 2 s + 3 of its
+    # segment s; spread holds those weights in a (3, 2 (N+1), L) block.
+    spread = np.zeros((3, 2 * (n_via + 1), times.size))
+    rows = 2 * seg + np.arange(4)[:, np.newaxis]
+    spread[:, rows, np.arange(times.size)] = weights.reshape(3, 4, -1)
+    return knots.reshape(-1, n_via + 2).T @ spread
 
 
 def limit_penalty(vel: np.ndarray, acc: np.ndarray, limits: Limits) -> np.ndarray:
@@ -197,13 +269,13 @@ class PlanningProblem:
 
     Per coordinate the spline is linear in (start position, start velocity,
     via points), and both coordinates share that map, so construction
-    samples it once per unit vector of one coordinate and :meth:`rollout`
-    is a single matrix product.  Per batch size the coefficient buffer and
-    the signal block, with the prefix and the environment rows already in
-    place, are allocated once; each :meth:`robustness` call writes only the
-    candidates' suffixes, in one copy.  The program is compiled by the
-    caller, so that one compiled for a formula and grid serves every replan
-    that scores them.
+    builds it once with :func:`spline_basis` on the rollout's sample grid
+    and :meth:`rollout` is a single matrix product.  Per batch size the
+    coefficient buffer and the signal block, with the prefix and the
+    environment rows already in place, are allocated once; each
+    :meth:`robustness` call writes only the candidates' suffixes, in one
+    copy.  The program is compiled by the caller, so that one compiled for
+    a formula and grid serves every replan that scores them.
     """
 
     def __init__(
@@ -232,12 +304,9 @@ class PlanningProblem:
         self._upper = np.array([workspace.x_max, workspace.y_max])[:, np.newaxis, np.newaxis]
         self._caps = np.array([limits.v_max, limits.a_max])[:, np.newaxis, np.newaxis]
 
-        # Unit vector k of (p0, v0, via_1..via_N) as one coordinate.
-        probe = np.eye(n_via + 2)[:, :, np.newaxis]
-        _, pos, vel, acc = rollout_arrays(probe[:, 2:], probe[:, 0:1], probe[:, 1], duration, resolution_hz)
-        self._basis = np.stack([pos[..., 0], vel[..., 0], acc[..., 0]])  # (3, N+2, L)
+        self._basis = spline_basis(n_via, duration, sample_times(duration, resolution_hz))  # (3, N+2, L)
 
-        self._split = self.times.size - (pos.shape[1] - 1)
+        self._split = self.times.size - (self._basis.shape[2] - 1)
         if self._split < 0:
             raise ValueError("times are shorter than the rollout suffix")
         k = history.shape[1]

@@ -101,6 +101,13 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        x_min, x_max, y_min, y_max = self.workspace
+        if not x_min < x_max:
+            raise ValueError(f"workspace needs x_min < x_max, got x_min {x_min} and x_max {x_max}")
+        if not y_min < y_max:
+            raise ValueError(f"workspace needs y_min < y_max, got y_min {y_min} and y_max {y_max}")
+        if not self.env_noise_std >= 0:
+            raise ValueError(f"env_noise_std must be >= 0, got {self.env_noise_std}")
         return f
 
     def with_mode(self, mode: str) -> "ScenarioConfig":

@@ -348,6 +348,9 @@ def test_bench_cli_runs(tmp_path, capsys):
         ({"v_max": -1.0}, "v_max must be positive"),
         ({"a_max": 0.0}, "a_max must be positive"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"workspace": (5.0, 0.0, 0.0, 5.0)}, "workspace needs x_min < x_max, got x_min 5.0 and x_max 0.0"),
+        ({"workspace": (0.0, 5.0, 2.0, 2.0)}, "workspace needs y_min < y_max, got y_min 2.0 and y_max 2.0"),
+        ({"env_noise_std": -0.05}, "env_noise_std must be >= 0, got -0.05"),
     ],
 )
 def test_invalid_scenario_exits_two_before_any_output(tmp_path, capsys, overrides, message):

@@ -15,6 +15,8 @@ from rotogo.planning import (
     clamp_robustness,
     limit_penalty,
     rollout_arrays,
+    sample_times,
+    spline_basis,
     spline_positions,
     workspace_penalty,
 )
@@ -184,6 +186,39 @@ def test_linear_map_rollout_matches_spline_evaluation():
             assert np.abs(np.moveaxis(got, 0, -1) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+@pytest.mark.parametrize("n_via", [1, 2, 4, 7])
+@pytest.mark.parametrize("duration", [0.33, 0.5, 7.5, 20.0])
+def test_spline_basis_matches_the_direct_evaluation(n_via, duration):
+    # The closed-form map against the direct (Horner) spline pushed through
+    # every unit vector of (p0, v0, via_1..via_N) as one coordinate, on the
+    # rollout grid; an off-grid duration appends the terminal sample.
+    times = sample_times(duration, 10.0)
+    assert times[0] == 0.0 and times[-1] == duration
+    assert np.array_equal(times[:-1], np.arange(times.size - 1) / 10.0)
+    probe = np.eye(n_via + 2)[:, :, np.newaxis]
+    grid, pos, vel, acc = rollout_arrays(probe[:, 2:], probe[:, 0:1], probe[:, 1], duration, 10.0)
+    assert np.array_equal(grid, times)
+    basis = spline_basis(n_via, duration, times)
+    assert basis.shape == (3, n_via + 2, times.size)
+    for got, want in zip(basis, (pos[..., 0], vel[..., 0], acc[..., 0])):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("duration", [20.0, 9.5, 2.5, 0.5])
+def test_one_candidate_rollout_is_its_row_in_the_population(duration):
+    # The executed plan is a one-candidate rollout of CMA-ES's chosen row;
+    # it must hold the bytes that row had in the scored population.
+    rng = np.random.default_rng(49)
+    times = np.arange(int(round(duration * 10)), dtype=np.int64) * to_ticks(0.1)
+    for n_via in (1, 4, 7):
+        history = rng.uniform(0.0, 5.0, (len(STATE_COMPONENTS), 1))
+        problem = PlanningProblem(Program(times, parse_formula("(x > 0)"), 1), history, duration, 10.0, n_via)
+        X = rng.uniform(-1.0, 6.0, size=(25, 2 * n_via))
+        planes = problem.rollout(X)
+        for i in range(X.shape[0]):
+            assert problem.rollout(X[i : i + 1]).tobytes() == planes[:, :, i : i + 1].copy().tobytes(), (n_via, i)
+
+
 def test_cost_matches_prefix_plus_suffix_table():
     # The prefilled buffers hold what concatenating the executed prefix and
     # each candidate's suffix used to build, and the start-only cost equals
@@ -215,9 +250,8 @@ def test_cost_matches_prefix_plus_suffix_table():
 
 
 def test_robustness_of_given_rows_matches_table():
-    # Rows from the direct spline evaluation, as the best plan is scored:
-    # the problem's start-only value equals the table of the assembled
-    # signal.
+    # Rows from the direct spline evaluation: the problem's start-only
+    # value of any given rows equals the table of the assembled signal.
     rng = np.random.default_rng(46)
     for prefix_len in (0, 1, 17):
         problem, (start_pos, start_vel, duration, hz, n_via, f), _ = _random_problem(rng, prefix_len=prefix_len)
