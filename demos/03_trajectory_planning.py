@@ -9,6 +9,7 @@ from pathlib import Path
 
 from rotogo import scenario_phi_avoid
 from rotogo.fasteval import Program
+from rotogo.formula import STATE_COMPONENTS
 from rotogo.mpc import mission_times, replan
 
 cfg = scenario_phi_avoid()
@@ -25,7 +26,7 @@ print(f"scenario {cfg.name}: start {cfg.robot_start[:2]}, human at {cfg.env_star
 # executed history is the initial state alone, one column of
 # (x, y, vx, vy, xe, ye), and the scored signal starts there.
 
-program = Program(mission_times(cfg), phi, 1)
+program = Program(mission_times(cfg), phi, 1, STATE_COMPONENTS)
 history = np.array([*cfg.robot_start, *cfg.env_start])[:, np.newaxis]
 plan = replan(cfg, program, history, seed=cfg.seed)
 record = plan.record

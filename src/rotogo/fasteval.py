@@ -12,9 +12,10 @@ minimum of the left operand along.
 
 There is one evaluator, :class:`Program`: the robustness at the samples
 [0, width) of a time grid, split into compile and run.  Monitoring asks for
-every sample (:func:`eval_robustness_arrays`, width n); the planner asks
-for the first sample of every candidate
-(:class:`~rotogo.planning.PlanningProblem`, width 1).  Compiling asks each
+every sample (:func:`eval_robustness_all`, width n); the planner asks for
+the first sample of every candidate
+(:class:`~rotogo.planning.PlanningProblem`, width 1).  A run reads one
+(C, B, n) block, one row per component, and compiling asks each
 node, top-down, for the contiguous index range its parent needs
 (robustness over the index ranges a query needs, as in Donze, Ferrere and
 Maler, "Efficient Robust Monitoring for STL", CAV 2013), so an eventually
@@ -75,8 +76,7 @@ POS_INF = math.inf
 
 def eval_robustness_all(signal: Signal, f: Formula) -> np.ndarray:
     """Robustness of ``f`` at every sample time of ``signal``; shape (n,)."""
-    comps = {name: col[np.newaxis, :] for name, col in signal.components.items()}
-    return eval_robustness_arrays(signal.times, comps, f)[0]
+    return Program(signal.times, f, len(signal), signal.names).run(signal.block[:, np.newaxis])[0]
 
 
 def eval_robustness_arrays(times: np.ndarray, components: dict[str, np.ndarray], f: Formula) -> np.ndarray:
@@ -87,32 +87,35 @@ def eval_robustness_arrays(times: np.ndarray, components: dict[str, np.ndarray],
     robustness values, value[b, j] being the robustness of ``f`` over
     candidate b at sample j.
     """
-    return Program(times, f, len(times)).run(components)
+    return Program(times, f, len(times), tuple(components)).run(np.array(list(components.values())))
 
 
 class Program:
     """The robustness of ``f`` at the samples [0, width) of ``times``, compiled.
 
-    Compiling walks the formula once, top-down, asking each node for the
-    contiguous index range [a, b) its parent needs, and emits one flat list
-    of numpy steps: every window becomes integer index bounds, structurally
-    equal subformulas and predicate subexpressions over the same range
-    become one step, constant predicate subexpressions are folded, and
-    ``Not(Not(phi))`` is ``phi``.  :meth:`run` executes the steps on one
-    batch of candidates, releasing each intermediate table after its last
-    reader.
+    Compiling resolves each variable of ``f`` to its row in ``names`` (one
+    that is not there raises ``KeyError``), then walks the formula once,
+    top-down, asking each node for the contiguous index range [a, b) its
+    parent needs, and emits one flat list of numpy steps: every window
+    becomes integer index bounds, structurally equal subformulas and
+    predicate subexpressions over the same range become one step, constant
+    predicate subexpressions are folded, and ``Not(Not(phi))`` is ``phi``.
+    :meth:`run` executes the steps on one batch of candidates, releasing
+    each intermediate table after its last reader.
 
     What a run reads is settled by compiling too: :attr:`samples_touched`
     is the number of distinct samples in the union of the index ranges the
     predicates are evaluated over, the same for every run.
     """
 
-    def __init__(self, times: np.ndarray, f: Formula, width: int):
-        build = _Compiler(np.ascontiguousarray(times, dtype=np.int64))
+    def __init__(self, times: np.ndarray, f: Formula, width: int, names: tuple[str, ...]):
+        build = _Compiler(np.ascontiguousarray(times, dtype=np.int64), names)
         #: The formula the program evaluates.
         self.formula = f
         #: The sample times the program is compiled for, int64 ticks.
         self.times = build.times
+        #: The component of each block row, in row order.
+        self.names = tuple(names)
         root = build.emit(f, 0, width)
         if root in build.loads:
             # A bare component: copy it, or the table is the caller's array.
@@ -125,17 +128,20 @@ class Program:
         """Distinct samples of a candidate that one run reads."""
         return self._samples
 
-    def run(self, components: dict[str, np.ndarray]) -> np.ndarray:
-        """Robustness at the compiled samples of every row of ``components``.
+    def run(self, block: np.ndarray) -> np.ndarray:
+        """Robustness at the compiled samples of every candidate in ``block``.
 
-        ``components`` maps each name to a (B, n) array over the compiled
-        times; they are read as float64.  Returns shape (B, width).
+        ``block`` is (len(names), B, len(times)), read as float64: row k
+        holds component ``names[k]`` of the B candidates over the compiled
+        times; any other shape raises ``ValueError``.  Returns (B, width).
         """
-        batch = next(iter(components.values())).shape[0]
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 3 or block.shape[::2] != (len(self.names), self.times.size):
+            raise ValueError(f"a block for this program is ({len(self.names)}, B, {self.times.size}), not {block.shape}")
         r = [None] * self._registers
-        r[0] = batch
-        for slot, name, a, b in self._loads:
-            r[slot] = np.asarray(components[name], dtype=np.float64)[:, a:b]
+        r[0] = block.shape[1]
+        for slot, row, a, b in self._loads:
+            r[slot] = block[row, :, a:b]
         for step in self._steps:
             step(r)
         return r[self._out]
@@ -167,26 +173,28 @@ class _Compiler:
     A value is an integer id.  ``code`` holds (make, value, args, param)
     entries in execution order, ``make`` building the step that computes
     ``value`` from the values ``args``; ``loads`` maps a value to the
-    (name, a, b) component slice it stands for.  Values are numbered by
+    (row, a, b) block slice it stands for.  Values are numbered by
     what computes them (value numbering): a step on the same values with
     the same parameters is the value already emitted, so structurally equal
     subformulas and predicate subexpressions over one index range are
     computed once, and every key is a flat tuple hashed once.
     """
 
-    def __init__(self, times: np.ndarray):
+    def __init__(self, times: np.ndarray, names: tuple[str, ...]):
         self.times = times
+        self.rows = {name: k for k, name in enumerate(names)}
         self.code: list[tuple] = []
-        self.loads: dict[int, tuple[str, int, int]] = {}
+        self.loads: dict[int, tuple[int, int, int]] = {}
         self.spans: dict[int, tuple[int, int]] = {}  # predicate value -> range it is read over
         self._numbers: dict[tuple, int] = {}
 
     def _load(self, name: str, a: int, b: int) -> int:
-        key = ("load", name, a, b)
+        row = self.rows[name]
+        key = ("load", row, a, b)
         v = self._numbers.get(key)
         if v is None:
             v = self._numbers[key] = len(self._numbers)
-            self.loads[v] = (name, a, b)
+            self.loads[v] = (row, a, b)
         return v
 
     def _op(self, make, args: tuple, param=None, key=None) -> int:
@@ -322,7 +330,7 @@ class _Compiler:
                 last[u] = i
         last[root] = len(self.code)
         slot = {v: s for s, v in enumerate(self.loads, start=1)}
-        loads = [(slot[v], name, a, b) for v, (name, a, b) in self.loads.items()]
+        loads = [(slot[v], row, a, b) for v, (row, a, b) in self.loads.items()]
         registers = len(slot) + 1
         free: list[int] = []
         steps = []

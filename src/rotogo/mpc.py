@@ -179,12 +179,11 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     env_draws *= cfg.env_noise_std
     opt_seeds = np.random.default_rng(opt_ss)
 
-    # One row per trace component, the STATE_COMPONENTS rows first: column i
-    # holds sample i once it is observed, so states[:, :i + 1] is the
-    # executed history at sample i.
+    # One row per trace component, STATE_COMPONENTS then EXTRA_COMPONENTS
+    # (ax, ay, w1, w2): column i holds sample i once it is observed, so
+    # states[:, :i + 1] is the executed history at sample i.
     block = np.zeros((len(STATE_COMPONENTS) + len(EXTRA_COMPONENTS), n_samples))
-    cols = dict(zip((*STATE_COMPONENTS, *EXTRA_COMPONENTS), block))
-    states = block[: len(STATE_COMPONENTS)]
+    states, controls, disturbances = block[:6], block[6:8], block[8:]
     states[:, 0] = (*cfg.robot_start, *cfg.env_start)
     # Only rotogo mode scores the progressed formula, so only it progresses.
     progressing = cfg.objective_mode == "rotogo"
@@ -192,7 +191,7 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     # The robustness of f0 at mission start over the whole mission: the
     # objective of every robustness-mode replan and the episode's final
     # score, compiled once.
-    scored = Program(times, f0, 1)
+    scored = Program(times, f0, 1, STATE_COMPONENTS)
 
     active: Optional[Plan] = None
     replans: list[ReplanRecord] = []
@@ -207,12 +206,12 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
             # rotogo mode scores the candidate suffix alone by the progressed
             # formula, anchored at t_i + trace_dt; robustness mode scores the
             # executed history, then each candidate's suffix, by f0.
-            objective = Program(times[i + 1 :], monitor.current, 1) if progressing else scored
+            objective = Program(times[i + 1 :], monitor.current, 1, STATE_COMPONENTS) if progressing else scored
             active = replan(cfg, objective, states[:, : i + 1], active, seed=int(opt_seeds.integers(0, 2**63)))
             replans.append(active.record)
 
         u = active.control_at(t_i, trace_dt) if active is not None else (0.0, 0.0)
-        cols["ax"][i], cols["ay"][i] = u
+        controls[:, i] = u
 
         if i < n_samples - 1:
             states[:4, i + 1] = DoubleIntegrator.step(state[:4], u, cfg.trace_period)
@@ -220,11 +219,12 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
             noise = env_draws[i * micro_per_step : (i + 1) * micro_per_step]
             xe_next, ye_next = xe + float(noise[:, 0].sum()), ye + float(noise[:, 1].sum())
             states[4:, i + 1] = xe_next, ye_next
-            cols["w1"][i], cols["w2"][i] = xe_next - xe, ye_next - ye
+            disturbances[:, i] = xe_next - xe, ye_next - ye
 
-    trace = Signal(times, cols)
-    final_rho = float(scored.run({name: col[np.newaxis] for name, col in trace.components.items()})[0, 0])
-    dist = np.sqrt((cols["x"] - cols["xe"]) ** 2 + (cols["y"] - cols["ye"]) ** 2)
+    trace = Signal(times, dict(zip((*STATE_COMPONENTS, *EXTRA_COMPONENTS), block)))
+    final_rho = float(scored.run(states[:, np.newaxis])[0, 0])
+    x, y, _, _, xe, ye = states
+    dist = np.sqrt((x - xe) ** 2 + (y - ye) ** 2)
     return RunResult(
         scenario=cfg.name,
         mode=cfg.objective_mode,
@@ -290,11 +290,12 @@ def replan(
     )
     result = cmaes_minimize(x0, config, batch_objective=problem.cost, inject=inject)
 
-    # The plan executes the chosen candidate's row of the population
-    # product, so its logged robustness and cost are the ones CMA-ES scored.
+    # The executed one-candidate product can round apart from the chosen row
+    # of the population CMA-ES scored, so the record scores the executed rows.
     planes = problem.rollout(result.best_x[np.newaxis])
-    best_rho = float(problem.robustness(planes)[0])
-    pos, vel, acc = planes[:, :, 0].transpose(0, 2, 1)  # each (L, 2)
+    pos, vel, acc = planes[:, :, 0].transpose(0, 2, 1).copy()  # each (L, 2), before loss() overwrites vel, acc
+    rho = problem.robustness(planes)
+    cost = problem.loss(rho, planes)
 
     record = ReplanRecord(
         index=history.shape[1] - 1,
@@ -303,8 +304,8 @@ def replan(
         env=tuple(current[4:].tolist()),
         via_points=result.best_x.reshape(n_via, 2),
         plan_duration=duration,
-        cost=result.best_value,
-        objective_robustness=best_rho,
+        cost=float(cost[0]),
+        objective_robustness=float(rho[0]),
         formula_nodes=node_count(objective.formula),
         samples_touched=objective.samples_touched,
         warm_started=warm,

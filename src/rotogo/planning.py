@@ -247,7 +247,7 @@ def workspace_penalty(pos: np.ndarray, workspace: Workspace) -> np.ndarray:
 
 def clamp_robustness(rho: np.ndarray) -> np.ndarray:
     """Map infinite robustness to +/-ROBUSTNESS_CLAMP for finite arithmetic."""
-    return np.clip(rho, -ROBUSTNESS_CLAMP, ROBUSTNESS_CLAMP)
+    return np.minimum(np.maximum(rho, -ROBUSTNESS_CLAMP), ROBUSTNESS_CLAMP)
 
 
 class PlanningProblem:
@@ -259,23 +259,24 @@ class PlanningProblem:
     points (x1, y1, x2, ...) for a spline of ``duration`` seconds from that
     state's position and velocity, sampled at ``resolution_hz``.  Its loss
     is the negative robustness that ``program``, a width-1
-    :class:`~rotogo.fasteval.Program`, gives the scored signal at its first
-    sample, plus the workspace and limit penalties of the whole rollout.
-    The scored signal, sampled at the program's times, is the last
-    ``split`` columns of the history (``split`` is whatever the program's
-    times leave before the rollout's second sample, zero when it scores
-    the suffix alone) followed by the rollout from its second sample on,
-    with the environment held at the current state's (xe, ye).
+    :class:`~rotogo.fasteval.Program` compiled for ``STATE_COMPONENTS``,
+    gives the scored signal at its first sample, plus the workspace and
+    limit penalties of the whole rollout.  The scored signal, at the
+    program's times, is the last ``split`` columns of the history (what the
+    program's times leave before the rollout's second sample, zero when it
+    scores the suffix alone) followed by the rollout from its second sample
+    on, with the environment held at the current state's (xe, ye).
 
     Per coordinate the spline is linear in (start position, start velocity,
     via points), and both coordinates share that map, so construction
     builds it once with :func:`spline_basis` on the rollout's sample grid
     and :meth:`rollout` is a single matrix product.  Per batch size the
-    coefficient buffer and the signal block, with the prefix and the
-    environment rows already in place, are allocated once; each
-    :meth:`robustness` call writes only the candidates' suffixes, in one
-    copy.  The program is compiled by the caller, so that one compiled for
-    a formula and grid serves every replan that scores them.
+    coefficient buffer and the (components, B, samples) signal block that
+    the program runs on, with the prefix and the environment rows already
+    in place, are allocated once; each :meth:`robustness` call writes only
+    the candidates' suffixes, in one copy.  The program is compiled by the
+    caller, so that one compiled for a formula and grid serves every
+    replan that scores them.
     """
 
     def __init__(
@@ -293,6 +294,8 @@ class PlanningProblem:
             raise ValueError(
                 f"history must be a ({len(STATE_COMPONENTS)}, k) array with k >= 1, not shape {history.shape}"
             )
+        if program.names != STATE_COMPONENTS:
+            raise ValueError(f"the program must be compiled for {STATE_COMPONENTS}, not {program.names}")
         self.program = program
         self.times = program.times
         current = history[:, -1]
@@ -313,16 +316,15 @@ class PlanningProblem:
         if self._split > k:
             raise ValueError(f"history holds {k} samples; the program scores {self._split} before the rollout suffix")
         self._prefix = history[:, k - self._split :]  # (components, split)
-        # Per batch size B: the (2, B, N+2) coefficient buffer, the
-        # (components, B, samples) signal block and its name -> (B, samples)
-        # rows.  STATE_COMPONENTS is (x, y, vx, vy, xe, ye), so rows 0-1 take
-        # the position plane, rows 2-3 the velocity plane and rows 4-5 the
-        # environment.
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]] = {}
+        # Per batch size B: the (2, B, N+2) coefficient buffer and the
+        # (components, B, samples) signal block.  STATE_COMPONENTS is
+        # (x, y, vx, vy, xe, ye), so block rows 0-1 take the position plane,
+        # rows 2-3 the velocity plane and rows 4-5 the environment.
+        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _buffers(self, batch: int) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        """The coefficient buffer, signal block and row views for ``batch``
-        candidates; start, prefix and environment filled in on first use."""
+    def _buffers(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficient buffer and signal block for ``batch`` candidates;
+        start, prefix and environment filled in on first use."""
         entry = self._cache.get(batch)
         if entry is None:
             coef = np.empty((2, batch, self._basis.shape[1]))
@@ -330,7 +332,7 @@ class PlanningProblem:
             block = np.empty((len(STATE_COMPONENTS), batch, self.times.size))
             block[:, :, : self._split] = self._prefix[:, np.newaxis]
             block[4:, :, self._split :] = self.env[:, np.newaxis, np.newaxis]
-            entry = self._cache[batch] = (coef, block, dict(zip(STATE_COMPONENTS, block)))
+            entry = self._cache[batch] = (coef, block)
         return entry
 
     def rollout(self, X: np.ndarray) -> np.ndarray:
@@ -353,25 +355,18 @@ class PlanningProblem:
         rollout has position and velocity planes ``planes[0]`` and
         ``planes[1]`` (each (2, B, L)); shape (B,)."""
         batch = planes.shape[2]
-        _, block, comps = self._buffers(batch)
+        block = self._buffers(batch)[1]
         # The position and velocity planes are rows 0-3, in one copy.
         block[:4, :, self._split :] = planes[:2].reshape(4, batch, -1)[:, :, 1:]
-        return self.program.run(comps)[:, 0]
+        return self.program.run(block)[:, 0]
 
-    def cost(self, X: np.ndarray) -> np.ndarray:
-        """Loss of every row of a (B, 2N) population; shape (B,).
-
-        Bit for bit ``-clamp_robustness(rho) + (workspace_penalty(pos) +
-        limit_penalty(vel, acc))``, computed on the stacked planes.
-        """
-        planes = self.rollout(X)
-        rho = self.robustness(planes)
-
+    def penalties(self, planes: np.ndarray) -> np.ndarray:
+        """Bit for bit ``workspace_penalty(pos) + limit_penalty(vel, acc)``
+        of (3, 2, B, L) rollout ``planes``; shape (B,).  The norms are taken
+        in place, over the velocity and acceleration planes."""
         outside = (planes[0] < self._lower) | (planes[0] > self._upper)
         workspace = WORKSPACE_PENALTY * np.add.reduce(outside[0] | outside[1], axis=-1)
 
-        # Speed and acceleration norms, in place over the (vel, acc) planes
-        # now that the signal holds its copy of the velocities.
         moving = planes[1:]
         np.multiply(moving, moving, out=moving)
         norms = np.add(moving[:, 0], moving[:, 1], out=moving[:, 0])
@@ -379,10 +374,16 @@ class PlanningProblem:
         norms -= self._caps
         np.maximum(norms, 0.0, out=norms)
         over = np.add.reduce(norms, axis=-1)
-        limit = LIMIT_PENALTY * (over[0] + over[1])
+        return workspace + LIMIT_PENALTY * (over[0] + over[1])
 
-        loss = np.maximum(rho, -ROBUSTNESS_CLAMP)
-        np.minimum(loss, ROBUSTNESS_CLAMP, out=loss)
+    def loss(self, rho: np.ndarray, planes: np.ndarray) -> np.ndarray:
+        """``-clamp_robustness(rho) + penalties(planes)``; shape (B,)."""
+        loss = clamp_robustness(rho)
         np.negative(loss, out=loss)
-        loss += workspace + limit
+        loss += self.penalties(planes)
         return loss
+
+    def cost(self, X: np.ndarray) -> np.ndarray:
+        """Loss of every row of a (B, 2N) population; shape (B,)."""
+        planes = self.rollout(X)
+        return self.loss(self.robustness(planes), planes)

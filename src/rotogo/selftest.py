@@ -304,7 +304,7 @@ def _prop_fast_matches_reference(rng) -> Iterator[_Check]:
         table = eval_robustness_all(s, f)
         # The planner's start-only evaluation must reproduce the table's
         # first value; it rides along with the instance's index-0 case.
-        start = float(Program(s.times, f, 1).run({n: c[np.newaxis] for n, c in s.components.items()})[0, 0])
+        start = float(Program(s.times, f, 1, s.names).run(s.block[:, np.newaxis])[0, 0])
         for j in range(len(s)):
             want = robustness(s, s.t(j), f)
             ok = float(table[j]) == want and (j > 0 or start == float(table[0]))

@@ -30,12 +30,13 @@ class NoSampleError(ValueError):
 class Signal:
     """Immutable sequence of samples with strictly increasing timestamps.
 
-    Stored as one int64 array of tick times plus one float64 array per
-    component, which lets evaluators and predicates work on whole columns.
-    The tick times are also kept once as a list of Python ints: the
-    reference evaluators look up sample times and windows one at a time,
-    and ``bisect`` on that list answers such lookups several times faster
-    than scalar calls into numpy.
+    Stored as read-only copies of the tick times (int64) and of the
+    components, a (C, n) float64 :attr:`block` whose row k is component
+    ``names[k]``; :attr:`components` maps each name to its row in a
+    read-only mapping.  The tick times are also kept once as a list of
+    Python ints: the reference evaluators look up sample times and windows
+    one at a time, and ``bisect`` on that list answers such lookups several
+    times faster than scalar calls into numpy.
 
     The reference evaluators also read one sample's state per predicate
     evaluation through :meth:`row`, by sample index.  A row is built the
@@ -43,32 +44,38 @@ class Signal:
     grows with the samples read, not with the signal's length.  Rows are
     shared between callers and therefore read-only
     (``types.MappingProxyType``); :meth:`state` returns a fresh dict that
-    the caller may change.  Both read one row of an ``(n, k)`` copy of the
-    components, made on the first such read: one ``tolist`` per sample
-    instead of one ``item`` call per component.
+    the caller may change.  Both read one column of the block.
     """
 
-    __slots__ = ("times", "components", "_ticks", "_rows", "_block")
+    __slots__ = ("times", "names", "block", "components", "_ticks", "_rows")
 
     def __init__(self, times: np.ndarray, components: Mapping[str, np.ndarray]):
-        times = np.asarray(times, dtype=np.int64)
+        times = np.array(times, dtype=np.int64)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("a signal needs at least one sample")
         if not (times[1:] > times[:-1]).all():
             raise ValueError("sample timestamps must be strictly increasing")
-        comps = {}
-        for name, values in components.items():
-            arr = np.asarray(values, dtype=np.float64)
-            if arr.shape != times.shape:
-                raise ValueError(f"component {name!r} has {arr.shape[0] if arr.ndim else 0} values for {times.size} samples")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"component {name!r} contains non-finite values")
-            comps[name] = arr
+        names = tuple(components)
+        columns = [np.asarray(values, dtype=np.float64) for values in components.values()]
+        for name, column in zip(names, columns):
+            if column.shape != times.shape:
+                raise ValueError(f"component {name!r} has {column.shape[0] if column.ndim else 0} values for {times.size} samples")
+        block = np.array(columns).reshape(len(names), times.size)
+        if not np.isfinite(block).all():
+            finite = np.isfinite(block).all(axis=1)
+            raise ValueError(f"component {names[int(np.argmin(finite))]!r} contains non-finite values")
+        times.setflags(write=False)
+        block.setflags(write=False)
         self.times = times
-        self.components = comps
+        self.names = names
+        self.block = block
+        self.components: Mapping[str, np.ndarray] = MappingProxyType(dict(zip(names, block)))
         self._ticks: list[int] = times.tolist()
         self._rows: list[Optional[Mapping[str, float]]] = [None] * len(self._ticks)
-        self._block: Optional[np.ndarray] = None
+
+    def __reduce__(self):
+        # The read-only mapping does not pickle; the constructor rebuilds it.
+        return Signal, (self.times, dict(self.components))
 
     def __len__(self) -> int:
         return len(self._ticks)
@@ -85,11 +92,7 @@ class Signal:
         return self._ticks[index]
 
     def state(self, index: int) -> dict[str, float]:
-        block = self._block
-        if block is None:
-            values = np.array(list(self.components.values()), dtype=np.float64)
-            block = self._block = values.reshape(-1, len(self._ticks)).T.copy()
-        return dict(zip(self.components, block[index].tolist()))
+        return dict(zip(self.names, self.block[:, index].tolist()))
 
     def index_of(self, t: TimePoint) -> int:
         ticks = self._ticks
@@ -122,10 +125,10 @@ class Signal:
 
     def prefix(self, index: int) -> "Signal":
         """Samples 0..index inclusive."""
-        return Signal(self.times[: index + 1], {n: c[: index + 1] for n, c in self.components.items()})
+        return Signal(self.times[: index + 1], dict(zip(self.names, self.block[:, : index + 1])))
 
     def replaced(self, index: int, state: Mapping[str, float]) -> "Signal":
-        comps = {n: c.copy() for n, c in self.components.items()}
+        comps = dict(zip(self.names, self.block.copy()))
         for name, value in state.items():
             comps[name][index] = value
         return Signal(self.times, comps)
@@ -161,21 +164,16 @@ def validate_trace(trace: Signal, dt: TimePoint, dynamics) -> TraceValidation:
     for name in EXTRA_COMPONENTS:
         if name not in trace.components:
             raise ValueError(f"trace has no {name!r} column; validity is not checkable")
-    c = trace.components
     dt_s = to_seconds(dt)
     for i in range(len(trace) - 1):
         gap = trace.t(i + 1) - trace.t(i)
         if gap != dt:
             return TraceValidation(False, i, "t", abs(gap - dt))
-        robot = (float(c["x"][i]), float(c["y"][i]), float(c["vx"][i]), float(c["vy"][i]))
-        u = (float(c["ax"][i]), float(c["ay"][i]))
-        predicted = dynamics.step(robot, u, dt_s)
-        for name, value in zip(("x", "y", "vx", "vy"), predicted):
-            err = abs(float(c[name][i + 1]) - value)
-            if err > tol:
-                return TraceValidation(False, i + 1, name, err)
-        for name, wname in (("xe", "w1"), ("ye", "w2")):
-            err = abs(float(c[name][i + 1]) - (float(c[name][i]) + float(c[wname][i])))
+        now, after = trace.state(i), trace.state(i + 1)
+        robot = dynamics.step((now["x"], now["y"], now["vx"], now["vy"]), (now["ax"], now["ay"]), dt_s)
+        predicted = (*robot, now["xe"] + now["w1"], now["ye"] + now["w2"])
+        for name, value in zip(STATE_COMPONENTS, predicted):
+            err = abs(after[name] - value)
             if err > tol:
                 return TraceValidation(False, i + 1, name, err)
     return TraceValidation(True)
@@ -200,10 +198,8 @@ def write_trace_csv(trace: Signal, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for i in range(len(trace)):
-            row = [f"{to_seconds(trace.t(i)):.6f}"]
-            row += [repr(float(trace.components[n][i])) for n in STATE_COMPONENTS]
-            row += [repr(float(trace.components[n][i])) for n in extras]
-            writer.writerow(row)
+            state = trace.state(i)
+            writer.writerow([f"{to_seconds(trace.t(i)):.6f}", *(repr(state[n]) for n in header[1:])])
 
 
 def read_trace_csv(path) -> Signal:
@@ -252,7 +248,7 @@ def read_trace_csv(path) -> Signal:
     except OverflowError:
         i = next(i for i, t in enumerate(times) if not -(2**63) <= t < 2**63)
         raise ValueError(f"{path}:{lines[i]}: time {to_seconds(times[i])!r} s is out of range") from None
-    values = np.frombuffer(cells, dtype=np.float64).reshape(len(times), len(names)).T.copy()
+    values = np.frombuffer(cells, dtype=np.float64).reshape(len(times), len(names)).T
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -301,8 +297,8 @@ def _read_plain(fh) -> Optional[Signal]:
     if not blocks:
         return None
     flat = np.concatenate(blocks)
-    del blocks  # before the transposed copy, so that it can take their memory
-    table = flat.reshape(-1, width).T.copy()
+    del blocks  # before the signal copies its columns, so that it can take their memory
+    table = flat.reshape(-1, width).T
     # round(s * TICKS_PER_SECOND), as to_ticks computes it: the same IEEE
     # multiply, and rint rounds half to even as round does.  The range test
     # also refuses infinite and NaN times and the infinite products of huge

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from rotogo.bench import BenchSpec, format_stats_csv, run_bench
 from rotogo.cli import main
 from rotogo.formula import to_seconds, to_ticks
 from rotogo.parser import format_formula, parse_formula
-from rotogo.scenarios import ScenarioConfig
+from rotogo.scenarios import ScenarioConfig, get_scenario
 from rotogo.semantics import robustness, sat
 from rotogo.signals import Signal, read_trace_csv, write_trace_csv
 from rotogo.testgen import random_instance
@@ -311,6 +312,44 @@ def test_quoted_crlf_trace_reads_as_the_plain_one(tmp_path, capsys, args):
         outputs.append((code, captured.out))
     assert outputs[0] == outputs[1]
     assert outputs[0][1].count("\n") >= 3
+
+
+#: SHA-256 over the stdout and exit codes of `rotogo monitor --rotogo-from`
+#: and `rotogo progress` on the seeded corpus below.
+MONITORING_DIGEST = "c52bfcdfee31dcc0ef3e5cf5f203238fa0f4660256dc561e3cea79a507ddd206"
+
+
+def test_monitoring_outputs_are_pinned(tmp_path, capsys):
+    """The offline monitoring commands print the same bytes and exit with
+    the same codes on a seeded corpus: 201-sample random walks of the robot
+    and the environment point, under phi_avoid, phi_stayin and a nested
+    general until."""
+    rng = np.random.default_rng(20261019)
+    formulas = [
+        format_formula(get_scenario("phi_avoid").parsed_formula()),
+        format_formula(get_scenario("phi_stayin").parsed_formula()),
+        "G[0,10] ((x > 1) -> F[0,2] (y < 3)) & ((x > 0) U[0,5] (y > 2.6))",
+    ]
+    h = hashlib.sha256()
+    for k in range(6):
+        n = 201
+        vel = np.clip(np.cumsum(rng.normal(0.0, 0.03, (n, 2)), axis=0), -0.5, 0.5)
+        pos = np.clip(rng.uniform(0.5, 4.5, 2) + np.cumsum(vel * 0.1, axis=0), 0.0, 5.0)
+        env = 2.5 + np.cumsum(rng.normal(0.0, 0.03, (n, 2)), axis=0)
+        columns = np.column_stack([pos, vel, env])
+        lines = ["t,x,y,vx,vy,xe,ye"] + [
+            f"{i * 0.1:.6f}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(columns)
+        ]
+        path = tmp_path / f"trace{k}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cut = f"{int(rng.integers(1, 150)) * 0.1:.1f}"
+        for text in formulas:
+            for args in (["monitor", text, str(path), "--rotogo-from", cut], ["progress", text, str(path)]):
+                code = main(args)
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                h.update(b"%d\0" % code + captured.out.encode() + b"\0")
+    assert h.hexdigest() == MONITORING_DIGEST
 
 
 def test_run_writes_trace_and_summary(tmp_path, capsys):

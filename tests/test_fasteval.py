@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from rotogo.fasteval import (
     Program,
@@ -10,7 +11,7 @@ from rotogo.fasteval import (
     eval_robustness_all,
     eval_robustness_arrays,
 )
-from rotogo.formula import And, BOTTOM, Interval, Not, Or, Pred, TOP, Until, Var, to_ticks
+from rotogo.formula import STATE_COMPONENTS, And, BOTTOM, Interval, Not, Or, Pred, TOP, Until, Var, to_ticks
 from rotogo.parser import parse_formula
 from rotogo.semantics import robustness
 from rotogo.signals import Signal
@@ -59,12 +60,12 @@ def test_batched_rows_evaluate_independently():
 def test_samples_touched_counts_distinct_samples():
     times = np.arange(5, dtype=np.int64) * to_ticks(0.1)
     f = parse_formula("G[0,0.4] ((x > 0) & (y > 1))")
-    assert Program(times, f, 5).samples_touched == 5  # two predicates, five distinct samples
+    assert Program(times, f, 5, ("x", "y")).samples_touched == 5  # two predicates, five distinct samples
 
 
 def test_constant_formulas_touch_nothing():
     s = Signal(np.arange(3, dtype=np.int64), {"x": np.zeros(3)})
-    assert Program(s.times, TOP, 3).samples_touched == 0
+    assert Program(s.times, TOP, 3, s.names).samples_touched == 0
     assert np.all(np.isposinf(eval_robustness_all(s, TOP)))
 
 
@@ -77,12 +78,12 @@ def test_constant_predicates_touch_nothing():
         "G[0,0.9] (2 * 3 - 1 > 0)",
     ):
         for width in (1, 10):
-            assert Program(s.times, parse_formula(text), width).samples_touched == 0, (text, width)
-        assert_start_matches_table(s.times, _rows(s, 2), parse_formula(text))
+            assert Program(s.times, parse_formula(text), width, s.names).samples_touched == 0, (text, width)
+        assert_start_matches_table(s.times, s.names, _rows(s, 2), parse_formula(text))
     # Mixed with a variable, only the variable's range counts: samples 3..4.
     mixed = parse_formula("F[0.5,0.6] (1 > 0) & F[0.3,0.4] (x > 0)")
-    assert Program(s.times, mixed, 1).samples_touched == 2
-    assert assert_start_matches_table(s.times, _rows(s), mixed).samples_touched == 2
+    assert Program(s.times, mixed, 1, s.names).samples_touched == 2
+    assert assert_start_matches_table(s.times, s.names, _rows(s), mixed).samples_touched == 2
 
 
 def test_matches_reference_at_mission_scale():
@@ -145,27 +146,27 @@ def test_bounds_beyond_the_int64_tick_range_match_reference():
         "(x > 0) U[2,inf) (x < 0)",
     )):
         f = parse_formula(text)
-        rows = {"x": s.components["x"][np.newaxis, :]}
         reference = np.array([robustness(s, t, f) for t in s.times.tolist()])
         assert eval_robustness_all(s, f).tobytes() == reference.tobytes(), (s.times, text)
-        assert Program(s.times, f, 1).run(rows)[:, 0].tobytes() == reference[:1].tobytes(), (s.times, text)
+        start = Program(s.times, f, 1, s.names).run(s.block[:, np.newaxis])[:, 0]
+        assert start.tobytes() == reference[:1].tobytes(), (s.times, text)
 
 
 # ---------------------------------------------------------------------------
 # Start-only evaluation
 
 
-def _rows(signal: Signal, batch: int = 1) -> dict:
-    """Components of ``batch`` distinct candidates built from one signal."""
-    return {name: np.vstack([col * (1.0 + 0.1 * b) for b in range(batch)]) for name, col in signal.components.items()}
+def _rows(signal: Signal, batch: int = 1) -> np.ndarray:
+    """The (C, batch, n) block of ``batch`` distinct candidates built from one signal."""
+    return np.stack([signal.block * (1.0 + 0.1 * b) for b in range(batch)], axis=1)
 
 
-def assert_start_matches_table(times, comps, f):
+def assert_start_matches_table(times, names, block, f):
     """A width-1 program gives the table's first column and reads no more
     samples than the full table; returns the width-1 program."""
-    full, first = Program(times, f, len(times)), Program(times, f, 1)
-    table = full.run(comps)
-    start = first.run(comps)[:, 0]
+    full, first = Program(times, f, len(times), names), Program(times, f, 1, names)
+    table = full.run(block)
+    start = first.run(block)[:, 0]
     assert start.shape == (table.shape[0],)
     assert np.array_equal(start, table[:, 0]), (f, start, table[:, 0])
     assert first.samples_touched <= full.samples_touched
@@ -182,7 +183,7 @@ def test_start_matches_table_on_random_corpus():
     rng = np.random.default_rng(36)
     for _ in range(1500):
         f, s = random_instance(rng, max_len=30)
-        assert_start_matches_table(s.times, _rows(s), f)
+        assert_start_matches_table(s.times, s.names, _rows(s), f)
 
 
 def test_start_matches_table_with_general_until():
@@ -193,7 +194,7 @@ def test_start_matches_table_with_general_until():
         f = Until(left, _random_interval(rng), right)
         # also nested under an eventually, which asks the fallback for a range
         for g in (f, Until(TOP, _random_interval(rng), f), And(f, Not(f))):
-            assert_start_matches_table(s.times, _rows(s, 3), g)
+            assert_start_matches_table(s.times, s.names, _rows(s, 3), g)
 
 
 def test_start_matches_table_on_nested_temporal_operators():
@@ -203,7 +204,7 @@ def test_start_matches_table_on_nested_temporal_operators():
         f = inner
         for _ in range(int(rng.integers(1, 4))):
             f = Until(TOP, _random_interval(rng), Not(f) if rng.random() < 0.5 else f)
-        assert_start_matches_table(s.times, _rows(s, 2), f)
+        assert_start_matches_table(s.times, s.names, _rows(s, 2), f)
 
 
 def test_start_matches_table_on_batched_rows():
@@ -211,26 +212,26 @@ def test_start_matches_table_on_batched_rows():
     for _ in range(200):
         f, s = random_instance(rng)
         batch = int(rng.integers(2, 9))
-        assert_start_matches_table(s.times, _rows(s, batch), f)
+        assert_start_matches_table(s.times, s.names, _rows(s, batch), f)
 
 
 def test_start_of_decided_formulas_reads_nothing():
     s = Signal(np.arange(4, dtype=np.int64) * to_ticks(0.5), {"x": np.arange(4.0)})
-    comps = _rows(s, 3)
+    block = _rows(s, 3)
     for f, want in ((TOP, np.inf), (BOTTOM, -np.inf), (Until(TOP, Interval(0, to_ticks(1.0)), TOP), np.inf)):
-        assert assert_start_matches_table(s.times, comps, f).samples_touched == 0
+        assert assert_start_matches_table(s.times, s.names, block, f).samples_touched == 0
     mixed = Or(And(TOP, Pred(Var("x"))), BOTTOM)
-    assert_start_matches_table(s.times, comps, mixed)
+    assert_start_matches_table(s.times, s.names, block, mixed)
 
 
 def test_start_reads_only_the_samples_the_first_value_needs():
     s = Signal(np.arange(10, dtype=np.int64) * to_ticks(1.0), {"x": np.arange(10.0) - 4.5})
     # F[2,4] x>0 at t=0 reads samples 2, 3, 4
     f = Until(TOP, Interval(to_ticks(2.0), to_ticks(4.0)), Pred(Var("x")))
-    assert assert_start_matches_table(s.times, _rows(s), f).samples_touched == 3
+    assert assert_start_matches_table(s.times, s.names, _rows(s), f).samples_touched == 3
     # an eventually whose window lies past the signal reads nothing
     late = Until(TOP, Interval(to_ticks(20.0), to_ticks(30.0)), Pred(Var("x")))
-    assert assert_start_matches_table(s.times, _rows(s), late).samples_touched == 0
+    assert assert_start_matches_table(s.times, s.names, _rows(s), late).samples_touched == 0
 
 
 def test_start_matches_table_at_mission_scale():
@@ -240,12 +241,12 @@ def test_start_matches_table_at_mission_scale():
     n, batch = 201, 25
     times = np.arange(n, dtype=np.int64) * to_ticks(0.1)
     for cfg in (scenario_phi_avoid(), scenario_phi_stayin()):
-        comps = {
-            "x": rng.uniform(0, 5, (batch, n)), "y": rng.uniform(0, 5, (batch, n)),
-            "vx": rng.uniform(-0.5, 0.5, (batch, n)), "vy": rng.uniform(-0.5, 0.5, (batch, n)),
-            "xe": np.full((batch, n), 2.5), "ye": np.full((batch, n), 2.5),
-        }
-        program = assert_start_matches_table(times, comps, cfg.parsed_formula())
+        block = np.array([
+            rng.uniform(0, 5, (batch, n)), rng.uniform(0, 5, (batch, n)),
+            rng.uniform(-0.5, 0.5, (batch, n)), rng.uniform(-0.5, 0.5, (batch, n)),
+            np.full((batch, n), 2.5), np.full((batch, n), 2.5),
+        ])
+        program = assert_start_matches_table(times, STATE_COMPONENTS, block, cfg.parsed_formula())
         assert program.samples_touched == n  # G[0,20] reads the whole mission
 
 
@@ -253,23 +254,22 @@ def test_start_matches_table_at_mission_scale():
 # The compiled start-only program
 
 
-def assert_every_start_matches_table(times, comps, f):
+def assert_every_start_matches_table(times, names, block, f):
     """The start-only value of every suffix equals the table's column at the
     suffix's first sample, bit for bit, and the inputs stay untouched."""
-    table = eval_robustness_arrays(times, comps, f)
-    before = {name: col.copy() for name, col in comps.items()}
+    table = eval_robustness_arrays(times, dict(zip(names, block)), f)
+    before = block.copy()
     for k in range(times.shape[0]):
-        start = Program(times[k:], f, 1).run({name: col[:, k:] for name, col in comps.items()})[:, 0]
+        start = Program(times[k:], f, 1, names).run(block[:, :, k:])[:, 0]
         assert start.tobytes() == table[:, k].tobytes(), (f, k, start, table[:, k])
-    for name, col in comps.items():
-        assert col.tobytes() == before[name].tobytes(), name
+    assert block.tobytes() == before.tobytes()
 
 
 def test_every_start_matches_table_on_random_corpus():
     rng = np.random.default_rng(41)
     for _ in range(400):
         f, s = random_instance(rng, max_len=20)
-        assert_every_start_matches_table(s.times, _rows(s, int(rng.integers(1, 4))), f)
+        assert_every_start_matches_table(s.times, s.names, _rows(s, int(rng.integers(1, 4))), f)
 
 
 def test_every_start_matches_table_with_general_until():
@@ -279,7 +279,7 @@ def test_every_start_matches_table_with_general_until():
         right, _ = random_instance(rng, max_depth=2, max_temporal=1)
         f = Until(left, _random_interval(rng), right)
         for g in (f, Until(TOP, _random_interval(rng), f), Until(f, _random_interval(rng), Not(f))):
-            assert_every_start_matches_table(s.times, _rows(s, 2), g)
+            assert_every_start_matches_table(s.times, s.names, _rows(s, 2), g)
 
 
 def test_every_start_matches_table_on_nested_temporal_operators():
@@ -289,20 +289,21 @@ def test_every_start_matches_table_on_nested_temporal_operators():
         f = inner
         for _ in range(int(rng.integers(1, 4))):
             f = Until(TOP, _random_interval(rng), Not(f) if rng.random() < 0.5 else f)
-        assert_every_start_matches_table(s.times, _rows(s, int(rng.integers(1, 6))), f)
+        assert_every_start_matches_table(s.times, s.names, _rows(s, int(rng.integers(1, 6))), f)
 
 
 def test_double_negation_cancels_bit_for_bit():
     # Negating twice restores every float, the sign of zero and NaN included.
     times = np.arange(4, dtype=np.int64) * to_ticks(0.1)
     comps = {"x": np.array([[-0.0, 1.0, 2.0, 3.0], [0.0, -1.0, -0.0, 5.0], [np.nan, 0.0, 1.0, -2.0]])}
+    block = comps["x"][np.newaxis]
     p = Pred(Var("x"))
     for phi in (p, Or(p, Not(p)), Until(TOP, Interval(0, to_ticks(0.2)), p)):
-        plain = Program(times, phi, 1).run(comps)[:, 0]
+        plain = Program(times, phi, 1, ("x",)).run(block)[:, 0]
         for wrapped in (Not(Not(phi)), Not(Not(Not(Not(phi))))):
-            assert Program(times, wrapped, 1).run(comps)[:, 0].tobytes() == plain.tobytes()
+            assert Program(times, wrapped, 1, ("x",)).run(block)[:, 0].tobytes() == plain.tobytes()
             assert eval_robustness_arrays(times, comps, wrapped)[:, 0].tobytes() == plain.tobytes()
-    assert np.signbit(Program(times, Not(Not(p)), 1).run(comps)[0, 0])
+    assert np.signbit(Program(times, Not(Not(p)), 1, ("x",)).run(block)[0, 0])
 
 
 def test_bare_component_table_does_not_alias_the_signal():
@@ -310,8 +311,9 @@ def test_bare_component_table_does_not_alias_the_signal():
     before = s.components["x"].copy()
     f = Pred(Var("x"))
     rows = {"x": s.components["x"][np.newaxis]}
-    for table in (eval_robustness_all(s, f), eval_robustness_arrays(s.times, rows, f), Program(s.times, f, 1).run(rows)):
-        assert not np.shares_memory(table, s.components["x"])
+    start = Program(s.times, f, 1, s.names).run(s.block[:, np.newaxis])
+    for table in (eval_robustness_all(s, f), eval_robustness_arrays(s.times, rows, f), start):
+        assert not np.shares_memory(table, s.block)
     table = eval_robustness_all(s, f)
     assert table.tobytes() == before.tobytes()  # the values, -0.0 included
     table[:] = 7.0
@@ -319,7 +321,7 @@ def test_bare_component_table_does_not_alias_the_signal():
 
 
 def _steps(times, formula: str, width: int) -> int:
-    return len(Program(times, parse_formula(formula), width)._steps)
+    return len(Program(times, parse_formula(formula), width, ("x", "y"))._steps)
 
 
 def test_shared_predicates_are_read_once():
@@ -328,13 +330,13 @@ def test_shared_predicates_are_read_once():
     # than the same formula with the second (x > 0.5) made distinct
     f = "F[0,0.4] ((x > 0.5) & (y > 1)) | F[0,0.4] ((x > 0.5) & (y < 2))"
     distinct = "F[0,0.4] ((x > 0.5) & (y > 1)) | F[0,0.4] ((x > 0.6) & (y < 2))"
-    assert_start_matches_table(s.times, _rows(s, 3), parse_formula(f))
+    assert_start_matches_table(s.times, s.names, _rows(s, 3), parse_formula(f))
     for width in (1, 5):
         assert _steps(s.times, f, width) == _steps(s.times, distinct, width) - 1
-        assert Program(s.times, parse_formula(f), width).samples_touched == 5
+        assert Program(s.times, parse_formula(f), width, s.names).samples_touched == 5
     # the same predicate over different index ranges is read over each
     g, g_distinct = "(x > 0.5) & F[0.2,0.3] (x > 0.5)", "(x > 0.5) & F[0.2,0.3] (x > 1)"
-    assert assert_start_matches_table(s.times, _rows(s), parse_formula(g)).samples_touched == 3
+    assert assert_start_matches_table(s.times, s.names, _rows(s), parse_formula(g)).samples_touched == 3
     assert _steps(s.times, g, 1) == _steps(s.times, g_distinct, 1)
     # ... and over one range once: the full table needs (x > 0.5) at all
     # samples 0..2 for both operands, the first value at 0 and at 0..2
@@ -342,10 +344,10 @@ def test_shared_predicates_are_read_once():
     h, h_distinct = "(x > 0.5) & F[0,0.2] (x > 0.5)", "(x > 0.5) & F[0,0.2] (x > 1)"
     assert _steps(short, h, 1) == _steps(short, h_distinct, 1)
     assert _steps(short, h, 3) == _steps(short, h_distinct, 3) - 1
-    assert Program(short, parse_formula(h), 1).samples_touched == 3
-    assert Program(short, parse_formula(h), 3).samples_touched == 3
+    assert Program(short, parse_formula(h), 1, s.names).samples_touched == 3
+    assert Program(short, parse_formula(h), 3, s.names).samples_touched == 3
     # a late window leaves the early samples of the full table unread
-    assert Program(s.times, parse_formula("F[0.2,0.3] (x > 0)"), 5).samples_touched == 3
+    assert Program(s.times, parse_formula("F[0.2,0.3] (x > 0)"), 5, s.names).samples_touched == 3
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +429,8 @@ def test_until_sweep_without_left_operand():
     lo, hi = _window(times, Interval(0, 0), times)
     assert _until_general(None, right, lo, hi).tobytes() == right.tobytes()
     f = Until(Pred(Var("y")), Interval(0, 0), Pred(Var("x")))
-    comps = {"x": right, "y": -right}
-    assert Program(times, f, 1).run(comps)[:, 0].tobytes() == right[:, 0].tobytes()
+    block = np.array([right, -right])
+    assert Program(times, f, 1, ("x", "y")).run(block)[:, 0].tobytes() == right[:, 0].tobytes()
 
 
 def test_unbounded_general_until_matches_reference():
@@ -440,4 +442,36 @@ def test_unbounded_general_until_matches_reference():
         table = eval_robustness_all(s, f)
         for j in range(len(s)):
             assert float(table[j]) == robustness(s, s.t(j), f)
-        assert_every_start_matches_table(s.times, _rows(s, 2), f)
+        assert_every_start_matches_table(s.times, s.names, _rows(s, 2), f)
+
+
+# ---------------------------------------------------------------------------
+# The block layout
+
+
+def test_run_rejects_a_block_of_the_wrong_shape():
+    times = np.arange(10, dtype=np.int64) * to_ticks(0.1)
+    program = Program(times, parse_formula("F[0,0.5] (x > 0)"), 1, ("x",))
+    rows = np.arange(30.0).reshape(3, 10)
+    assert program.run(rows[np.newaxis]).shape == (3, 1)
+    for bad in (rows[np.newaxis, :, :3], rows.T[np.newaxis], rows, np.stack([rows, rows]), rows[..., np.newaxis]):
+        with pytest.raises(ValueError, match=r"\(1, B, 10\)"):
+            program.run(bad)
+
+
+def test_unknown_variable_is_a_compile_error():
+    times = np.arange(3, dtype=np.int64)
+    with pytest.raises(KeyError, match="'y'"):
+        Program(times, parse_formula("G[0,1] (x > 0) | (y > 1)"), 1, ("x",))
+    with pytest.raises(KeyError, match="'ax'"):
+        Program(times, Pred(Var("ax")), 3, STATE_COMPONENTS)
+
+
+def test_constant_formulas_run_on_zero_components():
+    s = Signal(np.arange(4, dtype=np.int64) * to_ticks(0.1), {})
+    assert s.block.shape == (0, 4)
+    for f in (TOP, parse_formula("F[0,0.2] (2 > 1) & (1 > 3)")):
+        reference = np.array([robustness(s, t, f) for t in s.times.tolist()])
+        assert eval_robustness_all(s, f).tobytes() == reference.tobytes()
+        start = Program(s.times, f, 1, s.names).run(s.block[:, np.newaxis])
+        assert start.tobytes() == reference[:1].tobytes()

@@ -34,7 +34,7 @@ def plan_problem(formula, via, duration: float, start: RobotState, env=(2.5, 2.5
     n = int(round(duration * hz)) + 1
     times = np.arange(n, dtype=np.int64) * to_ticks(1.0 / hz)
     history = np.array([start.x, start.y, start.vx, start.vy, *env])[:, np.newaxis]
-    return PlanningProblem(Program(times, formula, 1), history, duration, hz, len(via), **kwargs)
+    return PlanningProblem(Program(times, formula, 1, STATE_COMPONENTS), history, duration, hz, len(via), **kwargs)
 
 
 def cost_of(via, duration: float, start: RobotState, formula, **kwargs) -> float:
@@ -168,7 +168,7 @@ def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0
     length = rollout_arrays(np.zeros((n_via, 2)), start_pos, start_vel, duration, hz)[0].size
     times = np.arange(prefix_len + length - 1, dtype=np.int64) * to_ticks(0.1)
     f = parse_formula(formula)
-    problem = PlanningProblem(Program(times, f, 1), history, duration, hz, n_via)
+    problem = PlanningProblem(Program(times, f, 1, STATE_COMPONENTS), history, duration, hz, n_via)
     return problem, (start_pos, start_vel, duration, hz, n_via, f), history
 
 
@@ -212,7 +212,8 @@ def test_one_candidate_rollout_is_its_row_in_the_population(duration):
     times = np.arange(int(round(duration * 10)), dtype=np.int64) * to_ticks(0.1)
     for n_via in (1, 4, 7):
         history = rng.uniform(0.0, 5.0, (len(STATE_COMPONENTS), 1))
-        problem = PlanningProblem(Program(times, parse_formula("(x > 0)"), 1), history, duration, 10.0, n_via)
+        program = Program(times, parse_formula("(x > 0)"), 1, STATE_COMPONENTS)
+        problem = PlanningProblem(program, history, duration, 10.0, n_via)
         X = rng.uniform(-1.0, 6.0, size=(25, 2 * n_via))
         planes = problem.rollout(X)
         for i in range(X.shape[0]):
@@ -241,9 +242,9 @@ def test_cost_matches_prefix_plus_suffix_table():
             name: np.concatenate([np.broadcast_to(prefix[name], (batch, prefix_len)), suffix[name]], axis=1)
             for name in STATE_COMPONENTS
         }
-        buffers = problem._buffers(batch)[2]
-        for name in STATE_COMPONENTS:
-            assert np.array_equal(buffers[name], concat[name]), name
+        block = problem._buffers(batch)[1]
+        for row, name in zip(block, STATE_COMPONENTS):
+            assert np.array_equal(row, concat[name]), name
         rho = eval_robustness_arrays(problem.times, concat, f)[:, 0]
         penalty = workspace_penalty(pos, Workspace()) + limit_penalty(vel, acc, Limits())
         assert np.array_equal(cost, -clamp_robustness(rho) + penalty)
@@ -259,9 +260,10 @@ def test_robustness_of_given_rows_matches_table():
         problem.cost(X)
         _, pos, vel, _ = rollout_arrays(X[:1].reshape(n_via, 2), start_pos, start_vel, duration, hz)
         rho = problem.robustness(np.stack([pos.T, vel.T])[:, :, np.newaxis])
-        table = eval_robustness_arrays(problem.times, problem._buffers(1)[2], f)
+        block = problem._buffers(1)[1]
+        table = eval_robustness_arrays(problem.times, dict(zip(STATE_COMPONENTS, block)), f)
         assert rho.tobytes() == table[:, 0].tobytes()
-        assert problem._buffers(1)[2]["x"][0, -1] == pos[-1, 0]
+        assert block[0, 0, -1] == pos[-1, 0]
 
 
 def test_cost_leaks_no_state_between_calls():
@@ -285,18 +287,16 @@ def test_cost_leaks_no_state_between_calls():
         assert np.array_equal(problem.cost(X), first)
         assert all(got is want for got, want in zip(problem._buffers(10), entry))
         for batch in (1, 3, 10, 20):
-            coef, _, rows = problem._buffers(batch)
+            coef, block = problem._buffers(batch)
             assert (coef[:, :, 0] == start_pos[:, np.newaxis]).all()
             assert (coef[:, :, 1] == start_vel[:, np.newaxis]).all()
-            for name, row in zip(STATE_COMPONENTS, history[:, history.shape[1] - prefix_len :]):
-                assert (rows[name][:, :prefix_len] == row).all(), name
-            assert (rows["xe"][:, prefix_len:] == history[4, -1]).all()
-            assert (rows["ye"][:, prefix_len:] == history[5, -1]).all()
+            assert (block[:, :, :prefix_len] == history[:, np.newaxis, history.shape[1] - prefix_len :]).all()
+            assert (block[4:, :, prefix_len:] == history[4:, -1, np.newaxis, np.newaxis]).all()
 
 
 def test_history_must_hold_the_samples_the_program_scores():
     times = np.arange(25, dtype=np.int64) * to_ticks(0.1)  # 21-sample rollout leaves 5
-    program = Program(times, parse_formula("G[0,2] (x > 0)"), 1)
+    program = Program(times, parse_formula("G[0,2] (x > 0)"), 1, STATE_COMPONENTS)
     with pytest.raises(ValueError, match="history holds 4 samples; the program scores 5"):
         PlanningProblem(program, np.zeros((6, 4)), 2.0, 10.0, 2)
     for bad in (np.zeros((6, 0)), np.zeros((4, 5)), np.zeros((7, 5)), np.zeros(6), np.zeros((1, 6, 5))):
@@ -304,9 +304,16 @@ def test_history_must_hold_the_samples_the_program_scores():
             PlanningProblem(program, bad, 2.0, 10.0, 2)
     # A longer history is scored from its last five samples on.
     history = np.arange(42.0).reshape(6, 7)
-    rows = PlanningProblem(program, history, 2.0, 10.0, 2)._buffers(1)[2]
-    for name, row in zip(STATE_COMPONENTS, history):
-        assert np.array_equal(rows[name][0, :5], row[2:]), name
+    block = PlanningProblem(program, history, 2.0, 10.0, 2)._buffers(1)[1]
+    assert np.array_equal(block[:, 0, :5], history[:, 2:])
+
+
+def test_program_must_be_compiled_for_the_state_components():
+    times = np.arange(21, dtype=np.int64) * to_ticks(0.1)
+    f = parse_formula("G[0,2] (x > 0)")
+    for names in (("x",), ("y", "x", "vx", "vy", "xe", "ye"), (*STATE_COMPONENTS, "ax")):
+        with pytest.raises(ValueError, match="must be compiled for"):
+            PlanningProblem(Program(times, f, 1, names), np.zeros((6, 1)), 2.0, 10.0, 2)
 
 
 def test_suffix_only_program_reads_the_last_history_sample_alone():
@@ -315,16 +322,17 @@ def test_suffix_only_program_reads_the_last_history_sample_alone():
     # counts, not the whole history that history[:, -0:] would select.
     rng = np.random.default_rng(47)
     times = np.arange(1, 21, dtype=np.int64) * to_ticks(0.1)
-    program = Program(times, parse_formula("G[0,2] ((x - xe)^2 + (y - ye)^2 > 1) & F[0,2] (x > 2)"), 1)
+    f = parse_formula("G[0,2] ((x - xe)^2 + (y - ye)^2 > 1) & F[0,2] (x > 2)")
+    program = Program(times, f, 1, STATE_COMPONENTS)
     history = rng.uniform(0.0, 5.0, (6, 9))
     X = rng.uniform(0.0, 5.0, size=(5, 4))
     full = PlanningProblem(program, history, 2.0, 10.0, 2)
     last = PlanningProblem(program, history[:, -1:], 2.0, 10.0, 2)
     assert full.cost(X).tobytes() == last.cost(X).tobytes()
     for problem in (full, last):
-        coef, _, rows = problem._buffers(5)
+        coef, block = problem._buffers(5)
         assert (coef[:, :, 0] == history[0:2, -1:]).all() and (coef[:, :, 1] == history[2:4, -1:]).all()
-        assert (rows["xe"] == history[4, -1]).all() and (rows["ye"] == history[5, -1]).all()
+        assert (block[4] == history[4, -1]).all() and (block[5] == history[5, -1]).all()
 
 
 @pytest.mark.parametrize("batch", [1, 25])
@@ -356,8 +364,9 @@ def test_cost_at_the_penalty_boundaries_is_the_reference_sum(batch):
         cost = edge.cost(X)
         pos, vel, acc = edge.rollout(X)
         rho = edge.robustness(np.stack([pos, vel]))
-        want = -clamp_robustness(rho) + (workspace_penalty(pos, workspace) + limit_penalty(vel, acc, limits))
-        assert cost.tobytes() == want.tobytes()
+        penalty = workspace_penalty(pos, workspace) + limit_penalty(vel, acc, limits)
+        assert edge.penalties(edge.rollout(X)).tobytes() == penalty.tobytes()
+        assert cost.tobytes() == (-clamp_robustness(rho) + penalty).tobytes()
         assert (speed == limits.v_max).any() and (speed > limits.v_max).any()
         assert (accel == limits.a_max).any() and (accel > limits.a_max).any()
         for plane, edge_value in ((pos[0], x_min), (pos[0], x_max), (pos[1], y_min), (pos[1], y_max)):

@@ -1,5 +1,6 @@
 import csv
 import math
+import pickle
 from array import array
 
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rotogo.dynamics import DoubleIntegrator
+from rotogo.fasteval import eval_robustness_all
 from rotogo.formula import Interval, to_seconds, to_ticks
+from rotogo.parser import parse_formula
+from rotogo.semantics import robustness
 from rotogo.signals import (
     NoSampleError,
     Signal,
@@ -72,6 +76,44 @@ def test_times_strictly_increasing_enforced():
 def test_non_finite_components_rejected():
     with pytest.raises(ValueError):
         Signal(np.array([0]), {"x": np.array([np.inf])})
+
+
+def test_signal_is_one_read_only_block():
+    x = np.array([1.0, 2.0, 3.0])
+    s = Signal(np.arange(3, dtype=np.int64) * SEC, {"y": [4.0, 5.0, 6.0], "x": x})
+    assert s.names == ("y", "x") and list(s.components) == ["y", "x"]
+    assert s.block.shape == (2, 3) and s.block.tolist() == [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0]]
+    assert all(np.shares_memory(s.components[name], s.block) for name in s.names)
+    x[0] = -5.0  # the signal holds its own copy
+    assert s.components["x"][0] == 1.0
+    assert Signal(s.times, {}).block.shape == (0, 3)
+    s.row(0)  # a read row is not pickled
+    back = pickle.loads(pickle.dumps(s))
+    assert back.names == s.names and back.block.tobytes() == s.block.tobytes() and not back.block.flags.writeable
+
+
+def test_signal_cannot_be_changed_through_its_components():
+    # Both evaluators read the same numbers: the reference one through the
+    # per-sample rows, the compiled one through the block.
+    s = make_signal([0, 1, 2], x=[1.0, 2.0, 3.0])
+    f = parse_formula("(x > 0)")
+    s.state(0)
+    with pytest.raises(ValueError):
+        s.components["x"][0] = -5.0
+    with pytest.raises(ValueError):
+        s.block[0, 0] = -5.0
+    with pytest.raises(TypeError):
+        s.components["y"] = np.zeros(3)
+    assert list(s.components) == ["x"]
+    assert robustness(s, s.t0, f) == eval_robustness_all(s, f)[0] == 1.0
+    # The times too: writing the caller's array or the signal's changes nothing.
+    times = np.arange(3, dtype=np.int64) * SEC
+    s = Signal(times, {"x": [-1.0, 2.0, 3.0]})
+    g = parse_formula("F[0.5,1.5] (x > 0)")
+    times[1] = 5 * SEC
+    with pytest.raises(ValueError):
+        s.times[1] = 5 * SEC
+    assert robustness(s, s.t0, g) == eval_robustness_all(s, g)[0] == 2.0
 
 
 def times_in(s, interval, offset=0):
@@ -202,7 +244,6 @@ def test_state_and_row_are_the_component_items():
         if n > 1:
             views.append(_suffix(s, 1))
         if names:
-            s.state(0)  # the block of ``s`` exists before ``replaced`` copies it
             views.append(s.replaced(n - 1, {names[0]: -0.0}))
         for view in views:
             for i in range(len(view)):
