@@ -31,8 +31,8 @@ _EXPORTS = {
     ),
     "fasteval": ("eval_robustness_all",),
     "cmaes": ("CmaesConfig", "CmaesResult", "cmaes_minimize"),
-    "planning": ("Limits", "PlanningProblem", "Workspace"),
-    "dynamics": ("DoubleIntegrator", "RobotState"),
+    "planning": ("PlanningProblem",),
+    "dynamics": ("DoubleIntegrator",),
     "scenarios": ("ScenarioConfig", "get_scenario", "scenario_phi_avoid", "scenario_phi_stayin"),
     "mpc": ("RunResult", "StatsRow", "batch_stats", "mpc_run"),
     "bench": ("BenchSpec", "run_bench"),

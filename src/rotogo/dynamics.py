@@ -1,16 +1,6 @@
 """Double-integrator robot dynamics."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class RobotState:
-    x: float
-    y: float
-    vx: float = 0.0
-    vy: float = 0.0
-
 
 class DoubleIntegrator:
     """Exact zero-order-hold integration of planar double-integrator dynamics."""

@@ -36,7 +36,6 @@ from .planning import (  # noqa: F401
     PlanningProblem,
     limit_penalty,
     rollout_arrays,
-    sample_times,
     spline_basis,
     spline_positions,
     workspace_penalty,
@@ -139,21 +138,24 @@ class Plan:
         j = min(max(j, 0), self.acc.shape[0] - 1)
         return float(self.acc[j, 0]), float(self.acc[j, 1])
 
-    def resampled_via(self, new_start_tick: int, n_via: int, mission_end: int) -> np.ndarray:
+    def resampled_via(self, new_start_tick: int) -> np.ndarray:
         """Via points for the next replan window, taken along this plan's path.
 
         Via points are absolute waypoints; reusing them verbatim after time
         has passed would re-time already-passed waypoints into the shrunken
         window and bend the plan back on itself.  Sampling this plan's own
-        spline at the new knot times slides the window forward instead.
+        spline at the new knot times, with as many via points and the same
+        mission end, slides the window forward instead.
         """
         record = self.record
+        n_via = record.via_points.shape[0]
+        mission_end = self.start_tick + to_ticks(record.plan_duration)
         elapsed = to_seconds(new_start_tick - self.start_tick)
         remaining = to_seconds(mission_end - new_start_tick)
         local = elapsed + (np.arange(1, n_via + 1) / n_via) * remaining
         # One row per coordinate: (start position, start velocity, via points).
         coef = np.column_stack([record.robot[:2], record.robot[2:], record.via_points.T])
-        basis = spline_basis(record.via_points.shape[0], record.plan_duration, local)
+        basis = spline_basis(n_via, record.plan_duration, local)
         return (coef @ basis[0]).T
 
 
@@ -250,9 +252,11 @@ def replan(
     ``history`` is the executed trace so far, a ``(len(STATE_COMPONENTS),
     k)`` array whose last column is the current state, sample ``k - 1`` of
     the trace grid.  The candidates are scored by ``objective``, a width-1
-    program, after as many of the history's last samples as its times
-    leave room for (none when it scores the suffix alone, as in rotogo
-    mode).  The record takes the size of the program's formula and the
+    program compiled on the trace grid up to the mission end, after as many
+    of the history's last samples as its times leave room for (none when it
+    scores the suffix alone, as in rotogo mode); :class:`PlanningProblem`
+    reads the plan's duration, grid, limits and workspace from ``cfg``.
+    The record takes the size of the program's formula and the
     samples it reads, both fixed when it was compiled.  Without
     ``previous`` the search starts at the current position and runs
     ``first_attempt_iterations`` generations with the full step size; with
@@ -262,20 +266,15 @@ def replan(
     was positive.  ``rotogo plan`` is the call at t = 0 with the initial
     state as the whole history.
     """
-    t_i = (history.shape[1] - 1) * to_ticks(cfg.trace_period)
-    mission_end = to_ticks(cfg.mission_horizon)
-    duration = to_seconds(mission_end - t_i)
-    hz = 1.0 / cfg.trace_period
-    limits = cfg.limits()
-    n_via = cfg.via_points
-    problem = PlanningProblem(objective, history, duration, hz, n_via, limits, cfg.workspace_box())
+    problem = PlanningProblem(cfg, objective, history)
+    t_i, duration, n_via = problem.start_tick, problem.duration, cfg.via_points
     current = history[:, -1]
 
     if previous is None:
         x0, inject, warm = np.tile(current[:2], n_via), None, False
         iterations = cfg.first_attempt_iterations
     else:
-        x0 = inject = previous.resampled_via(t_i, n_via, mission_end).reshape(-1)
+        x0 = inject = previous.resampled_via(t_i).reshape(-1)
         warm = previous.record.objective_robustness > 0
         iterations = cfg.cmaes_iterations
     sigma = cfg.warm_start_step_size if warm else cfg.initial_step_size
@@ -284,7 +283,7 @@ def replan(
     # distance the robot could still cover.  At full horizon the cap is
     # inactive for the built-in scenarios and the configured step sizes
     # apply unchanged.
-    sigma = max(min(sigma, 0.5 * limits.v_max * duration), 1e-3)
+    sigma = max(min(sigma, 0.5 * cfg.v_max * duration), 1e-3)
     config = CmaesConfig(
         population_size=cfg.population_size, initial_step_size=sigma, max_iterations=iterations, seed=seed,
     )
@@ -310,4 +309,4 @@ def replan(
         samples_touched=objective.samples_touched,
         warm_started=warm,
     )
-    return Plan(record=record, start_tick=t_i, times=sample_times(duration, hz), pos=pos, vel=vel, acc=acc)
+    return Plan(record=record, start_tick=t_i, times=problem.rollout_times, pos=pos, vel=vel, acc=acc)

@@ -21,17 +21,20 @@ The loss for a candidate trajectory is the negative robustness of the
 signal assembled from it, plus hard penalties for leaving the workspace and
 soft penalties for exceeding velocity or acceleration limits.
 :class:`PlanningProblem` is that loss for one replan, evaluated for a whole
-population at once.
+population at once; it reads the grid, the via-point count, the limits and
+the workspace from the scenario.  :func:`limit_penalty` and
+:func:`workspace_penalty` are the penalties written out plainly, the
+reference its in-place penalty code is tested against.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fasteval import Program
-from .formula import STATE_COMPONENTS
+from .formula import STATE_COMPONENTS, to_seconds, to_ticks
+from .scenarios import ScenarioConfig
 
 #: Cost assigned per trajectory sample outside the workspace.
 WORKSPACE_PENALTY = 1e8
@@ -41,24 +44,6 @@ LIMIT_PENALTY = 1e6
 
 #: Infinite robustness is mapped to +/- this value before cost arithmetic.
 ROBUSTNESS_CLAMP = 1e9
-
-
-@dataclass(frozen=True)
-class Limits:
-    v_max: float = 0.5
-    a_max: float = 1.0
-
-
-@dataclass(frozen=True)
-class Workspace:
-    x_min: float = 0.0
-    x_max: float = 5.0
-    y_min: float = 0.0
-    y_max: float = 5.0
-
-    def outside(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Boolean mask of the positions (x, y) outside the bounds."""
-        return (x < self.x_min) | (x > self.x_max) | (y < self.y_min) | (y > self.y_max)
 
 
 def _quintic_coefficients(p0, v0, a0, p1, v1, a1, T):
@@ -225,7 +210,7 @@ def spline_basis(n_via: int, duration: float, times: np.ndarray) -> np.ndarray:
     return knots.reshape(-1, n_via + 2).T @ spread
 
 
-def limit_penalty(vel: np.ndarray, acc: np.ndarray, limits: Limits) -> np.ndarray:
+def limit_penalty(vel: np.ndarray, acc: np.ndarray, v_max: float, a_max: float) -> np.ndarray:
     """Penalty for speed/acceleration limit violations.
 
     ``vel`` and ``acc`` are planar, (2, ..., L) with the x rows first; the
@@ -235,14 +220,18 @@ def limit_penalty(vel: np.ndarray, acc: np.ndarray, limits: Limits) -> np.ndarra
     ax, ay = acc
     speed = np.sqrt(vx * vx + vy * vy)
     accel = np.sqrt(ax * ax + ay * ay)
-    over_v = np.maximum(0.0, speed - limits.v_max).sum(axis=-1)
-    over_a = np.maximum(0.0, accel - limits.a_max).sum(axis=-1)
+    over_v = np.maximum(0.0, speed - v_max).sum(axis=-1)
+    over_a = np.maximum(0.0, accel - a_max).sum(axis=-1)
     return LIMIT_PENALTY * (over_v + over_a)
 
 
-def workspace_penalty(pos: np.ndarray, workspace: Workspace) -> np.ndarray:
-    """Penalty per sample outside the workspace; ``pos`` is planar, (2, ..., L)."""
-    return WORKSPACE_PENALTY * workspace.outside(pos[0], pos[1]).sum(axis=-1)
+def workspace_penalty(pos: np.ndarray, workspace: tuple[float, float, float, float]) -> np.ndarray:
+    """Penalty per sample outside the ``(x_min, x_max, y_min, y_max)`` box;
+    ``pos`` is planar, (2, ..., L)."""
+    x_min, x_max, y_min, y_max = workspace
+    x, y = pos
+    outside = (x < x_min) | (x > x_max) | (y < y_min) | (y > y_max)
+    return WORKSPACE_PENALTY * outside.sum(axis=-1)
 
 
 def clamp_robustness(rho: np.ndarray) -> np.ndarray:
@@ -253,19 +242,23 @@ def clamp_robustness(rho: np.ndarray) -> np.ndarray:
 class PlanningProblem:
     """The planning loss of one replan, evaluated for whole populations.
 
-    ``history`` holds the executed samples, one row per
-    ``STATE_COMPONENTS`` entry and one column per sample; its last column
-    is the current state.  A candidate is a flat vector of ``n_via`` via
-    points (x1, y1, x2, ...) for a spline of ``duration`` seconds from that
-    state's position and velocity, sampled at ``resolution_hz``.  Its loss
-    is the negative robustness that ``program``, a width-1
-    :class:`~rotogo.fasteval.Program` compiled for ``STATE_COMPONENTS``,
-    gives the scored signal at its first sample, plus the workspace and
-    limit penalties of the whole rollout.  The scored signal, at the
-    program's times, is the last ``split`` columns of the history (what the
-    program's times leave before the rollout's second sample, zero when it
-    scores the suffix alone) followed by the rollout from its second sample
-    on, with the environment held at the current state's (xe, ye).
+    ``history`` holds the executed samples of ``cfg``'s trace grid, one row
+    per ``STATE_COMPONENTS`` entry and one column per sample from mission
+    start; its last column is the current state, and its length fixes the
+    replan instant, ``start_tick``.  A candidate is a flat vector of
+    ``cfg.via_points`` via points (x1, y1, x2, ...) for a spline of
+    ``duration`` seconds, from that state's position and velocity to the
+    mission end, sampled on the trace grid at the plan-local
+    ``rollout_times``.  Its loss is the negative robustness that
+    ``program``, a width-1 :class:`~rotogo.fasteval.Program` compiled for
+    ``STATE_COMPONENTS``, gives the scored signal at its first sample, plus
+    the penalties of the whole rollout for leaving ``cfg.workspace`` and
+    for exceeding ``cfg.v_max`` and ``cfg.a_max``.  The scored signal is
+    the last ``split`` columns of the history (what the program's times
+    leave before the rollout's second sample, zero when it scores the
+    suffix alone) followed by the rollout from its second sample on, with
+    the environment held at the current state's (xe, ye); the program's
+    times must be those samples' ticks.
 
     Per coordinate the spline is linear in (start position, start velocity,
     via points), and both coordinates share that map, so construction
@@ -279,16 +272,7 @@ class PlanningProblem:
     replan that scores them.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        history: np.ndarray,
-        duration: float,
-        resolution_hz: float,
-        n_via: int,
-        limits: Limits = Limits(),
-        workspace: Workspace = Workspace(),
-    ):
+    def __init__(self, cfg: ScenarioConfig, program: Program, history: np.ndarray):
         history = np.array(history, dtype=np.float64)
         if history.ndim != 2 or history.shape[0] != len(STATE_COMPONENTS) or history.shape[1] == 0:
             raise ValueError(
@@ -298,23 +282,38 @@ class PlanningProblem:
             raise ValueError(f"the program must be compiled for {STATE_COMPONENTS}, not {program.names}")
         self.program = program
         self.times = program.times
+        trace_dt = to_ticks(cfg.trace_period)
+        k = history.shape[1]
+        self.start_tick = (k - 1) * trace_dt
+        mission_end = to_ticks(cfg.mission_horizon)
+        if self.start_tick >= mission_end:
+            raise ValueError(f"history holds {k} samples, which reach the mission end at tick {mission_end}")
+        self.duration = to_seconds(mission_end - self.start_tick)
+        self.rollout_times = sample_times(self.duration, 1.0 / cfg.trace_period)
         current = history[:, -1]
         self.env = current[4:]
         # Rows (p0, v0) of each coordinate's coefficient vector.
         self._start = np.column_stack([current[0:2], current[2:4]])
         # Stacked per-plane bounds, shaped to broadcast over (2, B, L).
-        self._lower = np.array([workspace.x_min, workspace.y_min])[:, np.newaxis, np.newaxis]
-        self._upper = np.array([workspace.x_max, workspace.y_max])[:, np.newaxis, np.newaxis]
-        self._caps = np.array([limits.v_max, limits.a_max])[:, np.newaxis, np.newaxis]
+        x_min, x_max, y_min, y_max = cfg.workspace
+        self._lower = np.array([x_min, y_min])[:, np.newaxis, np.newaxis]
+        self._upper = np.array([x_max, y_max])[:, np.newaxis, np.newaxis]
+        self._caps = np.array([cfg.v_max, cfg.a_max])[:, np.newaxis, np.newaxis]
 
-        self._basis = spline_basis(n_via, duration, sample_times(duration, resolution_hz))  # (3, N+2, L)
+        self._basis = spline_basis(cfg.via_points, self.duration, self.rollout_times)  # (3, N+2, L)
 
-        self._split = self.times.size - (self._basis.shape[2] - 1)
+        length = self.rollout_times.size
+        self._split = self.times.size - (length - 1)
         if self._split < 0:
             raise ValueError("times are shorter than the rollout suffix")
-        k = history.shape[1]
         if self._split > k:
             raise ValueError(f"history holds {k} samples; the program scores {self._split} before the rollout suffix")
+        grid = self.start_tick + trace_dt * np.arange(1 - self._split, length)
+        if not np.array_equal(self.times, grid):
+            raise ValueError(
+                f"the program scores {self.times.size} samples, so its times must be the trace grid from tick "
+                f"{grid[0]} to {grid[-1]}, not from {self.times[0]} to {self.times[-1]}"
+            )
         self._prefix = history[:, k - self._split :]  # (components, split)
         # Per batch size B: the (2, B, N+2) coefficient buffer and the
         # (components, B, samples) signal block.  STATE_COMPONENTS is

@@ -10,13 +10,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from .formula import Formula, horizon, is_bounded, to_ticks
 from .parser import parse_formula
-
-if TYPE_CHECKING:
-    from .planning import Limits, Workspace
 
 MODES = ("robustness", "rotogo")
 
@@ -57,21 +54,6 @@ class ScenarioConfig:
     def parsed_formula(self) -> Formula:
         return parse_formula(self.formula, aliases=self.aliases)
 
-    # The planner is imported by the two methods that build its types, so
-    # that reading a configuration (``rotogo monitor --config``) does not
-    # load it.
-
-    def limits(self) -> Limits:
-        from .planning import Limits
-
-        return Limits(v_max=self.v_max, a_max=self.a_max)
-
-    def workspace_box(self) -> Workspace:
-        from .planning import Workspace
-
-        x0, x1, y0, y1 = self.workspace
-        return Workspace(x0, x1, y0, y1)
-
     def validate(self) -> Formula:
         """Parse and cross-check the configuration; returns the formula."""
         f = self.parsed_formula()
@@ -106,8 +88,9 @@ class ScenarioConfig:
             raise ValueError(f"workspace needs x_min < x_max, got x_min {x_min} and x_max {x_max}")
         if not y_min < y_max:
             raise ValueError(f"workspace needs y_min < y_max, got y_min {y_min} and y_max {y_max}")
-        if not self.env_noise_std >= 0:
-            raise ValueError(f"env_noise_std must be >= 0, got {self.env_noise_std}")
+        for name in ("env_noise_std", "min_distance_radius"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         return f
 
     def with_mode(self, mode: str) -> "ScenarioConfig":

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from rotogo.cmaes import CmaesConfig, cmaes_minimize
-from rotogo.dynamics import RobotState
 from rotogo.mpc import batch_stats, mpc_run
 from rotogo.planning import rollout_arrays, spline_positions
 from rotogo.scenarios import scenario_phi_avoid, scenario_phi_stayin
@@ -107,10 +106,10 @@ def test_c08_rollout_boundary_and_knot_continuity():
         n = int(rng.integers(1, 6))
         via = rng.uniform(0.0, 5.0, size=(n, 2))
         duration = float(rng.uniform(1.0, 20.0))
-        start = RobotState(*rng.uniform(0.0, 5.0, 2), *rng.uniform(-0.5, 0.5, 2))
-        _, pos, vel, acc = rollout_arrays(via, np.array([start.x, start.y]), np.array([start.vx, start.vy]), duration, 50.0)
-        assert pos[0, 0] == start.x and pos[0, 1] == start.y
-        assert vel[0, 0] == start.vx and vel[0, 1] == start.vy
+        start_pos, start_vel = rng.uniform(0.0, 5.0, 2), rng.uniform(-0.5, 0.5, 2)
+        _, pos, vel, acc = rollout_arrays(via, start_pos, start_vel, duration, 50.0)
+        assert pos[0, 0] == start_pos[0] and pos[0, 1] == start_pos[1]
+        assert vel[0, 0] == start_vel[0] and vel[0, 1] == start_vel[1]
         assert np.abs(vel[-1]).max() < 1e-9 and np.abs(acc[-1]).max() < 1e-9
         # both-sided evaluation at interior knots
         if n > 1:

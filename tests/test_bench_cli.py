@@ -390,6 +390,7 @@ def test_bench_cli_runs(tmp_path, capsys):
         ({"workspace": (5.0, 0.0, 0.0, 5.0)}, "workspace needs x_min < x_max, got x_min 5.0 and x_max 0.0"),
         ({"workspace": (0.0, 5.0, 2.0, 2.0)}, "workspace needs y_min < y_max, got y_min 2.0 and y_max 2.0"),
         ({"env_noise_std": -0.05}, "env_noise_std must be >= 0, got -0.05"),
+        ({"min_distance_radius": -3.0}, "min_distance_radius must be >= 0, got -3.0"),
     ],
 )
 def test_invalid_scenario_exits_two_before_any_output(tmp_path, capsys, overrides, message):
@@ -440,6 +441,22 @@ def test_negative_seed_exits_two_before_any_episode(tmp_path, capsys, command, m
 def test_bench_spec_rejects_a_negative_base_seed():
     with pytest.raises(ValueError, match="base_seed must be >= 0, got -3"):
         BenchSpec(scenario=tiny_scenario(), base_seed=-3, episodes=1)
+
+
+#: SHA-256 over the stdout and the ``--out`` CSV of ``rotogo plan`` for
+#: phi_avoid, then phi_stayin.  Like the episode digests it holds for one
+#: floating-point environment (numpy with its bundled OpenBLAS on x86-64).
+PLAN_DIGEST = "a4e13864572cf26e607a0251d05f18c8a86f7b3cd98bcfcde5cff1f085178d0f"
+
+
+def test_plan_output_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for scenario in ("phi_avoid", "phi_stayin"):
+        assert main(["plan", "--scenario", scenario, "--out", "out"]) == 0
+        h.update(capsys.readouterr().out.encode())
+        h.update((tmp_path / "out" / f"{scenario}_plan.csv").read_bytes())
+    assert h.hexdigest() == PLAN_DIGEST
 
 
 def test_plan_has_no_mode_option(capsys):

@@ -66,15 +66,19 @@ def test_lazy_name_loads_its_module_on_first_use():
 
 
 def test_monitor_without_config_loads_no_planner(tmp_path):
+    # Reading a scenario's aliases (``--config``) loads no planner either.
+    from rotogo.scenarios import ScenarioConfig
+
     trace = tmp_path / "trace.csv"
     trace.write_text("t,x\n0.0,1.0\n0.1,2.0\n", encoding="utf-8")
-    modules = loaded_after(
-        "from rotogo.cli import main\n"
-        f"assert main(['monitor', '(x > 0)', {str(trace)!r}, '--rotogo-from', '0.05']) == 0"
-    )
+    cfg = tmp_path / "cfg.json"
+    ScenarioConfig(name="tiny", formula="G[0,1] positive", aliases={"positive": "x > 0"}).save(cfg)
     unwanted = {f"rotogo.{name}" for name in ("mpc", "bench", "cmaes", "planning", "selftest", "testgen")}
-    assert not modules & unwanted
-    assert not modules & set(HEAVY_STDLIB)
+    for extra in ([], ["--config", str(cfg)]):
+        args = ["monitor", "positive" if extra else "(x > 0)", str(trace), "--rotogo-from", "0.05", *extra]
+        modules = loaded_after(f"from rotogo.cli import main\nassert main({args!r}) == 0")
+        assert not modules & unwanted, extra
+        assert not modules & set(HEAVY_STDLIB), extra
 
 
 # ---------------------------------------------------------------------------

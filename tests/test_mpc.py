@@ -240,8 +240,8 @@ def test_record_cost_is_the_loss_of_the_executed_rows(monkeypatch, mode):
         assert len(plans) == round(cfg.mission_horizon / cfg.replan_period)
         penalties = []
         for plan in plans:
-            penalty = workspace_penalty(plan.pos.T, cfg.workspace_box()) + limit_penalty(
-                plan.vel.T, plan.acc.T, cfg.limits()
+            penalty = workspace_penalty(plan.pos.T, cfg.workspace) + limit_penalty(
+                plan.vel.T, plan.acc.T, cfg.v_max, cfg.a_max
             )
             want = -clamp_robustness(np.float64(plan.record.objective_robustness)) + penalty
             assert np.float64(plan.record.cost).tobytes() == want.tobytes(), plan.record.time
@@ -279,14 +279,13 @@ def test_replan_warm_start_policy(monkeypatch):
     assert inject is None and first.record.warm_started is False
 
     later = np.repeat(history, 6, axis=1)  # at rest until t = 0.5 s
-    mission_end = to_ticks(cfg.mission_horizon)
     for rho in (0.25, 0.0, -0.25):
         previous = replace(first, record=replace(first.record, objective_robustness=rho))
         plan = replan(cfg, program, later, previous, seed=2)
         x0, config, inject = calls[-1]
         assert config.max_iterations == cfg.cmaes_iterations
         assert config.initial_step_size == (cfg.warm_start_step_size if rho > 0 else cfg.initial_step_size)
-        assert np.array_equal(x0, previous.resampled_via(to_ticks(0.5), cfg.via_points, mission_end).reshape(-1))
+        assert np.array_equal(x0, previous.resampled_via(to_ticks(0.5)).reshape(-1))
         # The warm start lies on the previous plan's spline at the new knots.
         record = previous.record
         knots = 0.5 + np.arange(1, cfg.via_points + 1) / cfg.via_points * (cfg.mission_horizon - 0.5)
@@ -403,10 +402,8 @@ def test_robustness_objective_reproducible_offline():
     record = result.replans[0]
     history = _history(result, record)
     assert record.robot + record.env == tuple(history[:, -1])
-    problem = PlanningProblem(
-        Program(result.trace.times, cfg.parsed_formula(), 1, STATE_COMPONENTS), history, record.plan_duration,
-        1.0 / cfg.trace_period, cfg.via_points, cfg.limits(), cfg.workspace_box(),
-    )
+    problem = PlanningProblem(cfg, Program(result.trace.times, cfg.parsed_formula(), 1, STATE_COMPONENTS), history)
+    assert problem.duration == record.plan_duration
     cost = problem.cost(record.via_points.reshape(1, -1))[0]
     assert cost == record.cost
 

@@ -1,17 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rotogo.dynamics import RobotState
 from rotogo.fasteval import Program, eval_robustness_arrays
-from rotogo.formula import STATE_COMPONENTS, to_ticks
+from rotogo.formula import STATE_COMPONENTS, to_seconds, to_ticks
+from rotogo.mpc import mission_times
 from rotogo.parser import parse_formula
 from rotogo.planning import (
     LIMIT_PENALTY,
     ROBUSTNESS_CLAMP,
     WORKSPACE_PENALTY,
-    Limits,
     PlanningProblem,
-    Workspace,
     clamp_robustness,
     limit_penalty,
     rollout_arrays,
@@ -20,36 +20,43 @@ from rotogo.planning import (
     spline_positions,
     workspace_penalty,
 )
+from rotogo.scenarios import ScenarioConfig
 
 
-def rollout(via, duration: float, start: RobotState, hz: float):
-    """(times, pos, vel, acc) of one plan's spline from ``start``."""
-    start_pos, start_vel = np.array([start.x, start.y]), np.array([start.vx, start.vy])
+def rollout(via, duration: float, start, hz: float):
+    """(times, pos, vel, acc) of one plan's spline from ``start``, an
+    (x, y, vx, vy) tuple."""
+    start_pos, start_vel = np.array(start[:2]), np.array(start[2:])
     return rollout_arrays(np.asarray(via, dtype=np.float64), start_pos, start_vel, duration, hz)
 
 
-def plan_problem(formula, via, duration: float, start: RobotState, env=(2.5, 2.5), hz=10.0, **kwargs):
+def scenario(mission_horizon: float, n_via: int, **overrides) -> ScenarioConfig:
+    """The settings a problem reads: a 0.1 s trace grid up to the mission
+    end, the via-point count, the limits and the workspace."""
+    return ScenarioConfig(name="test", formula="true", mission_horizon=mission_horizon, via_points=n_via, **overrides)
+
+
+def plan_problem(formula, via, duration: float, start, env=(2.5, 2.5), **overrides):
     """The problem scoring a plan's whole rollout from its start state, the
     way the ``plan`` command scores its candidates."""
-    n = int(round(duration * hz)) + 1
-    times = np.arange(n, dtype=np.int64) * to_ticks(1.0 / hz)
-    history = np.array([start.x, start.y, start.vx, start.vy, *env])[:, np.newaxis]
-    return PlanningProblem(Program(times, formula, 1, STATE_COMPONENTS), history, duration, hz, len(via), **kwargs)
+    cfg = scenario(duration, len(via), **overrides)
+    history = np.array([*start, *env])[:, np.newaxis]
+    return PlanningProblem(cfg, Program(mission_times(cfg), formula, 1, STATE_COMPONENTS), history)
 
 
-def cost_of(via, duration: float, start: RobotState, formula, **kwargs) -> float:
+def cost_of(via, duration: float, start, formula, **kwargs) -> float:
     problem = plan_problem(formula, via, duration, start, **kwargs)
     return float(problem.cost(np.asarray(via, dtype=np.float64).reshape(1, -1))[0])
 
 
 def test_stationary_plan_stays_put():
-    _, pos, vel, _ = rollout([[1.0, 2.0]] * 4, 8.0, RobotState(1.0, 2.0, 0.0, 0.0), 10.0)
+    _, pos, vel, _ = rollout([[1.0, 2.0]] * 4, 8.0, (1.0, 2.0, 0.0, 0.0), 10.0)
     assert np.all(pos == [1.0, 2.0])
     assert np.all(vel == 0.0)
 
 
 def test_single_via_point_is_the_analytic_minimum_jerk_move():
-    times, pos, vel, _ = rollout([[1.0, 0.0]], 2.0, RobotState(0.0, 0.0, 0.0, 0.0), 10.0)
+    times, pos, vel, _ = rollout([[1.0, 0.0]], 2.0, (0.0, 0.0, 0.0, 0.0), 10.0)
     assert len(times) == 21
     assert times[0] == 0.0 and times[-1] == 2.0
     tau = times / 2.0
@@ -60,7 +67,7 @@ def test_single_via_point_is_the_analytic_minimum_jerk_move():
 
 
 def test_resolution_grid_row_count():
-    times, _, _, _ = rollout([[1.0, 1.0]], 2.0, RobotState(0.0, 0.0, 0.0, 0.0), 10.0)
+    times, _, _, _ = rollout([[1.0, 1.0]], 2.0, (0.0, 0.0, 0.0, 0.0), 10.0)
     assert np.array_equal(times, np.arange(21) / 10.0)
 
 
@@ -70,11 +77,11 @@ def test_boundary_conditions_and_knot_continuity_random_plans():
         n = int(rng.integers(1, 6))
         via = rng.uniform(0.0, 5.0, size=(n, 2))
         duration = float(rng.uniform(1.0, 20.0))
-        start = RobotState(*rng.uniform(0.0, 5.0, 2), *rng.uniform(-0.5, 0.5, 2))
+        start = (*rng.uniform(0.0, 5.0, 2), *rng.uniform(-0.5, 0.5, 2))
         _, pos, vel, acc = rollout(via, duration, start, 100.0)
         # start state exact, terminal at rest on the last via point
-        assert pos[0, 0] == start.x and pos[0, 1] == start.y
-        assert vel[0, 0] == start.vx and vel[0, 1] == start.vy
+        assert pos[0, 0] == start[0] and pos[0, 1] == start[1]
+        assert vel[0, 0] == start[2] and vel[0, 1] == start[3]
         assert np.abs(vel[-1]).max() < 1e-9
         assert np.abs(acc[-1]).max() < 1e-9
         assert np.abs(pos[-1] - via[-1]).max() < 1e-9
@@ -97,7 +104,7 @@ def test_batch_rollout_matches_single():
     via = rng.uniform(0.0, 5.0, size=(6, 4, 2))
     times, pos, vel, acc = rollout_arrays(via, np.array([0.5, 2.5]), np.zeros(2), 20.0, 10.0)
     for b in range(6):
-        _, single_pos, single_vel, single_acc = rollout(via[b], 20.0, RobotState(0.5, 2.5, 0.0, 0.0), 10.0)
+        _, single_pos, single_vel, single_acc = rollout(via[b], 20.0, (0.5, 2.5, 0.0, 0.0), 10.0)
         assert np.array_equal(single_pos, pos[b])
         assert np.array_equal(single_vel, vel[b])
         assert np.array_equal(single_acc, acc[b])
@@ -108,26 +115,26 @@ def test_batch_rollout_matches_single():
 
 
 def test_out_of_workspace_penalty_dominates():
-    cost = cost_of([[8.0, 8.0]] * 4, 2.0, RobotState(7.0, 7.0, 0.0, 0.0), parse_formula("G[0,2] (x > 0)"))
+    cost = cost_of([[8.0, 8.0]] * 4, 2.0, (7.0, 7.0, 0.0, 0.0), parse_formula("G[0,2] (x > 0)"))
     assert cost >= 21 * WORKSPACE_PENALTY
 
 
 def test_stationary_goal_plan_costs_negative_robustness():
     goal = parse_formula("F[0,20] ((x > 4) & (y > 2) & (y < 3))")
-    cost = cost_of([[4.5, 2.5]] * 4, 20.0, RobotState(4.5, 2.5, 0.0, 0.0), goal)
+    cost = cost_of([[4.5, 2.5]] * 4, 20.0, (4.5, 2.5, 0.0, 0.0), goal)
     assert cost == -0.5  # min(x-4, y-2, 3-y) = 0.5 at the goal center
 
 
 def test_true_formula_maps_to_clamped_infinity():
-    cost = cost_of([[1.0, 1.0]] * 2, 2.0, RobotState(1.0, 1.0, 0.0, 0.0), parse_formula("true"))
+    cost = cost_of([[1.0, 1.0]] * 2, 2.0, (1.0, 1.0, 0.0, 0.0), parse_formula("true"))
     assert cost == -ROBUSTNESS_CLAMP
 
 
 def test_limit_penalty_scales_with_violation():
     # A long move in a short duration forces speeds beyond the cap.
     via = np.array([[4.5, 0.0]])
-    start = RobotState(0.0, 0.0, 0.0, 0.0)
-    problem = plan_problem(parse_formula("true"), via, 2.0, start, limits=Limits(v_max=0.5, a_max=1e9))
+    start = (0.0, 0.0, 0.0, 0.0)
+    problem = plan_problem(parse_formula("true"), via, 2.0, start, v_max=0.5, a_max=1e9)
     cost = float(problem.cost(via.reshape(1, -1))[0])
     _, vel, _ = problem.rollout(via.reshape(1, -1))
     speed = np.sqrt(vel[0, 0] * vel[0, 0] + vel[1, 0] * vel[1, 0])
@@ -147,7 +154,7 @@ def test_clamp_robustness():
 
 
 def test_plan_cost_counts_touched_samples():
-    problem = plan_problem(parse_formula("G[0,2] (x > 0)"), [[1.0, 1.0]] * 2, 2.0, RobotState(1.0, 1.0, 0.0, 0.0))
+    problem = plan_problem(parse_formula("G[0,2] (x > 0)"), [[1.0, 1.0]] * 2, 2.0, (1.0, 1.0, 0.0, 0.0))
     assert problem.program.samples_touched == 21
 
 
@@ -158,24 +165,28 @@ def test_plan_cost_counts_touched_samples():
 def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0,20] (x > 4)", prefix_len=0):
     """A problem whose program scores the last ``prefix_len`` history
     samples before the rollout suffix; the history holds up to two older
-    samples besides, and its last column is the start state."""
+    samples besides, and its last column is the start state.  The duration
+    is drawn on the 0.1 s trace grid, and the mission ends after it."""
     n_via = int(rng.integers(1, 6))
     hz = 10.0
-    duration = float(rng.uniform(1.0, 20.0))
+    duration = round(float(rng.uniform(1.0, 20.0)), 1)
     history = rng.uniform(0.0, 5.0, (len(STATE_COMPONENTS), max(prefix_len, 1) + int(rng.integers(0, 3))))
     history[2:4, -1] = rng.uniform(-0.5, 0.5, 2)
     start_pos, start_vel = history[:2, -1], history[2:4, -1]
-    length = rollout_arrays(np.zeros((n_via, 2)), start_pos, start_vel, duration, hz)[0].size
-    times = np.arange(prefix_len + length - 1, dtype=np.int64) * to_ticks(0.1)
+    k, dt = history.shape[1], to_ticks(0.1)
+    cfg = scenario(to_seconds((k - 1) * dt + to_ticks(duration)), n_via)
+    length = sample_times(duration, hz).size
+    times = (k - prefix_len + np.arange(prefix_len + length - 1, dtype=np.int64)) * dt
     f = parse_formula(formula)
-    problem = PlanningProblem(Program(times, f, 1, STATE_COMPONENTS), history, duration, hz, n_via)
-    return problem, (start_pos, start_vel, duration, hz, n_via, f), history
+    problem = PlanningProblem(cfg, Program(times, f, 1, STATE_COMPONENTS), history)
+    assert problem.duration == duration and problem.rollout_times.size == length
+    return problem, (start_pos, start_vel, duration, hz, n_via, f, cfg), history
 
 
 def test_linear_map_rollout_matches_spline_evaluation():
     rng = np.random.default_rng(43)
     for _ in range(100):
-        problem, (start_pos, start_vel, duration, hz, n_via, _), _ = _random_problem(rng)
+        problem, (start_pos, start_vel, duration, hz, n_via, _, _), _ = _random_problem(rng)
         X = rng.uniform(-1.0, 6.0, size=(int(rng.integers(1, 8)), 2 * n_via))
         pos, vel, acc = problem.rollout(X)
         _, want_pos, want_vel, want_acc = rollout_arrays(X.reshape(-1, n_via, 2), start_pos, start_vel, duration, hz)
@@ -209,11 +220,11 @@ def test_one_candidate_rollout_is_its_row_in_the_population(duration):
     # The executed plan is a one-candidate rollout of CMA-ES's chosen row;
     # it must hold the bytes that row had in the scored population.
     rng = np.random.default_rng(49)
-    times = np.arange(int(round(duration * 10)), dtype=np.int64) * to_ticks(0.1)
+    times = np.arange(1, int(round(duration * 10)) + 1, dtype=np.int64) * to_ticks(0.1)
     for n_via in (1, 4, 7):
         history = rng.uniform(0.0, 5.0, (len(STATE_COMPONENTS), 1))
         program = Program(times, parse_formula("(x > 0)"), 1, STATE_COMPONENTS)
-        problem = PlanningProblem(program, history, duration, 10.0, n_via)
+        problem = PlanningProblem(scenario(duration, n_via), program, history)
         X = rng.uniform(-1.0, 6.0, size=(25, 2 * n_via))
         planes = problem.rollout(X)
         for i in range(X.shape[0]):
@@ -227,7 +238,7 @@ def test_cost_matches_prefix_plus_suffix_table():
     rng = np.random.default_rng(44)
     for _ in range(30):
         prefix_len = int(rng.integers(1, 30))
-        problem, (_, _, _, _, n_via, f), history = _random_problem(rng, prefix_len=prefix_len)
+        problem, (_, _, _, _, n_via, f, cfg), history = _random_problem(rng, prefix_len=prefix_len)
         prefix = dict(zip(STATE_COMPONENTS, history[:, -prefix_len:]))
         batch = 6
         X = rng.uniform(0.0, 5.0, size=(batch, 2 * n_via))
@@ -246,7 +257,7 @@ def test_cost_matches_prefix_plus_suffix_table():
         for row, name in zip(block, STATE_COMPONENTS):
             assert np.array_equal(row, concat[name]), name
         rho = eval_robustness_arrays(problem.times, concat, f)[:, 0]
-        penalty = workspace_penalty(pos, Workspace()) + limit_penalty(vel, acc, Limits())
+        penalty = workspace_penalty(pos, cfg.workspace) + limit_penalty(vel, acc, cfg.v_max, cfg.a_max)
         assert np.array_equal(cost, -clamp_robustness(rho) + penalty)
 
 
@@ -255,7 +266,7 @@ def test_robustness_of_given_rows_matches_table():
     # value of any given rows equals the table of the assembled signal.
     rng = np.random.default_rng(46)
     for prefix_len in (0, 1, 17):
-        problem, (start_pos, start_vel, duration, hz, n_via, f), _ = _random_problem(rng, prefix_len=prefix_len)
+        problem, (start_pos, start_vel, duration, hz, n_via, f, _), _ = _random_problem(rng, prefix_len=prefix_len)
         X = rng.uniform(0.0, 5.0, size=(4, 2 * n_via))
         problem.cost(X)
         _, pos, vel, _ = rollout_arrays(X[:1].reshape(n_via, 2), start_pos, start_vel, duration, hz)
@@ -269,7 +280,7 @@ def test_robustness_of_given_rows_matches_table():
 def test_cost_leaks_no_state_between_calls():
     rng = np.random.default_rng(45)
     for prefix_len in (0, 12):
-        problem, (start_pos, start_vel, _, _, n_via, _), history = _random_problem(rng, prefix_len=prefix_len)
+        problem, (start_pos, start_vel, _, _, n_via, _, _), history = _random_problem(rng, prefix_len=prefix_len)
         X = rng.uniform(0.0, 5.0, size=(10, 2 * n_via))
         first = problem.cost(X)
         small = problem.cost(X[:3] + 0.5)
@@ -295,44 +306,83 @@ def test_cost_leaks_no_state_between_calls():
 
 
 def test_history_must_hold_the_samples_the_program_scores():
-    times = np.arange(25, dtype=np.int64) * to_ticks(0.1)  # 21-sample rollout leaves 5
-    program = Program(times, parse_formula("G[0,2] (x > 0)"), 1, STATE_COMPONENTS)
+    # A 2 s plan from the last of four samples leaves five of the program's
+    # 25 samples for the history, which holds four.
+    f = parse_formula("G[0,2] (x > 0)")
+    program = Program(np.arange(25, dtype=np.int64) * to_ticks(0.1), f, 1, STATE_COMPONENTS)
     with pytest.raises(ValueError, match="history holds 4 samples; the program scores 5"):
-        PlanningProblem(program, np.zeros((6, 4)), 2.0, 10.0, 2)
+        PlanningProblem(scenario(2.3, 2), program, np.zeros((6, 4)))
     for bad in (np.zeros((6, 0)), np.zeros((4, 5)), np.zeros((7, 5)), np.zeros(6), np.zeros((1, 6, 5))):
         with pytest.raises(ValueError, match=r"history must be a \(6, k\) array with k >= 1"):
-            PlanningProblem(program, bad, 2.0, 10.0, 2)
-    # A longer history is scored from its last five samples on.
+            PlanningProblem(scenario(2.3, 2), program, bad)
+    with pytest.raises(ValueError, match="history holds 24 samples, which reach the mission end at tick 2300000"):
+        PlanningProblem(scenario(2.3, 2), program, np.zeros((6, 24)))
+    # From the last of seven samples the program scores the last five, from
+    # tick 0.2 s on: the two before them are not read.
+    program = Program(np.arange(2, 27, dtype=np.int64) * to_ticks(0.1), f, 1, STATE_COMPONENTS)
     history = np.arange(42.0).reshape(6, 7)
-    block = PlanningProblem(program, history, 2.0, 10.0, 2)._buffers(1)[1]
-    assert np.array_equal(block[:, 0, :5], history[:, 2:])
+    earlier = history.copy()
+    earlier[:, :2] = -history[:, :2]
+    X = np.random.default_rng(50).uniform(0.0, 5.0, size=(3, 4))
+    costs = []
+    for h in (history, earlier):
+        problem = PlanningProblem(scenario(2.6, 2), program, h)
+        costs.append(problem.cost(X).tobytes())
+        assert np.array_equal(problem._buffers(3)[1][:, :, :5], np.broadcast_to(history[:, np.newaxis, 2:], (6, 3, 5)))
+    assert costs[0] == costs[1]
 
 
 def test_program_must_be_compiled_for_the_state_components():
-    times = np.arange(21, dtype=np.int64) * to_ticks(0.1)
+    times = np.arange(1, 21, dtype=np.int64) * to_ticks(0.1)
     f = parse_formula("G[0,2] (x > 0)")
     for names in (("x",), ("y", "x", "vx", "vy", "xe", "ye"), (*STATE_COMPONENTS, "ax")):
         with pytest.raises(ValueError, match="must be compiled for"):
-            PlanningProblem(Program(times, f, 1, names), np.zeros((6, 1)), 2.0, 10.0, 2)
+            PlanningProblem(scenario(2.0, 2), Program(times, f, 1, names), np.zeros((6, 1)))
 
 
 def test_suffix_only_program_reads_the_last_history_sample_alone():
     # A program over the rollout's samples after the first scores no
     # executed sample (split 0): only the start state in the last column
-    # counts, not the whole history that history[:, -0:] would select.
+    # counts, not the whole history that history[:, -0:] would select, so
+    # changing every earlier column changes nothing.
     rng = np.random.default_rng(47)
-    times = np.arange(1, 21, dtype=np.int64) * to_ticks(0.1)
+    times = np.arange(9, 29, dtype=np.int64) * to_ticks(0.1)
     f = parse_formula("G[0,2] ((x - xe)^2 + (y - ye)^2 > 1) & F[0,2] (x > 2)")
     program = Program(times, f, 1, STATE_COMPONENTS)
     history = rng.uniform(0.0, 5.0, (6, 9))
     X = rng.uniform(0.0, 5.0, size=(5, 4))
-    full = PlanningProblem(program, history, 2.0, 10.0, 2)
-    last = PlanningProblem(program, history[:, -1:], 2.0, 10.0, 2)
+    earlier = history.copy()
+    earlier[:, :-1] = rng.uniform(0.0, 5.0, (6, 8))
+    full = PlanningProblem(scenario(2.8, 2), program, history)
+    last = PlanningProblem(scenario(2.8, 2), program, earlier)
     assert full.cost(X).tobytes() == last.cost(X).tobytes()
     for problem in (full, last):
         coef, block = problem._buffers(5)
         assert (coef[:, :, 0] == history[0:2, -1:]).all() and (coef[:, :, 1] == history[2:4, -1:]).all()
         assert (block[4] == history[4, -1]).all() and (block[5] == history[5, -1]).all()
+
+
+def test_program_must_be_compiled_on_the_replan_grid():
+    # phi_stayin at replan 40: the history holds samples 0-40, and the plan
+    # runs from tick 4.0 s to the mission end.  A program on the grid one
+    # sample early, or half a sample late, is refused by its expected first
+    # tick; on the replan's grid it is accepted, with or without the current
+    # sample.
+    from rotogo.scenarios import scenario_phi_stayin
+
+    cfg = scenario_phi_stayin()
+    f = cfg.validate()
+    times = mission_times(cfg)
+    i = 40
+    history = np.random.default_rng(52).uniform(0.0, 5.0, (6, i + 1))
+    for shifted, first in ((times[i:-1], 4_100_000), (times[i + 1 :] + 50_000, 4_100_000), (times[:-1], 100_000)):
+        with pytest.raises(ValueError, match=f"must be the trace grid from tick {first} to 20000000"):
+            PlanningProblem(cfg, Program(shifted, f, 1, STATE_COMPONENTS), history)
+    for split, grid in ((0, times[i + 1 :]), (1, times[i:]), (i + 1, times)):
+        problem = PlanningProblem(cfg, Program(grid, f, 1, STATE_COMPONENTS), history)
+        assert problem.start_tick == 4_000_000 and problem.duration == 16.0
+        assert np.array_equal(problem.rollout_times, np.arange(161) / 10.0)
+        assert problem._split == split
 
 
 @pytest.mark.parametrize("batch", [1, 25])
@@ -343,7 +393,7 @@ def test_cost_at_the_penalty_boundaries_is_the_reference_sum(batch):
     # equal the penalty functions' sum bit for bit there.
     rng = np.random.default_rng(48 + batch)
     for prefix_len in (0, 9):
-        problem, (_, _, duration, hz, n_via, _), history = _random_problem(rng, prefix_len=prefix_len)
+        problem, (_, _, _, _, n_via, _, cfg), history = _random_problem(rng, prefix_len=prefix_len)
         X = rng.uniform(-1.0, 6.0, size=(batch, 2 * n_via))
         pos, vel, acc = problem.rollout(X)
 
@@ -356,19 +406,19 @@ def test_cost_at_the_penalty_boundaries_is_the_reference_sum(batch):
 
         speed = np.sqrt(vel[0] * vel[0] + vel[1] * vel[1])
         accel = np.sqrt(acc[0] * acc[0] + acc[1] * acc[1])
-        limits = Limits(v_max=middle(speed), a_max=middle(accel))
+        v_max, a_max = middle(speed), middle(accel)
         (x_min, x_max), (y_min, y_max) = quartiles(pos[0]), quartiles(pos[1])
-        workspace = Workspace(x_min, x_max, y_min, y_max)
-        edge = PlanningProblem(problem.program, history, duration, hz, n_via, limits, workspace)
+        workspace = (x_min, x_max, y_min, y_max)
+        edge = PlanningProblem(replace(cfg, v_max=v_max, a_max=a_max, workspace=workspace), problem.program, history)
 
         cost = edge.cost(X)
         pos, vel, acc = edge.rollout(X)
         rho = edge.robustness(np.stack([pos, vel]))
-        penalty = workspace_penalty(pos, workspace) + limit_penalty(vel, acc, limits)
+        penalty = workspace_penalty(pos, workspace) + limit_penalty(vel, acc, v_max, a_max)
         assert edge.penalties(edge.rollout(X)).tobytes() == penalty.tobytes()
         assert cost.tobytes() == (-clamp_robustness(rho) + penalty).tobytes()
-        assert (speed == limits.v_max).any() and (speed > limits.v_max).any()
-        assert (accel == limits.a_max).any() and (accel > limits.a_max).any()
+        assert (speed == v_max).any() and (speed > v_max).any()
+        assert (accel == a_max).any() and (accel > a_max).any()
         for plane, edge_value in ((pos[0], x_min), (pos[0], x_max), (pos[1], y_min), (pos[1], y_max)):
             assert (plane == edge_value).any()
         assert (workspace_penalty(pos, workspace) > 0).any()
