@@ -8,9 +8,9 @@ index, and writes three artifacts into the output directory:
 * ``episodes.jsonl``: one JSON object per episode,
 * ``traces/<problem>_<mode>_<episode>.csv``: the executed trace signals.
 
-Outputs are byte-for-byte reproducible for a fixed spec: episodes are
-independent and seeded, results are collected in episode order, and all
-files are written by the orchestrating process alone.
+Outputs are byte-for-byte reproducible for a fixed spec on any number of
+cores: episodes are independent and seeded, results are collected in episode
+order, and all files are written by the orchestrating process alone.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .mpc import RunResult, StatsRow, batch_stats, mpc_run
 from .scenarios import MODES, ScenarioConfig
@@ -35,13 +35,10 @@ class BenchSpec:
     episodes: int = 100
     base_seed: int = 0
     out_dir: Optional[Path] = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.modes:
@@ -65,20 +62,17 @@ def run_bench(spec: BenchSpec) -> BenchResult:
 
     An invalid scenario raises ValueError before any episode runs or any
     file is written.  Episode failures are recorded and skipped, never abort
-    the batch.  Results are collected in episode order regardless of worker
-    scheduling.
+    the batch.
     """
     spec.scenario.validate()
+    configs = [spec.scenario.with_mode(m).with_seed(spec.base_seed + e) for m in spec.modes for e in range(spec.episodes)]
+    outcomes = _episode_outcomes(configs)
     out = BenchResult(stats=[], results={}, failures={})
     jsonl_rows: list[dict] = []
-    for mode in spec.modes:
-        configs = [
-            spec.scenario.with_mode(mode).with_seed(spec.base_seed + episode)
-            for episode in range(spec.episodes)
-        ]
+    for m, mode in enumerate(spec.modes):
         results: list[tuple[int, RunResult]] = []
         failures: list[tuple[int, str]] = []
-        for episode, outcome in enumerate(_episode_outcomes(configs, spec.workers)):
+        for episode, outcome in enumerate(outcomes[m * spec.episodes : (m + 1) * spec.episodes]):
             try:
                 results.append((episode, outcome()))
             except Exception as exc:  # noqa: BLE001 - episode isolation
@@ -108,18 +102,25 @@ def run_bench(spec: BenchSpec) -> BenchResult:
     return out
 
 
-def _episode_outcomes(configs: list[ScenarioConfig], workers: int) -> Iterator[Callable[[], RunResult]]:
+def usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    import os
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _episode_outcomes(configs: list[ScenarioConfig]) -> list[Callable[[], RunResult]]:
     """One call per episode, in episode order, that returns its result or
-    raises its error; with several workers the episodes run in a process
-    pool, all submitted up front."""
+    raises its error.  With one usable core or one episode they run here,
+    else in one pool of spawned workers, one per core, done on return."""
+    workers = min(len(configs), usable_cores())
     if workers == 1:
-        yield from (partial(mpc_run, cfg) for cfg in configs)
-        return
+        return [partial(mpc_run, cfg) for cfg in configs]
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         futures = [pool.submit(mpc_run, cfg) for cfg in configs]
-        yield from (future.result for future in futures)
+    return [future.result for future in futures]
 
 
 def format_stats_csv(stats: list[StatsRow]) -> str:

@@ -161,7 +161,6 @@ def cmd_bench(args) -> int:
         episodes=args.episodes,
         base_seed=args.seed if args.seed is not None else 0,
         out_dir=Path(args.out) if args.out else None,
-        workers=args.workers,
     )
     result = run_bench(spec)
     for row in result.stats:
@@ -234,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seed", type=int, default=None, help="base seed")
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("selftest", help="run the randomized property corpus")

@@ -254,10 +254,11 @@ def replan(
     the trace grid.  The candidates are scored by ``objective``, a width-1
     program compiled on the trace grid up to the mission end, after as many
     of the history's last samples as its times leave room for (none when it
-    scores the suffix alone, as in rotogo mode); :class:`PlanningProblem`
-    reads the plan's duration, grid, limits and workspace from ``cfg``.
-    The record takes the size of the program's formula and the
-    samples it reads, both fixed when it was compiled.  Without
+    scores the suffix alone, as in rotogo mode), and with its formula
+    anchored at the first of those samples, which no check can see.
+    :class:`PlanningProblem` reads the plan's duration, grid, limits and
+    workspace from ``cfg``.  The record takes the program's formula size
+    and the samples it reads, both fixed when it was compiled.  Without
     ``previous`` the search starts at the current position and runs
     ``first_attempt_iterations`` generations with the full step size; with
     it, the search starts at ``previous``'s path resampled onto the new

@@ -254,11 +254,11 @@ class PlanningProblem:
     ``STATE_COMPONENTS``, gives the scored signal at its first sample, plus
     the penalties of the whole rollout for leaving ``cfg.workspace`` and
     for exceeding ``cfg.v_max`` and ``cfg.a_max``.  The scored signal is
-    the last ``split`` columns of the history (what the program's times
-    leave before the rollout's second sample, zero when it scores the
-    suffix alone) followed by the rollout from its second sample on, with
-    the environment held at the current state's (xe, ye); the program's
-    times must be those samples' ticks.
+    the history's last ``split`` columns (what the program's times leave
+    before the rollout's second sample; none for a suffix-only program),
+    then the rollout from its second sample on, with the environment held
+    at the current state's (xe, ye).  The program's times must be their
+    ticks and its formula anchored at the first, which no check here sees.
 
     Per coordinate the spline is linear in (start position, start velocity,
     via points), and both coordinates share that map, so construction

@@ -52,11 +52,13 @@ def episode_digest(result) -> str:
 
 
 if __name__ == "__main__":
-    from rotogo.mpc import mpc_run
+    from rotogo.bench import BenchSpec, run_bench
     from rotogo.scenarios import MODES, get_scenario
 
     for scenario in ("phi_avoid", "phi_stayin"):
+        bench = run_bench(BenchSpec(get_scenario(scenario), MODES, episodes=5, base_seed=1))
+        if any(bench.failures.values()):
+            raise SystemExit(f"{scenario}: episodes failed: {bench.failures}")
         for mode in MODES:
-            for seed in range(1, 6):
-                digest = episode_digest(mpc_run(get_scenario(scenario, mode=mode, seed=seed)))
-                print(f"{scenario} {mode} {seed} {digest}")
+            for _, result in bench.results[mode]:
+                print(f"{scenario} {mode} {result.seed} {episode_digest(result)}")

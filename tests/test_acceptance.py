@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rotogo.bench import BenchSpec, run_bench
 from rotogo.cmaes import CmaesConfig, cmaes_minimize
-from rotogo.mpc import batch_stats, mpc_run
 from rotogo.planning import rollout_arrays, spline_positions
 from rotogo.scenarios import scenario_phi_avoid, scenario_phi_stayin
 from rotogo.selftest import run_selftest
@@ -129,11 +129,12 @@ def test_c08_rollout_boundary_and_knot_continuity():
 
 @pytest.fixture(scope="module")
 def static_pair():
-    base = replace(scenario_phi_avoid(seed=PAIRED_SEED), env_noise_std=0.0)
+    base = replace(scenario_phi_avoid(), env_noise_std=0.0)
     start = time.monotonic()
-    rotogo_run = mpc_run(base.with_mode("rotogo"))
-    robustness_run = mpc_run(base.with_mode("robustness"))
+    bench = run_bench(BenchSpec(base, ("rotogo", "robustness"), episodes=1, base_seed=PAIRED_SEED))
     elapsed = time.monotonic() - start
+    assert not any(bench.failures.values()), bench.failures
+    [(_, rotogo_run)], [(_, robustness_run)] = bench.results["rotogo"], bench.results["robustness"]
     return rotogo_run, robustness_run, elapsed
 
 
@@ -143,12 +144,10 @@ def dynamic_bench():
     out = {}
     start = time.monotonic()
     for maker, problem in ((scenario_phi_avoid, "phi_avoid"), (scenario_phi_stayin, "phi_stayin")):
-        rows = {}
-        runs = {}
-        for mode in ("rotogo", "robustness"):
-            results = [mpc_run(maker(mode=mode, seed=1000 + ep)) for ep in range(episodes)]
-            rows[mode] = batch_stats(results)
-            runs[mode] = results
+        bench = run_bench(BenchSpec(maker(), ("rotogo", "robustness"), episodes=episodes, base_seed=1000))
+        assert not any(bench.failures.values()), bench.failures
+        rows = {row.mode: row for row in bench.stats}
+        runs = {mode: [run for _, run in results] for mode, results in bench.results.items()}
         out[problem] = (rows, runs)
     out["elapsed"] = time.monotonic() - start
     return out

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rotogo import bench
 from rotogo.bench import BenchSpec, format_stats_csv, run_bench
 from rotogo.cli import main
 from rotogo.formula import to_seconds, to_ticks
+from rotogo.mpc import batch_stats, mpc_run
 from rotogo.parser import format_formula, parse_formula
 from rotogo.scenarios import ScenarioConfig, get_scenario
 from rotogo.semantics import robustness, sat
@@ -108,16 +110,55 @@ def test_stats_recomputable_from_jsonl(tmp_path):
     assert int(stats_line[5]) == 3
 
 
-def test_parallel_workers_reproduce_serial_output(tmp_path):
-    serial = BenchSpec(scenario=tiny_scenario(), modes=("rotogo",), episodes=2, base_seed=9, out_dir=tmp_path / "s")
-    parallel = BenchSpec(
-        scenario=tiny_scenario(), modes=("rotogo",), episodes=2, base_seed=9,
-        out_dir=tmp_path / "p", workers=2,
-    )
-    run_bench(serial)
-    run_bench(parallel)
-    assert (tmp_path / "p" / "stats.csv").read_bytes() == (tmp_path / "s" / "stats.csv").read_bytes()
-    assert (tmp_path / "p" / "episodes.jsonl").read_bytes() == (tmp_path / "s" / "episodes.jsonl").read_bytes()
+def test_parallel_workers_reproduce_serial_output(tmp_path, monkeypatch):
+    # One usable core runs the episodes in this process, two in a pool.
+    for cores in (1, 2):
+        monkeypatch.setattr(bench, "usable_cores", lambda cores=cores: cores)
+        run_bench(BenchSpec(tiny_scenario(), ("rotogo",), episodes=2, base_seed=9, out_dir=tmp_path / str(cores)))
+    assert (tmp_path / "2" / "stats.csv").read_bytes() == (tmp_path / "1" / "stats.csv").read_bytes()
+    assert (tmp_path / "2" / "episodes.jsonl").read_bytes() == (tmp_path / "1" / "episodes.jsonl").read_bytes()
+
+
+def _mpc_run_failing_seed_8(cfg):
+    """``mpc_run``, except that seed 8 raises.  It is a module-level name, so
+    that a pool worker can import it."""
+    if cfg.seed == 8:
+        raise RuntimeError("seed 8 fails on purpose")
+    return mpc_run(cfg)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_failing_episode_is_recorded_and_skipped(tmp_path, monkeypatch, capsys, cores):
+    """An episode that raises leaves a failure row, drops out of the stats
+    and the traces, and changes no other byte; the command still exits 0."""
+    monkeypatch.setattr(bench, "usable_cores", lambda: cores)
+    modes = ("rotogo", "robustness")
+    clean = run_bench(BenchSpec(tiny_scenario(), modes, episodes=3, base_seed=7, out_dir=tmp_path / "clean"))
+    cfg_path = tmp_path / "cfg.json"
+    tiny_scenario().save(cfg_path)
+    monkeypatch.setattr(bench, "mpc_run", _mpc_run_failing_seed_8)
+    code = main(["bench", "--config", str(cfg_path), "--modes", "rotogo,robustness", "--episodes", "3",
+                 "--seed", "7", "--out", str(tmp_path / "failed")])
+    err = capsys.readouterr().err
+    assert code == 0
+    error = "RuntimeError: seed 8 fails on purpose"
+    assert err == "".join(f"episode failed: mode={mode} episode=1: {error}\n" for mode in modes)
+
+    lines = (tmp_path / "clean" / "episodes.jsonl").read_bytes().splitlines(keepends=True)
+    clean_rows = [(json.loads(line), line) for line in lines]
+    want_rows = []
+    for mode in modes:
+        want_rows += [line for row, line in clean_rows if row["mode"] == mode and row["episode"] != 1]
+        failed = {"scenario": "tiny", "mode": mode, "episode": 1, "seed": 8, "failed": True, "error": error}
+        want_rows.append(json.dumps(failed, sort_keys=True).encode() + b"\n")
+    assert (tmp_path / "failed" / "episodes.jsonl").read_bytes() == b"".join(want_rows)
+
+    kept = [batch_stats([run for episode, run in clean.results[mode] if episode != 1]) for mode in modes]
+    assert [row.episodes for row in kept] == [2, 2]
+    assert (tmp_path / "failed" / "stats.csv").read_text() == format_stats_csv(kept)
+    traces = {p.name: p.read_bytes() for p in (tmp_path / "failed" / "traces").iterdir()}
+    assert sorted(traces) == [f"tiny_{mode}_{e:03d}.csv" for mode in sorted(modes) for e in (0, 2)]
+    assert all(data == (tmp_path / "clean" / "traces" / name).read_bytes() for name, data in traces.items())
 
 
 def test_bench_episode_seeds_derive_from_base():
@@ -408,16 +449,12 @@ def test_invalid_scenario_exits_two_before_any_output(tmp_path, capsys, override
         assert not out_dir.exists(), command
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_bench_workers_below_one_exits_two(tmp_path, capsys, workers):
-    cfg_path = tmp_path / "cfg.json"
-    tiny_scenario().save(cfg_path)
-    out_dir = tmp_path / "out"
-    code = main(["bench", "--config", str(cfg_path), "--episodes", "1", "--workers", workers, "--out", str(out_dir)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: workers must be >= 1\n"
-    assert captured.out == "" and not out_dir.exists()
+def test_bench_has_no_workers_option(capsys):
+    # The pool takes a worker per usable core; ``taskset -c 0`` runs serially.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--scenario", "phi_avoid", "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -81,6 +81,22 @@ def test_monitor_without_config_loads_no_planner(tmp_path):
         assert not modules & set(HEAVY_STDLIB), extra
 
 
+def test_one_episode_bench_starts_no_pool(tmp_path):
+    # One episode runs in the calling process, whatever the core count.
+    from rotogo.scenarios import ScenarioConfig
+
+    cfg = tmp_path / "tiny.json"
+    ScenarioConfig(
+        name="tiny", formula="G[0,1] (x > 0.5)", robot_start=(1.0, 1.0, 0.0, 0.0), mission_horizon=1.0,
+        population_size=6, first_attempt_iterations=3,
+    ).save(cfg)
+    args = ["bench", "--config", str(cfg), "--modes", "rotogo", "--episodes", "1", "--out", str(tmp_path / "out")]
+    modules = loaded_after(f"from rotogo.cli import main\nassert main({args!r}) == 0")
+    assert "rotogo.bench" in modules
+    assert not modules & set(HEAVY_STDLIB)
+    assert (tmp_path / "out" / "stats.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # Every command in a fresh interpreter: an import that a command body lacks
 # fails here instead of turning into exit 2.

@@ -215,6 +215,29 @@ def test_spline_basis_matches_the_direct_evaluation(n_via, duration):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_the_flown_spline_meets_the_boundary_and_knot_conditions():
+    # Acceptance c08's 100 plans (its seed and draws) through the map that
+    # episodes execute.  The start velocity is h * (1 / h) there, off by up
+    # to an ulp, so it is not asserted exactly.
+    rng = np.random.default_rng(74250917)
+    for _ in range(100):
+        n = int(rng.integers(1, 6))
+        via = rng.uniform(0.0, 5.0, size=(n, 2))
+        duration = float(rng.uniform(1.0, 20.0))
+        start_pos, start_vel = rng.uniform(0.0, 5.0, 2), rng.uniform(-0.5, 0.5, 2)
+        coeffs = np.vstack([start_pos, start_vel, via]).T  # (2, N+2)
+        pos, vel, acc = coeffs @ spline_basis(n, duration, sample_times(duration, 50.0))  # each (2, L)
+        assert pos[0, 0] == start_pos[0] and pos[1, 0] == start_pos[1]
+        assert np.abs(vel[:, -1]).max() < 1e-9 and np.abs(acc[:, -1]).max() < 1e-9
+        if n > 1:
+            # A jump in position or velocity at a knot shows in the mean of
+            # the two sides as half its size.
+            knots = duration / n * np.arange(1, n)
+            h = 1e-7
+            left, centre, right = (coeffs @ spline_basis(n, duration, knots + d)[:2] for d in (-h, 0.0, h))
+            assert np.abs((left + right) / 2 - centre).max() < 1e-9
+
+
 @pytest.mark.parametrize("duration", [20.0, 9.5, 2.5, 0.5])
 def test_one_candidate_rollout_is_its_row_in_the_population(duration):
     # The executed plan is a one-candidate rollout of CMA-ES's chosen row;
