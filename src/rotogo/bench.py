@@ -62,7 +62,7 @@ def run_bench(spec: BenchSpec) -> BenchResult:
 
     An invalid scenario raises ValueError before any episode runs or any
     file is written.  Episode failures are recorded and skipped, never abort
-    the batch.
+    the batch; a pool whose workers died raises RuntimeError.
     """
     spec.scenario.validate()
     configs = [spec.scenario.with_mode(m).with_seed(spec.base_seed + e) for m in spec.modes for e in range(spec.episodes)]
@@ -111,15 +111,24 @@ def usable_cores() -> int:
 def _episode_outcomes(configs: list[ScenarioConfig]) -> list[Callable[[], RunResult]]:
     """One call per episode, in episode order, that returns its result or
     raises its error.  With one usable core or one episode they run here,
-    else in one pool of spawned workers, one per core, done on return."""
+    else in one pool of spawned workers, one per core, done on return.
+    Raises RuntimeError when a worker died, which is what a script that
+    calls :func:`run_bench` without an entry-point guard makes happen."""
     workers = min(len(configs), usable_cores())
     if workers == 1:
         return [partial(mpc_run, cfg) for cfg in configs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         futures = [pool.submit(mpc_run, cfg) for cfg in configs]
+    for future in futures:
+        if isinstance(future.exception(), BrokenProcessPool):
+            raise RuntimeError(
+                "the episode workers died; a script that calls run_bench must guard its entry point "
+                'with `if __name__ == "__main__":`'
+            ) from future.exception()
     return [future.result for future in futures]
 
 

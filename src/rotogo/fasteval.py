@@ -26,12 +26,14 @@ become integer index ranges and sparse-table gather indices, structurally
 equal subformulas and predicate subexpressions over the same range become
 one step, constant subexpressions fold, and double negations cancel.  The
 result is a flat list of numpy steps over numbered registers, and a run
-executes it on one batch of candidates.  Registers are allocated by
-liveness: a table is released as soon as its last reader has run, and an
-elementwise step writes over an operand it is the last to read.  That is
-not a nicety.  Kept alive, the ~30 (25, 201) intermediates of a
-``phi_avoid`` evaluation (about 1.2 MB) outgrow the cache: on a 2-vCPU
-2.1 GHz Xeon a run then took three times as long.  Released, each table's
+executes it on one batch of candidates.  A folded constant that meets a
+table is a register too, filled when a run starts and never written, so
+every arithmetic step is one ufunc call on registers.  Registers are
+allocated by liveness: a table is released as soon as its last reader has
+run, and an elementwise step writes over an operand it is the last to
+read.  That is not a nicety.  Kept alive, the ~30 (25, 201) intermediates
+of a ``phi_avoid`` evaluation (about 1.2 MB) outgrow the cache: on a
+2-vCPU 2.1 GHz Xeon a run then took three times as long.  Released, each table's
 warm memory serves the next.
 
 The fast and reference evaluators agree bit for bit: boolean connectives
@@ -138,7 +140,7 @@ class Program:
         block = np.asarray(block, dtype=np.float64)
         if block.ndim != 3 or block.shape[::2] != (len(self.names), self.times.size):
             raise ValueError(f"a block for this program is ({len(self.names)}, B, {self.times.size}), not {block.shape}")
-        r = [None] * self._registers
+        r = self._registers.copy()
         r[0] = block.shape[1]
         for slot, row, a, b in self._loads:
             r[slot] = block[row, :, a:b]
@@ -157,8 +159,8 @@ class _Const:
 
 
 #: Predicate arithmetic: the scalar function (what ``Expr.eval`` applies,
-#: used to fold constants and for array-scalar steps) and the ufunc of
-#: array-array steps, which can write over a dead operand.
+#: used to fold constants) and the ufunc of a step, which can write over a
+#: dead operand.
 _BINARY = {"+": (operator.add, np.add), "-": (operator.sub, np.subtract), "*": (operator.mul, np.multiply)}
 
 
@@ -173,11 +175,12 @@ class _Compiler:
     A value is an integer id.  ``code`` holds (make, value, args, param)
     entries in execution order, ``make`` building the step that computes
     ``value`` from the values ``args``; ``loads`` maps a value to the
-    (row, a, b) block slice it stands for.  Values are numbered by
-    what computes them (value numbering): a step on the same values with
-    the same parameters is the value already emitted, so structurally equal
-    subformulas and predicate subexpressions over one index range are
-    computed once, and every key is a flat tuple hashed once.
+    (row, a, b) block slice it stands for, and ``consts`` to the folded
+    scalar it stands for.  Values are numbered by what computes them
+    (value numbering): a step on the same values with the same parameters
+    is the value already emitted, so structurally equal subformulas and
+    predicate subexpressions over one index range are computed once, and
+    every key is a flat tuple hashed once.
     """
 
     def __init__(self, times: np.ndarray, names: tuple[str, ...]):
@@ -185,17 +188,24 @@ class _Compiler:
         self.rows = {name: k for k, name in enumerate(names)}
         self.code: list[tuple] = []
         self.loads: dict[int, tuple[int, int, int]] = {}
+        self.consts: dict[int, object] = {}
         self.spans: dict[int, tuple[int, int]] = {}  # predicate value -> range it is read over
         self._numbers: dict[tuple, int] = {}
 
-    def _load(self, name: str, a: int, b: int) -> int:
-        row = self.rows[name]
-        key = ("load", row, a, b)
+    def _input(self, key: tuple, table: dict, item) -> int:
+        """The value numbered ``key``, which a run reads as ``item``."""
         v = self._numbers.get(key)
         if v is None:
             v = self._numbers[key] = len(self._numbers)
-            self.loads[v] = (row, a, b)
+            table[v] = item
         return v
+
+    def _load(self, name: str, a: int, b: int) -> int:
+        row = self.rows[name]
+        return self._input(("load", row, a, b), self.loads, (row, a, b))
+
+    def _const(self, k) -> int:
+        return self._input(("const", _const_key(k)), self.consts, k)
 
     def _op(self, make, args: tuple, param=None, key=None) -> int:
         """The value ``make(param)`` computes from ``args``; ``key`` stands
@@ -281,11 +291,8 @@ class _Compiler:
             left, right = self.expr(e.left, a, b), self.expr(e.right, a, b)
             if isinstance(left, _Const) and isinstance(right, _Const):
                 return _Const(scalar(left.value, right.value))
-            if isinstance(right, _Const):
-                return self._op(_make_call_const, (left,), (scalar, right.value), (scalar, _const_key(right.value)))
-            if isinstance(left, _Const):
-                return self._op(_make_const_call, (right,), (scalar, left.value), (scalar, _const_key(left.value)))
-            return self._op(_make_call, (left, right), ufunc)
+            args = tuple(self._const(x.value) if isinstance(x, _Const) else x for x in (left, right))
+            return self._op(_make_call, args, ufunc)
         if isinstance(e, Neg):
             child = self.expr(e.child, a, b)
             if isinstance(child, _Const):
@@ -301,8 +308,8 @@ class _Compiler:
     def _pow(self, x: int, n: int) -> int:
         """The multiplications of formula._int_pow, in its order, as steps."""
         if n == 0:
-            zero = self._op(_make_call_const, (x,), (operator.mul, 0), (operator.mul, _const_key(0)))
-            return self._op(_make_call_const, (zero,), (operator.add, 1.0), (operator.add, _const_key(1.0)))
+            zero = self._op(_make_call, (x, self._const(0)), np.multiply)
+            return self._op(_make_call, (zero, self._const(1.0)), np.add)
         result = None
         while True:
             if n & 1:
@@ -317,25 +324,28 @@ class _Compiler:
     def allocate(self, root: int):
         """Assign registers to values and build the steps.
 
-        Register 0 holds the batch size and every component slice keeps its
-        own register.  Once the last step reading a table has run, its
-        register is free: an elementwise step writes its result over a table
-        it is the last to read, and any other step takes a freed register.
-        Dead tables are thus dropped at once and their memory reused, which
-        keeps the working set small and cache-resident.
+        Register 0 holds the batch size, and every component slice and
+        every folded constant keeps its own register, which no step writes;
+        the returned register list holds the constants, for a run to copy.
+        Once the last step reading a table has run, its register is free: an
+        elementwise step writes its result over a table it is the last to
+        read, and any other step takes a freed register.  Dead tables are
+        thus dropped at once and their memory reused, which keeps the
+        working set small and cache-resident.
         """
         last = {}
         for i, (_, _, args, _) in enumerate(self.code):
             for u in args:
                 last[u] = i
         last[root] = len(self.code)
-        slot = {v: s for s, v in enumerate(self.loads, start=1)}
+        inputs = [*self.loads, *self.consts]
+        slot = {v: s for s, v in enumerate(inputs, start=1)}
         loads = [(slot[v], row, a, b) for v, (row, a, b) in self.loads.items()]
-        registers = len(slot) + 1
+        registers = [None, *(self.consts.get(v) for v in inputs)]
         free: list[int] = []
         steps = []
         for i, (make, v, args, param) in enumerate(self.code):
-            dead = [slot[u] for u in dict.fromkeys(args) if last[u] == i and u not in self.loads]
+            dead = [slot[u] for u in dict.fromkeys(args) if last[u] == i and slot[u] > len(inputs)]
             if make is _make_call and isinstance(param, np.ufunc) and dead:
                 slot[v] = dead.pop(0)
                 make = _make_in_place
@@ -344,8 +354,8 @@ class _Compiler:
                 if free:
                     slot[v] = free.pop()
                 else:
-                    slot[v] = registers
-                    registers += 1
+                    slot[v] = len(registers)
+                    registers.append(None)
             steps.append(make(slot[v], [slot[u] for u in args], param))
         return loads, steps, slot[root], registers
 
@@ -388,26 +398,6 @@ def _make_in_place(out: int, args, fn):
 
         def step(r):
             fn(r[x], r[y], out=r[out])
-
-    return step
-
-
-def _make_call_const(out: int, args, param):
-    fn, k = param
-    (x,) = args
-
-    def step(r):
-        r[out] = fn(r[x], k)
-
-    return step
-
-
-def _make_const_call(out: int, args, param):
-    fn, k = param
-    (x,) = args
-
-    def step(r):
-        r[out] = fn(k, r[x])
 
     return step
 

@@ -7,7 +7,10 @@ sample index: an until locates its window once, with one
 over index ranges; a predicate reads its sample's cached row by index.
 This module is deliberately naive (no memoization or vectorization): it
 doubles as the brute-force oracle that the fast evaluator in
-:mod:`rotogo.fasteval` is checked against, bit for bit.
+:mod:`rotogo.fasteval` is checked against, bit for bit.  Next to the three
+recursions, :func:`robustness_witness` reads a finite robustness value off
+the robustness oracle and searches the formula's predicates for a sample
+and sign that reproduce it, so the witness checks the oracle itself.
 
 Values are extended reals represented as Python floats: ``-inf`` and
 ``+inf`` are ordinary IEEE infinities, which already satisfy the required
@@ -17,14 +20,14 @@ over an empty set is ``-inf`` and the infimum over an empty set is ``+inf``.
 An until whose left operand is ``Top`` (``F``, and ``G`` as ``!F!``) skips
 the sweep of its left operand, which makes ``F``/``G`` linear in the window
 instead of quadratic.  The sweep would fold ``min(v, +inf)`` for
-robustness and robustness-to-go, ``min(v, (+inf, None))`` by value for the
-witness, and ``all`` of ``True``s for satisfaction: Python's ``min`` keeps
-its first argument unless a later one is strictly smaller, so each fold
-returns ``v`` for every float, ``-0.0``, ``-inf`` and NaN included, and
-``Top`` reads no variable, so no error is skipped either.  The shortcut is
-therefore exact, not equal up to rounding, and the evaluators stay naive
-oracles: every other node keeps its quantifier ranges and fold order, and
-nothing is memoized or shared between calls or evaluators.
+robustness and robustness-to-go, and ``all`` of ``True``s for
+satisfaction: Python's ``min`` keeps its first argument unless a later one
+is strictly smaller, so each fold returns ``v`` for every float, ``-0.0``,
+``-inf`` and NaN included, and ``Top`` reads no variable, so no error is
+skipped either.  The shortcut is therefore exact, not equal up to
+rounding, and the evaluators stay naive oracles: every other node keeps its
+quantifier ranges and fold order, and nothing is memoized or shared between
+calls or evaluators.
 """
 from __future__ import annotations
 
@@ -32,17 +35,22 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .formula import (
     And,
     Bottom,
     Expr,
     Formula,
+    Interval,
     Not,
     Or,
     Pred,
     TimePoint,
     Top,
     Until,
+    formula_predicates,
+    horizon,
 )
 from .signals import Signal
 
@@ -174,9 +182,10 @@ def _rtg(signal: Signal, i: int, t_hat: TimePoint, f: Formula) -> float:
 # ---------------------------------------------------------------------------
 # Witness-reporting robustness
 #
-# A finite robustness is always attained by some (possibly negated)
-# predicate at some sample time.  The instrumented evaluator reports that
-# witness so tests can re-evaluate it independently.
+# Robustness only selects (min, max and negation), so a finite value is
+# always some predicate's value at some sample, possibly negated.  The
+# witness is found by searching for it, so that tests can re-evaluate it
+# independently of the recursion that produced the value.
 
 
 @dataclass(frozen=True)
@@ -191,36 +200,19 @@ class Witness:
 
 
 def robustness_witness(signal: Signal, t: TimePoint, f: Formula) -> tuple[float, Optional[Witness]]:
-    return _rob_wit(signal, signal.index_of(t), f)
-
-
-def _rob_wit(signal: Signal, i: int, f: Formula) -> tuple[float, Optional[Witness]]:
-    if isinstance(f, Pred):
-        return f.fn.eval(signal.row(i)), Witness(f.fn, signal.t(i), +1)
-    if isinstance(f, Top):
-        return POS_INF, None
-    if isinstance(f, Bottom):
-        return NEG_INF, None
-    if isinstance(f, Not):
-        v, w = _rob_wit(signal, i, f.child)
-        return -v, None if w is None else Witness(w.fn, w.time, -w.sign)
-    if isinstance(f, And):
-        lv = _rob_wit(signal, i, f.left)
-        rv = _rob_wit(signal, i, f.right)
-        return min(lv, rv, key=lambda p: p[0])
-    if isinstance(f, Or):
-        lv = _rob_wit(signal, i, f.left)
-        rv = _rob_wit(signal, i, f.right)
-        return max(lv, rv, key=lambda p: p[0])
-    if isinstance(f, Until):
-        sweep = not isinstance(f.left, Top)  # F: min keeps v against (+inf, None)
-        best: tuple[float, Optional[Witness]] = (NEG_INF, None)
-        lo, hi = signal.index_range_in(f.interval, offset=signal.t(i))
+    """:func:`robustness` at ``t`` and, when it is finite, the first
+    predicate of ``f``, sample in [t, t + horizon(f)] and sign whose value
+    equals it bit for bit (signed zeros included); else no witness."""
+    value = robustness(signal, t, f)
+    if not math.isfinite(value):
+        return value, None
+    h = horizon(f)
+    lo, hi = signal.index_range_in(Interval(0, h, True, h != POS_INF), offset=t)
+    for p in formula_predicates(f):
+        column = p.fn.eval(signal.components)
+        column = column.tolist() if isinstance(column, np.ndarray) else [column] * len(signal)
         for j in range(lo, hi):
-            v = _rob_wit(signal, j, f.right)
-            if sweep:
-                for k in range(i, j):
-                    v = min(v, _rob_wit(signal, k, f.left), key=lambda p: p[0])
-            best = max(best, v, key=lambda p: p[0])
-        return best
-    raise TypeError(f"not a formula: {f!r}")
+            for sign, v in ((+1, column[j]), (-1, -column[j])):
+                if v == value and math.copysign(1.0, v) == math.copysign(1.0, value):
+                    return value, Witness(p.fn, signal.t(j), sign)
+    return value, None

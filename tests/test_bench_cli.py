@@ -3,7 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +163,29 @@ def test_a_failing_episode_is_recorded_and_skipped(tmp_path, monkeypatch, capsys
     traces = {p.name: p.read_bytes() for p in (tmp_path / "failed" / "traces").iterdir()}
     assert sorted(traces) == [f"tiny_{mode}_{e:03d}.csv" for mode in sorted(modes) for e in (0, 2)]
     assert all(data == (tmp_path / "clean" / "traces" / name).read_bytes() for name, data in traces.items())
+
+
+def test_an_unguarded_script_fails_loudly(tmp_path):
+    """Each spawned worker re-runs a script that has no entry-point guard,
+    and dies when its own ``run_bench`` starts a pool; the batch must raise,
+    not record every episode as failed."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "import rotogo.bench\n"
+        "from rotogo.bench import BenchSpec, run_bench\n"
+        "from rotogo.scenarios import ScenarioConfig\n"
+        "rotogo.bench.usable_cores = lambda: 2\n"
+        "cfg = ScenarioConfig(name='tiny', formula='G[0,2] (x > 0.5)', robot_start=(1.0, 1.0, 0.0, 0.0),\n"
+        "                     mission_horizon=2.0, env_noise_std=0.0, first_attempt_iterations=8, cmaes_iterations=4)\n"
+        "run_bench(BenchSpec(cfg, ('rotogo',), episodes=2))\n",
+        encoding="utf-8",
+    )
+    src = str(Path(bench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode != 0
+    assert "RuntimeError: the episode workers died" in done.stderr
+    assert 'must guard its entry point with `if __name__ == "__main__":`' in done.stderr
 
 
 def test_bench_episode_seeds_derive_from_base():

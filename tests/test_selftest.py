@@ -1,9 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from rotogo import selftest
+from rotogo import selftest, semantics
 from rotogo.formula import And, BOTTOM, Bottom, Const, Neg, Not, Or, Pred, TOP, Top, Until, Var
 from rotogo.parser import format_formula
 from rotogo.progression import simplify
@@ -147,6 +148,47 @@ def test_corrupted_progression_rule_is_caught_and_shrunk(monkeypatch):
     # the shrinker should reduce the witness to a handful of samples
     ticks_line = next(line for line in report.detail.splitlines() if "sample ticks" in line)
     assert ticks_line.count(",") <= 4
+
+
+def test_witness_property_checks_the_robustness_oracle(monkeypatch):
+    """The witness is read off ``semantics.robustness``, so an oracle that
+    is off by one part in 2**30 has no witness and fails the property."""
+    exact = semantics.robustness
+
+    def off(signal, t, f):
+        v = exact(signal, t, f)
+        return v + 2**-30 if math.isfinite(v) else v
+
+    assert run_selftest(cases=50, only={"finite_value_has_witness"}).passed
+    monkeypatch.setattr(semantics, "robustness", off)
+    assert not run_selftest(cases=50, only={"finite_value_has_witness"}).passed
+
+
+def test_benchmark_layer_wrappers_see_a_selftest_unit(tmp_path, monkeypatch):
+    """The benchmark times the corpus by wrapping names on ``rotogo.selftest``;
+    a property that stopped calling through them, or a dropped import,
+    would break the traced run while every other test passes."""
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracer import Tracer
+    from workloads import SelftestWorkload
+
+    # Every attribute the tracer replaces is restored after the test.
+    for name, value in list(vars(selftest).items()):
+        if not name.startswith("__"):
+            monkeypatch.setattr(selftest, name, value)
+
+    workload = SelftestWorkload("selftest_corpus", 1, tmp_path)
+    workload.prepare()
+    tracer = Tracer()
+    workload.install(tracer)
+    unit = workload.run(0)
+
+    assert workload.check(unit) == []
+    totals = tracer.totals()
+    for span in ("semantics.witness", "semantics.robustness", "testgen.random_instance"):
+        assert totals.get(span, {}).get("calls", 0) > 0, span
 
 
 def test_exact_zero_check_decides_redraws():

@@ -8,7 +8,6 @@ from rotogo import semantics
 from rotogo.formula import And, Interval, Not, Or, Pred, TOP, BOTTOM, Top, Bottom, Until, Var, to_ticks
 from rotogo.parser import parse_formula
 from rotogo.semantics import (
-    Witness,
     inf_sign,
     robustness,
     robustness_witness,
@@ -253,11 +252,10 @@ def test_top_left_until_takes_linear_calls(monkeypatch, text, x, nodes):
     s = Signal(np.arange(n, dtype=np.int64) * to_ticks(0.1), {"x": np.full(n, x)})
     f = parse_formula(text)
     t_hat = s.t(n // 2)
-    calls = {name: _count_calls(monkeypatch, name) for name in ("_sat", "_rob", "_rtg", "_rob_wit")}
+    calls = {name: _count_calls(monkeypatch, name) for name in ("_sat", "_rob", "_rtg")}
     sat(s, 0, f)
     robustness(s, 0, f)
     rotogo(s, 0, t_hat, f)
-    robustness_witness(s, 0, f)
     # F makes one call for the until at t and one for its predicate at each
     # of the n samples in its window, n + 1; G, that is !F!, makes two of
     # each, 2n + 2.  Sweeping Top at every sample before each of the n
@@ -320,29 +318,6 @@ def _head_rob(signal, t, f, t_hat=None):
     return best
 
 
-def _head_rob_wit(signal, t, f):
-    if isinstance(f, Top):
-        return math.inf, None
-    if isinstance(f, Bottom):
-        return -math.inf, None
-    if isinstance(f, Pred):
-        return f.fn.eval(signal.value_at(t)), Witness(f.fn, t, +1)
-    if isinstance(f, Not):
-        v, w = _head_rob_wit(signal, t, f.child)
-        return -v, None if w is None else Witness(w.fn, w.time, -w.sign)
-    if isinstance(f, And):
-        return min(_head_rob_wit(signal, t, f.left), _head_rob_wit(signal, t, f.right), key=lambda p: p[0])
-    if isinstance(f, Or):
-        return max(_head_rob_wit(signal, t, f.left), _head_rob_wit(signal, t, f.right), key=lambda p: p[0])
-    best = (-math.inf, None)
-    for tp in _times_in(signal, f.interval, t):
-        v = _head_rob_wit(signal, tp, f.right)
-        for tpp in _times_between(signal, t, tp):
-            v = min(v, _head_rob_wit(signal, tpp, f.left), key=lambda p: p[0])
-        best = max(best, v, key=lambda p: p[0])
-    return best
-
-
 def _bits(v: float) -> bytes:
     return struct.pack("<d", v)
 
@@ -354,8 +329,8 @@ def assert_evaluators_match_sweeping_loops(s, f):
         assert sat(s, t, f) is _head_sat(s, t, f)
         assert _bits(robustness(s, t, f)) == _bits(_head_rob(s, t, f))
         value, witness = robustness_witness(s, t, f)
-        head_value, head_witness = _head_rob_wit(s, t, f)
-        assert (_bits(value), witness) == (_bits(head_value), head_witness)
+        assert _bits(value) == _bits(_head_rob(s, t, f))
+        assert witness is None if math.isinf(value) else _bits(witness.value(s)) == _bits(value)
         for t_hat in cuts:
             assert _bits(rotogo(s, t, t_hat, f)) == _bits(_head_rob(s, t, f, t_hat))
 
