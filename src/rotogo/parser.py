@@ -22,6 +22,15 @@ Grammar (EBNF, whitespace insensitive):
     primary    = NUMBER | VARIABLE | "(" , arith , ")" ;
     interval   = ( "[" | "(" ) , NUMBER , "," , ( NUMBER | "inf" ) , ( "]" | ")" ) ;
 
+The grammar's one ambiguity, "(" predicate ")" against "(" formula ")",
+is settled from the tokens before parsing: a comparison always sits
+directly inside its predicate's own parentheses, so a `(` that directly
+holds a comparison opens a predicate, and any other `(` opens a grouped
+formula (or, inside a predicate, a subexpression).  Each token is read
+once, and an error points at the token that is wrong.  An alias text is a
+formula or one bare predicate (`x > 0`, without the parentheses); an error
+in it names the alias and points into the alias's own text.
+
 Interval bounds are seconds and are converted to integer ticks.  `F`, `G`
 and `->` are syntactic sugar and are desugared at parse time; comparisons
 are normalized to the canonical `f(state) > 0` form (`a < b` becomes
@@ -43,7 +52,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Callable, Collection, Mapping, Optional, Union
 
 from .formula import (
     And,
@@ -73,6 +82,8 @@ from .formula import (
 
 _RESERVED = frozenset({"U", "F", "G", "true", "false", "inf"})
 
+_COMPARISONS = ("<", ">", "<=", ">=")
+
 #: How deeply a formula may nest, in its text and as a tree (module docstring).
 MAX_NESTING = 100
 
@@ -80,20 +91,9 @@ MAX_NESTING = 100
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
-
-
-class _PredicateError(ParseError):
-    """A token only a predicate can hold is wrong (an unknown variable name,
-    a number out of range): reported as such, never backtracked over."""
-
-
-class _TooDeepError(ParseError):
-    """So is nesting beyond MAX_NESTING: every reading nests as deep."""
-
-    def __init__(self, tok: _Token):
-        super().__init__(f"formula nests deeper than {MAX_NESTING} levels", tok.line, tok.column)
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,33 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _predicate_opens(tokens: list[_Token]) -> set[int]:
+    """The indices of the `(` tokens that directly hold a comparison, and -1
+    when a comparison stands outside every parenthesis.
+
+    An interval's round bracket may push or pop a stale entry, but the `(`
+    of a predicate is pushed just before its comparison is read, with only
+    balanced subexpressions between, so it is on top when that happens.
+    """
+    opens = set()
+    stack = [-1]
+    for i, tok in enumerate(tokens):
+        if tok.text == "(":
+            stack.append(i)
+        elif tok.text == ")" and len(stack) > 1:
+            stack.pop()
+        elif tok.text in _COMPARISONS:
+            opens.add(stack[-1])
+    return opens
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], aliases: Mapping[str, Formula]):
-        self.tokens = tokens
+    def __init__(self, text: str, aliases: Collection[str], resolve: Callable[[str], Formula]):
+        self.tokens = _tokenize(text)
+        self.predicates = _predicate_opens(self.tokens)
         self.pos = 0
         self.aliases = aliases
+        self.resolve = resolve
         self.open = 0  # constructs currently open in the text
         self.depths: dict[int, tuple[object, int]] = {}  # id(node) -> (node, tree depth)
 
@@ -198,7 +220,7 @@ class _Parser:
     def nested(self, tok: _Token):
         """One more construct, opened at ``tok``, inside the current ones."""
         if self.open == MAX_NESTING:
-            raise _TooDeepError(tok)
+            raise self.too_deep(tok)
         self.open += 1
         try:
             yield
@@ -208,13 +230,17 @@ class _Parser:
     def built(self, node, tok: _Token):
         """``node``, built at ``tok``, unless its tree is too deep."""
         if self.depth(node) > MAX_NESTING:
-            raise _TooDeepError(tok)
+            raise self.too_deep(tok)
         return node
+
+    @staticmethod
+    def too_deep(tok: _Token) -> ParseError:
+        return ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.line, tok.column)
 
     def depth(self, node) -> int:
         # Nodes this parser built are looked up; only the few a desugaring
         # adds and alias formulas are walked.  The entry keeps the node
-        # alive, so its id is not reused by a node built after backtracking.
+        # alive, so its id is not reused by a node built later.
         entry = self.depths.get(id(node))
         if entry is None:
             entry = (node, 1 + max(map(self.depth, _children(node)), default=0))
@@ -222,6 +248,16 @@ class _Parser:
         return entry[1]
 
     # -- formula grammar -------------------------------------------------
+
+    def parse(self, bare_predicate: bool) -> Formula:
+        """The whole text as a formula, or as one predicate without its
+        parentheses if ``bare_predicate`` allows it and the text holds a
+        comparison outside every parenthesis."""
+        out = self.parse_predicate() if bare_predicate and -1 in self.predicates else self.parse_formula()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise self.error(f"unexpected trailing input {tok.text!r}")
+        return out
 
     def parse_formula(self) -> Formula:
         left = self.parse_or()
@@ -287,41 +323,26 @@ class _Parser:
                 raise self.error(f"misplaced keyword {tok.text!r}")
             if tok.text in self.aliases:
                 self.next()
-                return self.aliases[tok.text]
+                return self.resolve(tok.text)
+            if tok.text in STATE_COMPONENTS:
+                raise self.error(f"state variable {tok.text!r} must be compared, as in ({tok.text} > 0)")
             raise self.error(f"unknown name {tok.text!r}")
         if tok.text == "(":
             with self.nested(tok):
-                start = self.pos
-                try:
-                    return self.parse_predicate_atom()
-                except _NotAPredicate:
-                    self.pos = start
-                self.expect("(")
-                inner = self.parse_formula()
+                predicate = self.pos in self.predicates
+                self.next()
+                inner = self.parse_predicate() if predicate else self.parse_formula()
                 self.expect(")")
-                return inner
+            return inner
         raise self.error(f"expected a formula, found {tok.text or 'end of input'!r}")
 
-    def parse_predicate_atom(self) -> Formula:
-        """Parse '( arith cmp arith )'.
-
-        Raises _NotAPredicate when the parenthesized text is not a
-        comparison, so the caller can fall back to a grouped formula.  Errors
-        after the comparison operator was seen are genuine and propagate.
-        """
-        self.expect("(")
-        try:
-            lhs = self.parse_arith()
-        except (_PredicateError, _TooDeepError):
-            raise
-        except ParseError as exc:
-            raise _NotAPredicate from exc
+    def parse_predicate(self) -> Formula:
+        lhs = self.parse_arith()
         tok = self.peek()
-        if tok.text not in ("<", ">", "<=", ">="):
-            raise _NotAPredicate
+        if tok.text not in _COMPARISONS:
+            raise self.error(f"expected a comparison, found {tok.text or 'end of input'!r}")
         self.next()
         rhs = self.parse_arith()
-        self.expect(")")
         if tok.text in (">", ">="):
             fn = _difference(lhs, rhs)
         else:
@@ -371,14 +392,14 @@ class _Parser:
         if tok.kind == "number":
             value = float(tok.text)
             if not math.isfinite(value):
-                raise _PredicateError(f"number {tok.text} is out of range", tok.line, tok.column)
+                raise self.error(f"number {tok.text} is out of range")
             self.next()
             return Const(value)
         if tok.kind == "ident":
             if tok.text in _RESERVED or tok.text in self.aliases:
                 raise self.error(f"{tok.text!r} cannot appear in a predicate")
             if tok.text not in STATE_COMPONENTS:
-                raise _PredicateError(f"unknown variable name {tok.text!r}", tok.line, tok.column)
+                raise self.error(f"unknown variable name {tok.text!r}")
             self.next()
             return Var(tok.text)
         if tok.text == "(":
@@ -432,10 +453,6 @@ class _Parser:
         return to_ticks(seconds)
 
 
-class _NotAPredicate(Exception):
-    pass
-
-
 def _children(node) -> tuple:
     if isinstance(node, (And, Or, Until, BinOp)):
         return node.left, node.right
@@ -457,9 +474,15 @@ def _difference(lhs: Expr, rhs: Expr) -> Expr:
     return BinOp("-", lhs, rhs)
 
 
-def _resolve_aliases(raw: Optional[Mapping[str, Union[str, Formula]]]) -> dict[str, Formula]:
-    if not raw:
-        return {}
+def parse_formula(text: str, *, aliases: Optional[Mapping[str, Union[str, Formula]]] = None) -> Formula:
+    """Parse concrete syntax into a desugared formula tree.
+
+    Interval bounds are seconds, converted to ticks at parse time by
+    :func:`rotogo.formula.to_ticks`, as trace and scenario times are.
+    ``aliases`` maps bare names to formula fragments (strings or already
+    parsed formulas), as bound by a scenario configuration.
+    """
+    raw = aliases or {}
     for name in raw:
         # The parser reads a name as an alias only when it is one
         # identifier token and neither a keyword nor a state variable, so
@@ -475,64 +498,26 @@ def _resolve_aliases(raw: Optional[Mapping[str, Union[str, Formula]]]) -> dict[s
         if name in STATE_COMPONENTS:
             raise ValueError(f"alias {name!r} shadows the state variable of that name")
     resolved: dict[str, Formula] = {}
-    resolving: set[str] = set()
+    resolving: list[str] = []  # the aliases being read, innermost last
 
     def resolve(name: str) -> Formula:
         if name in resolved:
             return resolved[name]
         if name in resolving:
             raise ValueError(f"alias cycle involving {name!r}")
-        resolving.add(name)
+        resolving.append(name)
         value = raw[name]
-        if isinstance(value, Formula):
-            out = value
-        else:
-            out = _parse(f"({value})", _LazyAliases(raw, resolve))
-        resolving.discard(name)
+        out = value if isinstance(value, Formula) else _Parser(value, raw, resolve).parse(bare_predicate=True)
+        resolving.pop()
         resolved[name] = out
         return out
 
-    for key in raw:
-        resolve(key)
-    return resolved
-
-
-class _LazyAliases(Mapping[str, Formula]):
-    def __init__(self, raw, resolve):
-        self._raw = raw
-        self._resolve = resolve
-
-    def __getitem__(self, key: str) -> Formula:
-        return self._resolve(key)
-
-    def __iter__(self):
-        return iter(self._raw)
-
-    def __len__(self) -> int:
-        return len(self._raw)
-
-    def __contains__(self, key) -> bool:
-        return key in self._raw
-
-
-def _parse(text: str, aliases: Mapping[str, Formula]) -> Formula:
-    parser = _Parser(_tokenize(text), aliases)
-    out = parser.parse_formula()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
-    return out
-
-
-def parse_formula(text: str, *, aliases: Optional[Mapping[str, Union[str, Formula]]] = None) -> Formula:
-    """Parse concrete syntax into a desugared formula tree.
-
-    Interval bounds are seconds, converted to ticks at parse time by
-    :func:`rotogo.formula.to_ticks`, as trace and scenario times are.
-    ``aliases`` maps bare names to formula fragments (strings or already
-    parsed formulas), as bound by a scenario configuration.
-    """
-    return _parse(text, _resolve_aliases(aliases))
+    try:
+        for name in raw:
+            resolve(name)
+    except ParseError as exc:
+        raise ParseError(f"in alias {resolving[-1]!r}: {exc.message}", exc.line, exc.column) from exc
+    return _Parser(text, raw, resolve).parse(bare_predicate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -319,8 +319,9 @@ def test_monitor_too_deep_formula_exit_two(tmp_path, capsys):
         ("(1e400 > 1e400)", "1:2: number 1e400 is out of range"),
         ("!" * 3000 + "(x > 0)", "1:101: formula nests deeper than 100 levels"),
         ("(" * 3000, "1:101: formula nests deeper than 100 levels"),
+        ("(x + > 0)", "1:6: expected a value, found '>'"),
     ],
-    ids=["infinite-bound", "infinite-constant", "deep-not", "deep-parens"],
+    ids=["infinite-bound", "infinite-constant", "deep-not", "deep-parens", "malformed-predicate"],
 )
 def test_monitor_unparsable_formula_exit_two(tmp_path, capsys, formula, message):
     trace = goal_trace(tmp_path, [1.0] * 3)

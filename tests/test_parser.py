@@ -90,6 +90,28 @@ def test_aliases_resolve_recursively():
     assert f == direct
 
 
+@pytest.mark.parametrize(
+    "aliases, message",
+    [
+        ({"a": "(x > )"}, "1:6: in alias 'a': expected a value, found ')'"),
+        # the innermost malformed alias is named, whichever is read first
+        ({"a": "b | (y > 1)", "b": "F[0,1] (x + > 1)"}, "1:13: in alias 'b': expected a value, found '>'"),
+        ({"a": "(x > 0) &\n  (y >> 1)"}, "2:7: in alias 'a': expected a value, found '>'"),
+    ],
+    ids=["direct", "nested", "multi-line"],
+)
+def test_alias_error_points_into_the_alias_text(aliases, message):
+    with pytest.raises(ParseError) as err:
+        parse_formula("a", aliases=aliases)
+    assert str(err.value) == message
+
+
+def test_alias_may_be_one_bare_predicate():
+    assert parse_formula("a", aliases={"a": "x - 1 > (y)"}) == parse_formula("(x - 1 > y)")
+    with pytest.raises(ParseError, match="^1:1: state variable 'x' must be compared"):
+        parse_formula("x > 0")  # only an alias text may leave out the parentheses
+
+
 def test_alias_cycle_detected():
     with pytest.raises(ValueError, match="cycle"):
         parse_formula("a", aliases={"a": "b", "b": "a"})
@@ -122,6 +144,38 @@ def test_unknown_variable_reports_position():
         parse_formula("(z > 4)")
     assert "unknown variable" in str(err.value)
     assert err.value.line == 1 and err.value.column == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(x + > 0)", "1:6: expected a value, found '>'"),
+        ("(x y > 0)", "1:4: expected a comparison, found 'y'"),
+        ("(x ^ 2.5 > 0)", "1:6: exponent must be a nonnegative integer"),
+        ("(xe - > 3) & (y > 1)", "1:7: expected a value, found '>'"),
+        ("(true > 0)", "1:2: 'true' cannot appear in a predicate"),
+        ("G[0,1] x", "1:8: state variable 'x' must be compared, as in (x > 0)"),
+        ("(x + 1)", "1:2: state variable 'x' must be compared, as in (x > 0)"),
+    ],
+)
+def test_malformed_predicate_reports_its_own_token(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, ungrouped",
+    [
+        ("(F[0,1) (x > 0))", "F[0,1) (x > 0)"),
+        ("((x > 0) U(0,1] (y > 0))", "(x > 0) U(0,1] (y > 0)"),
+        ("(F(0,1] G[0,1) (x > 0))", "F(0,1] G[0,1) (x > 0)"),
+    ],
+)
+def test_group_around_round_interval_brackets(text, ungrouped):
+    # An interval's round bracket leaves a stale '(' or pops the group's.
+    assert parse_formula(text) == parse_formula(ungrouped)
+    assert parse_formula(f"(({text}) & (y > 1))") == And(parse_formula(ungrouped), parse_formula("(y > 1)"))
 
 
 def test_syntax_error_carries_line_and_column():
@@ -191,7 +245,7 @@ def test_time_bounds_are_to_ticks_of_their_seconds(whole, fraction):
         ("(1e400 > 1e400)", "1:2: number 1e400 is out of range"),
         ("(x > -1e400)", "1:7: number 1e400 is out of range"),
         ("G[0,1] ((x * 1e999) < 2)", "1:14: number 1e999 is out of range"),
-        ("((1e400 > 0) & (x > 0))", "1:3: number 1e400 is out of range"),  # not backtracked over
+        ("((1e400 > 0) & (x > 0))", "1:3: number 1e400 is out of range"),  # the inner '(' is the predicate
     ],
 )
 def test_infinite_predicate_constant_is_a_positioned_error(text, message):
@@ -235,7 +289,7 @@ def test_nesting_limit_is_exact(shape):
     [
         ("!" * 3000 + "(x > 0)", MAX_NESTING + 1),  # the first '!' past the limit
         ("(" * 3000, MAX_NESTING + 1),
-        ("(" + "-" * 3000 + "x > 0)", MAX_NESTING + 1),  # not retried as a grouped formula
+        ("(" + "-" * 3000 + "x > 0)", MAX_NESTING + 1),  # the first '-' past the limit
         (" & ".join(["(x > 0)"] * 3000), 9 + 10 * (MAX_NESTING - 2)),  # the '&' making depth 101
     ],
     ids=["not", "parens", "minus", "and"],
@@ -295,6 +349,7 @@ def test_format_parse_round_trip_is_structural_identity(seed):
     f = random_formula(rng, max_depth=4, max_temporal=3)
     text = format_formula(f)
     assert parse_formula(text) == f, text
+    assert parse_formula("(" + text + ")") == f, text
 
 
 def test_format_uses_sugar_that_reparses_identically():
@@ -302,3 +357,25 @@ def test_format_uses_sugar_that_reparses_identically():
     text = format_formula(f)
     assert text.startswith("G[0,20]")
     assert parse_formula(text) == f
+
+
+def test_benchmark_layer_wrappers_see_a_monitoring_unit(tmp_path, monkeypatch):
+    """The monitoring workload's traced run wraps the public functions it
+    calls, ``parse_formula`` among them; a unit that stopped calling through
+    them would leave its layer table empty while every other test passes."""
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracer import Tracer
+    from workloads import MonitorWorkload
+
+    workload = MonitorWorkload("monitor_traces", 1, tmp_path)
+    workload.prepare()
+    tracer = Tracer()
+    workload.install(tracer)
+    unit = workload.run(0)
+
+    assert workload.check(unit) == []
+    totals = tracer.totals()
+    for span in ("parser.parse_formula", "signals.read_trace_csv", "semantics.robustness", "fasteval.eval"):
+        assert totals.get(span, {}).get("calls", 0) > 0, span
