@@ -8,9 +8,8 @@ import numpy as np
 from pathlib import Path
 
 from rotogo import scenario_phi_avoid
-from rotogo.fasteval import Program
-from rotogo.formula import STATE_COMPONENTS
-from rotogo.mpc import mission_times, replan
+from rotogo.mpc import replan
+from rotogo.progression import start_monitor
 
 cfg = scenario_phi_avoid()
 phi = cfg.validate()
@@ -20,15 +19,14 @@ print(f"scenario {cfg.name}: start {cfg.robot_start[:2]}, human at {cfg.env_star
 # The decision vector is the flat list of via points.  A candidate's loss is
 # the negative robustness of its rolled-out signal plus workspace and limit
 # penalties.  The replan builds the rollout as a linear map once and
-# evaluates the whole population in one vectorized pass; the formula's
-# robustness at the first sample is a program compiled once for the grid.
-# This is the MPC loop's first replan, and what `rotogo plan` runs: the
-# executed history is the initial state alone, one column of
-# (x, y, vx, vy, xe, ye), and the scored signal starts there.
+# evaluates the whole population in one vectorized pass.  A fresh monitor of
+# phi, anchored at tick 0, gives the objective: its formula compiled once for
+# the grid, scoring the signal from mission start.  This is the MPC loop's
+# first replan, and what `rotogo plan` runs: the executed history is the
+# initial state alone, one column of (x, y, vx, vy, xe, ye).
 
-program = Program(mission_times(cfg), phi, 1, STATE_COMPONENTS)
 history = np.array([*cfg.robot_start, *cfg.env_start])[:, np.newaxis]
-plan = replan(cfg, program, history, seed=cfg.seed)
+plan = replan(cfg, start_monitor(phi, 0), history, seed=cfg.seed)
 record = plan.record
 evaluations = cfg.population_size * cfg.first_attempt_iterations
 print(f"best loss {record.cost:.4f} after {evaluations} evaluations")

@@ -21,7 +21,7 @@ from pathlib import Path
 # Module-level imports are what ``monitor`` and ``progress`` use (the
 # argument parser's scenario and mode choices included); the other
 # commands import the planner, MPC and benchmark modules when they run.
-from .formula import STATE_COMPONENTS, Formula, expr_variables, formula_predicates, to_seconds, to_ticks
+from .formula import Formula, expr_variables, formula_predicates, to_seconds, to_ticks
 from .parser import format_formula, parse_formula
 from .progression import monitor_step, start_monitor
 from .scenarios import BUILTIN_SCENARIOS, MODES, ScenarioConfig, get_scenario
@@ -98,14 +98,13 @@ def cmd_progress(args) -> int:
 def cmd_plan(args) -> int:
     import numpy as np
 
-    from .fasteval import Program
-    from .mpc import mission_times, replan
+    from .mpc import replan
 
     cfg = _load_scenario(args)
     f = cfg.validate()
     # The scored signal starts at the initial state, which every candidate shares.
     history = np.array([*cfg.robot_start, *cfg.env_start])[:, np.newaxis]
-    plan = replan(cfg, Program(mission_times(cfg), f, 1, STATE_COMPONENTS), history, seed=cfg.seed)
+    plan = replan(cfg, start_monitor(f, 0), history, seed=cfg.seed)
     record = plan.record
     print(f"scenario: {cfg.name}")
     print(f"cost: {record.cost!r}")

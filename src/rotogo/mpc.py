@@ -1,14 +1,15 @@
 """Model-predictive control loop comparing two planning objectives.
 
 At every replan instant the robot optimizes a via-point suffix trajectory
-with CMA-ES.  In ``robustness`` mode the objective is the robustness of the
-executed history concatenated with the candidate suffix, scored by the
-original formula from mission start; past proximity to obstacles caps it
-forever.  In ``rotogo`` mode the formula is progressed through each executed
-sample and the candidate suffix alone is scored by the progressed formula
-from the next sample time, which equals the robustness-to-go of the
-original formula from the current time.  Only the suffix is ever evaluated,
-so per-replan work shrinks with the remaining horizon.
+with CMA-ES.  Both objectives are the robustness of a monitor's formula from
+the tick it is anchored at.  In ``robustness`` mode the monitor never steps:
+the original formula scores the executed history, then the candidate
+suffix, from mission start; past proximity to obstacles caps it forever.
+In ``rotogo`` mode the monitor progresses the formula through each executed
+sample, and the candidate suffix alone is scored from the next sample time,
+which equals the robustness-to-go of the original formula from the current
+time.  Only the suffix is ever evaluated, so per-replan work shrinks with
+the remaining horizon.
 
 Everything runs in simulated time and is deterministic for a given seed:
 the environment noise and the per-replan optimizer seeds come from separate
@@ -40,7 +41,7 @@ from .planning import (  # noqa: F401
     spline_positions,
     workspace_penalty,
 )
-from .progression import monitor_step, start_monitor
+from .progression import MonitorState, monitor_step, start_monitor
 from .scenarios import ScenarioConfig
 from .signals import EXTRA_COMPONENTS, Signal
 from .semantics import POS_INF, NEG_INF
@@ -123,10 +124,11 @@ def batch_stats(results: list[RunResult]) -> StatsRow:
 
 @dataclass
 class Plan:
-    """A replan's record and the rollout of its chosen via points on the
-    trace grid, from ``start_tick`` on."""
+    """A replan's record, the objective program that scored it, and the
+    rollout of its chosen via points on the trace grid, from ``start_tick`` on."""
 
     record: ReplanRecord
+    objective: Program
     start_tick: int
     times: np.ndarray  # (L,) seconds from start_tick
     pos: np.ndarray  # (L, 2) positions, velocities and accelerations
@@ -187,13 +189,9 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     block = np.zeros((len(STATE_COMPONENTS) + len(EXTRA_COMPONENTS), n_samples))
     states, controls, disturbances = block[:6], block[6:8], block[8:]
     states[:, 0] = (*cfg.robot_start, *cfg.env_start)
-    # Only rotogo mode scores the progressed formula, so only it progresses.
+    # Robustness mode's monitor never steps, so every replan scores f0 from tick 0.
     progressing = cfg.objective_mode == "rotogo"
     monitor = start_monitor(f0, 0)
-    # The robustness of f0 at mission start over the whole mission: the
-    # objective of every robustness-mode replan and the episode's final
-    # score, compiled once.
-    scored = Program(times, f0, 1, STATE_COMPONENTS)
 
     active: Optional[Plan] = None
     replans: list[ReplanRecord] = []
@@ -205,11 +203,7 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
             monitor = monitor_step(monitor, t_i + trace_dt, dict(zip(STATE_COMPONENTS, state)))
 
         if t_i % replan_dt == 0 and t_i < mission_end:
-            # rotogo mode scores the candidate suffix alone by the progressed
-            # formula, anchored at t_i + trace_dt; robustness mode scores the
-            # executed history, then each candidate's suffix, by f0.
-            objective = Program(times[i + 1 :], monitor.current, 1, STATE_COMPONENTS) if progressing else scored
-            active = replan(cfg, objective, states[:, : i + 1], active, seed=int(opt_seeds.integers(0, 2**63)))
+            active = replan(cfg, monitor, states[:, : i + 1], active, seed=int(opt_seeds.integers(0, 2**63)))
             replans.append(active.record)
 
         u = active.control_at(t_i, trace_dt) if active is not None else (0.0, 0.0)
@@ -224,7 +218,7 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
             disturbances[:, i] = xe_next - xe, ye_next - ye
 
     trace = Signal(times, dict(zip((*STATE_COMPONENTS, *EXTRA_COMPONENTS), block)))
-    final_rho = float(scored.run(states[:, np.newaxis])[0, 0])
+    final_rho = float(Program(times, f0, 1, STATE_COMPONENTS).run(states[:, np.newaxis])[0, 0])
     x, y, _, _, xe, ye = states
     dist = np.sqrt((x - xe) ** 2 + (y - ye) ** 2)
     return RunResult(
@@ -241,7 +235,7 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
 
 def replan(
     cfg: ScenarioConfig,
-    objective: Program,
+    monitor: MonitorState,
     history: np.ndarray,
     previous: Optional[Plan] = None,
     *,
@@ -251,22 +245,31 @@ def replan(
 
     ``history`` is the executed trace so far, a ``(len(STATE_COMPONENTS),
     k)`` array whose last column is the current state, sample ``k - 1`` of
-    the trace grid.  The candidates are scored by ``objective``, a width-1
-    program compiled on the trace grid up to the mission end, after as many
-    of the history's last samples as its times leave room for (none when it
-    scores the suffix alone, as in rotogo mode), and with its formula
-    anchored at the first of those samples, which no check can see.
-    :class:`PlanningProblem` reads the plan's duration, grid, limits and
-    workspace from ``cfg``.  The record takes the program's formula size
-    and the samples it reads, both fixed when it was compiled.  Without
+    the trace grid.  The objective is ``monitor.current`` compiled on the
+    trace grid from ``monitor.anchor_time`` to the mission end: it scores
+    the history's samples from the anchor on (none in rotogo mode, all in
+    robustness mode), then each candidate's suffix.  An anchor off that
+    grid, or after the sample that follows the current one, raises
+    ``ValueError``.  ``previous.objective`` is reused when it scores the
+    same formula on the same grid.  :class:`PlanningProblem` reads the
+    plan's duration, grid, limits and workspace from ``cfg``.  Without
     ``previous`` the search starts at the current position and runs
     ``first_attempt_iterations`` generations with the full step size; with
     it, the search starts at ``previous``'s path resampled onto the new
     window, keeps that as a candidate and runs ``cmaes_iterations``, with
     the warm-start step size when the previous plan's objective robustness
     was positive.  ``rotogo plan`` is the call at t = 0 with the initial
-    state as the whole history.
+    state as the whole history and ``start_monitor(f, 0)``.
     """
+    times = mission_times(cfg)
+    anchor = monitor.anchor_time
+    after = times[min(history.shape[-1], len(times) - 1)]  # the sample after the current one
+    first = int(np.searchsorted(times, anchor))
+    if not (0 <= anchor <= after and times[first] == anchor):
+        raise ValueError(f"the monitor is anchored at tick {anchor}, not at a tick of the trace grid from 0 to {after}")
+    objective = previous.objective if previous is not None else None
+    if objective is None or not np.array_equal(objective.times, times[first:]) or objective.formula != monitor.current:
+        objective = Program(times[first:], monitor.current, 1, STATE_COMPONENTS)
     problem = PlanningProblem(cfg, objective, history)
     t_i, duration, n_via = problem.start_tick, problem.duration, cfg.via_points
     current = history[:, -1]
@@ -310,4 +313,4 @@ def replan(
         samples_touched=objective.samples_touched,
         warm_started=warm,
     )
-    return Plan(record=record, start_tick=t_i, times=problem.rollout_times, pos=pos, vel=vel, acc=acc)
+    return Plan(record, objective, t_i, problem.rollout_times, pos, vel, acc)

@@ -258,7 +258,11 @@ class PlanningProblem:
     before the rollout's second sample; none for a suffix-only program),
     then the rollout from its second sample on, with the environment held
     at the current state's (xe, ye).  The program's times must be their
-    ticks and its formula anchored at the first, which no check here sees.
+    ticks and its formula anchored at the first.  The grid is checked here
+    and the anchor is not, so tests can score any prefix;
+    :func:`rotogo.mpc.replan` compiles its program from a monitor, on the
+    grid from the monitor's anchor, where the anchor is the first time by
+    construction.
 
     Per coordinate the spline is linear in (start position, start velocity,
     via points), and both coordinates share that map, so construction
@@ -269,7 +273,7 @@ class PlanningProblem:
     in place, are allocated once; each :meth:`robustness` call writes only
     the candidates' suffixes, in one copy.  The program is compiled by the
     caller, so that one compiled for a formula and grid serves every
-    replan that scores them.
+    replan that scores them, as ``replan`` reuses its previous plan's.
     """
 
     def __init__(self, cfg: ScenarioConfig, program: Program, history: np.ndarray):

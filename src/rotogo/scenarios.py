@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import get_args, get_origin, get_type_hints
 
 from .formula import Formula, horizon, is_bounded, to_ticks
-from .parser import parse_formula
+from .parser import ParseError, parse_formula
 
 MODES = ("robustness", "rotogo")
 
@@ -120,10 +120,12 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        """A configuration read from a JSON file; every error names the file,
-        and a syntax error its line and column too."""
+        """A configuration read from a JSON file, which may start with a
+        UTF-8 byte-order mark.  Every error names the file, a syntax error
+        its line and column too, and an error in the formula or an alias
+        text the field 'formula' and its position in that text."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: not valid JSON: {exc.msg}") from None
@@ -132,9 +134,14 @@ class ScenarioConfig:
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
         try:
-            return cls.from_dict(data)
+            config = cls.from_dict(data)
+            try:
+                config.parsed_formula()
+            except ParseError as exc:
+                raise ValueError(f"field 'formula': {exc}") from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        return config
 
 
 #: What JSON value each configuration field takes, read off its annotation:

@@ -343,10 +343,12 @@ _PROPERTIES: dict[str, Callable[..., Iterator[_Check]]] = {
 
 def run_selftest(cases: int = 1000, seed: int = DEFAULT_SEED, only: Optional[set[str]] = None) -> SelfTestResult:
     """Run exactly `cases` checks of each property (of those named in `only`,
-    when given).  Raises ValueError for a negative `cases`, an empty `only`
-    or an unknown property name."""
+    when given).  Raises ValueError for a negative `cases` or `seed`, an
+    empty `only` or an unknown property name."""
     if cases < 0:
         raise ValueError(f"cases must be >= 0, got {cases}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if only is not None and not only:
         raise ValueError("no selftest properties selected")
     unknown = sorted(set(only or ()) - _PROPERTIES.keys())

@@ -206,7 +206,8 @@ def read_trace_csv(path) -> Signal:
     """The signal in the trace CSV at ``path``.
 
     The file is UTF-8 text in the csv module's default (Excel) dialect, so
-    cells may be quoted and lines may end in LF or CRLF.  The header names
+    it may start with a byte-order mark (Excel's "CSV UTF-8"), cells may be
+    quoted and lines may end in LF or CRLF.  The header names
     the columns: ``t`` first, then the components, each once, in any order
     and under any name.  Every other non-blank line is one sample with one
     cell per column.  A cell is whatever Python's ``float`` reads (so
@@ -228,7 +229,7 @@ def read_trace_csv(path) -> Signal:
     over the csv module's size limit, text that is not UTF-8, and a file
     with no samples.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         plain = _read_plain(fh)
         if plain is not None:
             return plain

@@ -617,6 +617,14 @@ def test_selftest_negative_cases_exits_two(capsys, cases):
     assert captured.out == ""
 
 
+def test_selftest_negative_seed_exits_two(capsys):
+    code = main(["selftest", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
 def test_selftest_small_run(capsys):
     code = main(["selftest", "--cases", "5"])
     out = capsys.readouterr().out
@@ -690,6 +698,11 @@ def test_monitor_and_progress_exit_codes_on_random_inputs(tmp_path, seed, comman
         ('{"name": "a",\n "formula": 3,\n', ":3:1: not valid JSON"),
         ('{"name": "a", "formula": "(x > 0)", "env_start": [1, NaN]}', "field 'env_start' must be an array of 2 finite"),
         ('{"formula": "(x > 0)"}', "scenario config lacks 'name'"),
+        ('{"name": "a", "formula": "G[0,1] (x > )"}', "json: field 'formula': 1:13: expected a value, found ')'"),
+        (
+            '{"name": "a", "formula": "G[0,1] a", "aliases": {"a": "x > )"}}',
+            "json: field 'formula': 1:5: in alias 'a': expected a value, found ')'",
+        ),
     ],
 )
 def test_config_errors_name_file_and_field(tmp_path, capsys, text, message):
@@ -701,6 +714,16 @@ def test_config_errors_name_file_and_field(tmp_path, capsys, text, message):
     trace = goal_trace(tmp_path, [4.5] * 5)
     assert main(["monitor", "(x > 0)", str(trace), "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    # Excel and some editors write UTF-8 with a leading byte-order mark.
+    from rotogo.scenarios import scenario_phi_avoid
+
+    path = tmp_path / "bom.json"
+    scenario_phi_avoid().save(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert ScenarioConfig.load(path) == scenario_phi_avoid()
 
 
 _json_values = st.recursive(

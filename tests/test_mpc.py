@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from rotogo.dynamics import DoubleIntegrator
 from rotogo.fasteval import Program, eval_robustness_all, eval_robustness_arrays
 from rotogo.formula import STATE_COMPONENTS, to_ticks
-from rotogo.mpc import batch_stats, mpc_run, replan
+from rotogo.mpc import batch_stats, mission_times, mpc_run, replan
 from rotogo.planning import (
+    PlanningProblem,
     clamp_robustness,
     limit_penalty,
     sample_times,
@@ -15,8 +17,8 @@ from rotogo.planning import (
     spline_positions,
     workspace_penalty,
 )
-from rotogo.progression import progress_along
-from rotogo.scenarios import MODES, ScenarioConfig, get_scenario, scenario_phi_avoid
+from rotogo.progression import monitor_step, progress_along, start_monitor
+from rotogo.scenarios import MODES, ScenarioConfig, get_scenario, scenario_phi_avoid, scenario_phi_stayin
 from rotogo.semantics import rotogo
 from rotogo.signals import Signal, validate_trace
 
@@ -256,7 +258,6 @@ def test_replan_warm_start_policy(monkeypatch):
     # cmaes_iterations and shrinks the step size only when the previous
     # plan's objective robustness was positive.
     import rotogo.mpc
-    from dataclasses import replace
 
     calls = []
     minimize = rotogo.mpc.cmaes_minimize
@@ -269,9 +270,9 @@ def test_replan_warm_start_policy(monkeypatch):
     # A 20 s mission keeps the step-size cap (half the distance left at
     # v_max) above both configured step sizes.
     cfg = tiny_scenario(mission_horizon=20.0, first_attempt_iterations=7, cmaes_iterations=3)
-    program = Program(np.arange(201, dtype=np.int64) * to_ticks(0.1), cfg.validate(), 1, STATE_COMPONENTS)
+    monitor = start_monitor(cfg.validate(), 0)
     history = np.array([*cfg.robot_start, *cfg.env_start])[:, np.newaxis]
-    first = replan(cfg, program, history, seed=1)
+    first = replan(cfg, monitor, history, seed=1)
     x0, config, inject = calls[-1]
     assert config.max_iterations == cfg.first_attempt_iterations
     assert config.initial_step_size == cfg.initial_step_size
@@ -281,7 +282,7 @@ def test_replan_warm_start_policy(monkeypatch):
     later = np.repeat(history, 6, axis=1)  # at rest until t = 0.5 s
     for rho in (0.25, 0.0, -0.25):
         previous = replace(first, record=replace(first.record, objective_robustness=rho))
-        plan = replan(cfg, program, later, previous, seed=2)
+        plan = replan(cfg, monitor, later, previous, seed=2)
         x0, config, inject = calls[-1]
         assert config.max_iterations == cfg.cmaes_iterations
         assert config.initial_step_size == (cfg.warm_start_step_size if rho > 0 else cfg.initial_step_size)
@@ -296,6 +297,76 @@ def test_replan_warm_start_policy(monkeypatch):
         assert np.array_equal(inject, x0)
         assert plan.record.warm_started is (rho > 0)
         assert plan.record.index == 5 and plan.start_tick == to_ticks(0.5)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_objective_is_the_monitors_formula_from_its_anchor(monkeypatch, mode):
+    # Robustness mode's monitor never steps, so every replan shares one
+    # objective, f0 from tick 0; rotogo mode's objective at a replan is f0
+    # progressed through the executed samples, from the next sample on.
+    import rotogo.mpc
+
+    plans = []
+
+    def recording_replan(*args, **kwargs):
+        plans.append(replan(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(rotogo.mpc, "replan", recording_replan)
+    cfg = tiny_scenario(
+        formula="G[0,2] (x > 0.5) & F[0,2] (x > 1.2)", env_noise_std=0.01, seed=6, objective_mode=mode
+    )
+    f0, trace_dt = cfg.parsed_formula(), to_ticks(cfg.trace_period)
+    result = mpc_run(cfg)
+    assert len(plans) == 4
+    for plan in plans:
+        objective, record = plan.objective, plan.record
+        if mode == "robustness":
+            assert objective is plans[0].objective and objective.formula == f0
+            assert np.array_equal(objective.times, result.trace.times)
+        else:
+            assert objective.formula == progress_along(f0, result.trace, record.index)
+            assert objective.times[0] == to_ticks(record.time) + trace_dt
+            assert np.array_equal(objective.times, result.trace.times[record.index + 1 :])
+
+
+def _stayin_history(i: int) -> np.ndarray:
+    """Samples 0..i of a phi_stayin history that stays inside the region."""
+    rng = np.random.default_rng(52)
+    env = rng.uniform(2.0, 3.0, (2, i + 1))
+    return np.vstack([env + rng.uniform(-0.5, 0.5, (2, i + 1)), rng.uniform(-0.3, 0.3, (2, i + 1)), env])
+
+
+@pytest.mark.parametrize("anchor", [50_000, -100_000, 4_200_000, 20_100_000])
+def test_replan_refuses_a_monitor_anchored_off_its_grid(anchor):
+    # At replan 40 the history holds samples 0-40, so the anchor must be a
+    # tick of the trace grid from 0 to sample 41 (4.1 s): these are off the
+    # grid, before tick 0, after sample 41 and past the mission end.
+    cfg = scenario_phi_stayin()
+    monitor = start_monitor(cfg.validate(), anchor)
+    with pytest.raises(ValueError, match=f"anchored at tick {anchor}, not at a tick of the trace grid from 0 to 4100000"):
+        replan(cfg, monitor, _stayin_history(40), seed=1)
+
+
+def test_replan_compiles_the_monitor_from_its_anchor():
+    # The progressed formula at replan 40 is anchored at sample 41, so its
+    # objective scores the suffix alone, from times[41]; a program on
+    # times[40:] would score the current sample first, one sample early.
+    cfg = replace(scenario_phi_stayin(), first_attempt_iterations=5)
+    times, i = mission_times(cfg), 40
+    history = _stayin_history(i)
+    monitor = start_monitor(cfg.validate(), 0)
+    for j in range(i + 1):
+        monitor = monitor_step(monitor, int(times[j + 1]), dict(zip(STATE_COMPONENTS, history[:, j].tolist())))
+    assert monitor.verdict == "undecided"
+    plan = replan(cfg, monitor, history, seed=1)
+    assert np.array_equal(plan.objective.times, times[i + 1 :]) and plan.objective.formula == monitor.current
+    problem = PlanningProblem(cfg, Program(times[i + 1 :], monitor.current, 1, STATE_COMPONENTS), history)
+    planes = problem.rollout(plan.record.via_points.reshape(1, -1))
+    rho = problem.robustness(planes)
+    assert np.float64(plan.record.objective_robustness).tobytes() == rho.tobytes()
+    assert np.float64(plan.record.cost).tobytes() == problem.loss(rho, planes).tobytes()
+    assert plan.record.samples_touched == problem.program.samples_touched == len(times) - i - 1
 
 
 #: ``episode_digest`` of the built-in scenarios at seeds 1-2 in both modes.
@@ -338,8 +409,9 @@ def test_robustness_mode_never_progresses_the_formula(monkeypatch):
 
 
 def test_robustness_mode_compiles_one_program(monkeypatch):
-    # f0 over the whole mission is the objective of every replan and the
-    # final score, so the episode compiles it once.
+    # f0 over the whole mission is the objective of every replan, compiled
+    # once and passed on from plan to plan; the final score compiles it once
+    # more.
     import rotogo.mpc
 
     cfg = tiny_scenario(formula="G[0,2] (x > 0.5) & F[0,2] (x > 1.2)", objective_mode="robustness", seed=6)
@@ -353,10 +425,10 @@ def test_robustness_mode_compiles_one_program(monkeypatch):
     monkeypatch.setattr(rotogo.mpc, "Program", Counted)
     result = mpc_run(cfg)
     assert len(result.replans) > 1
-    assert len(built) == 1
-    times, f, width, names = built[0]
-    assert np.array_equal(times, result.trace.times) and f == cfg.parsed_formula() and width == 1
-    assert names == STATE_COMPONENTS
+    assert len(built) == 2
+    for times, f, width, names in built:
+        assert np.array_equal(times, result.trace.times) and f == cfg.parsed_formula() and width == 1
+        assert names == STATE_COMPONENTS
 
 
 @pytest.mark.parametrize("mode", ["robustness", "rotogo"])

@@ -390,7 +390,10 @@ def test_program_must_be_compiled_on_the_replan_grid():
     # runs from tick 4.0 s to the mission end.  A program on the grid one
     # sample early, or half a sample late, is refused by its expected first
     # tick; on the replan's grid it is accepted, with or without the current
-    # sample.
+    # sample.  The grid is checked here, not the formula's anchor, so split 1
+    # takes any formula; replan never builds that program for a formula
+    # anchored elsewhere, since it compiles on the grid from the monitor's
+    # anchor (test_mpc.py::test_replan_compiles_the_monitor_from_its_anchor).
     from rotogo.scenarios import scenario_phi_stayin
 
     cfg = scenario_phi_stayin()

@@ -366,6 +366,29 @@ def test_plain_traces_take_the_block_parser(tmp_path):
         assert _outcome(read_trace_csv, path) == _outcome(_reference_read_trace_csv, path), path.name
 
 
+def test_trace_with_a_byte_order_mark_reads_like_the_plain_one(tmp_path, monkeypatch):
+    # Excel's "CSV UTF-8" starts with a byte-order mark.  A plain trace with
+    # one still takes the block parser; a quoted CRLF one is read again by
+    # csv.reader after fh.seek(0), which must skip the mark once more.
+    trace, _ = build_trace()
+    plain = tmp_path / "plain.csv"
+    write_trace_csv(trace, plain)
+    quoted = tmp_path / "quoted.csv"
+    with open(quoted, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(csv.reader(plain.read_text(encoding="utf-8").splitlines()))
+    assert quoted.read_bytes().startswith(b'"t","x"') and b"\r\n" in quoted.read_bytes()
+    want = _outcome(read_trace_csv, plain)
+    assert want == _outcome(read_trace_csv, quoted)
+    for path in (plain, quoted):
+        bom = tmp_path / f"bom_{path.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        if path is plain:
+            with monkeypatch.context() as m:
+                m.setattr("rotogo.signals._read_rows", None)  # the block parser alone
+                assert _outcome(read_trace_csv, bom) == want
+        assert _outcome(read_trace_csv, bom) == want, bom.name
+
+
 def test_oversized_field_and_invalid_utf8_are_value_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text('t,x\n0.0,"' + "1" * 200_000 + '"\n', encoding="utf-8")
@@ -396,8 +419,10 @@ def _reference_read_trace_csv(path) -> Signal:
     """The reader before plain text was parsed in blocks: ``csv.reader``
     row by row, every cell through ``float``, whole-column checks after.
     Stalled times are found by comparing neighbours, as the package does
-    since a difference of int64 times was found to wrap."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    since a difference of int64 times was found to wrap, and skips a
+    leading byte-order mark as the package does since it reads Excel's
+    "CSV UTF-8"."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
