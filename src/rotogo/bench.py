@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
+from . import pool
 from .mpc import RunResult, StatsRow, batch_stats, mpc_run
 from .scenarios import MODES, ScenarioConfig
 from .signals import write_trace_csv
@@ -61,12 +61,13 @@ def run_bench(spec: BenchSpec) -> BenchResult:
     """Run all episodes for every requested mode and write output files.
 
     An invalid scenario raises ValueError before any episode runs or any
-    file is written.  Episode failures are recorded and skipped, never abort
-    the batch; a pool whose workers died raises RuntimeError.
+    file is written.  The episodes run in the process-wide pool of
+    :mod:`rotogo.pool`.  Episode failures are recorded and skipped, never
+    abort the batch; a pool whose workers died raises RuntimeError.
     """
     spec.scenario.validate()
     configs = [spec.scenario.with_mode(m).with_seed(spec.base_seed + e) for m in spec.modes for e in range(spec.episodes)]
-    outcomes = _episode_outcomes(configs)
+    outcomes = pool.outcomes(mpc_run, configs, unit="episode", caller="run_bench")
     out = BenchResult(stats=[], results={}, failures={})
     jsonl_rows: list[dict] = []
     for m, mode in enumerate(spec.modes):
@@ -100,36 +101,6 @@ def run_bench(spec: BenchSpec) -> BenchResult:
     if spec.out_dir is not None:
         _write_outputs(spec, out, jsonl_rows)
     return out
-
-
-def usable_cores() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform has one."""
-    import os
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _episode_outcomes(configs: list[ScenarioConfig]) -> list[Callable[[], RunResult]]:
-    """One call per episode, in episode order, that returns its result or
-    raises its error.  With one usable core or one episode they run here,
-    else in one pool of spawned workers, one per core, done on return.
-    Raises RuntimeError when a worker died, which is what a script that
-    calls :func:`run_bench` without an entry-point guard makes happen."""
-    workers = min(len(configs), usable_cores())
-    if workers == 1:
-        return [partial(mpc_run, cfg) for cfg in configs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = [pool.submit(mpc_run, cfg) for cfg in configs]
-    for future in futures:
-        if isinstance(future.exception(), BrokenProcessPool):
-            raise RuntimeError(
-                "the episode workers died; a script that calls run_bench must guard its entry point "
-                'with `if __name__ == "__main__":`'
-            ) from future.exception()
-    return [future.result for future in futures]
 
 
 def format_stats_csv(stats: list[StatsRow]) -> str:

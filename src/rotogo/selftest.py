@@ -9,16 +9,23 @@ greedy subtree replacement and signal truncation.
 
 Each property is an endless generator of checks over its own random stream;
 `run_selftest` is the one harness that pulls, counts and describes them.
+The properties of one run are independent tasks on the process-wide pool of
+:mod:`rotogo.pool`, one worker per usable core, or run in the calling
+process when one core is usable or one property is selected.  A name
+patched on this module (a corrupted `progress`, say) therefore reaches only
+in-process runs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from . import pool
 from .formula import And, Formula, Interval, Not, Or, Top, Until, formula_predicates, to_ticks
 from .fasteval import Program, eval_robustness_all
 from .parser import format_formula
@@ -344,7 +351,8 @@ _PROPERTIES: dict[str, Callable[..., Iterator[_Check]]] = {
 def run_selftest(cases: int = 1000, seed: int = DEFAULT_SEED, only: Optional[set[str]] = None) -> SelfTestResult:
     """Run exactly `cases` checks of each property (of those named in `only`,
     when given).  Raises ValueError for a negative `cases` or `seed`, an
-    empty `only` or an unknown property name."""
+    empty `only` or an unknown property name, and RuntimeError when the
+    pool's workers died (a script that calls it has no entry-point guard)."""
     if cases < 0:
         raise ValueError(f"cases must be >= 0, got {cases}")
     if seed < 0:
@@ -354,15 +362,21 @@ def run_selftest(cases: int = 1000, seed: int = DEFAULT_SEED, only: Optional[set
     unknown = sorted(set(only or ()) - _PROPERTIES.keys())
     if unknown:
         raise ValueError(f"unknown selftest properties: {', '.join(unknown)}")
-    result = SelfTestResult()
-    for index, (name, prop) in enumerate(_PROPERTIES.items()):
-        if only is not None and name not in only:
-            continue
-        failures, detail = 0, None
-        for describe in islice(prop(np.random.default_rng([seed, index])), cases):
-            if describe is not None:
-                failures += 1
-                if detail is None:
-                    detail = describe()
-        result.reports.append(PropertyReport(name, cases, failures, detail))
-    return result
+    indices = [index for index, name in enumerate(_PROPERTIES) if only is None or name in only]
+    reports = pool.outcomes(partial(_property_report, cases=cases, seed=seed), indices,
+                            unit="property", caller="run_selftest")
+    return SelfTestResult([report() for report in reports])
+
+
+def _property_report(index: int, cases: int, seed: int) -> PropertyReport:
+    """Exactly `cases` checks of the property at `index`, on its own stream
+    ``default_rng([seed, index])``, so a report does not depend on which
+    process runs it or on the other properties run."""
+    name, prop = list(_PROPERTIES.items())[index]
+    failures, detail = 0, None
+    for describe in islice(prop(np.random.default_rng([seed, index])), cases):
+        if describe is not None:
+            failures += 1
+            if detail is None:
+                detail = describe()
+    return PropertyReport(name, cases, failures, detail)

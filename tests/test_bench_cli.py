@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rotogo import bench
+from rotogo import bench, pool
 from rotogo.bench import BenchSpec, format_stats_csv, run_bench
 from rotogo.cli import main
 from rotogo.formula import to_seconds, to_ticks
@@ -117,7 +117,7 @@ def test_stats_recomputable_from_jsonl(tmp_path):
 def test_parallel_workers_reproduce_serial_output(tmp_path, monkeypatch):
     # One usable core runs the episodes in this process, two in a pool.
     for cores in (1, 2):
-        monkeypatch.setattr(bench, "usable_cores", lambda cores=cores: cores)
+        monkeypatch.setattr(pool, "usable_cores", lambda cores=cores: cores)
         run_bench(BenchSpec(tiny_scenario(), ("rotogo",), episodes=2, base_seed=9, out_dir=tmp_path / str(cores)))
     assert (tmp_path / "2" / "stats.csv").read_bytes() == (tmp_path / "1" / "stats.csv").read_bytes()
     assert (tmp_path / "2" / "episodes.jsonl").read_bytes() == (tmp_path / "1" / "episodes.jsonl").read_bytes()
@@ -135,7 +135,7 @@ def _mpc_run_failing_seed_8(cfg):
 def test_a_failing_episode_is_recorded_and_skipped(tmp_path, monkeypatch, capsys, cores):
     """An episode that raises leaves a failure row, drops out of the stats
     and the traces, and changes no other byte; the command still exits 0."""
-    monkeypatch.setattr(bench, "usable_cores", lambda: cores)
+    monkeypatch.setattr(pool, "usable_cores", lambda: cores)
     modes = ("rotogo", "robustness")
     clean = run_bench(BenchSpec(tiny_scenario(), modes, episodes=3, base_seed=7, out_dir=tmp_path / "clean"))
     cfg_path = tmp_path / "cfg.json"
@@ -171,10 +171,10 @@ def test_an_unguarded_script_fails_loudly(tmp_path):
     not record every episode as failed."""
     script = tmp_path / "unguarded.py"
     script.write_text(
-        "import rotogo.bench\n"
+        "import rotogo.pool\n"
         "from rotogo.bench import BenchSpec, run_bench\n"
         "from rotogo.scenarios import ScenarioConfig\n"
-        "rotogo.bench.usable_cores = lambda: 2\n"
+        "rotogo.pool.usable_cores = lambda: 2\n"
         "cfg = ScenarioConfig(name='tiny', formula='G[0,2] (x > 0.5)', robot_start=(1.0, 1.0, 0.0, 0.0),\n"
         "                     mission_horizon=2.0, env_noise_std=0.0, first_attempt_iterations=8, cmaes_iterations=4)\n"
         "run_bench(BenchSpec(cfg, ('rotogo',), episodes=2))\n",

@@ -1,10 +1,14 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rotogo import selftest, semantics
+from rotogo import pool, selftest, semantics
 from rotogo.formula import And, BOTTOM, Bottom, Const, Neg, Not, Or, Pred, TOP, Top, Until, Var
 from rotogo.parser import format_formula
 from rotogo.progression import simplify
@@ -33,12 +37,45 @@ def test_reports_are_deterministic_for_a_seed(monkeypatch):
     # The reports are pinned. A passing report carries no detail, so the
     # corrupted rule's counterexamples are what pin the draws and their text.
     assert _report_digest(a) == "36c31c8ffb826b9c688a3af980efc1878184a9893d4aaa7b5aa198420051339f"
+    # A patched name does not reach spawned workers: one usable core runs
+    # every property in this process.
+    monkeypatch.setattr(pool, "usable_cores", lambda: 1)
     monkeypatch.setattr(selftest, "progress", _corrupted_progress)
     corrupted = run_selftest(cases=120)
     assert [r.name for r in corrupted.reports if r.failures] == [
         "progression_equivalence", "single_step_at_cut", "single_step_after_cut", "progression_chain"
     ]
     assert _report_digest(corrupted) == "163869f859c24f25c72de6257a4fac8b78643f6df946263ff29653930f15328e"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, DEFAULT_SEED])
+@pytest.mark.parametrize("only", [None, {"sign_consistency", "negation_duality", "progression_chain"}])
+def test_pooled_reports_equal_the_in_process_ones(monkeypatch, seed, only):
+    rows = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(pool, "usable_cores", lambda cores=cores: cores)
+        rows[cores] = [(r.name, r.cases, r.failures, r.detail) for r in run_selftest(40, seed, only).reports]
+    assert rows[2] == rows[1]
+    assert [name for name, *_ in rows[1]] == [name for name in selftest._PROPERTIES if only is None or name in only]
+
+
+def test_an_unguarded_script_fails_loudly(tmp_path):
+    """A spawned worker re-runs a script that has no entry-point guard and
+    dies when its own ``run_selftest`` starts a pool; the call must raise."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "import rotogo.pool\n"
+        "from rotogo.selftest import run_selftest\n"
+        "rotogo.pool.usable_cores = lambda: 2\n"
+        "run_selftest(cases=2)\n",
+        encoding="utf-8",
+    )
+    src = str(Path(selftest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode != 0
+    assert "RuntimeError: the property workers died" in done.stderr
+    assert 'a script that calls run_selftest must guard its entry point with `if __name__ == "__main__":`' in done.stderr
 
 
 def test_zero_cases_is_a_vacuous_pass():
@@ -178,6 +215,8 @@ def test_benchmark_layer_wrappers_see_a_selftest_unit(tmp_path, monkeypatch):
     for name, value in list(vars(selftest).items()):
         if not name.startswith("__"):
             monkeypatch.setattr(selftest, name, value)
+    # The wrappers are patched names, which reach in-process runs only.
+    monkeypatch.setattr(pool, "usable_cores", lambda: 1)
 
     workload = SelftestWorkload("selftest_corpus", 1, tmp_path)
     workload.prepare()

@@ -399,6 +399,23 @@ def test_oversized_field_and_invalid_utf8_are_value_errors(tmp_path):
         read_trace_csv(path)
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_plain_cell_at_and_over_the_field_limit(tmp_path, extra):
+    """An unquoted number as long as ``csv.field_size_limit()`` reads as
+    csv.reader reads it, and one character more is the row reader's
+    positioned error, not a number the block parser accepts."""
+    limit = csv.field_size_limit()
+    cell = "0" * (limit + extra - 3) + "1.5"
+    path = tmp_path / "long.csv"
+    path.write_text(f"t,x\n0.0,1.0\n0.1,{cell}\n", encoding="utf-8")
+    got = _outcome(read_trace_csv, path)
+    assert got == _outcome(_reference_read_trace_csv, path)
+    if extra:
+        assert got == f"{path}:3: field larger than field limit ({limit})"
+    else:
+        assert got[1] == [("x", np.array([1.0, 1.5]).tobytes())]
+
+
 #: Byte strings that trace CSVs and their near misses are made of.
 _CSV_PIECES = (
     b"t", b"x", b"y", b",", b"\n", b"\r", b"\r\n", b'"', b"0", b"1", b"9", b".", b"-", b"e", b" ",
