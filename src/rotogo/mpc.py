@@ -36,6 +36,7 @@ from .cmaes import CmaesConfig, cmaes_minimize
 from .planning import (  # noqa: F401
     PlanningProblem,
     limit_penalty,
+    mission_times,
     rollout_arrays,
     spline_basis,
     spline_positions,
@@ -161,12 +162,6 @@ class Plan:
         return (coef @ basis[0]).T
 
 
-def mission_times(cfg: ScenarioConfig) -> np.ndarray:
-    """The scenario's trace grid: int64 ticks from 0 to the mission end."""
-    trace_dt = to_ticks(cfg.trace_period)
-    return np.arange(to_ticks(cfg.mission_horizon) // trace_dt + 1, dtype=np.int64) * trace_dt
-
-
 def mpc_run(cfg: ScenarioConfig) -> RunResult:
     """Run one episode of the configured scenario."""
     f0 = cfg.validate()
@@ -245,14 +240,12 @@ def replan(
 
     ``history`` is the executed trace so far, a ``(len(STATE_COMPONENTS),
     k)`` array whose last column is the current state, sample ``k - 1`` of
-    the trace grid.  The objective is ``monitor.current`` compiled on the
-    trace grid from ``monitor.anchor_time`` to the mission end: it scores
-    the history's samples from the anchor on (none in rotogo mode, all in
-    robustness mode), then each candidate's suffix.  An anchor off that
-    grid, or after the sample that follows the current one, raises
-    ``ValueError``.  ``previous.objective`` is reused when it scores the
-    same formula on the same grid.  :class:`PlanningProblem` reads the
-    plan's duration, grid, limits and workspace from ``cfg``.  Without
+    the trace grid.  The objective is the :class:`PlanningProblem` of
+    ``cfg``, ``monitor`` and ``history``: ``monitor.current`` from
+    ``monitor.anchor_time``, scoring the history's samples from the anchor
+    on (none in rotogo mode, all in robustness mode), then each candidate's
+    suffix.  It reuses ``previous.objective`` when that scores the same
+    formula on the same grid, and refuses an anchor off the grid.  Without
     ``previous`` the search starts at the current position and runs
     ``first_attempt_iterations`` generations with the full step size; with
     it, the search starts at ``previous``'s path resampled onto the new
@@ -261,16 +254,7 @@ def replan(
     was positive.  ``rotogo plan`` is the call at t = 0 with the initial
     state as the whole history and ``start_monitor(f, 0)``.
     """
-    times = mission_times(cfg)
-    anchor = monitor.anchor_time
-    after = times[min(history.shape[-1], len(times) - 1)]  # the sample after the current one
-    first = int(np.searchsorted(times, anchor))
-    if not (0 <= anchor <= after and times[first] == anchor):
-        raise ValueError(f"the monitor is anchored at tick {anchor}, not at a tick of the trace grid from 0 to {after}")
-    objective = previous.objective if previous is not None else None
-    if objective is None or not np.array_equal(objective.times, times[first:]) or objective.formula != monitor.current:
-        objective = Program(times[first:], monitor.current, 1, STATE_COMPONENTS)
-    problem = PlanningProblem(cfg, objective, history)
+    problem = PlanningProblem(cfg, monitor, history, previous.objective if previous else None)
     t_i, duration, n_via = problem.start_tick, problem.duration, cfg.via_points
     current = history[:, -1]
 
@@ -309,8 +293,8 @@ def replan(
         plan_duration=duration,
         cost=float(cost[0]),
         objective_robustness=float(rho[0]),
-        formula_nodes=node_count(objective.formula),
-        samples_touched=objective.samples_touched,
+        formula_nodes=node_count(problem.program.formula),
+        samples_touched=problem.program.samples_touched,
         warm_started=warm,
     )
-    return Plan(record, objective, t_i, problem.rollout_times, pos, vel, acc)
+    return Plan(record, problem.program, t_i, problem.rollout_times, pos, vel, acc)

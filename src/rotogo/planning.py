@@ -22,18 +22,21 @@ signal assembled from it, plus hard penalties for leaving the workspace and
 soft penalties for exceeding velocity or acceleration limits.
 :class:`PlanningProblem` is that loss for one replan, evaluated for a whole
 population at once; it reads the grid, the via-point count, the limits and
-the workspace from the scenario.  :func:`limit_penalty` and
+the workspace from the scenario, and the formula it scores and the tick it
+scores from off a monitor.  :func:`limit_penalty` and
 :func:`workspace_penalty` are the penalties written out plainly, the
 reference its in-place penalty code is tested against.
 """
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
 from .fasteval import Program
 from .formula import STATE_COMPONENTS, to_seconds, to_ticks
+from .progression import MonitorState
 from .scenarios import ScenarioConfig
 
 #: Cost assigned per trajectory sample outside the workspace.
@@ -118,6 +121,12 @@ def _sample_spline(coeffs: np.ndarray, duration: float, times: np.ndarray):
     vel = (((5 * k5 * t + 4 * k4) * t + 3 * k3) * t + 2 * k2) * t + k1
     acc = ((20 * k5 * t + 12 * k4) * t + 6 * k3) * t + 2 * k2
     return pos, vel, acc
+
+
+def mission_times(cfg: ScenarioConfig) -> np.ndarray:
+    """The scenario's trace grid: int64 ticks from 0 to the mission end."""
+    trace_dt = to_ticks(cfg.trace_period)
+    return np.arange(to_ticks(cfg.mission_horizon) // trace_dt + 1, dtype=np.int64) * trace_dt
 
 
 def sample_times(duration: float, resolution_hz: float) -> np.ndarray:
@@ -249,51 +258,61 @@ class PlanningProblem:
     ``cfg.via_points`` via points (x1, y1, x2, ...) for a spline of
     ``duration`` seconds, from that state's position and velocity to the
     mission end, sampled on the trace grid at the plan-local
-    ``rollout_times``.  Its loss is the negative robustness that
-    ``program``, a width-1 :class:`~rotogo.fasteval.Program` compiled for
-    ``STATE_COMPONENTS``, gives the scored signal at its first sample, plus
-    the penalties of the whole rollout for leaving ``cfg.workspace`` and
-    for exceeding ``cfg.v_max`` and ``cfg.a_max``.  The scored signal is
-    the history's last ``split`` columns (what the program's times leave
-    before the rollout's second sample; none for a suffix-only program),
-    then the rollout from its second sample on, with the environment held
-    at the current state's (xe, ye).  The program's times must be their
-    ticks and its formula anchored at the first.  The grid is checked here
-    and the anchor is not, so tests can score any prefix;
-    :func:`rotogo.mpc.replan` compiles its program from a monitor, on the
-    grid from the monitor's anchor, where the anchor is the first time by
-    construction.
+    ``rollout_times``.  Its loss is the negative robustness of
+    ``monitor.current`` at ``monitor.anchor_time`` on the scored signal,
+    plus the penalties of the whole rollout for leaving ``cfg.workspace``
+    and for exceeding ``cfg.v_max`` and ``cfg.a_max``.  The scored signal
+    is the trace grid from the anchor to the mission end: the history's
+    samples from the anchor on (none when the monitor is anchored at the
+    sample after the current one), then the rollout from its second sample
+    on, with the environment held at the current state's (xe, ye).  An
+    anchor off that grid, or after the sample that follows the current
+    one, raises ``ValueError``, and so does a mission end off the grid.
 
-    Per coordinate the spline is linear in (start position, start velocity,
-    via points), and both coordinates share that map, so construction
-    builds it once with :func:`spline_basis` on the rollout's sample grid
-    and :meth:`rollout` is a single matrix product.  Per batch size the
+    ``program`` is the monitor's formula compiled on that grid, a width-1
+    :class:`~rotogo.fasteval.Program`; ``previous``, a program an earlier
+    problem compiled, is reused when it scores the same formula on the same
+    grid, so one program serves every replan that scores them.  Per
+    coordinate the spline is linear in (start position, start velocity, via
+    points), and both coordinates share that map, so construction builds it
+    once with :func:`spline_basis` on the rollout's sample grid and
+    :meth:`rollout` is a single matrix product.  Per batch size the
     coefficient buffer and the (components, B, samples) signal block that
     the program runs on, with the prefix and the environment rows already
     in place, are allocated once; each :meth:`robustness` call writes only
-    the candidates' suffixes, in one copy.  The program is compiled by the
-    caller, so that one compiled for a formula and grid serves every
-    replan that scores them, as ``replan`` reuses its previous plan's.
+    the candidates' suffixes, in one copy.
     """
 
-    def __init__(self, cfg: ScenarioConfig, program: Program, history: np.ndarray):
+    def __init__(
+        self, cfg: ScenarioConfig, monitor: MonitorState, history: np.ndarray, previous: Optional[Program] = None
+    ):
         history = np.array(history, dtype=np.float64)
         if history.ndim != 2 or history.shape[0] != len(STATE_COMPONENTS) or history.shape[1] == 0:
             raise ValueError(
                 f"history must be a ({len(STATE_COMPONENTS)}, k) array with k >= 1, not shape {history.shape}"
             )
-        if program.names != STATE_COMPONENTS:
-            raise ValueError(f"the program must be compiled for {STATE_COMPONENTS}, not {program.names}")
-        self.program = program
-        self.times = program.times
-        trace_dt = to_ticks(cfg.trace_period)
         k = history.shape[1]
-        self.start_tick = (k - 1) * trace_dt
+        self.start_tick = (k - 1) * to_ticks(cfg.trace_period)
         mission_end = to_ticks(cfg.mission_horizon)
         if self.start_tick >= mission_end:
             raise ValueError(f"history holds {k} samples, which reach the mission end at tick {mission_end}")
         self.duration = to_seconds(mission_end - self.start_tick)
         self.rollout_times = sample_times(self.duration, 1.0 / cfg.trace_period)
+        grid = mission_times(cfg)
+        if grid.size - k != self.rollout_times.size - 1:
+            raise ValueError(f"the mission end, tick {mission_end}, is not on the trace grid, which ends at {grid[-1]}")
+        anchor = monitor.anchor_time
+        first = int(np.searchsorted(grid, anchor))
+        if not (0 <= anchor <= grid[k] and grid[first] == anchor):
+            raise ValueError(
+                f"the monitor is anchored at tick {anchor}, not at a tick of the trace grid from 0 to {grid[k]}"
+            )
+        times, f = grid[first:], monitor.current
+        reuse = previous is not None and np.array_equal(previous.times, times) and previous.formula == f
+        self.program = previous if reuse else Program(times, f, 1, STATE_COMPONENTS)
+        self._split = k - first
+        self._prefix = history[:, first:]  # (components, split)
+
         current = history[:, -1]
         self.env = current[4:]
         # Rows (p0, v0) of each coordinate's coefficient vector.
@@ -305,20 +324,6 @@ class PlanningProblem:
         self._caps = np.array([cfg.v_max, cfg.a_max])[:, np.newaxis, np.newaxis]
 
         self._basis = spline_basis(cfg.via_points, self.duration, self.rollout_times)  # (3, N+2, L)
-
-        length = self.rollout_times.size
-        self._split = self.times.size - (length - 1)
-        if self._split < 0:
-            raise ValueError("times are shorter than the rollout suffix")
-        if self._split > k:
-            raise ValueError(f"history holds {k} samples; the program scores {self._split} before the rollout suffix")
-        grid = self.start_tick + trace_dt * np.arange(1 - self._split, length)
-        if not np.array_equal(self.times, grid):
-            raise ValueError(
-                f"the program scores {self.times.size} samples, so its times must be the trace grid from tick "
-                f"{grid[0]} to {grid[-1]}, not from {self.times[0]} to {self.times[-1]}"
-            )
-        self._prefix = history[:, k - self._split :]  # (components, split)
         # Per batch size B: the (2, B, N+2) coefficient buffer and the
         # (components, B, samples) signal block.  STATE_COMPONENTS is
         # (x, y, vx, vy, xe, ye), so block rows 0-1 take the position plane,
@@ -332,7 +337,7 @@ class PlanningProblem:
         if entry is None:
             coef = np.empty((2, batch, self._basis.shape[1]))
             coef[:, :, :2] = self._start[:, np.newaxis, :]
-            block = np.empty((len(STATE_COMPONENTS), batch, self.times.size))
+            block = np.empty((len(STATE_COMPONENTS), batch, self.program.times.size))
             block[:, :, : self._split] = self._prefix[:, np.newaxis]
             block[4:, :, self._split :] = self.env[:, np.newaxis, np.newaxis]
             entry = self._cache[batch] = (coef, block)

@@ -231,11 +231,12 @@ def monitor_step(m: MonitorState, next_sample_time: TimePoint, state: Mapping[st
 
 
 def progress_along(f0: Formula, signal: Signal, upto_index: int) -> Formula:
-    """Fold :func:`progress` over samples 0..upto_index of ``signal``."""
-    f = f0
+    """Fold :func:`monitor_step` over samples 0..upto_index of ``signal``,
+    from ``start_monitor(f0, signal.t0)``; the formula it reaches."""
+    m = start_monitor(f0, signal.t0)
     for k in range(upto_index + 1):
-        f = _progress_checked(f, signal.t(k + 1) - signal.t(k), signal.state(k), k == 0)
-    return f
+        m = monitor_step(m, signal.t(k + 1), signal.state(k))
+    return m.current
 
 
 def rotogo_via_progression(signal: Signal, cut_index: int, f0: Formula) -> float:

@@ -11,9 +11,9 @@ Each property is an endless generator of checks over its own random stream;
 `run_selftest` is the one harness that pulls, counts and describes them.
 The properties of one run are independent tasks on the process-wide pool of
 :mod:`rotogo.pool`, one worker per usable core, or run in the calling
-process when one core is usable or one property is selected.  A name
-patched on this module (a corrupted `progress`, say) therefore reaches only
-in-process runs.
+process when one core is usable, one property is selected or no cases are
+asked for.  A name patched on this module (a corrupted `progress`, say)
+therefore reaches only in-process runs.
 """
 from __future__ import annotations
 
@@ -363,8 +363,10 @@ def run_selftest(cases: int = 1000, seed: int = DEFAULT_SEED, only: Optional[set
     if unknown:
         raise ValueError(f"unknown selftest properties: {', '.join(unknown)}")
     indices = [index for index, name in enumerate(_PROPERTIES) if only is None or name in only]
-    reports = pool.outcomes(partial(_property_report, cases=cases, seed=seed), indices,
-                            unit="property", caller="run_selftest")
+    run = partial(_property_report, cases=cases, seed=seed)
+    if not cases:  # no checks to hand out, so no worker would earn its start
+        return SelfTestResult([run(index) for index in indices])
+    reports = pool.outcomes(run, indices, unit="property", caller="run_selftest")
     return SelfTestResult([report() for report in reports])
 
 

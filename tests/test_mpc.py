@@ -361,7 +361,8 @@ def test_replan_compiles_the_monitor_from_its_anchor():
     assert monitor.verdict == "undecided"
     plan = replan(cfg, monitor, history, seed=1)
     assert np.array_equal(plan.objective.times, times[i + 1 :]) and plan.objective.formula == monitor.current
-    problem = PlanningProblem(cfg, Program(times[i + 1 :], monitor.current, 1, STATE_COMPONENTS), history)
+    problem = PlanningProblem(cfg, monitor, history)
+    assert PlanningProblem(cfg, monitor, history, plan.objective).program is plan.objective
     planes = problem.rollout(plan.record.via_points.reshape(1, -1))
     rho = problem.robustness(planes)
     assert np.float64(plan.record.objective_robustness).tobytes() == rho.tobytes()
@@ -413,6 +414,7 @@ def test_robustness_mode_compiles_one_program(monkeypatch):
     # once and passed on from plan to plan; the final score compiles it once
     # more.
     import rotogo.mpc
+    import rotogo.planning
 
     cfg = tiny_scenario(formula="G[0,2] (x > 0.5) & F[0,2] (x > 1.2)", objective_mode="robustness", seed=6)
     built = []
@@ -423,6 +425,7 @@ def test_robustness_mode_compiles_one_program(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(rotogo.mpc, "Program", Counted)
+    monkeypatch.setattr(rotogo.planning, "Program", Counted)
     result = mpc_run(cfg)
     assert len(result.replans) > 1
     assert len(built) == 2
@@ -463,8 +466,6 @@ def test_robustness_mode_touches_full_history():
 def test_robustness_objective_reproducible_offline():
     # The first replan's logged cost equals an offline re-evaluation of the
     # logged best plan through the public cost function, bit for bit.
-    from rotogo.planning import PlanningProblem
-
     cfg = tiny_scenario(
         formula="G[0,2] (x > 0.5) & F[0,2] (x > 1.2)",
         objective_mode="robustness",
@@ -474,7 +475,7 @@ def test_robustness_objective_reproducible_offline():
     record = result.replans[0]
     history = _history(result, record)
     assert record.robot + record.env == tuple(history[:, -1])
-    problem = PlanningProblem(cfg, Program(result.trace.times, cfg.parsed_formula(), 1, STATE_COMPONENTS), history)
+    problem = PlanningProblem(cfg, start_monitor(cfg.parsed_formula(), 0), history)
     assert problem.duration == record.plan_duration
     cost = problem.cost(record.via_points.reshape(1, -1))[0]
     assert cost == record.cost

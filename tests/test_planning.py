@@ -3,9 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rotogo.fasteval import Program, eval_robustness_arrays
+from rotogo.fasteval import eval_robustness_arrays
 from rotogo.formula import STATE_COMPONENTS, to_seconds, to_ticks
-from rotogo.mpc import mission_times
 from rotogo.parser import parse_formula
 from rotogo.planning import (
     LIMIT_PENALTY,
@@ -14,13 +13,15 @@ from rotogo.planning import (
     PlanningProblem,
     clamp_robustness,
     limit_penalty,
+    mission_times,
     rollout_arrays,
     sample_times,
     spline_basis,
     spline_positions,
     workspace_penalty,
 )
-from rotogo.scenarios import ScenarioConfig
+from rotogo.progression import start_monitor
+from rotogo.scenarios import ScenarioConfig, scenario_phi_stayin
 
 
 def rollout(via, duration: float, start, hz: float):
@@ -41,7 +42,7 @@ def plan_problem(formula, via, duration: float, start, env=(2.5, 2.5), **overrid
     way the ``plan`` command scores its candidates."""
     cfg = scenario(duration, len(via), **overrides)
     history = np.array([*start, *env])[:, np.newaxis]
-    return PlanningProblem(cfg, Program(mission_times(cfg), formula, 1, STATE_COMPONENTS), history)
+    return PlanningProblem(cfg, start_monitor(formula, 0), history)
 
 
 def cost_of(via, duration: float, start, formula, **kwargs) -> float:
@@ -163,10 +164,11 @@ def test_plan_cost_counts_touched_samples():
 
 
 def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0,20] (x > 4)", prefix_len=0):
-    """A problem whose program scores the last ``prefix_len`` history
-    samples before the rollout suffix; the history holds up to two older
-    samples besides, and its last column is the start state.  The duration
-    is drawn on the 0.1 s trace grid, and the mission ends after it."""
+    """A problem whose monitor is anchored at the first of the last
+    ``prefix_len`` history samples, or at the rollout's second sample when
+    ``prefix_len`` is 0; the history holds up to two older samples besides,
+    and its last column is the start state.  The duration is drawn on the
+    0.1 s trace grid, and the mission ends after it."""
     n_via = int(rng.integers(1, 6))
     hz = 10.0
     duration = round(float(rng.uniform(1.0, 20.0)), 1)
@@ -176,10 +178,10 @@ def _random_problem(rng, formula="G[0,20] ((x - xe)^2 + (y - ye)^2 > 0.25) & F[0
     k, dt = history.shape[1], to_ticks(0.1)
     cfg = scenario(to_seconds((k - 1) * dt + to_ticks(duration)), n_via)
     length = sample_times(duration, hz).size
-    times = (k - prefix_len + np.arange(prefix_len + length - 1, dtype=np.int64)) * dt
     f = parse_formula(formula)
-    problem = PlanningProblem(cfg, Program(times, f, 1, STATE_COMPONENTS), history)
+    problem = PlanningProblem(cfg, start_monitor(f, (k - prefix_len) * dt), history)
     assert problem.duration == duration and problem.rollout_times.size == length
+    assert problem.program.times.size == prefix_len + length - 1
     return problem, (start_pos, start_vel, duration, hz, n_via, f, cfg), history
 
 
@@ -246,8 +248,7 @@ def test_one_candidate_rollout_is_its_row_in_the_population(duration):
     times = np.arange(1, int(round(duration * 10)) + 1, dtype=np.int64) * to_ticks(0.1)
     for n_via in (1, 4, 7):
         history = rng.uniform(0.0, 5.0, (len(STATE_COMPONENTS), 1))
-        program = Program(times, parse_formula("(x > 0)"), 1, STATE_COMPONENTS)
-        problem = PlanningProblem(scenario(duration, n_via), program, history)
+        problem = PlanningProblem(scenario(duration, n_via), start_monitor(parse_formula("(x > 0)"), times[0]), history)
         X = rng.uniform(-1.0, 6.0, size=(25, 2 * n_via))
         planes = problem.rollout(X)
         for i in range(X.shape[0]):
@@ -279,7 +280,7 @@ def test_cost_matches_prefix_plus_suffix_table():
         block = problem._buffers(batch)[1]
         for row, name in zip(block, STATE_COMPONENTS):
             assert np.array_equal(row, concat[name]), name
-        rho = eval_robustness_arrays(problem.times, concat, f)[:, 0]
+        rho = eval_robustness_arrays(problem.program.times, concat, f)[:, 0]
         penalty = workspace_penalty(pos, cfg.workspace) + limit_penalty(vel, acc, cfg.v_max, cfg.a_max)
         assert np.array_equal(cost, -clamp_robustness(rho) + penalty)
 
@@ -295,7 +296,7 @@ def test_robustness_of_given_rows_matches_table():
         _, pos, vel, _ = rollout_arrays(X[:1].reshape(n_via, 2), start_pos, start_vel, duration, hz)
         rho = problem.robustness(np.stack([pos.T, vel.T])[:, :, np.newaxis])
         block = problem._buffers(1)[1]
-        table = eval_robustness_arrays(problem.times, dict(zip(STATE_COMPONENTS, block)), f)
+        table = eval_robustness_arrays(problem.program.times, dict(zip(STATE_COMPONENTS, block)), f)
         assert rho.tobytes() == table[:, 0].tobytes()
         assert block[0, 0, -1] == pos[-1, 0]
 
@@ -329,55 +330,42 @@ def test_cost_leaks_no_state_between_calls():
 
 
 def test_history_must_hold_the_samples_the_program_scores():
-    # A 2 s plan from the last of four samples leaves five of the program's
-    # 25 samples for the history, which holds four.
     f = parse_formula("G[0,2] (x > 0)")
-    program = Program(np.arange(25, dtype=np.int64) * to_ticks(0.1), f, 1, STATE_COMPONENTS)
-    with pytest.raises(ValueError, match="history holds 4 samples; the program scores 5"):
-        PlanningProblem(scenario(2.3, 2), program, np.zeros((6, 4)))
+    monitor = start_monitor(f, 0)
     for bad in (np.zeros((6, 0)), np.zeros((4, 5)), np.zeros((7, 5)), np.zeros(6), np.zeros((1, 6, 5))):
         with pytest.raises(ValueError, match=r"history must be a \(6, k\) array with k >= 1"):
-            PlanningProblem(scenario(2.3, 2), program, bad)
+            PlanningProblem(scenario(2.3, 2), monitor, bad)
     with pytest.raises(ValueError, match="history holds 24 samples, which reach the mission end at tick 2300000"):
-        PlanningProblem(scenario(2.3, 2), program, np.zeros((6, 24)))
-    # From the last of seven samples the program scores the last five, from
-    # tick 0.2 s on: the two before them are not read.
-    program = Program(np.arange(2, 27, dtype=np.int64) * to_ticks(0.1), f, 1, STATE_COMPONENTS)
+        PlanningProblem(scenario(2.3, 2), monitor, np.zeros((6, 24)))
+    # From the last of seven samples, a monitor anchored at 0.2 s scores the
+    # last five: the two before them are not read.
+    monitor = start_monitor(f, to_ticks(0.2))
     history = np.arange(42.0).reshape(6, 7)
     earlier = history.copy()
     earlier[:, :2] = -history[:, :2]
     X = np.random.default_rng(50).uniform(0.0, 5.0, size=(3, 4))
     costs = []
     for h in (history, earlier):
-        problem = PlanningProblem(scenario(2.6, 2), program, h)
+        problem = PlanningProblem(scenario(2.6, 2), monitor, h)
         costs.append(problem.cost(X).tobytes())
         assert np.array_equal(problem._buffers(3)[1][:, :, :5], np.broadcast_to(history[:, np.newaxis, 2:], (6, 3, 5)))
     assert costs[0] == costs[1]
 
 
-def test_program_must_be_compiled_for_the_state_components():
-    times = np.arange(1, 21, dtype=np.int64) * to_ticks(0.1)
-    f = parse_formula("G[0,2] (x > 0)")
-    for names in (("x",), ("y", "x", "vx", "vy", "xe", "ye"), (*STATE_COMPONENTS, "ax")):
-        with pytest.raises(ValueError, match="must be compiled for"):
-            PlanningProblem(scenario(2.0, 2), Program(times, f, 1, names), np.zeros((6, 1)))
-
-
 def test_suffix_only_program_reads_the_last_history_sample_alone():
-    # A program over the rollout's samples after the first scores no
-    # executed sample (split 0): only the start state in the last column
-    # counts, not the whole history that history[:, -0:] would select, so
-    # changing every earlier column changes nothing.
+    # A monitor anchored at the rollout's second sample scores no executed
+    # sample (split 0): only the start state in the last column counts, not
+    # the whole history that history[:, -0:] would select, so changing every
+    # earlier column changes nothing.
     rng = np.random.default_rng(47)
-    times = np.arange(9, 29, dtype=np.int64) * to_ticks(0.1)
     f = parse_formula("G[0,2] ((x - xe)^2 + (y - ye)^2 > 1) & F[0,2] (x > 2)")
-    program = Program(times, f, 1, STATE_COMPONENTS)
+    monitor = start_monitor(f, to_ticks(0.9))
     history = rng.uniform(0.0, 5.0, (6, 9))
     X = rng.uniform(0.0, 5.0, size=(5, 4))
     earlier = history.copy()
     earlier[:, :-1] = rng.uniform(0.0, 5.0, (6, 8))
-    full = PlanningProblem(scenario(2.8, 2), program, history)
-    last = PlanningProblem(scenario(2.8, 2), program, earlier)
+    full = PlanningProblem(scenario(2.8, 2), monitor, history)
+    last = PlanningProblem(scenario(2.8, 2), monitor, earlier)
     assert full.cost(X).tobytes() == last.cost(X).tobytes()
     for problem in (full, last):
         coef, block = problem._buffers(5)
@@ -385,30 +373,55 @@ def test_suffix_only_program_reads_the_last_history_sample_alone():
         assert (block[4] == history[4, -1]).all() and (block[5] == history[5, -1]).all()
 
 
-def test_program_must_be_compiled_on_the_replan_grid():
-    # phi_stayin at replan 40: the history holds samples 0-40, and the plan
-    # runs from tick 4.0 s to the mission end.  A program on the grid one
-    # sample early, or half a sample late, is refused by its expected first
-    # tick; on the replan's grid it is accepted, with or without the current
-    # sample.  The grid is checked here, not the formula's anchor, so split 1
-    # takes any formula; replan never builds that program for a formula
-    # anchored elsewhere, since it compiles on the grid from the monitor's
-    # anchor (test_mpc.py::test_replan_compiles_the_monitor_from_its_anchor).
-    from rotogo.scenarios import scenario_phi_stayin
-
+def _stayin_at_replan_40():
+    """phi_stayin's config, formula, trace grid and a history of samples
+    0-40: the plan runs from tick 4.0 s to the mission end."""
     cfg = scenario_phi_stayin()
-    f = cfg.validate()
-    times = mission_times(cfg)
-    i = 40
-    history = np.random.default_rng(52).uniform(0.0, 5.0, (6, i + 1))
-    for shifted, first in ((times[i:-1], 4_100_000), (times[i + 1 :] + 50_000, 4_100_000), (times[:-1], 100_000)):
-        with pytest.raises(ValueError, match=f"must be the trace grid from tick {first} to 20000000"):
-            PlanningProblem(cfg, Program(shifted, f, 1, STATE_COMPONENTS), history)
-    for split, grid in ((0, times[i + 1 :]), (1, times[i:]), (i + 1, times)):
-        problem = PlanningProblem(cfg, Program(grid, f, 1, STATE_COMPONENTS), history)
+    return cfg, cfg.validate(), mission_times(cfg), np.random.default_rng(52).uniform(0.0, 5.0, (6, 41))
+
+
+def test_program_must_be_compiled_on_the_replan_grid():
+    # The problem compiles the monitor's formula on the trace grid from its
+    # anchor: sample 41 scores the suffix alone, sample 40 the current
+    # sample first and tick 0 the whole history.
+    cfg, f, times, history = _stayin_at_replan_40()
+    for split, first in ((0, 41), (1, 40), (41, 0)):
+        problem = PlanningProblem(cfg, start_monitor(f, int(times[first])), history)
+        assert np.array_equal(problem.program.times, times[first:]) and problem.program.formula == f
         assert problem.start_tick == 4_000_000 and problem.duration == 16.0
         assert np.array_equal(problem.rollout_times, np.arange(161) / 10.0)
         assert problem._split == split
+
+
+@pytest.mark.parametrize("anchor", [50_000, -100_000, 4_200_000, 20_100_000])
+def test_problem_refuses_a_monitor_anchored_off_its_grid(anchor):
+    # Off the grid, before tick 0, after sample 41 and past the mission end.
+    cfg, f, _, history = _stayin_at_replan_40()
+    with pytest.raises(ValueError, match=f"anchored at tick {anchor}, not at a tick of the trace grid from 0 to 4100000"):
+        PlanningProblem(cfg, start_monitor(f, anchor), history)
+
+
+def test_problem_reuses_a_program_for_the_same_formula_and_grid():
+    cfg, f, times, history = _stayin_at_replan_40()
+    previous = PlanningProblem(cfg, start_monitor(f, 0), history[:, :11]).program
+    # Another replan from the same anchor, with an equal formula parsed
+    # afresh, scores with the same program.
+    assert PlanningProblem(cfg, start_monitor(cfg.parsed_formula(), 0), history, previous).program is previous
+    other = parse_formula("G[0,20] (x > 1)")
+    for monitor in (start_monitor(other, 0), start_monitor(f, int(times[41]))):
+        program = PlanningProblem(cfg, monitor, history, previous).program
+        assert program is not previous and program.formula == monitor.current
+        assert np.array_equal(program.times, times[np.searchsorted(times, monitor.anchor_time) :])
+
+
+def test_problem_refuses_a_mission_end_off_the_trace_grid():
+    # A 2.35 s mission on the 0.1 s grid, unvalidated: the rollout would end
+    # half a sample after the grid's last tick, from any replan instant.
+    cfg = scenario(2.35, 2)
+    monitor = start_monitor(parse_formula("(x > 0)"), 0)
+    for k in (1, 10, 24):
+        with pytest.raises(ValueError, match="the mission end, tick 2350000, is not on the trace grid, which ends at 2300000"):
+            PlanningProblem(cfg, monitor, np.zeros((6, k)))
 
 
 @pytest.mark.parametrize("batch", [1, 25])
@@ -419,7 +432,7 @@ def test_cost_at_the_penalty_boundaries_is_the_reference_sum(batch):
     # equal the penalty functions' sum bit for bit there.
     rng = np.random.default_rng(48 + batch)
     for prefix_len in (0, 9):
-        problem, (_, _, _, _, n_via, _, cfg), history = _random_problem(rng, prefix_len=prefix_len)
+        problem, (_, _, _, _, n_via, f, cfg), history = _random_problem(rng, prefix_len=prefix_len)
         X = rng.uniform(-1.0, 6.0, size=(batch, 2 * n_via))
         pos, vel, acc = problem.rollout(X)
 
@@ -435,7 +448,8 @@ def test_cost_at_the_penalty_boundaries_is_the_reference_sum(batch):
         v_max, a_max = middle(speed), middle(accel)
         (x_min, x_max), (y_min, y_max) = quartiles(pos[0]), quartiles(pos[1])
         workspace = (x_min, x_max, y_min, y_max)
-        edge = PlanningProblem(replace(cfg, v_max=v_max, a_max=a_max, workspace=workspace), problem.program, history)
+        edge_cfg = replace(cfg, v_max=v_max, a_max=a_max, workspace=workspace)
+        edge = PlanningProblem(edge_cfg, start_monitor(f, problem.program.times[0]), history, problem.program)
 
         cost = edge.cost(X)
         pos, vel, acc = edge.rollout(X)

@@ -162,6 +162,21 @@ def test_monitor_absorbs_verdicts():
     assert m2.current == TOP and m2.step_count == 1 and m2.verdict == "satisfied"
 
 
+def test_a_decided_monitor_steps_without_progressing(monkeypatch):
+    # The verdict is absorbing, so a step skips the recursion: it returns
+    # the same formula object, anchored at the next sample.
+    calls = []
+    monkeypatch.setattr(progression, "_progress_checked", lambda *args: calls.append(args))
+    for verdict in (TOP, BOTTOM):
+        for step_count in (0, 3):
+            stepped = monitor_step(MonitorState(verdict, SEC, step_count), 2 * SEC, {})
+            assert stepped.current is verdict
+            assert (stepped.anchor_time, stepped.step_count) == (2 * SEC, step_count + 1)
+    assert calls == []
+    monitor_step(start_monitor(parse_formula("F[0,2] (x > 4)"), 0), SEC, {"x": 1.0})
+    assert len(calls) == 1
+
+
 def test_monitor_state_is_a_frozen_hashable_value():
     f = parse_formula("F[0,2] (x > 4) & G[0,1] (y < 1)")
     m = monitor_step(start_monitor(f, 0), SEC, {"x": 1.0, "y": 0.5})

@@ -78,10 +78,17 @@ def test_an_unguarded_script_fails_loudly(tmp_path):
     assert 'a script that calls run_selftest must guard its entry point with `if __name__ == "__main__":`' in done.stderr
 
 
-def test_zero_cases_is_a_vacuous_pass():
+def test_zero_cases_is_a_vacuous_pass(monkeypatch):
+    # With no checks to hand out, the properties run in this process even
+    # where the pool would start workers.
+    def no_pool(workers):
+        raise AssertionError("run_selftest(cases=0) started a pool")
+
+    monkeypatch.setattr(pool, "usable_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_executor", no_pool)
     result = run_selftest(cases=0)
-    assert result.passed
-    assert all(r.cases == 0 for r in result.reports)
+    assert result.passed and len(result.reports) == 14
+    assert all(r.passed and r.cases == 0 for r in result.reports)
 
 
 def test_negative_cases_and_unknown_names_are_errors():
