@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -60,13 +60,12 @@ class BenchResult:
 def run_bench(spec: BenchSpec) -> BenchResult:
     """Run all episodes for every requested mode and write output files.
 
-    An invalid scenario raises ValueError before any episode runs or any
-    file is written.  The episodes run in the process-wide pool of
-    :mod:`rotogo.pool`.  Episode failures are recorded and skipped, never
-    abort the batch; a pool whose workers died raises RuntimeError.
+    The episodes run in the process-wide pool of :mod:`rotogo.pool`.
+    Episode failures are recorded and skipped, never abort the batch; a
+    pool whose workers died raises RuntimeError.
     """
-    spec.scenario.validate()
-    configs = [spec.scenario.with_mode(m).with_seed(spec.base_seed + e) for m in spec.modes for e in range(spec.episodes)]
+    seeds = range(spec.base_seed, spec.base_seed + spec.episodes)
+    configs = [replace(spec.scenario, objective_mode=m, seed=s) for m in spec.modes for s in seeds]
     outcomes = pool.outcomes(mpc_run, configs, unit="episode", caller="run_bench")
     out = BenchResult(stats=[], results={}, failures={})
     jsonl_rows: list[dict] = []

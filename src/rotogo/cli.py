@@ -101,10 +101,9 @@ def cmd_plan(args) -> int:
     from .mpc import replan
 
     cfg = _load_scenario(args)
-    f = cfg.validate()
     # The scored signal starts at the initial state, which every candidate shares.
     history = np.array([*cfg.robot_start, *cfg.env_start])[:, np.newaxis]
-    plan = replan(cfg, start_monitor(f, 0), history, seed=cfg.seed)
+    plan = replan(cfg, start_monitor(cfg.validate(), 0), history, seed=cfg.seed)
     record = plan.record
     print(f"scenario: {cfg.name}")
     print(f"cost: {record.cost!r}")

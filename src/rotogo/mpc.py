@@ -168,7 +168,6 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
     trace_dt = to_ticks(cfg.trace_period)
     replan_dt = to_ticks(cfg.replan_period)
     env_dt = to_ticks(cfg.env_step_period)
-    mission_end = to_ticks(cfg.mission_horizon)
     times = mission_times(cfg)
     n_samples = len(times)
     micro_per_step = trace_dt // env_dt
@@ -197,15 +196,15 @@ def mpc_run(cfg: ScenarioConfig) -> RunResult:
         if progressing and i < n_samples - 1:
             monitor = monitor_step(monitor, t_i + trace_dt, dict(zip(STATE_COMPONENTS, state)))
 
-        if t_i % replan_dt == 0 and t_i < mission_end:
+        if t_i % replan_dt == 0 and i < n_samples - 1:
             active = replan(cfg, monitor, states[:, : i + 1], active, seed=int(opt_seeds.integers(0, 2**63)))
             replans.append(active.record)
 
-        u = active.control_at(t_i, trace_dt) if active is not None else (0.0, 0.0)
+        u = active.control_at(t_i, trace_dt)
         controls[:, i] = u
 
         if i < n_samples - 1:
-            states[:4, i + 1] = DoubleIntegrator.step(state[:4], u, cfg.trace_period)
+            states[:4, i + 1] = DoubleIntegrator.step(state[:4], u, to_seconds(trace_dt))
             xe, ye = state[4:]
             noise = env_draws[i * micro_per_step : (i + 1) * micro_per_step]
             xe_next, ye_next = xe + float(noise[:, 0].sum()), ye + float(noise[:, 1].sum())

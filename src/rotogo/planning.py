@@ -21,9 +21,9 @@ The loss for a candidate trajectory is the negative robustness of the
 signal assembled from it, plus hard penalties for leaving the workspace and
 soft penalties for exceeding velocity or acceleration limits.
 :class:`PlanningProblem` is that loss for one replan, evaluated for a whole
-population at once; it reads the grid, the via-point count, the limits and
-the workspace from the scenario, and the formula it scores and the tick it
-scores from off a monitor.  :func:`limit_penalty` and
+population at once; it reads the trace grid in ticks, the via-point count,
+the limits and the workspace from the scenario, and the formula it scores
+and the tick it scores from off a monitor.  :func:`limit_penalty` and
 :func:`workspace_penalty` are the penalties written out plainly, the
 reference its in-place penalty code is tested against.
 """
@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .fasteval import Program
-from .formula import STATE_COMPONENTS, to_seconds, to_ticks
+from .formula import STATE_COMPONENTS, TICKS_PER_SECOND, to_seconds, to_ticks
 from .progression import MonitorState
 from .scenarios import ScenarioConfig
 
@@ -257,17 +257,17 @@ class PlanningProblem:
     replan instant, ``start_tick``.  A candidate is a flat vector of
     ``cfg.via_points`` via points (x1, y1, x2, ...) for a spline of
     ``duration`` seconds, from that state's position and velocity to the
-    mission end, sampled on the trace grid at the plan-local
-    ``rollout_times``.  Its loss is the negative robustness of
-    ``monitor.current`` at ``monitor.anchor_time`` on the scored signal,
-    plus the penalties of the whole rollout for leaving ``cfg.workspace``
-    and for exceeding ``cfg.v_max`` and ``cfg.a_max``.  The scored signal
-    is the trace grid from the anchor to the mission end: the history's
-    samples from the anchor on (none when the monitor is anchored at the
-    sample after the current one), then the rollout from its second sample
-    on, with the environment held at the current state's (xe, ye).  An
-    anchor off that grid, or after the sample that follows the current
-    one, raises ``ValueError``, and so does a mission end off the grid.
+    mission end, sampled at the plan-local ``rollout_times``: the trace
+    grid's ticks from ``start_tick`` on, in seconds.  Its loss is the
+    negative robustness of ``monitor.current`` at ``monitor.anchor_time``
+    on the scored signal, plus the penalties of the whole rollout for
+    leaving ``cfg.workspace`` and for exceeding ``cfg.v_max`` and
+    ``cfg.a_max``.  The scored signal is the trace grid from the anchor to
+    the mission end: the history's samples from the anchor on (none when
+    the monitor is anchored at the sample after the current one), then the
+    rollout from its second sample on, with the environment held at the
+    current state's (xe, ye).  An anchor off that grid, or after the sample
+    that follows the current one, raises ``ValueError``.
 
     ``program`` is the monitor's formula compiled on that grid, a width-1
     :class:`~rotogo.fasteval.Program`; ``previous``, a program an earlier
@@ -291,16 +291,12 @@ class PlanningProblem:
             raise ValueError(
                 f"history must be a ({len(STATE_COMPONENTS)}, k) array with k >= 1, not shape {history.shape}"
             )
-        k = history.shape[1]
-        self.start_tick = (k - 1) * to_ticks(cfg.trace_period)
-        mission_end = to_ticks(cfg.mission_horizon)
-        if self.start_tick >= mission_end:
-            raise ValueError(f"history holds {k} samples, which reach the mission end at tick {mission_end}")
-        self.duration = to_seconds(mission_end - self.start_tick)
-        self.rollout_times = sample_times(self.duration, 1.0 / cfg.trace_period)
-        grid = mission_times(cfg)
-        if grid.size - k != self.rollout_times.size - 1:
-            raise ValueError(f"the mission end, tick {mission_end}, is not on the trace grid, which ends at {grid[-1]}")
+        k, grid = history.shape[1], mission_times(cfg)
+        if k >= grid.size:
+            raise ValueError(f"history holds {k} samples, which reach the mission end at tick {grid[-1]}")
+        self.start_tick = int(grid[k - 1])
+        self.duration = to_seconds(int(grid[-1]) - self.start_tick)
+        self.rollout_times = (grid[k - 1 :] - self.start_tick) / TICKS_PER_SECOND
         anchor = monitor.anchor_time
         first = int(np.searchsorted(grid, anchor))
         if not (0 <= anchor <= grid[k] and grid[first] == anchor):

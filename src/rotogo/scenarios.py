@@ -46,19 +46,24 @@ class ScenarioConfig:
     a_max: float = 1.0
 
     def __post_init__(self):
+        """Every check of the configuration, each ValueError naming its field.
+        The parsed formula is kept off the dataclass fields, which ``asdict``,
+        ``save``, ``==`` and ``replace`` read; a pickle carries it."""
         if self.objective_mode not in MODES:
             raise ValueError(f"objective_mode must be one of {MODES}")
         if self.via_points < 1:
             raise ValueError("via_points must be >= 1")
-
-    def parsed_formula(self) -> Formula:
-        return parse_formula(self.formula, aliases=self.aliases)
-
-    def validate(self) -> Formula:
-        """Parse and cross-check the configuration; returns the formula."""
-        f = self.parsed_formula()
+        try:
+            f = parse_formula(self.formula, aliases=self.aliases)
+        except ParseError as exc:
+            raise ValueError(f"field 'formula': {exc}") from None
         if not is_bounded(f):
             raise ValueError("the scenario formula must be bounded (finite horizon)")
+        for name in ("mission_horizon", "trace_period", "replan_period", "env_step_period"):
+            if not abs(getattr(self, name)) < 1e300:
+                raise ValueError(f"{name} must be under 1e300 seconds, got {getattr(self, name)}")
+        if to_ticks(self.mission_horizon) <= 0:
+            raise ValueError("mission_horizon must be positive")
         if horizon(f) > to_ticks(self.mission_horizon):
             raise ValueError("mission_horizon is shorter than the formula horizon")
         # Every period is checked before any modulo divides by it; a period
@@ -91,7 +96,11 @@ class ScenarioConfig:
         for name in ("env_noise_std", "min_distance_radius"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        return f
+        object.__setattr__(self, "_formula", f)
+
+    def validate(self) -> Formula:
+        """The scenario formula, parsed when the configuration was built."""
+        return self._formula
 
     def with_mode(self, mode: str) -> "ScenarioConfig":
         return replace(self, objective_mode=mode)
@@ -134,14 +143,9 @@ class ScenarioConfig:
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
         try:
-            config = cls.from_dict(data)
-            try:
-                config.parsed_formula()
-            except ParseError as exc:
-                raise ValueError(f"field 'formula': {exc}") from None
+            return cls.from_dict(data)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return config
 
 
 #: What JSON value each configuration field takes, read off its annotation:

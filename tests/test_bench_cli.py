@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -395,8 +396,8 @@ def test_monitoring_outputs_are_pinned(tmp_path, capsys):
     general until."""
     rng = np.random.default_rng(20261019)
     formulas = [
-        format_formula(get_scenario("phi_avoid").parsed_formula()),
-        format_formula(get_scenario("phi_stayin").parsed_formula()),
+        format_formula(get_scenario("phi_avoid").validate()),
+        format_formula(get_scenario("phi_stayin").validate()),
         "G[0,10] ((x > 1) -> F[0,2] (y < 3)) & ((x > 0) U[0,5] (y > 2.6))",
     ]
     h = hashlib.sha256()
@@ -460,13 +461,16 @@ def test_bench_cli_runs(tmp_path, capsys):
         ({"workspace": (0.0, 5.0, 2.0, 2.0)}, "workspace needs y_min < y_max, got y_min 2.0 and y_max 2.0"),
         ({"env_noise_std": -0.05}, "env_noise_std must be >= 0, got -0.05"),
         ({"min_distance_radius": -3.0}, "min_distance_radius must be >= 0, got -3.0"),
+        ({"mission_horizon": 0.0}, "mission_horizon must be positive"),
+        ({"mission_horizon": -1.0}, "mission_horizon must be positive"),
     ],
 )
 def test_invalid_scenario_exits_two_before_any_output(tmp_path, capsys, overrides, message):
     """An invalid scenario is an error before any episode: ``bench`` exits 2
-    and writes no output directory, ``run`` and ``plan`` exit 2 too."""
+    and writes no output directory, ``run`` and ``plan`` exit 2 too.  Such a
+    config cannot be built, so its JSON is written field by field."""
     cfg_path = tmp_path / "cfg.json"
-    tiny_scenario(**overrides).save(cfg_path)
+    cfg_path.write_text(json.dumps(asdict(tiny_scenario()) | overrides), encoding="utf-8")
     out_dir = tmp_path / "out"
     for command in (["bench", "--episodes", "1"], ["run"], ["plan"]):
         code = main([*command, "--config", str(cfg_path), "--out", str(out_dir)])
@@ -489,7 +493,8 @@ def test_bench_has_no_workers_option(capsys):
     "command, message",
     [
         (["run"], "error: seed must be >= 0, got -1\n"),
-        (["bench", "--episodes", "1"], "error: base_seed must be >= 0, got -1\n"),
+        # The config is re-seeded, and refuses the seed, before BenchSpec sees it.
+        (["bench", "--episodes", "1"], "error: seed must be >= 0, got -1\n"),
     ],
 )
 def test_negative_seed_exits_two_before_any_episode(tmp_path, capsys, command, message):
@@ -595,7 +600,7 @@ def test_plan_prints_the_plans_robustness_not_its_cost(tmp_path, capsys):
         rows = np.array([[float(v) for v in line.split(",")] for line in list(fh)[1:]])
     comps = {name: rows[:, k] for k, name in enumerate(("x", "y", "vx", "vy"), 1)}
     comps["xe"], comps["ye"] = (np.full(len(rows), v) for v in cfg.env_start)
-    want = robustness(Signal(mission_times(cfg), comps), 0, cfg.parsed_formula())
+    want = robustness(Signal(mission_times(cfg), comps), 0, cfg.validate())
     assert lines["robustness"] == repr(want)
     assert float(lines["robustness"]) != -cost
 
@@ -630,6 +635,19 @@ def test_selftest_small_run(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "progression_equivalence" in out
+
+
+@pytest.mark.parametrize("command", ["monitor", "progress"])
+def test_monitoring_refuses_an_invalid_config_naming_the_file(tmp_path, capsys, command):
+    # The formula parses; the config is refused for a field the command
+    # never reads, as every config that cannot be built is.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(tiny_scenario()) | {"population_size": 3}), encoding="utf-8")
+    trace = goal_trace(tmp_path, [4.5] * 5)
+    code = main([command, "(x > 0)", str(trace), "--config", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {cfg_path}: population_size must be >= 4\n"
 
 
 def test_monitor_uses_config_aliases(tmp_path, capsys):

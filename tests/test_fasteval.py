@@ -92,7 +92,7 @@ def test_matches_reference_at_mission_scale():
     from rotogo.scenarios import scenario_phi_avoid
 
     rng = np.random.default_rng(35)
-    f = scenario_phi_avoid().parsed_formula()
+    f = scenario_phi_avoid().validate()
     n = 201
     times = np.arange(n, dtype=np.int64) * to_ticks(0.1)
     comps = {
@@ -246,7 +246,7 @@ def test_start_matches_table_at_mission_scale():
             rng.uniform(-0.5, 0.5, (batch, n)), rng.uniform(-0.5, 0.5, (batch, n)),
             np.full((batch, n), 2.5), np.full((batch, n), 2.5),
         ])
-        program = assert_start_matches_table(times, STATE_COMPONENTS, block, cfg.parsed_formula())
+        program = assert_start_matches_table(times, STATE_COMPONENTS, block, cfg.validate())
         assert program.samples_touched == n  # G[0,20] reads the whole mission
 
 

@@ -115,21 +115,39 @@ def test_modes_share_the_environment_stream():
 
 
 def test_unbounded_formula_rejected():
-    cfg = tiny_scenario(formula="F[0,inf) (x > 0)")
     with pytest.raises(ValueError, match="bounded"):
-        mpc_run(cfg)
+        tiny_scenario(formula="F[0,inf) (x > 0)")
 
 
 def test_mission_shorter_than_formula_horizon_rejected():
-    cfg = tiny_scenario(formula="G[0,5] (x > 0)")
     with pytest.raises(ValueError, match="horizon"):
-        mpc_run(cfg)
+        tiny_scenario(formula="G[0,5] (x > 0)")
 
 
 def test_replan_period_must_align():
-    cfg = tiny_scenario(replan_period=0.25)
     with pytest.raises(ValueError, match="multiple"):
-        mpc_run(cfg)
+        tiny_scenario(replan_period=0.25)
+
+
+def test_a_period_that_rounds_onto_the_grid_flies_that_grid():
+    # 0.1000004 s rounds to the 0.1 s grid.  The planner and the dynamics
+    # step on the grid's ticks, so the episode is the 0.1 s one, byte for byte.
+    cfg = tiny_scenario(env_noise_std=0.01, seed=4)
+    on_grid, rounded = mpc_run(cfg), mpc_run(replace(cfg, trace_period=0.1000004))
+    assert episode_digest(rounded) == episode_digest(on_grid)
+    assert validate_trace(rounded.trace, to_ticks(0.1), DoubleIntegrator()).valid
+
+
+def test_a_two_tick_grid_replans_up_to_the_mission_end():
+    # Periods of 1.5e-6 s round to 2 ticks, and the mission ends at tick 6.
+    period = 1.5e-6
+    cfg = tiny_scenario(
+        formula="(x > 0)", mission_horizon=6e-6, trace_period=period, replan_period=period, env_step_period=period
+    )
+    result = mpc_run(cfg)
+    assert result.trace.times.tolist() == [0, 2, 4, 6]
+    assert [r.index for r in result.replans] == [0, 1, 2]
+    assert validate_trace(result.trace, 2, DoubleIntegrator()).valid
 
 
 def _history(result, record):
@@ -162,7 +180,7 @@ def test_rotogo_objective_matches_direct_definition_in_the_live_loop():
         cmaes_iterations=4,
         first_attempt_iterations=6,
     )
-    f0 = cfg.parsed_formula()
+    f0 = cfg.validate()
     result = mpc_run(cfg)
     assert result.replans
     for record in result.replans:
@@ -184,7 +202,7 @@ def test_best_plan_robustness_is_the_table_value(mode):
         cmaes_iterations=4,
         first_attempt_iterations=6,
     )
-    f0 = cfg.parsed_formula()
+    f0 = cfg.validate()
     result = mpc_run(cfg)
     assert result.replans
     for record in result.replans:
@@ -316,7 +334,7 @@ def test_every_objective_is_the_monitors_formula_from_its_anchor(monkeypatch, mo
     cfg = tiny_scenario(
         formula="G[0,2] (x > 0.5) & F[0,2] (x > 1.2)", env_noise_std=0.01, seed=6, objective_mode=mode
     )
-    f0, trace_dt = cfg.parsed_formula(), to_ticks(cfg.trace_period)
+    f0, trace_dt = cfg.validate(), to_ticks(cfg.trace_period)
     result = mpc_run(cfg)
     assert len(plans) == 4
     for plan in plans:
@@ -430,7 +448,7 @@ def test_robustness_mode_compiles_one_program(monkeypatch):
     assert len(result.replans) > 1
     assert len(built) == 2
     for times, f, width, names in built:
-        assert np.array_equal(times, result.trace.times) and f == cfg.parsed_formula() and width == 1
+        assert np.array_equal(times, result.trace.times) and f == cfg.validate() and width == 1
         assert names == STATE_COMPONENTS
 
 
@@ -443,7 +461,7 @@ def test_final_robustness_is_the_table_value(mode):
         objective_mode=mode,
     )
     result = mpc_run(cfg)
-    table = eval_robustness_all(result.trace, cfg.parsed_formula())
+    table = eval_robustness_all(result.trace, cfg.validate())
     assert np.float64(result.final_robustness).tobytes() == table[0].tobytes()
 
 
@@ -475,7 +493,7 @@ def test_robustness_objective_reproducible_offline():
     record = result.replans[0]
     history = _history(result, record)
     assert record.robot + record.env == tuple(history[:, -1])
-    problem = PlanningProblem(cfg, start_monitor(cfg.parsed_formula(), 0), history)
+    problem = PlanningProblem(cfg, start_monitor(cfg.validate(), 0), history)
     assert problem.duration == record.plan_duration
     cost = problem.cost(record.via_points.reshape(1, -1))[0]
     assert cost == record.cost

@@ -335,8 +335,9 @@ def test_history_must_hold_the_samples_the_program_scores():
     for bad in (np.zeros((6, 0)), np.zeros((4, 5)), np.zeros((7, 5)), np.zeros(6), np.zeros((1, 6, 5))):
         with pytest.raises(ValueError, match=r"history must be a \(6, k\) array with k >= 1"):
             PlanningProblem(scenario(2.3, 2), monitor, bad)
-    with pytest.raises(ValueError, match="history holds 24 samples, which reach the mission end at tick 2300000"):
-        PlanningProblem(scenario(2.3, 2), monitor, np.zeros((6, 24)))
+    for k in (24, 25):
+        with pytest.raises(ValueError, match=f"history holds {k} samples, which reach the mission end at tick 2300000"):
+            PlanningProblem(scenario(2.3, 2), monitor, np.zeros((6, k)))
     # From the last of seven samples, a monitor anchored at 0.2 s scores the
     # last five: the two before them are not read.
     monitor = start_monitor(f, to_ticks(0.2))
@@ -406,7 +407,7 @@ def test_problem_reuses_a_program_for_the_same_formula_and_grid():
     previous = PlanningProblem(cfg, start_monitor(f, 0), history[:, :11]).program
     # Another replan from the same anchor, with an equal formula parsed
     # afresh, scores with the same program.
-    assert PlanningProblem(cfg, start_monitor(cfg.parsed_formula(), 0), history, previous).program is previous
+    assert PlanningProblem(cfg, start_monitor(cfg.validate(), 0), history, previous).program is previous
     other = parse_formula("G[0,20] (x > 1)")
     for monitor in (start_monitor(other, 0), start_monitor(f, int(times[41]))):
         program = PlanningProblem(cfg, monitor, history, previous).program
@@ -414,14 +415,22 @@ def test_problem_reuses_a_program_for_the_same_formula_and_grid():
         assert np.array_equal(program.times, times[np.searchsorted(times, monitor.anchor_time) :])
 
 
-def test_problem_refuses_a_mission_end_off_the_trace_grid():
-    # A 2.35 s mission on the 0.1 s grid, unvalidated: the rollout would end
-    # half a sample after the grid's last tick, from any replan instant.
-    cfg = scenario(2.35, 2)
-    monitor = start_monitor(parse_formula("(x > 0)"), 0)
-    for k in (1, 10, 24):
-        with pytest.raises(ValueError, match="the mission end, tick 2350000, is not on the trace grid, which ends at 2300000"):
-            PlanningProblem(cfg, monitor, np.zeros((6, k)))
+def test_a_mission_end_off_the_trace_grid_cannot_be_built():
+    # A 2.35 s mission on the 0.1 s grid would end half a sample after the
+    # grid's last tick; the config refuses it, so no problem is given one.
+    with pytest.raises(ValueError, match="^mission_horizon must be a multiple of trace_period$"):
+        scenario(2.35, 2)
+
+
+def test_rollout_times_are_the_tick_grid_in_seconds():
+    # A 2-tick grid: the rollout samples ticks 2, 4 and 6 from tick 2.  A
+    # period in float seconds, 1.5e-6, would put them at 0, 1.5e-6 and
+    # 3e-6 and end the plan short of the mission end.
+    cfg = scenario(6e-6, 1, trace_period=1.5e-6, replan_period=1.5e-6, env_step_period=1.5e-6)
+    problem = PlanningProblem(cfg, start_monitor(cfg.validate(), 2), np.zeros((6, 2)))
+    assert problem.start_tick == 2 and problem.duration == 4e-6
+    assert problem.rollout_times.tolist() == [0.0, 2e-6, 4e-6]
+    assert problem.program.times.tolist() == [2, 4, 6]
 
 
 @pytest.mark.parametrize("batch", [1, 25])
