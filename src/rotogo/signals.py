@@ -11,7 +11,6 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -185,9 +184,8 @@ def validate_trace(trace: Signal, dt: TimePoint, dynamics) -> TraceValidation:
 # (exact in ticks) and components as repr() floats, UTF-8 with LF line
 # endings.  read_trace_csv accepts more: see its docstring.
 
-#: Characters per block of lines that the plain-text reader parses at once.
-#: Small enough that one block's cell strings, all alive at once, stay a
-#: small share of a short-lived monitoring process.
+#: Characters per block of lines that the plain-text reader checks at once;
+#: one block joined stays a small share of a monitoring process's memory.
 _BLOCK_CHARS = 1 << 14
 
 
@@ -216,11 +214,9 @@ def read_trace_csv(path) -> Signal:
     be finite.  Column names are not checked against
     :data:`STATE_COMPONENTS`; callers check the columns they read.
 
-    Plain text, with no quote, CR or NUL and no line longer than
-    ``csv.field_size_limit()``, is parsed in blocks of lines, where
-    ``line.split(",")`` gives exactly the csv module's cells.  Any other
-    file, and any file the block parser refuses, is read again row by row
-    with ``csv.reader``, which gives the same signal or raises the error.
+    Plain text is parsed by ``np.loadtxt`` (:func:`_read_plain`); any other
+    file, and any file refused there, is read again row by row by
+    ``csv.reader``, which gives the same signal or names the error's line.
 
     Raises ``ValueError`` naming the file, and the line where there is one,
     for: a missing ``t`` column, a repeated column name, a row of the wrong
@@ -230,8 +226,7 @@ def read_trace_csv(path) -> Signal:
     with no samples.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        plain = _read_plain(fh)
-        if plain is not None:
+        if (plain := _read_plain(fh)) is not None:
             return plain
         fh.seek(0)
         reader = csv.reader(fh)
@@ -270,44 +265,40 @@ def _read_plain(fh) -> Optional[Signal]:
     the file again with :func:`_read_rows`, which says what is wrong and
     where.
 
-    The cells are those of ``csv.reader``: without quotes and CRs, a
-    non-blank line's cells are its ``split(",")``.  A last cell keeps its
-    line's LF, which ``float`` strips like any surrounding whitespace.
+    ``np.loadtxt`` parses the lines after the header in C: it splits them
+    at commas and skips empty ones as ``csv.reader`` does, and reads a cell
+    with ``PyOS_string_to_double``, as ``float`` reads text without
+    underscores, to the same bits.  What it refuses (an underscore, a
+    non-ASCII digit, a short row, an empty cell) is left to the row reader.
     """
     limit = csv.field_size_limit()
-    header = None
-    blocks = []
-    try:  # a cell that is not a number, or bytes that are not UTF-8
-        while lines := fh.readlines(_BLOCK_CHARS):
-            text = "".join(lines)
-            if '"' in text or "\r" in text or "\0" in text:
-                return None
-            if len(text) > limit and max(map(len, lines)) > limit:
-                return None
-            if header is None:
-                header = lines.pop(0).removesuffix("\n").split(",")
-                if header[0] != "t" or len(set(header)) < len(header):
-                    return None
-            width = len(header)
-            rows = [line.split(",") for line in lines if line != "\n"]
-            if set(map(len, rows)) - {width}:
-                return None
-            blocks.append(np.fromiter(map(float, chain.from_iterable(rows)), np.float64, len(rows) * width))
-    except ValueError:
-        return None
-    if not blocks:
-        return None
-    flat = np.concatenate(blocks)
-    del blocks  # before the signal copies its columns, so that it can take their memory
-    table = flat.reshape(-1, width).T
-    # round(s * TICKS_PER_SECOND), as to_ticks computes it: the same IEEE
-    # multiply, and rint rounds half to even as round does.  The range test
-    # also refuses infinite and NaN times and the infinite products of huge
-    # finite times.
-    ticks = np.rint(table[0] * TICKS_PER_SECOND)
-    if not ((ticks >= -(2.0**63)) & (ticks < 2.0**63)).all():
-        return None
-    try:  # no samples, a non-finite component, or a time not after the last
+
+    def lines():  # the lines of fh, checked one block at a time
+        filled = 0  # lines that hold more than their LF, the header's included
+        while block := fh.readlines(_BLOCK_CHARS):
+            text = "".join(block)
+            # csv.reader reads a quote, CR or NUL otherwise than a split at commas
+            # and refuses a cell over its size limit; float does not strip
+            # U+001C..U+001F, which numpy strips from a number.
+            if any(c in text for c in '"\r\0\x1c\x1d\x1e\x1f') or len(text) > limit and max(map(len, block)) > limit:
+                raise ValueError("not plain text")
+            filled += len(block) - block.count("\n")
+            yield from block
+        if filled < 2:  # a header alone, on which np.loadtxt would warn
+            raise ValueError("no samples")
+
+    body = lines()
+    try:  # not plain, not UTF-8, no samples, a row numpy refuses, a non-finite value or a stalled time
+        header = next(body).removesuffix("\n").split(",")
+        if header[0] != "t" or len(set(header)) < len(header):
+            return None
+        table = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None, ndmin=2).T
+        # round(s * TICKS_PER_SECOND), as to_ticks computes it: the same IEEE
+        # multiply, and rint rounds half to even as round does.  The range
+        # test also refuses infinite and NaN times and huge finite ones.
+        ticks = np.rint(table[0] * TICKS_PER_SECOND)
+        if len(table) != len(header) or not ((ticks >= -(2.0**63)) & (ticks < 2.0**63)).all():
+            return None  # numpy compares each row's width with the first's only
         return Signal(ticks.astype(np.int64), dict(zip(header[1:], table[1:])))
     except ValueError:
         return None

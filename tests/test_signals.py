@@ -1,6 +1,7 @@
 import csv
 import math
 import pickle
+import warnings
 from array import array
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rotogo.cli import main
 from rotogo.dynamics import DoubleIntegrator
 from rotogo.fasteval import eval_robustness_all
 from rotogo.formula import Interval, to_seconds, to_ticks
@@ -350,8 +352,8 @@ def _benchmark_trace_text(rng, n):
 
 
 def test_plain_traces_take_the_block_parser(tmp_path):
-    """The files this package and its benchmark write are parsed in blocks;
-    a silent fallback to the row scanner would pass every other test."""
+    """The files this package and its benchmark write take the numpy fast
+    path; a silent fallback to the row reader would pass every other test."""
     trace, _ = build_trace()
     written = tmp_path / "written.csv"
     write_trace_csv(trace, written)
@@ -368,7 +370,7 @@ def test_plain_traces_take_the_block_parser(tmp_path):
 
 def test_trace_with_a_byte_order_mark_reads_like_the_plain_one(tmp_path, monkeypatch):
     # Excel's "CSV UTF-8" starts with a byte-order mark.  A plain trace with
-    # one still takes the block parser; a quoted CRLF one is read again by
+    # one still takes the numpy fast path; a quoted CRLF one is read again by
     # csv.reader after fh.seek(0), which must skip the mark once more.
     trace, _ = build_trace()
     plain = tmp_path / "plain.csv"
@@ -384,7 +386,7 @@ def test_trace_with_a_byte_order_mark_reads_like_the_plain_one(tmp_path, monkeyp
         bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         if path is plain:
             with monkeypatch.context() as m:
-                m.setattr("rotogo.signals._read_rows", None)  # the block parser alone
+                m.setattr("rotogo.signals._read_rows", None)  # the numpy fast path alone
                 assert _outcome(read_trace_csv, bom) == want
         assert _outcome(read_trace_csv, bom) == want, bom.name
 
@@ -403,7 +405,7 @@ def test_oversized_field_and_invalid_utf8_are_value_errors(tmp_path):
 def test_a_plain_cell_at_and_over_the_field_limit(tmp_path, extra):
     """An unquoted number as long as ``csv.field_size_limit()`` reads as
     csv.reader reads it, and one character more is the row reader's
-    positioned error, not a number the block parser accepts."""
+    positioned error, not a number the numpy fast path accepts."""
     limit = csv.field_size_limit()
     cell = "0" * (limit + extra - 3) + "1.5"
     path = tmp_path / "long.csv"
@@ -416,10 +418,55 @@ def test_a_plain_cell_at_and_over_the_field_limit(tmp_path, extra):
         assert got[1] == [("x", np.array([1.0, 1.5]).tobytes())]
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['t,"x"\n0,1\n', "t,x\r\n0,1\r\n", "t,x\r0,1\r", "t,x\0\n0,1\n"],
+    ids=["quote", "crlf", "cr", "nul"],
+)
+def test_text_csv_reads_otherwise_takes_the_row_reader(tmp_path, text):
+    """A quote, a CR or a NUL in the header would give other column names
+    split at commas than ``csv.reader`` gives (which refuses a NUL before
+    Python 3.11), so the plain path refuses the file."""
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert _read_plain(fh) is None
+    assert _outcome(read_trace_csv, path) == _outcome(_reference_read_trace_csv, path)
+
+
+@pytest.mark.parametrize("text", ["t,x\n", "t,x\n\n\n\n", "t,x\n0,1\n"], ids=["header", "blank", "one"])
+def test_no_warning_leaves_the_reader(tmp_path, capsys, text):
+    """np.loadtxt warns "input contained no data" on an empty body; the
+    reader gives the row reader's outcome and nothing else."""
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(read_trace_csv, path) == _outcome(_reference_read_trace_csv, path)
+    if text == "t,x\n":
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["monitor", "(x > 0)", str(path)])
+        assert (code, caught) == (2, [])
+        assert capsys.readouterr() == ("", f"error: {path}: trace contains no samples\n")
+
+
+@pytest.mark.parametrize("cell", ["\x1c1", "1\x1d", "\x1e1\x1f"])
+def test_a_cell_float_does_not_strip_is_the_row_readers_error(tmp_path, cell):
+    """numpy strips U+001C..U+001F around a number as whitespace, and
+    ``float`` refuses them."""
+    path = tmp_path / "trace.csv"
+    path.write_text(f"t,x\n0,1\n1,{cell}\n", encoding="utf-8")
+    assert _outcome(read_trace_csv, path) == f"{path}:3: could not convert string to float: {cell!r}"
+
+
 #: Byte strings that trace CSVs and their near misses are made of.
 _CSV_PIECES = (
     b"t", b"x", b"y", b",", b"\n", b"\r", b"\r\n", b'"', b"0", b"1", b"9", b".", b"-", b"e", b" ",
     b"0.1", b"1e-7", b"nan", b"inf", b"1e400", b"1e300", b"\x00", b"\xff", b"\xc3\xa9",
+    # Bytes that numpy's tokenizer or number parser treats on its own.
+    b"\t", b"\x0b", b"\x0c", b"\xc2\xa0", b"_", b"+", b"#", b"E", b"infinity",
+    b"\x1c",
 )
 _csv_bytes = st.one_of(
     st.binary(max_size=64),
@@ -429,11 +476,11 @@ _csv_bytes = st.one_of(
 
 
 # ---------------------------------------------------------------------------
-# The block parser against the row-by-row reader
+# The numpy fast path against the row-by-row reader
 
 
 def _reference_read_trace_csv(path) -> Signal:
-    """The reader before plain text was parsed in blocks: ``csv.reader``
+    """The reader before plain text took a fast path: ``csv.reader``
     row by row, every cell through ``float``, whole-column checks after.
     Stalled times are found by comparing neighbours, as the package does
     since a difference of int64 times was found to wrap, and skips a
