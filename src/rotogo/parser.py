@@ -1,4 +1,4 @@
-"""Concrete syntax for formulas: tokenizer, recursive-descent parser, printer.
+"""Concrete syntax for formulas: scanner, recursive-descent parser, printer.
 
 Grammar (EBNF, whitespace insensitive):
 
@@ -27,9 +27,17 @@ is settled from the tokens before parsing: a comparison always sits
 directly inside its predicate's own parentheses, so a `(` that directly
 holds a comparison opens a predicate, and any other `(` opens a grouped
 formula (or, inside a predicate, a subexpression).  Each token is read
-once, and an error points at the token that is wrong.  An alias text is a
-formula or one bare predicate (`x > 0`, without the parentheses); an error
-in it names the alias and points into the alias's own text.
+once, and an error points at the token that is wrong.
+
+The scanner matches one regular expression per token.  A number is ASCII
+digits and dots with an optional exponent, as `float` reads it, and never
+carries a sign; a name is a run of word characters that starts with a
+letter or `_`, so a numeral such as `²` or `٣` is an unexpected character.
+
+An alias is formula text, never a parsed tree, so every alias is built
+under the nesting limit below.  Its text is a formula or one bare predicate
+(`x > 0`, without the parentheses); an error in it names the alias and
+points into the alias's own text.
 
 Interval bounds are seconds and are converted to integer ticks.  `F`, `G`
 and `->` are syntactic sugar and are desugared at parse time; comparisons
@@ -50,9 +58,10 @@ crossed it.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Optional, Union
+from typing import Callable, Collection, Mapping, Optional
 
 from .formula import (
     And,
@@ -104,63 +113,35 @@ class _Token:
     column: int
 
 
-# Only ASCII digits: str.isdigit() also accepts digits that float() rejects.
-_DIGITS = frozenset("0123456789")
+#: One match per token, run of spaces or line end, tried in this order.
+#: `\w` also matches numerals such as '²', which cannot start a name.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[^\S\n]+)"
+    r"|(?P<number>(?=\.?[0-9])[0-9.]+(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>\w+)|(?P<op>->|<=|>=|[-!&|()\[\],<>+*^])|(?P<other>.)"
+)
 
-_OPERATORS = ("->", "<=", ">=", "!", "&", "|", "(", ")", "[", "]", ",", "<", ">", "+", "-", "*", "^")
+
+def _is_name(word: str) -> bool:
+    """Whether a run of word characters starts with a letter or '_'."""
+    return word[0].isalpha() or word[0] == "_"
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            while j < n and (text[j] in _DIGITS or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k] in _DIGITS:
-                    j = k
-                    while j < n and text[j] in _DIGITS:
-                        j += 1
-            if text.count(".", i, j) > 1:
-                raise ParseError(f"malformed number {text[i:j]!r}", line, col)
-            tokens.append(_Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(_Token("op", op, line, col))
-                col += len(op)
-                i += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind != "space":
+            column = m.start() - line_start + 1
+            if kind == "other" or kind == "ident" and not _is_name(value):
+                raise ParseError(f"unexpected character {value[0]!r}", line, column)
+            if kind == "number" and value.count(".") > 1:
+                raise ParseError(f"malformed number {value!r}", line, column)
+            tokens.append(_Token(kind, value, line, column))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -418,7 +399,6 @@ class _Parser:
             raise self.error("expected an interval")
         self.next()
         lower_closed = open_tok.text == "["
-        lo_tok = self.peek()
         lower = self.parse_time_bound(allow_inf=False)
         self.expect(",")
         hi_tok = self.peek()
@@ -428,8 +408,6 @@ class _Parser:
             raise self.error("expected ']' or ')'")
         self.next()
         upper_closed = close_tok.text == "]"
-        if lower < 0:
-            raise ParseError("interval lower bound must be >= 0", lo_tok.line, lo_tok.column)
         if upper == math.inf:
             if upper_closed:
                 raise ParseError("an infinite bound must be open", close_tok.line, close_tok.column)
@@ -474,29 +452,29 @@ def _difference(lhs: Expr, rhs: Expr) -> Expr:
     return BinOp("-", lhs, rhs)
 
 
-def parse_formula(text: str, *, aliases: Optional[Mapping[str, Union[str, Formula]]] = None) -> Formula:
+def parse_formula(text: str, *, aliases: Optional[Mapping[str, str]] = None) -> Formula:
     """Parse concrete syntax into a desugared formula tree.
 
     Interval bounds are seconds, converted to ticks at parse time by
     :func:`rotogo.formula.to_ticks`, as trace and scenario times are.
-    ``aliases`` maps bare names to formula fragments (strings or already
-    parsed formulas), as bound by a scenario configuration.
+    ``aliases`` maps bare names to formula text, as bound by a scenario
+    configuration; a value that is not a string is a ``ValueError`` naming
+    its alias, so every alias is parsed under the nesting limit.
     """
     raw = aliases or {}
-    for name in raw:
+    for name, value in raw.items():
         # The parser reads a name as an alias only when it is one
         # identifier token and neither a keyword nor a state variable, so
         # any other alias could never be referred to.
-        if not (
-            isinstance(name, str)
-            and (name[:1].isalpha() or name[:1] == "_")
-            and all(ch.isalnum() or ch == "_" for ch in name)
-        ):
+        scanned = _TOKEN.fullmatch(name) if isinstance(name, str) else None
+        if not (scanned and scanned.lastgroup == "ident" and _is_name(name)):
             raise ValueError(f"alias {name!r} is not a name: one letter or '_', then letters, digits or '_'")
         if name in _RESERVED:
             raise ValueError(f"alias {name!r} is a reserved word")
         if name in STATE_COMPONENTS:
             raise ValueError(f"alias {name!r} shadows the state variable of that name")
+        if not isinstance(value, str):
+            raise ValueError(f"alias {name!r} is not formula text but a {type(value).__name__}")
     resolved: dict[str, Formula] = {}
     resolving: list[str] = []  # the aliases being read, innermost last
 
@@ -506,8 +484,7 @@ def parse_formula(text: str, *, aliases: Optional[Mapping[str, Union[str, Formul
         if name in resolving:
             raise ValueError(f"alias cycle involving {name!r}")
         resolving.append(name)
-        value = raw[name]
-        out = value if isinstance(value, Formula) else _Parser(value, raw, resolve).parse(bare_predicate=True)
+        out = _Parser(raw[name], raw, resolve).parse(bare_predicate=True)
         resolving.pop()
         resolved[name] = out
         return out

@@ -265,8 +265,9 @@ def _read_plain(fh) -> Optional[Signal]:
     the file again with :func:`_read_rows`, which says what is wrong and
     where.
 
-    ``np.loadtxt`` parses the lines after the header in C: it splits them
-    at commas and skips empty ones as ``csv.reader`` does, and reads a cell
+    ``np.loadtxt`` parses the lines after the header in C: it ends them at
+    LF, CRLF or CR, splits them at commas and skips empty ones as
+    ``csv.reader`` does, and reads a cell
     with ``PyOS_string_to_double``, as ``float`` reads text without
     underscores, to the same bits.  What it refuses (an underscore, a
     non-ASCII digit, a short row, an empty cell) is left to the row reader.
@@ -274,22 +275,22 @@ def _read_plain(fh) -> Optional[Signal]:
     limit = csv.field_size_limit()
 
     def lines():  # the lines of fh, checked one block at a time
-        filled = 0  # lines that hold more than their LF, the header's included
+        filled = 0  # lines that hold more than their line end, the header's included
         while block := fh.readlines(_BLOCK_CHARS):
             text = "".join(block)
-            # csv.reader reads a quote, CR or NUL otherwise than a split at commas
+            # csv.reader reads a quote or NUL otherwise than a split at commas
             # and refuses a cell over its size limit; float does not strip
             # U+001C..U+001F, which numpy strips from a number.
-            if any(c in text for c in '"\r\0\x1c\x1d\x1e\x1f') or len(text) > limit and max(map(len, block)) > limit:
+            if any(c in text for c in '"\0\x1c\x1d\x1e\x1f') or len(text) > limit and max(map(len, block)) > limit:
                 raise ValueError("not plain text")
-            filled += len(block) - block.count("\n")
+            filled += len(block) - block.count("\n") - block.count("\r\n") - block.count("\r")
             yield from block
         if filled < 2:  # a header alone, on which np.loadtxt would warn
             raise ValueError("no samples")
 
     body = lines()
     try:  # not plain, not UTF-8, no samples, a row numpy refuses, a non-finite value or a stalled time
-        header = next(body).removesuffix("\n").split(",")
+        header = next(body).rstrip("\r\n").split(",")
         if header[0] != "t" or len(set(header)) < len(header):
             return None
         table = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None, ndmin=2).T

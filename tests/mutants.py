@@ -29,14 +29,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+FASTEVAL = "src/rotogo/fasteval.py"
+MPC = "src/rotogo/mpc.py"
+PARSER = "src/rotogo/parser.py"
+PLANNING = "src/rotogo/planning.py"
 SIGNALS = "src/rotogo/signals.py"
 SCENARIOS = "src/rotogo/scenarios.py"
-_NOT_PLAIN = """if any(c in text for c in '"\\r\\0\\x1c\\x1d\\x1e\\x1f')"""
+_NUMBER = r"(?P<number>(?=\.?[0-9])[0-9.]+(?:[eE][+-]?[0-9]+)?)"
+_NOT_PLAIN = """if any(c in text for c in '"\\0\\x1c\\x1d\\x1e\\x1f')"""
 _FIELD_LIMIT = " or len(text) > limit and max(map(len, block)) > limit:"
 
 
 def _every_check(test_id: str) -> str:
     return f"tests/test_scenarios.py::test_every_way_of_building_a_config_runs_every_check[{test_id}]"
+
+
+def _folded(test_id: str) -> str:
+    return f"tests/test_fasteval.py::test_folded_negation_constant_power_and_zero_power_match_reference[{test_id}]"
 
 
 def _raise_dropped(old: str, *test_ids: str) -> tuple:
@@ -48,12 +57,20 @@ def _raise_dropped(old: str, *test_ids: str) -> tuple:
 
 
 MUTANTS = [
+    # The formula scanner's guards and its name rule, each dropped alone.
+    (PARSER, 'if kind == "other" or kind == "ident" and not _is_name(value):', 'if kind == "other":',
+     ["tests/test_parser.py::test_malformed_numbers_are_positioned_errors"]),
+    (PARSER, 'if kind == "number" and value.count(".") > 1:', "if False:",
+     ["tests/test_parser.py::test_malformed_numbers_are_positioned_errors"]),
+    (PARSER, _NUMBER, _NUMBER.replace("0-9", r"\d"),
+     ["tests/test_parser.py::test_malformed_numbers_are_positioned_errors"]),
+    (PARSER, 'scanned.lastgroup == "ident" and _is_name(name)', 'scanned.lastgroup == "ident"',
+     ["tests/test_parser.py::test_alias_the_parser_cannot_read_is_rejected[2nd-not a name]"]),
+    (PARSER, "        if not isinstance(value, str):\n            raise", "        if False:\n            raise",
+     ["tests/test_parser.py::test_an_alias_is_text_parsed_under_the_nesting_limit"]),
     # The plain trace reader's guards, each dropped alone.
-    (SIGNALS, _NOT_PLAIN, _NOT_PLAIN.replace('"\\r', "\\r"),
+    (SIGNALS, _NOT_PLAIN, _NOT_PLAIN.replace('"\\0', "\\0"),
      ["tests/test_signals.py::test_text_csv_reads_otherwise_takes_the_row_reader[quote]"]),
-    (SIGNALS, _NOT_PLAIN, _NOT_PLAIN.replace("\\r", ""),
-     ["tests/test_signals.py::test_text_csv_reads_otherwise_takes_the_row_reader[crlf]",
-      "tests/test_signals.py::test_text_csv_reads_otherwise_takes_the_row_reader[cr]"]),
     (SIGNALS, _NOT_PLAIN, _NOT_PLAIN.replace("\\0", ""),
      ["tests/test_signals.py::test_text_csv_reads_otherwise_takes_the_row_reader[nul]"]),
     (SIGNALS, _NOT_PLAIN, _NOT_PLAIN.replace("\\x1c\\x1d\\x1e\\x1f", ""),
@@ -64,6 +81,13 @@ MUTANTS = [
      ["tests/test_signals.py::test_a_plain_cell_at_and_over_the_field_limit[1]"]),
     (SIGNALS, "        if filled < 2:", "        if False:",
      ["tests/test_signals.py::test_no_warning_leaves_the_reader"]),
+    # CRLF and CR line ends on the fast path: the header's and a blank line's.
+    (SIGNALS, 'next(body).rstrip("\\r\\n")', 'next(body).removesuffix("\\n")',
+     ["tests/test_signals.py::test_crlf_and_cr_traces_take_the_numpy_fast_path"]),
+    (SIGNALS, ' - block.count("\\r\\n")', "",
+     ["tests/test_signals.py::test_no_warning_leaves_the_reader[blank-crlf]"]),
+    (SIGNALS, ' - block.count("\\r")', "",
+     ["tests/test_signals.py::test_no_warning_leaves_the_reader[blank-cr]"]),
     # The construction checks of a scenario configuration, each made to pass.
     _raise_dropped(
         '        if self.objective_mode not in MODES:\n            raise ValueError(f"objective_mode must be one of {MODES}")',
@@ -155,6 +179,36 @@ MUTANTS = [
         "overrides25-env_noise_std must be >= 0, got -0.05",
         "overrides26-min_distance_radius must be >= 0, got -3.0",
     ),
+    # Baseline's killed mutants, as they read in today's code.
+    (FASTEVAL, "out[:, mask] = np.maximum(levels[p][:, a], levels[p][:, b])", "out[:, mask] = levels[p][:, a]",
+     ["tests/test_fasteval.py::test_matches_reference_at_every_index"]),
+    (FASTEVAL, '"left" if interval.lower_closed else "right"', '"left"',
+     ["tests/test_fasteval.py::test_matches_reference_at_every_index"]),
+    ("src/rotogo/progression.py", "if isinstance(l, Bottom) or isinstance(r, Bottom):", "if isinstance(l, Bottom):",
+     ["tests/test_progression.py::test_simplify_rules"]),
+    (PLANNING, "outside = (planes[0] < self._lower)", "outside = (planes[0] <= self._lower)",
+     ["tests/test_planning.py::test_cost_at_the_penalty_boundaries_is_the_reference_sum"]),
+    ("src/rotogo/cmaes.py", "h_threshold = 1.4 + 2 / (n + 1)", "h_threshold = 1.4 + 2 / n",
+     ["tests/test_cmaes.py::test_minimize_matches_reference_bit_for_bit"]),
+    (PLANNING, "knots[1:-1, 1] = 0.5 * (", "knots[1:-1, 1] = 0.4 * (",
+     ["tests/test_planning.py::test_spline_basis_matches_the_direct_evaluation"]),
+    (PARSER, "->|<=|>=|", "->|<=|", ["tests/test_parser.py::test_comparison_normalization"]),
+    (MPC, "sigma = max(min(sigma, 0.5 * cfg.v_max * duration), 1e-3)", "sigma = max(sigma, 1e-3)",
+     ["tests/test_mpc.py::test_episode_digests_are_pinned[phi_avoid-robustness-1]"]),
+    (SIGNALS, 'if header[0] != "t" or len(set(header)) < len(header):', 'if header[0] != "t":',
+     ["tests/test_bench_cli.py::test_monitor_repeated_column_exit_two"]),
+    ("src/rotogo/bench.py", '        return "nan"', '        return "NaN"',
+     ["tests/test_bench_cli.py::test_format_stats_csv_handles_all_infinite"]),
+    (MPC, " for r in results if math.isfinite(r.final_robustness)]", " for r in results]",
+     ["tests/test_mpc.py::test_batch_stats_excludes_infinities_from_mean"]),
+    (SCENARIOS, "if not y_min < y_max:", "if not y_min <= y_max:",
+     [_every_check("overrides24-workspace needs y_min < y_max, got y_min 2.0 and y_max 2.0")]),
+    # The compiler's constant folds of a negation and a power, and a zeroth power.
+    (FASTEVAL, "            if isinstance(child, _Const):\n                return _Const(-child.value)\n", "",
+     [_folded("neg-of-folded")]),
+    (FASTEVAL, "return _Const(_int_pow(base.value, e.exponent))", "return _Const(base.value)",
+     [_folded("constant-pow")]),
+    (FASTEVAL, "(zero, self._const(1.0)), np.add)", "(zero, self._const(1.0)), np.subtract)", [_folded("pow-0")]),
 ]
 
 

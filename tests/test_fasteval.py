@@ -475,3 +475,23 @@ def test_constant_formulas_run_on_zero_components():
         assert eval_robustness_all(s, f).tobytes() == reference.tobytes()
         start = Program(s.times, f, 1, s.names).run(s.block[:, np.newaxis])
         assert start.tobytes() == reference[:1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(x > -(2*3))", "(x*2^3 > 1)", "(x^0 > 0.5)", "F[0,0.5] (-(1.5*2) < x^0 - y)"],
+    ids=["neg-of-folded", "constant-pow", "pow-0", "all"],
+)
+def test_folded_negation_constant_power_and_zero_power_match_reference(text):
+    # A negated constant subexpression and a constant power fold when
+    # compiled, and a zeroth power compiles to x * 0 + 1; the table keeps
+    # every bit of the reference, the sign of zero included.
+    rng = np.random.default_rng(35)
+    f = parse_formula(text)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 6.0, -6.0, 0.125, 1e-300, -1e300])
+    for _ in range(20):
+        n = int(rng.integers(1, 12))
+        comps = {name: np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.normal(size=n) * 4) for name in "xy"}
+        s = Signal(np.arange(n, dtype=np.int64) * to_ticks(0.1), comps)
+        reference = np.array([robustness(s, t, f) for t in s.times.tolist()])
+        assert eval_robustness_all(s, f).tobytes() == reference.tobytes()

@@ -259,6 +259,8 @@ def test_malformed_numbers_are_positioned_errors():
         parse_formula("F[0,1.2.3] (x > 0)")
     with pytest.raises(ParseError, match=r"^1:4: unexpected character"):
         parse_formula("(x^\u00b2 > 0)")  # a digit to str.isdigit(), not to float()
+    with pytest.raises(ParseError, match=r"^1:6: unexpected character '\u0663'$"):
+        parse_formula("(x > \u0663)")  # a decimal digit to float(), but not ASCII
 
 
 def _at_limit(shape: str, depth: int) -> str:
@@ -299,6 +301,19 @@ def test_deep_nesting_is_a_positioned_error(text, column):
         parse_formula(text)
     assert (err.value.line, err.value.column) == (1, column)
     assert str(err.value).endswith(f"formula nests deeper than {MAX_NESTING} levels")
+
+
+def test_an_alias_is_text_parsed_under_the_nesting_limit():
+    # A parsed tree as an alias would skip the limit, so only text is taken;
+    # an alias text at the limit nests one level too deep anywhere it is used.
+    deep = {"a": _at_limit("not", MAX_NESTING)}
+    with pytest.raises(ValueError, match="^alias 'a' is not formula text but a Not$"):
+        parse_formula("G[0,1] a", aliases={"a": parse_formula(deep["a"])})
+    assert parse_formula("a", aliases=deep) == parse_formula(deep["a"])
+    with pytest.raises(ParseError, match=f"^1:1: formula nests deeper than {MAX_NESTING} levels$"):
+        parse_formula("!a", aliases=deep)
+    with pytest.raises(ParseError, match=f"^1:1: in alias 'b': formula nests deeper than {MAX_NESTING} levels$"):
+        parse_formula("b", aliases={**deep, "b": "G[0,1] a"})
 
 
 def test_formulas_at_the_limit_run_through_every_recursive_consumer():

@@ -353,7 +353,8 @@ def _benchmark_trace_text(rng, n):
 
 def test_plain_traces_take_the_block_parser(tmp_path):
     """The files this package and its benchmark write take the numpy fast
-    path; a silent fallback to the row reader would pass every other test."""
+    path, and so do their CRLF and CR copies; a silent fallback to the row
+    reader would pass every other test."""
     trace, _ = build_trace()
     written = tmp_path / "written.csv"
     write_trace_csv(trace, written)
@@ -362,6 +363,10 @@ def test_plain_traces_take_the_block_parser(tmp_path):
     for n in (1, 201, 2001):  # one sample, one block, many blocks
         paths.append(tmp_path / f"bench{n}.csv")
         paths[-1].write_text(_benchmark_trace_text(rng, n), encoding="utf-8")
+    for path in list(paths):
+        for name, line_end in (("crlf", b"\r\n"), ("cr", b"\r")):
+            paths.append(path.with_name(f"{name}_{path.name}"))
+            paths[-1].write_bytes(path.read_bytes().replace(b"\n", line_end))
     for path in paths:
         with open(path, encoding="utf-8", newline="") as fh:
             assert _read_plain(fh) is not None, path.name
@@ -418,15 +423,11 @@ def test_a_plain_cell_at_and_over_the_field_limit(tmp_path, extra):
         assert got[1] == [("x", np.array([1.0, 1.5]).tobytes())]
 
 
-@pytest.mark.parametrize(
-    "text",
-    ['t,"x"\n0,1\n', "t,x\r\n0,1\r\n", "t,x\r0,1\r", "t,x\0\n0,1\n"],
-    ids=["quote", "crlf", "cr", "nul"],
-)
+@pytest.mark.parametrize("text", ['t,"x"\n0,1\n', "t,x\0\n0,1\n"], ids=["quote", "nul"])
 def test_text_csv_reads_otherwise_takes_the_row_reader(tmp_path, text):
-    """A quote, a CR or a NUL in the header would give other column names
-    split at commas than ``csv.reader`` gives (which refuses a NUL before
-    Python 3.11), so the plain path refuses the file."""
+    """A quote or a NUL in the header would give other column names split
+    at commas than ``csv.reader`` gives (which refuses a NUL before Python
+    3.11), so the plain path refuses the file."""
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8", newline="") as fh:
@@ -434,7 +435,30 @@ def test_text_csv_reads_otherwise_takes_the_row_reader(tmp_path, text):
     assert _outcome(read_trace_csv, path) == _outcome(_reference_read_trace_csv, path)
 
 
-@pytest.mark.parametrize("text", ["t,x\n", "t,x\n\n\n\n", "t,x\n0,1\n"], ids=["header", "blank", "one"])
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_traces_take_the_numpy_fast_path(tmp_path, line_end):
+    """``readlines`` on a file opened with ``newline=""`` ends a line at CR,
+    LF or CRLF, as ``csv.reader`` does, so the fast path reads a CRLF or CR
+    trace to the bits of its LF copy, blank lines and a missing final line
+    end included."""
+    lf = "t,x,y\n0,1.5,-2\n\n0.1,3,4e-7\n\n0.25,-0.0,1"
+    plain = []
+    for name, text in (("lf", lf), ("other", lf.replace("\n", line_end))):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8", newline="") as fh:
+            got = _read_plain(fh)
+        assert got is not None, name
+        plain.append((got.names, got.times.tobytes(), got.block.tobytes()))
+        assert _outcome(read_trace_csv, path) == _outcome(_reference_read_trace_csv, path), name
+    assert plain[1] == plain[0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["t,x\n", "t,x\n\n\n\n", "t,x\r\n\r\n\r\n", "t,x\r\r\r", "t,x\n0,1\n"],
+    ids=["header", "blank", "blank-crlf", "blank-cr", "one"],
+)
 def test_no_warning_leaves_the_reader(tmp_path, capsys, text):
     """np.loadtxt warns "input contained no data" on an empty body; the
     reader gives the row reader's outcome and nothing else."""
