@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 # Module-level imports are what ``monitor`` and ``progress`` use (the
@@ -38,17 +39,20 @@ def _fmt_value(v: float) -> str:
 
 
 def _load_scenario(args) -> ScenarioConfig:
+    """The scenario a command runs, with ``--mode`` and ``--seed`` applied
+    when given: a built-in is built with them, so its formula is parsed
+    once, and a config file's scenario takes them in one ``replace``."""
+    changes = {}
+    if getattr(args, "mode", None):
+        changes["objective_mode"] = args.mode
+    if getattr(args, "seed", None) is not None:
+        changes["seed"] = args.seed
     if getattr(args, "config", None):
         cfg = ScenarioConfig.load(args.config)
-    elif getattr(args, "scenario", None):
-        cfg = get_scenario(args.scenario)
-    else:
-        raise ValueError("one of --config or --scenario is required")
-    if getattr(args, "mode", None):
-        cfg = cfg.with_mode(args.mode)
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_seed(args.seed)
-    return cfg
+        return replace(cfg, **changes) if changes else cfg
+    if getattr(args, "scenario", None):
+        return get_scenario(args.scenario, changes.get("objective_mode", "rotogo"), changes.get("seed", 0))
+    raise ValueError("one of --config or --scenario is required")
 
 
 def _aliases_from(args) -> dict:

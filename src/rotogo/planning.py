@@ -12,10 +12,10 @@ acceleration, so the spline is twice differentiable.
 
 Per coordinate the spline is a linear map of (start position, start
 velocity, via points).  :func:`spline_basis` builds that map in closed form
-at any sample times, and the planner reads every spline it runs from it:
-candidates, the executed plan and the warm start.  :func:`rollout_arrays`
-and :func:`spline_positions` evaluate each segment's quintic directly; they
-are the reference the map is tested against.
+at any sample times, exact at t = 0, and every spline is read from it: the
+planner's candidates, the executed plan and the warm start, and
+:func:`rollout_arrays` and :func:`spline_positions`, which sample given via
+points on the resolution grid or at any times.
 
 The loss for a candidate trajectory is the negative robustness of the
 signal assembled from it, plus hard penalties for leaving the workspace and
@@ -49,80 +49,6 @@ LIMIT_PENALTY = 1e6
 ROBUSTNESS_CLAMP = 1e9
 
 
-def _quintic_coefficients(p0, v0, a0, p1, v1, a1, T):
-    """Coefficients of the minimum-jerk quintic meeting both endpoint states.
-
-    All arguments broadcast; returns six arrays c0..c5 with
-    p(t) = c0 + c1 t + ... + c5 t^5 over t in [0, T].
-    """
-    T2, T3, T4, T5 = T * T, T**3, T**4, T**5
-    dp = p1 - p0 - v0 * T - 0.5 * a0 * T2
-    dv = v1 - v0 - a0 * T
-    da = a1 - a0
-    c0 = p0
-    c1 = v0
-    c2 = 0.5 * a0
-    c3 = (10 * dp - 4 * dv * T + 0.5 * da * T2) / T3
-    c4 = (-15 * dp + 7 * dv * T - da * T2) / T4
-    c5 = (6 * dp - 3 * dv * T + 0.5 * da * T2) / T5
-    return c0, c1, c2, c3, c4, c5
-
-
-def _segment_coefficients(via: np.ndarray, start_pos: np.ndarray, start_vel: np.ndarray, duration: float):
-    """Quintic coefficients for every segment; via is (..., N, 2), or
-    (..., N, 1) for one coordinate.
-
-    Knots sit at t_j = j * duration / N with via point j at knot j; knot N is
-    the trajectory end, reached at rest.  Interior knot velocities are
-    central finite differences of the neighboring knot positions, so the
-    robot flows through via points instead of stopping at each one.  Returns
-    an array of shape (..., N, 2, 6) (or (..., N, 1, 6)).
-    """
-    via = np.asarray(via, dtype=np.float64)
-    n_via = via.shape[-2]
-    batch_shape = via.shape[:-2]
-    seg_t = duration / n_via
-
-    width = via.shape[-1]
-    knots_p = np.concatenate(
-        [np.broadcast_to(start_pos, batch_shape + (1, width)), via], axis=-2
-    )  # (..., N+1, width)
-    knots_v = np.zeros(batch_shape + (n_via + 1, width))
-    knots_v[..., 0, :] = start_vel
-    if n_via > 1:
-        knots_v[..., 1:-1, :] = (knots_p[..., 2:, :] - knots_p[..., :-2, :]) / (2.0 * seg_t)
-
-    coeffs = np.broadcast_arrays(
-        *_quintic_coefficients(
-            knots_p[..., :-1, :],
-            knots_v[..., :-1, :],
-            0.0,
-            knots_p[..., 1:, :],
-            knots_v[..., 1:, :],
-            0.0,
-            seg_t,
-        )
-    )
-    return np.stack(coeffs, axis=-1)  # (..., N, 2, 6)
-
-
-def _sample_spline(coeffs: np.ndarray, duration: float, times: np.ndarray):
-    """Evaluate a piecewise quintic at the given plan-local times."""
-    n_segments = coeffs.shape[-3]
-    seg_t = duration / n_segments
-    seg_idx = np.minimum((times / seg_t).astype(np.int64), n_segments - 1)
-    tau = times - seg_idx * seg_t
-
-    c = coeffs[..., seg_idx, :, :]  # (..., L, 2, 6)
-    # Horner evaluation of position, velocity, acceleration.
-    t = tau[..., :, np.newaxis]  # broadcast over the trailing dim-2 axis
-    k0, k1, k2, k3, k4, k5 = (c[..., i] for i in range(6))
-    pos = ((((k5 * t + k4) * t + k3) * t + k2) * t + k1) * t + k0
-    vel = (((5 * k5 * t + 4 * k4) * t + 3 * k3) * t + 2 * k2) * t + k1
-    acc = ((20 * k5 * t + 12 * k4) * t + 6 * k3) * t + 2 * k2
-    return pos, vel, acc
-
-
 def mission_times(cfg: ScenarioConfig) -> np.ndarray:
     """The scenario's trace grid: int64 ticks from 0 to the mission end."""
     trace_dt = to_ticks(cfg.trace_period)
@@ -142,24 +68,35 @@ def sample_times(duration: float, resolution_hz: float) -> np.ndarray:
 def rollout_arrays(
     via: np.ndarray, start_pos: np.ndarray, start_vel: np.ndarray, duration: float, resolution_hz: float
 ):
-    """Sample the via-point spline on the resolution grid, evaluating each
-    segment's quintic directly (Horner).
+    """Sample the via-point spline on the resolution grid.
 
     ``via`` is (..., N, 2); returns (times (L,), pos/vel/acc (..., L, 2)).
     """
-    coeffs = _segment_coefficients(via, start_pos, start_vel, duration)  # (..., S, 2, 6)
     times = sample_times(duration, resolution_hz)
-    pos, vel, acc = _sample_spline(coeffs, duration, times)
+    pos, vel, acc = _spline_samples(via, start_pos, start_vel, duration, times)
     return times, pos, vel, acc
 
 
 def spline_positions(
     via: np.ndarray, start_pos: np.ndarray, start_vel: np.ndarray, duration: float, times: np.ndarray
 ) -> np.ndarray:
-    """Positions of the via-point spline at arbitrary plan-local times (Horner)."""
-    coeffs = _segment_coefficients(via, start_pos, start_vel, duration)
-    pos, _, _ = _sample_spline(coeffs, duration, np.asarray(times, dtype=np.float64))
-    return pos
+    """Positions of the via-point spline at arbitrary plan-local times."""
+    return _spline_samples(via, start_pos, start_vel, duration, times)[0]
+
+
+def _spline_samples(via, start_pos, start_vel, duration: float, times) -> np.ndarray:
+    """Position, velocity and acceleration of the via-point splines at
+    plan-local ``times``, stacked as (3, ..., L, w) for ``via`` of shape
+    (..., N, w): each coordinate's coefficient row times the spline map,
+    one matrix product as :meth:`PlanningProblem.rollout` takes it."""
+    via = np.asarray(via, dtype=np.float64)
+    *batch, n_via, width = via.shape
+    coef = np.empty((*batch, width, n_via + 2))
+    coef[..., 0] = start_pos
+    coef[..., 1] = start_vel
+    coef[..., 2:] = np.swapaxes(via, -1, -2)
+    samples = coef.reshape(-1, n_via + 2) @ spline_basis(n_via, duration, times)  # (3, rows, L)
+    return np.swapaxes(samples.reshape(3, *batch, width, -1), -1, -2)
 
 
 #: The zero-end-acceleration quintic Hermite weights as polynomials in a
@@ -190,7 +127,8 @@ def spline_basis(n_via: int, duration: float, times: np.ndarray) -> np.ndarray:
     polynomials at its phase, and the knots are themselves linear in the
     coefficients: knot 0 is the start state, knot j >= 1 sits on via point
     j, interior knot velocities are central differences, and the last knot
-    is at rest.
+    is at rest.  At a sample at t = 0 the rows are exactly the start state:
+    position e0, velocity e1 and acceleration 0.
     """
     seg_t = duration / n_via
     times = np.asarray(times, dtype=np.float64)
@@ -216,7 +154,11 @@ def spline_basis(n_via: int, duration: float, times: np.ndarray) -> np.ndarray:
     spread = np.zeros((3, 2 * (n_via + 1), times.size))
     rows = 2 * seg + np.arange(4)[:, np.newaxis]
     spread[:, rows, np.arange(times.size)] = weights.reshape(3, 4, -1)
-    return knots.reshape(-1, n_via + 2).T @ spread
+    basis = knots.reshape(-1, n_via + 2).T @ spread
+    # The start velocity's weight at t = 0 is h * (1 / h), which can round
+    # off 1; with it set, the t = 0 rows are exactly the start state.
+    basis[1, 1, times == 0.0] = 1.0
+    return basis
 
 
 def limit_penalty(vel: np.ndarray, acc: np.ndarray, v_max: float, a_max: float) -> np.ndarray:

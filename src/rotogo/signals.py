@@ -296,8 +296,10 @@ def _read_plain(fh) -> Optional[Signal]:
         table = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None, ndmin=2).T
         # round(s * TICKS_PER_SECOND), as to_ticks computes it: the same IEEE
         # multiply, and rint rounds half to even as round does.  The range
-        # test also refuses infinite and NaN times and huge finite ones.
-        ticks = np.rint(table[0] * TICKS_PER_SECOND)
+        # test also refuses infinite and NaN times and huge finite ones,
+        # whose product overflows to infinity without a warning.
+        with np.errstate(over="ignore"):
+            ticks = np.rint(table[0] * TICKS_PER_SECOND)
         if len(table) != len(header) or not ((ticks >= -(2.0**63)) & (ticks < 2.0**63)).all():
             return None  # numpy compares each row's width with the first's only
         return Signal(ticks.astype(np.int64), dict(zip(header[1:], table[1:])))

@@ -183,7 +183,7 @@ MUTANTS = [
     (FASTEVAL, "out[:, mask] = np.maximum(levels[p][:, a], levels[p][:, b])", "out[:, mask] = levels[p][:, a]",
      ["tests/test_fasteval.py::test_matches_reference_at_every_index"]),
     (FASTEVAL, '"left" if interval.lower_closed else "right"', '"left"',
-     ["tests/test_fasteval.py::test_matches_reference_at_every_index"]),
+     ["tests/test_fasteval.py::test_windows_respect_open_and_closed_bounds"]),
     ("src/rotogo/progression.py", "if isinstance(l, Bottom) or isinstance(r, Bottom):", "if isinstance(l, Bottom):",
      ["tests/test_progression.py::test_simplify_rules"]),
     (PLANNING, "outside = (planes[0] < self._lower)", "outside = (planes[0] <= self._lower)",
@@ -192,6 +192,9 @@ MUTANTS = [
      ["tests/test_cmaes.py::test_minimize_matches_reference_bit_for_bit"]),
     (PLANNING, "knots[1:-1, 1] = 0.5 * (", "knots[1:-1, 1] = 0.4 * (",
      ["tests/test_planning.py::test_spline_basis_matches_the_direct_evaluation"]),
+    # The spline map's exact start velocity, dropped.
+    (PLANNING, "    basis[1, 1, times == 0.0] = 1.0\n", "",
+     ["tests/test_planning.py::test_the_map_at_t0_is_exactly_the_start_state"]),
     (PARSER, "->|<=|>=|", "->|<=|", ["tests/test_parser.py::test_comparison_normalization"]),
     (MPC, "sigma = max(min(sigma, 0.5 * cfg.v_max * duration), 1e-3)", "sigma = max(sigma, 1e-3)",
      ["tests/test_mpc.py::test_episode_digests_are_pinned[phi_avoid-robustness-1]"]),

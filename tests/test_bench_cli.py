@@ -508,6 +508,29 @@ def test_negative_seed_exits_two_before_any_episode(tmp_path, capsys, command, m
     assert captured.out == "" and not out_dir.exists()
 
 
+def test_a_scenario_with_mode_and_seed_is_parsed_once(tmp_path, monkeypatch):
+    # A built-in is built with the options, a config file takes them in one
+    # replace after it is loaded: one parse and two.
+    import rotogo.scenarios
+    from rotogo.cli import _load_scenario, build_parser
+
+    parses = []
+
+    def counted(*args, **kwargs):
+        parses.append(args[0])
+        return parse_formula(*args, **kwargs)
+
+    monkeypatch.setattr(rotogo.scenarios, "parse_formula", counted)
+    cfg_path = tmp_path / "cfg.json"
+    get_scenario("phi_avoid").save(cfg_path)
+    for source, count in ((["--scenario", "phi_avoid"], 1), (["--config", str(cfg_path)], 2)):
+        parses.clear()
+        cfg = _load_scenario(build_parser().parse_args(["run", *source, "--mode", "robustness", "--seed", "3"]))
+        assert len(parses) == count, source
+        assert cfg == get_scenario("phi_avoid", "robustness", 3)
+        assert cfg.validate() == parse_formula(cfg.formula, aliases=cfg.aliases)
+
+
 def test_bench_spec_rejects_a_negative_base_seed():
     with pytest.raises(ValueError, match="base_seed must be >= 0, got -3"):
         BenchSpec(scenario=tiny_scenario(), base_seed=-3, episodes=1)

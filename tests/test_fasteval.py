@@ -108,15 +108,18 @@ def test_matches_reference_at_mission_scale():
 
 
 def test_windows_respect_open_and_closed_bounds():
-    s = Signal(
-        np.array([0, 1, 2, 3], dtype=np.int64) * to_ticks(1.0),
-        {"x": np.array([0.0, 1.0, 2.0, 3.0])},
-    )
-    # F(1,3] x>0 at t=0: sup over x at {2,3} = 3
-    f = Until(TOP, Interval(to_ticks(1.0), to_ticks(3.0), False, True), Pred(Var("x")))
-    table = eval_robustness_all(s, f)
-    assert table[0] == 3.0
-    assert robustness(s, 0, f) == 3.0
+    times = np.array([0, 1, 2, 3], dtype=np.int64) * to_ticks(1.0)
+    for values, lower_closed, upper_closed, want in (
+        ([0.0, 1.0, 2.0, 3.0], False, True, 3.0),  # F(1,3] at t=0: sup over x at {2,3}
+        ([0.0, 5.0, 2.0, 3.0], False, True, 3.0),  # the largest value at the open lower bound
+        ([0.0, 1.0, 2.0, 5.0], True, False, 2.0),  # the largest value at the open upper bound
+    ):
+        s = Signal(times, {"x": np.array(values)})
+        f = Until(TOP, Interval(to_ticks(1.0), to_ticks(3.0), lower_closed, upper_closed), Pred(Var("x")))
+        assert robustness(s, 0, f) == want
+        table = eval_robustness_all(s, f)
+        assert table.tolist() == [robustness(s, s.t(j), f) for j in range(len(s))], values
+        assert Program(times, f, 1, s.names).run(s.block[:, np.newaxis])[0, 0] == want, values
 
 
 def test_bounds_beyond_the_int64_tick_range_match_reference():

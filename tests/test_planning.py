@@ -31,6 +31,65 @@ def rollout(via, duration: float, start, hz: float):
     return rollout_arrays(np.asarray(via, dtype=np.float64), start_pos, start_vel, duration, hz)
 
 
+# ---------------------------------------------------------------------------
+# The direct (Horner) spline: each segment's quintic from its endpoint
+# states, evaluated at the sample's offset in the segment.  It shares no
+# code with spline_basis, which the planner and the public rollouts run,
+# and is the oracle that map is checked against.
+
+
+def _quintic_coefficients(p0, v0, a0, p1, v1, a1, T):
+    """Coefficients c0..c5 of the minimum-jerk quintic meeting both
+    endpoint states, p(t) = c0 + c1 t + ... + c5 t^5 over t in [0, T]; all
+    arguments broadcast."""
+    T2, T3, T4, T5 = T * T, T**3, T**4, T**5
+    dp = p1 - p0 - v0 * T - 0.5 * a0 * T2
+    dv = v1 - v0 - a0 * T
+    da = a1 - a0
+    c3 = (10 * dp - 4 * dv * T + 0.5 * da * T2) / T3
+    c4 = (-15 * dp + 7 * dv * T - da * T2) / T4
+    c5 = (6 * dp - 3 * dv * T + 0.5 * da * T2) / T5
+    return p0, v0, 0.5 * a0, c3, c4, c5
+
+
+def _segment_coefficients(via, start_pos, start_vel, duration: float) -> np.ndarray:
+    """Quintic coefficients of every segment, (..., N, w, 6) for ``via`` of
+    shape (..., N, w).  Knot j sits at j * duration / N on via point j and
+    knot N is at rest; interior knot velocities are central differences of
+    the neighbouring knot positions."""
+    via = np.asarray(via, dtype=np.float64)
+    *batch, n_via, width = via.shape
+    seg_t = duration / n_via
+    knots_p = np.concatenate([np.broadcast_to(start_pos, (*batch, 1, width)), via], axis=-2)
+    knots_v = np.zeros((*batch, n_via + 1, width))
+    knots_v[..., 0, :] = start_vel
+    knots_v[..., 1:-1, :] = (knots_p[..., 2:, :] - knots_p[..., :-2, :]) / (2.0 * seg_t)
+    coeffs = _quintic_coefficients(
+        knots_p[..., :-1, :], knots_v[..., :-1, :], 0.0, knots_p[..., 1:, :], knots_v[..., 1:, :], 0.0, seg_t
+    )
+    return np.stack(np.broadcast_arrays(*coeffs), axis=-1)
+
+
+def _sample_spline(coeffs: np.ndarray, duration: float, times: np.ndarray):
+    """Position, velocity and acceleration, each (..., L, w), of a piecewise
+    quintic at plan-local ``times``, by Horner's rule."""
+    n_segments = coeffs.shape[-3]
+    seg_t = duration / n_segments
+    seg_idx = np.minimum((times / seg_t).astype(np.int64), n_segments - 1)
+    t = (times - seg_idx * seg_t)[:, np.newaxis]
+    k0, k1, k2, k3, k4, k5 = np.moveaxis(coeffs[..., seg_idx, :, :], -1, 0)
+    pos = ((((k5 * t + k4) * t + k3) * t + k2) * t + k1) * t + k0
+    vel = (((5 * k5 * t + 4 * k4) * t + 3 * k3) * t + 2 * k2) * t + k1
+    acc = ((20 * k5 * t + 12 * k4) * t + 6 * k3) * t + 2 * k2
+    return pos, vel, acc
+
+
+def direct_rollout(via, start_pos, start_vel, duration: float, hz: float):
+    """``rollout_arrays``'s (times, pos, vel, acc), from the direct spline."""
+    times = sample_times(duration, hz)
+    return (times, *_sample_spline(_segment_coefficients(via, start_pos, start_vel, duration), duration, times))
+
+
 def scenario(mission_horizon: float, n_via: int, **overrides) -> ScenarioConfig:
     """The settings a problem reads: a 0.1 s trace grid up to the mission
     end, the via-point count, the limits and the workspace."""
@@ -51,9 +110,12 @@ def cost_of(via, duration: float, start, formula, **kwargs) -> float:
 
 
 def test_stationary_plan_stays_put():
-    _, pos, vel, _ = rollout([[1.0, 2.0]] * 4, 8.0, (1.0, 2.0, 0.0, 0.0), 10.0)
+    # Exact in the direct form; the map leaves it within a few ulps.
+    _, pos, vel, _ = direct_rollout(np.array([[1.0, 2.0]] * 4), np.array([1.0, 2.0]), np.zeros(2), 8.0, 10.0)
     assert np.all(pos == [1.0, 2.0])
     assert np.all(vel == 0.0)
+    _, pos, vel, _ = rollout([[1.0, 2.0]] * 4, 8.0, (1.0, 2.0, 0.0, 0.0), 10.0)
+    assert np.abs(pos - [1.0, 2.0]).max() <= 1e-14 and np.abs(vel).max() <= 1e-14
 
 
 def test_single_via_point_is_the_analytic_minimum_jerk_move():
@@ -191,7 +253,7 @@ def test_linear_map_rollout_matches_spline_evaluation():
         problem, (start_pos, start_vel, duration, hz, n_via, _, _), _ = _random_problem(rng)
         X = rng.uniform(-1.0, 6.0, size=(int(rng.integers(1, 8)), 2 * n_via))
         pos, vel, acc = problem.rollout(X)
-        _, want_pos, want_vel, want_acc = rollout_arrays(X.reshape(-1, n_via, 2), start_pos, start_vel, duration, hz)
+        _, want_pos, want_vel, want_acc = direct_rollout(X.reshape(-1, n_via, 2), start_pos, start_vel, duration, hz)
         for got, want in ((pos, want_pos), (vel, want_vel), (acc, want_acc)):
             assert got.shape == (2, X.shape[0], want.shape[1])
             # 1e-12, relative once values exceed 1: short random plans reach
@@ -209,7 +271,7 @@ def test_spline_basis_matches_the_direct_evaluation(n_via, duration):
     assert times[0] == 0.0 and times[-1] == duration
     assert np.array_equal(times[:-1], np.arange(times.size - 1) / 10.0)
     probe = np.eye(n_via + 2)[:, :, np.newaxis]
-    grid, pos, vel, acc = rollout_arrays(probe[:, 2:], probe[:, 0:1], probe[:, 1], duration, 10.0)
+    grid, pos, vel, acc = direct_rollout(probe[:, 2:], probe[:, 0:1], probe[:, 1], duration, 10.0)
     assert np.array_equal(grid, times)
     basis = spline_basis(n_via, duration, times)
     assert basis.shape == (3, n_via + 2, times.size)
@@ -219,8 +281,7 @@ def test_spline_basis_matches_the_direct_evaluation(n_via, duration):
 
 def test_the_flown_spline_meets_the_boundary_and_knot_conditions():
     # Acceptance c08's 100 plans (its seed and draws) through the map that
-    # episodes execute.  The start velocity is h * (1 / h) there, off by up
-    # to an ulp, so it is not asserted exactly.
+    # episodes execute.
     rng = np.random.default_rng(74250917)
     for _ in range(100):
         n = int(rng.integers(1, 6))
@@ -230,6 +291,7 @@ def test_the_flown_spline_meets_the_boundary_and_knot_conditions():
         coeffs = np.vstack([start_pos, start_vel, via]).T  # (2, N+2)
         pos, vel, acc = coeffs @ spline_basis(n, duration, sample_times(duration, 50.0))  # each (2, L)
         assert pos[0, 0] == start_pos[0] and pos[1, 0] == start_pos[1]
+        assert vel[0, 0] == start_vel[0] and vel[1, 0] == start_vel[1]
         assert np.abs(vel[:, -1]).max() < 1e-9 and np.abs(acc[:, -1]).max() < 1e-9
         if n > 1:
             # A jump in position or velocity at a knot shows in the mean of
@@ -238,6 +300,21 @@ def test_the_flown_spline_meets_the_boundary_and_knot_conditions():
             h = 1e-7
             left, centre, right = (coeffs @ spline_basis(n, duration, knots + d)[:2] for d in (-h, 0.0, h))
             assert np.abs((left + right) / 2 - centre).max() < 1e-9
+
+
+def test_the_map_at_t0_is_exactly_the_start_state():
+    # Position e0, velocity e1 and acceleration 0, however 1 / h rounds;
+    # the start sample is followed by the resolution grid or by any times.
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        duration = float(rng.uniform(0.01, 40.0))
+        later = np.sort(rng.uniform(0.0, duration, int(rng.integers(0, 5))))
+        for times in (sample_times(duration, 10.0), np.concatenate([[0.0], later])):
+            position, velocity, acceleration = spline_basis(n, duration, times)[:, :, 0]
+            assert np.array_equal(position, np.eye(n + 2)[0]), (n, duration)
+            assert np.array_equal(velocity, np.eye(n + 2)[1]), (n, duration)
+            assert np.array_equal(acceleration, np.zeros(n + 2)), (n, duration)
 
 
 @pytest.mark.parametrize("duration", [20.0, 9.5, 2.5, 0.5])
@@ -286,14 +363,15 @@ def test_cost_matches_prefix_plus_suffix_table():
 
 
 def test_robustness_of_given_rows_matches_table():
-    # Rows from the direct spline evaluation: the problem's start-only
-    # value of any given rows equals the table of the assembled signal.
+    # Rows from the direct spline, not the problem's own product: the
+    # problem's start-only value of any given rows equals the table of the
+    # assembled signal.
     rng = np.random.default_rng(46)
     for prefix_len in (0, 1, 17):
         problem, (start_pos, start_vel, duration, hz, n_via, f, _), _ = _random_problem(rng, prefix_len=prefix_len)
         X = rng.uniform(0.0, 5.0, size=(4, 2 * n_via))
         problem.cost(X)
-        _, pos, vel, _ = rollout_arrays(X[:1].reshape(n_via, 2), start_pos, start_vel, duration, hz)
+        _, pos, vel, _ = direct_rollout(X[:1].reshape(n_via, 2), start_pos, start_vel, duration, hz)
         rho = problem.robustness(np.stack([pos.T, vel.T])[:, :, np.newaxis])
         block = problem._buffers(1)[1]
         table = eval_robustness_arrays(problem.program.times, dict(zip(STATE_COMPONENTS, block)), f)

@@ -456,12 +456,13 @@ def test_crlf_and_cr_traces_take_the_numpy_fast_path(tmp_path, line_end):
 
 @pytest.mark.parametrize(
     "text",
-    ["t,x\n", "t,x\n\n\n\n", "t,x\r\n\r\n\r\n", "t,x\r\r\r", "t,x\n0,1\n"],
-    ids=["header", "blank", "blank-crlf", "blank-cr", "one"],
+    ["t,x\n", "t,x\n\n\n\n", "t,x\r\n\r\n\r\n", "t,x\r\r\r", "t,x\n0,1\n", "t,x\n0,1\n1e305,2\n"],
+    ids=["header", "blank", "blank-crlf", "blank-cr", "one", "huge-time"],
 )
 def test_no_warning_leaves_the_reader(tmp_path, capsys, text):
-    """np.loadtxt warns "input contained no data" on an empty body; the
-    reader gives the row reader's outcome and nothing else."""
+    """np.loadtxt warns "input contained no data" on an empty body, and a
+    time such as 1e305 overflows in the multiply to ticks; the reader gives
+    the row reader's outcome and nothing else."""
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8")
     with warnings.catch_warnings():
